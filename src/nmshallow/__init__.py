@@ -16,7 +16,6 @@ Layers (bottom up):
   solutions, manufactured residuals.
 * ``cli``            — the ``nmshallow`` command-line interface.
 """
-from . import _accel
 from .errors import (
     ConvergenceError,
     DivergenceError,
@@ -133,6 +132,5 @@ __all__ = [
     "DomainError",
     "StepSizeError",
     "ConvergenceError",
-    "_accel",
     "__version__",
 ]

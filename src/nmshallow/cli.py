@@ -57,6 +57,7 @@ from .green_naghdi import (
 )
 from .linear_ivp import conjugate_trajectory, evolve_packed
 from .nash_moser import (
+    ScheduleParams,
     check_induction,
     compute_schedule,
     nash_moser_solve,
@@ -236,6 +237,16 @@ def _params_from_cfg(cfg: dict, mu: float | None = None, eps: float | None = Non
     )
 
 
+def _schedule_from_cfg(cfg: dict) -> ScheduleParams:
+    """The iteration schedule the config's ``schedule`` section describes."""
+    sc = cfg["schedule"]
+    return compute_schedule(
+        m=float(sc["m"]), d1=float(sc["d1"]), d1p=float(sc["d1p"]), D=float(sc["D"]),
+        P=float(sc["P"]), margin=float(sc["margin"]), s0=float(sc["s0"]),
+        theta0=float(sc["theta0"]),
+    )
+
+
 def _single_mode_zeta(grid: GridSpec, mode, amplitude: float) -> SpectralField:
     zc = np.zeros((1, *grid.shape), dtype=np.complex128)
     if grid.dimension == 1:
@@ -366,16 +377,7 @@ def cmd_schedule(config_path, out_dir, seed, threads) -> None:
             "P": float(sc["P"]),
         }
         try:
-            sched = compute_schedule(
-                m=float(sc["m"]),
-                d1=float(sc["d1"]),
-                d1p=float(sc["d1p"]),
-                D=float(sc["D"]),
-                P=float(sc["P"]),
-                margin=float(sc["margin"]),
-                s0=float(sc["s0"]),
-                theta0=float(sc["theta0"]),
-            )
+            sched = _schedule_from_cfg(cfg)
         except InfeasibleScheduleError as exc:
             report["feasible"] = False
             report["reason"] = str(exc)
@@ -398,12 +400,7 @@ def cmd_schedule(config_path, out_dir, seed, threads) -> None:
 
 def _run_nash_moser(cfg: dict, params: PhysicalParams, u0: GNState, out: Path):
     rc = cfg["run"]
-    sc = cfg["schedule"]
-    sched = compute_schedule(
-        m=float(sc["m"]), d1=float(sc["d1"]), d1p=float(sc["d1p"]), D=float(sc["D"]),
-        P=float(sc["P"]), margin=float(sc["margin"]), s0=float(sc["s0"]),
-        theta0=float(sc["theta0"]),
-    )
+    sched = _schedule_from_cfg(cfg)
     problem = GNProblem(params, u0, tol=float(rc["cg_tol"]))
     u_tilde, trace = nash_moser_solve(
         problem, sched, float(rc["T"]), float(rc["dt"]),
@@ -480,12 +477,7 @@ def cmd_convergence(config_path, out_dir, seed, threads) -> None:
         out.mkdir(parents=True, exist_ok=True)
         params = _params_from_cfg(cfg)
         u0 = _initial_state(params, cfg["data"])
-        sc = cfg["schedule"]
-        sched = compute_schedule(
-            m=float(sc["m"]), d1=float(sc["d1"]), d1p=float(sc["d1p"]),
-            D=float(sc["D"]), P=float(sc["P"]), margin=float(sc["margin"]),
-            s0=float(sc["s0"]), theta0=float(sc["theta0"]),
-        )
+        sched = _schedule_from_cfg(cfg)
         header = "\n".join(
             _csv_header(_config_hash(cfg), "all columns nondimensional; props are 0/1 booleans")
         )

@@ -32,8 +32,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import _accel
-
 __all__ = [
     "GridSpec",
     "SpectralField",
@@ -383,7 +381,7 @@ def sobolev_norm(u: SpectralField, s: float) -> float:
         (u.coefficients.real**2 + u.coefficients.imag**2).reshape(u.components, -1).sum(axis=0)
     )
     vol = u.grid.domain_length**u.grid.dimension
-    return math.sqrt(vol * _accel.weighted_norm_sq(abs2, w))
+    return math.sqrt(vol * float(np.dot(abs2, w)))
 
 
 def smooth(u: SpectralField, theta: float) -> SpectralField:
@@ -437,7 +435,7 @@ def _snapshot_norms(
         (u.snapshots.real**2 + u.snapshots.imag**2).sum(axis=1).reshape(u.n_times, -1)
     )
     vol = u.grid.domain_length**u.grid.dimension
-    return np.sqrt(vol * _accel.weighted_norm_sq_batch(abs2, w))
+    return np.sqrt(vol * (abs2 @ w))
 
 
 def trajectory_norm(
@@ -445,15 +443,12 @@ def trajectory_norm(
     s: float,
     mode: str = "XsT",
     m: float = 0.0,
-    eps: float = 1.0,
-    j: int = 0,
     snapshot_norm: Callable[[SpectralField, float], float] | None = None,
 ) -> float:
     """Trajectory norms over the uniform time grid.
 
     mode "XsT":  sup_t |u(t)|_s
     mode "Es":   sup_t |u(t)|_s + sup_t |du/dt(t)|_{s-m}
-    mode "Xs_j": sum_{k<=j} sup_t eps^k |d^k u/dt^k (t)|_{s-k*m}
 
     `snapshot_norm(field, index)` overrides the plain Sobolev norm per snapshot
     (used by the shallow-water norms which carry a dispersive divergence term).
@@ -464,14 +459,6 @@ def trajectory_norm(
         base = float(np.max(_snapshot_norms(u, s, snapshot_norm)))
         slope = float(np.max(_snapshot_norms(time_derivative(u), s - m, snapshot_norm)))
         return base + slope
-    if mode == "Xs_j":
-        total = 0.0
-        cur = u
-        for k in range(j + 1):
-            if k > 0:
-                cur = time_derivative(cur)
-            total += eps**k * float(np.max(_snapshot_norms(cur, s - k * m, snapshot_norm)))
-        return total
     raise ValueError(f"unknown trajectory norm mode {mode!r}")
 
 

@@ -51,14 +51,10 @@ __all__ = [
     "PhysicalParams",
     "GNState",
     "LinearizedCoeffs",
-    "apply_T",
     "apply_bigT",
     "energy_E",
     "invert_bigT",
-    "apply_Q",
-    "apply_Q_bilinear",
     "nonlinear_F",
-    "singular_term",
     "build_linearized_coeffs",
     "apply_N",
     "apply_K",
@@ -213,29 +209,26 @@ def _require_admissible(params: PhysicalParams, hg: np.ndarray, where: str) -> N
 
 # --------------------------------------------------------------- T and bigT
 
-def _apply_T_arrays(
-    grid: GridSpec, hg: np.ndarray, gbeta_g: np.ndarray, Vc: np.ndarray
+def _T_terms(
+    grid: GridSpec, hg: np.ndarray, gbeta_g: np.ndarray, Vg: np.ndarray, Xg: np.ndarray
 ) -> np.ndarray:
-    """T[h, beta]V on coefficient arrays; hg, gbeta_g are grid samples."""
-    Vg = grid.to_grid(Vc)
-    Xg = grid.to_grid(_div_c(grid, Vc))
+    """Unprojected T[h, beta]V from grid samples of V and div V."""
     Yg = _dot_g(gbeta_g, Vg)
     h2 = hg * hg
     h3 = h2 * hg
     out = -(1.0 / 3.0) * _grad_c(grid, grid.from_grid(h3 * Xg))
     out += 0.5 * _grad_c(grid, grid.from_grid(h2 * Yg))
     out += grid.from_grid((-0.5 * h2 * Xg + hg * Yg)[None] * gbeta_g)
-    return grid.project(out)
+    return out
 
 
-def apply_T(h: SpectralField, beta: SpectralField, V: SpectralField) -> SpectralField:
-    """Bathymetric correction operator T[h, beta] applied to a velocity field."""
-    grid = V.grid
-    if h.grid != grid or beta.grid != grid:
-        raise ValueError("h, beta, V must share one grid")
-    hg = grid.to_grid(h.coefficients[0])
-    gbeta_g = grid.to_grid(_grad_c(grid, beta.coefficients[0]))
-    return SpectralField(grid, _apply_T_arrays(grid, hg, gbeta_g, V.coefficients))
+def _apply_T_arrays(
+    grid: GridSpec, hg: np.ndarray, gbeta_g: np.ndarray, Vc: np.ndarray
+) -> np.ndarray:
+    """T[h, beta]V on coefficient arrays; hg, gbeta_g are grid samples."""
+    Vg = grid.to_grid(Vc)
+    Xg = grid.to_grid(_div_c(grid, Vc))
+    return grid.project(_T_terms(grid, hg, gbeta_g, Vg, Xg))
 
 
 def _apply_bigT_arrays(
@@ -244,15 +237,8 @@ def _apply_bigT_arrays(
     """(h + mu T[h, beta]) V on coefficient arrays."""
     Vg = grid.to_grid(Vc)
     Xg = grid.to_grid(_div_c(grid, Vc))
-    Yg = _dot_g(gbeta_g, Vg)
-    h2 = hg * hg
-    h3 = h2 * hg
     out = grid.from_grid(hg[None] * Vg)
-    out += mu * (
-        -(1.0 / 3.0) * _grad_c(grid, grid.from_grid(h3 * Xg))
-        + 0.5 * _grad_c(grid, grid.from_grid(h2 * Yg))
-        + grid.from_grid((-0.5 * h2 * Xg + hg * Yg)[None] * gbeta_g)
-    )
+    out += mu * _T_terms(grid, hg, gbeta_g, Vg, Xg)
     return grid.project(out)
 
 
@@ -384,55 +370,7 @@ def _apply_Q_bilinear_arrays(
     return grid.project(out)
 
 
-def apply_Q_bilinear(
-    h: SpectralField, beta: SpectralField, V: SpectralField, W: SpectralField
-) -> SpectralField:
-    """Bilinear symmetric version of the bathymetry form: Q_bil(V, V) = Q(V)."""
-    grid = V.grid
-    hg = grid.to_grid(h.coefficients[0])
-    gbeta_g = grid.to_grid(_grad_c(grid, beta.coefficients[0]))
-    return SpectralField(
-        grid, _apply_Q_bilinear_arrays(grid, hg, gbeta_g, V.coefficients, W.coefficients)
-    )
-
-
-def apply_Q(h: SpectralField, beta: SpectralField, V: SpectralField) -> SpectralField:
-    """Quadratic bathymetry form Q[h, beta](V)."""
-    return apply_Q_bilinear(h, beta, V, V)
-
-
 # --------------------------------------------------------- nonlinear tendency
-
-def singular_term(
-    params: PhysicalParams,
-    h: SpectralField,
-    zeta: SpectralField,
-    route: str = "stable",
-    tol: float = 1e-12,
-) -> SpectralField:
-    """The O(1/eps) part of the velocity tendency, by either of two assemblies.
-
-    route "stable":  -(mu/eps) bigT^{-1} (T grad zeta)   (no cancellation)
-    route "direct":  (1/eps) (bigT^{-1}(h grad zeta) - grad zeta)
-    The two agree to solver tolerance; the stable route is the default used by
-    `nonlinear_F`, the direct one exists so tests can confirm the identity.
-    """
-    grid = zeta.grid
-    gz = SpectralField(grid, _grad_c(grid, zeta.coefficients[0]))
-    if route == "stable":
-        hg = grid.to_grid(h.coefficients[0])
-        tgz = SpectralField(
-            grid, _apply_T_arrays(grid, hg, params.grad_beta_grid, gz.coefficients)
-        )
-        w = invert_bigT(params, h, tgz, tol=tol)
-        return (-params.mu / params.eps) * w
-    if route == "direct":
-        hg = grid.to_grid(h.coefficients[0])
-        hgz = SpectralField(grid, grid.project(grid.from_grid(hg[None] * grid.to_grid(gz.coefficients))))
-        w = invert_bigT(params, h, hgz, tol=tol)
-        return (1.0 / params.eps) * (w - gz)
-    raise ValueError(f"unknown route {route!r}")
-
 
 def nonlinear_F(params: PhysicalParams, u: GNState, tol: float = 1e-12) -> GNState:
     """Nonstiff tendency F[u] of the rescaled system d/dt u + (1/eps)Lu + F[u] = 0.
@@ -674,15 +612,20 @@ def build_linearized_coeffs(
     )
 
 
-def _apply_N_rows(
+def _N1_terms(
     coeffs_t: dict[str, np.ndarray],
     params: PhysicalParams,
     v: GNState,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(N1 V + N2 zeta, N3 V + N4 zeta) on coefficient arrays, at one time."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """N1 V + bbar zeta + mu grad(hbar abar zeta), unprojected, at one time.
+
+    The part of the linearized momentum row that `apply_N` and `apply_K`
+    share; each adds its own 1/eps term. Also returns the grid samples of
+    V and zeta, which both reuse for the mass row.
+    """
     grid = v.grid
     d = grid.dimension
-    mu, eps = params.mu, params.eps
+    mu = params.mu
     gbeta = params.grad_beta_grid
 
     hbar = coeffs_t["hbar"]
@@ -700,11 +643,9 @@ def _apply_N_rows(
     zg = grid.to_grid(zc)
     Xc = _div_c(grid, Vc)
     Xg = grid.to_grid(Xc)
-    gz_g = grid.to_grid(_grad_c(grid, zc))
     grad_X_g = grid.to_grid(_grad_c(grid, Xc))
     grad_V_g = np.stack([grid.to_grid(_grad_c(grid, Vc[i])) for i in range(d)])
 
-    # --- N1 V
     adv = np.stack(
         [_dot_g(Vbar, grad_V_g[i]) + _dot_g(Vg, gradVbar[i]) for i in range(d)]
     )
@@ -726,15 +667,29 @@ def _apply_N_rows(
         _grad_c(grid, grid.from_grid(hbar**2 * sym2))
         + grid.from_grid((hbar * (0.5 * hbar * dsym2 + 2.0 * sym2))[None] * gbeta)
     )
-    # --- N2 zeta
-    row1 += grid.from_grid((hbar / eps)[None] * gz_g)
+    # bbar zeta + mu grad(hbar abar zeta): N2 zeta without its 1/eps part
     row1 += grid.from_grid(zg[None] * bbar)
     row1 += mu * _grad_c(grid, grid.from_grid(hbar * abar * zg))
+    return row1, Vg, zg
+
+
+def _apply_N_rows(
+    coeffs_t: dict[str, np.ndarray],
+    params: PhysicalParams,
+    v: GNState,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(N1 V + N2 zeta, N3 V + N4 zeta) on coefficient arrays, at one time."""
+    grid = v.grid
+    eps = params.eps
+    hbar = coeffs_t["hbar"]
+
+    row1, Vg, zg = _N1_terms(coeffs_t, params, v)
+    gz_g = grid.to_grid(_grad_c(grid, v.zeta.coefficients[0]))
+    row1 += grid.from_grid((hbar / eps)[None] * gz_g)
     row1 = grid.project(row1)
 
-    # --- N3 V + N4 zeta
     row2 = (1.0 / eps) * _div_c(grid, grid.from_grid(hbar[None] * Vg))
-    row2 += _div_c(grid, grid.from_grid(zg[None] * Vbar))
+    row2 += _div_c(grid, grid.from_grid(zg[None] * coeffs_t["Vbar"]))
     row2 = grid.project(row2)
     return row1, row2
 
@@ -783,51 +738,13 @@ def apply_K(
     solve with the returned vector.
     """
     grid = v.grid
-    d = grid.dimension
     mu, eps = params.mu, params.eps
     coeffs_t = coeffs.at_time(float(t))
     hbar = coeffs_t["hbar"]
-    Vbar = coeffs_t["Vbar"]
-    gbeta = params.grad_beta_grid
 
-    Vc = v.V.coefficients
-    zc = v.zeta.coefficients[0]
-    Vg = grid.to_grid(Vc)
-    zg = grid.to_grid(zc)
-    Xc = _div_c(grid, Vc)
-    Xg = grid.to_grid(Xc)
-    gz_c = _grad_c(grid, zc)
-    grad_X_g = grid.to_grid(_grad_c(grid, Xc))
-    grad_V_g = np.stack([grid.to_grid(_grad_c(grid, Vc[i])) for i in range(d)])
-
-    divVbar = coeffs_t["divVbar"]
-    gradVbar = coeffs_t["gradVbar"]
-    graddivVbar = coeffs_t["graddivVbar"]
-    grad_vbarbeta = coeffs_t["grad_vbarbeta"]
-    abar = coeffs_t["abar"]
-    bbar = coeffs_t["bbar"]
-
-    adv = np.stack(
-        [_dot_g(Vbar, grad_V_g[i]) + _dot_g(Vg, gradVbar[i]) for i in range(d)]
-    )
-    rhs = grid.from_grid(hbar[None] * adv)
-    dsym2 = (
-        -_dot_g(Vbar, grad_X_g)
-        + divVbar * Xg
-        - _dot_g(Vg, graddivVbar)
-        + Xg * divVbar
-    )
-    rhs += (mu / 3.0) * _grad_c(grid, grid.from_grid(hbar**3 * dsym2))
-    vb = _dot_g(gbeta, Vg)
-    grad_vb = grid.to_grid(_grad_c(grid, grid.from_grid(vb)))
-    sym2 = 0.5 * (_dot_g(Vg, grad_vbarbeta) + _dot_g(Vbar, grad_vb))
-    rhs += mu * (
-        _grad_c(grid, grid.from_grid(hbar**2 * sym2))
-        + grid.from_grid((hbar * (0.5 * hbar * dsym2 + 2.0 * sym2))[None] * gbeta)
-    )
-    rhs += grid.from_grid(zg[None] * bbar)
-    rhs += mu * _grad_c(grid, grid.from_grid(hbar * abar * zg))
-    rhs += -(mu / eps) * _apply_T_arrays(grid, hbar, gbeta, gz_c)
+    rhs, Vg, zg = _N1_terms(coeffs_t, params, v)
+    gz_c = _grad_c(grid, v.zeta.coefficients[0])
+    rhs += -(mu / eps) * _apply_T_arrays(grid, hbar, params.grad_beta_grid, gz_c)
     rhs = grid.project(rhs)
 
     h_field = SpectralField(grid, grid.project(grid.from_grid(hbar)))
@@ -835,7 +752,7 @@ def apply_K(
 
     flux = (coeffs_t["zetabar"] - params.b_grid)[None] * Vg
     row2 = _div_c(grid, grid.from_grid(flux))
-    row2 += _div_c(grid, grid.from_grid(zg[None] * Vbar))
+    row2 += _div_c(grid, grid.from_grid(zg[None] * coeffs_t["Vbar"]))
     row2 = grid.project(row2)
     out = GNState(V=K1, zeta=SpectralField(grid, row2[None]), t=v.t)
     return out, K1.coefficients.reshape(-1)
@@ -855,7 +772,6 @@ def frechet_F(
     Meaningful as the exact derivative only when `coeffs` was built with
     `substituted=False`.
     """
-    grid = v.grid
     out, _ = apply_K(coeffs, params, float(coeffs.times[t]), v, tol=tol)
     return out
 

@@ -15,6 +15,12 @@ correction frequency, which stays bounded by the band cutoff; an internal
 sub-step cap keeps RK4 inside its stability interval without changing the
 output time grid.
 
+Both integrators of the package run on one private IF-RK4 driver,
+`_integrate_filtered`: `solve_linearized` hands it the linearized operator
+K(t) and `reference.mol_solve` the nonlinear tendency F. The driver owns the
+output grid, the sub-step split, forcing sampling, the four RK4 stages, the
+growth guard and the run statistics.
+
 Per-mode rotation, derived once
 -------------------------------
 For wavevector xi != 0 write Vhat = a * (xi/|xi|) + (transverse part); the
@@ -43,19 +49,16 @@ from typing import Callable
 import numpy as np
 
 from . import green_naghdi as gn
-from ._accel import ACTIVE_BACKEND, rotate_modes
 from .errors import DomainError, StepSizeError
 from .fourier_scale import GridSpec, SpectralField, TrajectoryField
-from .green_naghdi import GNState, LinearizedCoeffs, PhysicalParams, apply_K, x_norm_packed
+from .green_naghdi import GNState, LinearizedCoeffs, PhysicalParams, apply_K
 
 __all__ = [
     "IVPData",
-    "evolution_U",
     "evolve_packed",
     "conjugate_trajectory",
     "dispersive_dt_cap",
     "solve_linearized",
-    "energy_estimate_probe",
 ]
 
 
@@ -102,28 +105,15 @@ def evolve_packed(grid: GridSpec, eps: float, t: float, coeffs: np.ndarray) -> n
 
     V = coeffs[:d]
     along = np.einsum("i...,i...->...", unit, V)
-    a_new, z_new = rotate_modes(
-        np.ascontiguousarray(along.ravel()),
-        np.ascontiguousarray(coeffs[d].ravel()),
-        cos_v,
-        sin_v,
-    )
+    along_v = along.ravel()
+    zeta_v = coeffs[d].ravel()
+    a_new = cos_v * along_v - 1j * (sin_v * zeta_v)
+    z_new = cos_v * zeta_v - 1j * (sin_v * along_v)
     out = np.empty_like(coeffs)
     delta = (a_new.reshape(grid.shape) - along)[None]
     out[:d] = V + delta * unit
     out[d] = z_new.reshape(grid.shape)
     return out
-
-
-def evolution_U(params: PhysicalParams, t: float, u: GNState) -> GNState:
-    """Exact solution operator of d/dt u + (1/eps) L u = 0 at time t.
-
-    Group properties hold to rounding: U(0) is the identity bit-for-bit
-    aside from the defensive copy, U(t)U(s) = U(t+s), and every mode
-    rotation is unitary so all scale norms are preserved.
-    """
-    out = evolve_packed(u.grid, params.eps, t, u.packed().coefficients)
-    return GNState.from_packed(SpectralField(u.grid, out), t=None if u.t is None else u.t + t)
 
 
 def conjugate_trajectory(
@@ -242,29 +232,28 @@ def _forcing_sampler(
     return sample
 
 
-def solve_linearized(
+def _integrate_filtered(
     params: PhysicalParams,
-    coeffs: LinearizedCoeffs,
     ivp: IVPData,
-    tol: float = 1e-12,
-    return_stats: bool = False,
-) -> TrajectoryField | tuple[TrajectoryField, dict]:
-    """Integrate the linearized system on [0, T] and return v on the grid.
+    tendency: Callable[[float, GNState], GNState],
+    on_output: Callable[[float, np.ndarray], None] | None = None,
+) -> tuple[TrajectoryField, dict]:
+    """IF-RK4 driver shared by `solve_linearized` and `reference.mol_solve`.
 
-    Works on the filtered unknown w(t) = U(-t) v(t), for which
+    Integrates d/dt v + (1/eps) L v + G(t, v) = f on [0, T], where G is
+    `tendency(t, state)`, through the filtered unknown w(t) = U(-t) v(t):
 
-        d/dt w = U(-t) [ f(t) - K(t) v(t) ],   v(t) = U(t) w(t),
+        d/dt w = U(-t) [ f(t) - G(t, U(t) w) ],   v(t) = U(t) w(t),
 
-    advanced by classical RK4. The stiff wave operator is gone exactly; the
-    bounded conjugated operator is applied as U(-t) o K(t) o U(t) each
-    stage (one elliptic solve per stage, warm-started from the previous
-    stage's solution). Time-dependent coefficients are interpolated
-    linearly between their snapshots by `apply_K`. If the requested dt
-    exceeds the dispersive stability cap the step is split into equal
-    sub-steps internally; the output grid is unchanged.
+    advanced by classical RK4. If the requested dt exceeds the dispersive
+    stability cap the step is split into equal sub-steps internally; the
+    output grid is unchanged. `on_output(t, v)` sees every output snapshot
+    (physical variables), the initial one included, and may raise.
 
-    Raises StepSizeError when a step multiplies the solution norm by more
-    than 10 or produces non-finite values.
+    Returns the physical trajectory and the run statistics. Raises
+    StepSizeError when a step multiplies the solution norm by more than 10
+    or produces non-finite values; solutions below a floor set by the data
+    and forcing sizes are exempt from the growth test.
     """
     grid = ivp.initial.grid
     d = grid.dimension
@@ -288,7 +277,8 @@ def solve_linearized(
     w = grid.project(ivp.initial.packed().coefficients)
     out = np.empty((n_steps + 1, d + 1, *grid.shape), dtype=np.complex128)
     out[0] = w
-    warm: np.ndarray | None = None
+    if on_output is not None:
+        on_output(0.0, out[0])
 
     forcing_scale = 0.0
     if ivp.forcing is not None:
@@ -297,17 +287,16 @@ def solve_linearized(
     norm_floor = 1e-13 * (1.0 + float(np.linalg.norm(w)) + forcing_scale)
 
     def rhs(t: float, w_arr: np.ndarray) -> np.ndarray:
-        nonlocal warm
         v_arr = evolve_packed(grid, eps, t, w_arr)
         state = GNState(
             V=SpectralField(grid, v_arr[:d]),
             zeta=SpectralField(grid, v_arr[d : d + 1]),
             t=t,
         )
-        Kv, warm = apply_K(coeffs, params, t, state, tol=tol, x0=warm)
+        G = tendency(t, state)
         phys = np.empty_like(w_arr)
-        phys[:d] = -Kv.V.coefficients
-        phys[d] = -Kv.zeta.coefficients[0]
+        phys[:d] = -G.V.coefficients
+        phys[d] = -G.zeta.coefficients[0]
         f_val = sample_f(t)
         if f_val is not None:
             phys += f_val
@@ -323,32 +312,24 @@ def solve_linearized(
             k3 = rhs(t0 + 0.5 * h, w + (0.5 * h) * k2)
             k4 = rhs(t0 + h, w + h * k3)
             w = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t_next = (n + 1) * dt_out
         norm_now = float(np.linalg.norm(w))
-        import os as _os  # NMDEBUG temp
-
-        if _os.environ.get("NMSHALLOW_DEBUG_GROWTH"):  # NMDEBUG temp
-            print(
-                f"[growth] step {n + 1} t={t_n + dt_out:g} prev={norm_prev:.3e} "
-                f"now={norm_now:.3e} floor={norm_floor:.3e} fscale={forcing_scale:.3e}",
-                flush=True,
-            )
         if not math.isfinite(norm_now):
             raise StepSizeError(
-                f"non-finite solution after step {n + 1} (t={t_n + dt_out:g}); "
+                f"non-finite solution after step {n + 1} (t={t_next:g}); "
                 f"reduce dt (current {dt_out:g}, {n_sub} internal sub-steps)"
             )
-        if norm_prev > norm_floor and norm_now > 10.0 * norm_prev and not _os.environ.get("NMSHALLOW_DEBUG_GROWTH"):
+        if norm_prev > norm_floor and norm_now > 10.0 * norm_prev:
             raise StepSizeError(
                 f"solution norm grew {norm_now / norm_prev:.2f}x in one step at "
-                f"t={t_n + dt_out:g}; the step size dt={dt_out:g} is unstable"
+                f"t={t_next:g}; the step size dt={dt_out:g} is unstable"
             )
         norm_prev = norm_now
-        out[n + 1] = evolve_packed(grid, eps, (n + 1) * dt_out, w)
+        out[n + 1] = evolve_packed(grid, eps, t_next, w)
+        if on_output is not None:
+            on_output(t_next, out[n + 1])
 
     times = np.linspace(0.0, ivp.horizon, n_steps + 1)
-    solution = TrajectoryField(grid, times, out)
-    if not return_stats:
-        return solution
     stats = {
         "steps": n_steps,
         "substeps_per_step": n_sub,
@@ -356,62 +337,34 @@ def solve_linearized(
         "dt_internal": h,
         "mass_solves": gn.CG_STATS["solves"] - solves0,
         "mass_solve_iterations": gn.CG_STATS["iterations"] - iters0,
-        "backend": ACTIVE_BACKEND,
     }
-    return solution, stats
+    return TrajectoryField(grid, times, out), stats
 
 
-# ------------------------------------------------------------- energy probe
-
-
-def energy_estimate_probe(
+def solve_linearized(
     params: PhysicalParams,
     coeffs: LinearizedCoeffs,
     ivp: IVPData,
-    s: float,
-    t0: float = 1.0,
-    solution: TrajectoryField | None = None,
     tol: float = 1e-12,
-) -> tuple[float, dict]:
-    """Empirical check of the linear energy estimate at index s.
+    return_stats: bool = False,
+) -> TrajectoryField | tuple[TrajectoryField, dict]:
+    """Integrate the linearized system on [0, T] and return v on the grid.
 
-    Returns (lhs, shape) where lhs = sup_t |v(t)|_{X^s} over the computed
-    solution and shape holds the data functionals the estimate compares
-    against:
+    Runs the shared IF-RK4 driver `_integrate_filtered` with G = K(t), so
+    the bounded conjugated operator is applied as U(-t) o K(t) o U(t) each
+    stage (one elliptic solve per stage, warm-started from the previous
+    stage's solution). Time-dependent coefficients are interpolated
+    linearly between their snapshots by `apply_K`.
 
-        I_s     = |g|_{X^s} + integral of the running sup of |f|_{X^s},
-        I_t0p1  = the same at index t0 + 1,
-        ratio   = lhs / I_s (inf when the data vanish but the solution
-                  does not; 0 for the zero problem).
-
-    Only finiteness and stability of the ratio are meaningful; no universal
-    constant is asserted.
+    Raises StepSizeError when a step multiplies the solution norm by more
+    than 10 or produces non-finite values.
     """
-    if solution is None:
-        solution = solve_linearized(params, coeffs, ivp, tol=tol)
-        assert isinstance(solution, TrajectoryField)
+    warm: np.ndarray | None = None
 
-    lhs = max(
-        x_norm_packed(params, solution.snapshot(i), s) for i in range(solution.n_times)
-    )
+    def tendency(t: float, v: GNState) -> GNState:
+        nonlocal warm
+        Kv, warm = apply_K(coeffs, params, t, v, tol=tol, x0=warm)
+        return Kv
 
-    def data_functional(idx: float) -> float:
-        g_norm = x_norm_packed(params, ivp.initial.packed(), idx)
-        if ivp.forcing is None:
-            return g_norm
-        f_norms = np.array(
-            [
-                x_norm_packed(params, ivp.forcing.snapshot(i), idx)
-                for i in range(ivp.forcing.n_times)
-            ]
-        )
-        running = np.maximum.accumulate(f_norms)
-        return g_norm + float(np.trapezoid(running, dx=ivp.forcing.time_step))
-
-    I_s = data_functional(s)
-    I_t0p1 = data_functional(t0 + 1.0)
-    if I_s > 0.0:
-        ratio = lhs / I_s
-    else:
-        ratio = 0.0 if lhs == 0.0 else math.inf
-    return lhs, {"I_s": I_s, "I_t0_plus_1": I_t0p1, "ratio": ratio}
+    solution, stats = _integrate_filtered(params, ivp, tendency)
+    return (solution, stats) if return_stats else solution

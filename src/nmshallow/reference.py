@@ -7,10 +7,11 @@ Three routes that do not go through the iterative scheme:
 
       d/dt u + (1/eps) L u + F[u] = f(t),
 
-  using the same integrating-factor RK4 machinery as the linear solver
-  (exact free-wave conjugation, dispersive sub-step cap), so that the
-  iterative solution can be checked against an entirely different
-  solution path sharing only the spatial discretization.
+  on the IF-RK4 driver `linear_ivp._integrate_filtered` that the linear
+  solver also runs (exact free-wave conjugation, dispersive sub-step cap),
+  so that the iterative solution can be checked against an entirely
+  different solution path sharing only the spatial discretization and the
+  time stepper.
 
 * `serre_solitary_wave` -- the closed-form solitary wave of the fully
   nonlinear dispersive system over a flat bottom.  The profile constants
@@ -28,8 +29,7 @@ import math
 import numpy as np
 
 from . import green_naghdi as gn
-from ._accel import ACTIVE_BACKEND
-from .errors import DomainError, StepSizeError
+from .errors import DomainError
 from .fourier_scale import (
     SpectralField,
     TrajectoryField,
@@ -37,7 +37,7 @@ from .fourier_scale import (
     time_derivative,
 )
 from .green_naghdi import GNState, PhysicalParams, depth_grid, nonlinear_F
-from .linear_ivp import IVPData, _forcing_sampler, dispersive_dt_cap, evolve_packed
+from .linear_ivp import IVPData, _integrate_filtered
 
 __all__ = [
     "mol_solve",
@@ -61,7 +61,9 @@ def mol_solve(
 ) -> TrajectoryField | tuple[TrajectoryField, dict]:
     """Direct nonlinear solve of d/dt u + (1/eps) L u + F[u] = f on [0, T].
 
-    Integrates the filtered unknown w(t) = U(-t) u(t), for which
+    Runs the shared IF-RK4 driver `linear_ivp._integrate_filtered` with
+    the nonlinear tendency F, i.e. integrates the filtered unknown
+    w(t) = U(-t) u(t), for which
 
         d/dt w = U(-t) [ f(t) - F[U(t) w] ],
 
@@ -75,100 +77,25 @@ def mol_solve(
     elliptic solve); dropping to the admissibility floor aborts with a
     DomainError carrying the failure time.
     """
-    grid = u0.grid
-    d = grid.dimension
-    eps = params.eps
-    n_steps = max(1, int(round(T / dt)))
-    dt_out = T / n_steps
-    if abs(dt_out - dt) > 1e-8 * dt:
-        raise DomainError(
-            f"dt={dt:g} does not divide the horizon T={T:g} "
-            f"(nearest uniform grid uses dt={dt_out:g})"
-        )
     ivp = IVPData(initial=u0, horizon=T, dt=dt, forcing=forcing, forcing_fn=forcing_fn)
-    sample_f = _forcing_sampler(ivp, grid, n_steps)
+    d = u0.grid.dimension
 
-    cap = dispersive_dt_cap(params, grid)
-    n_sub = max(1, int(math.ceil(dt_out / cap - 1e-12)))
-    h = dt_out / n_sub
-
-    solves0 = gn.CG_STATS["solves"]
-    iters0 = gn.CG_STATS["iterations"]
-
-    w = grid.project(u0.packed().coefficients)
-    out = np.empty((n_steps + 1, d + 1, *grid.shape), dtype=np.complex128)
-    out[0] = w
-
-    def check_depth(phys_zeta: np.ndarray, t: float) -> None:
-        hmin = float(np.min(depth_grid(params, phys_zeta)))
+    def check_depth(t: float, u: np.ndarray) -> None:
+        hmin = float(np.min(depth_grid(params, u[d])))
         if hmin <= params.h0:
             raise DomainError(
                 f"water depth reached {hmin:.6g} at t={t:g}, at or below the "
                 f"floor h0={params.h0:g}; the solution left the admissible set"
             )
 
-    check_depth(w[d], 0.0)
-
-    def rhs(t: float, w_arr: np.ndarray) -> np.ndarray:
-        v_arr = evolve_packed(grid, eps, t, w_arr)
-        state = GNState(
-            V=SpectralField(grid, v_arr[:d]),
-            zeta=SpectralField(grid, v_arr[d : d + 1]),
-            t=t,
-        )
+    def tendency(t: float, u: GNState) -> GNState:
         try:
-            F = nonlinear_F(params, state, tol=tol)
+            return nonlinear_F(params, u, tol=tol)
         except DomainError as exc:
             raise DomainError(f"{exc} (while evaluating the tendency at t={t:g})") from exc
-        phys = np.empty_like(w_arr)
-        phys[:d] = -F.V.coefficients
-        phys[d] = -F.zeta.coefficients[0]
-        f_val = sample_f(t)
-        if f_val is not None:
-            phys += f_val
-        return evolve_packed(grid, eps, -t, phys)
 
-    norm_prev = float(np.linalg.norm(w))
-    norm_floor = 1e-13 * (1.0 + norm_prev)
-    for n in range(n_steps):
-        t_n = n * dt_out
-        for j in range(n_sub):
-            t0 = t_n + j * h
-            k1 = rhs(t0, w)
-            k2 = rhs(t0 + 0.5 * h, w + (0.5 * h) * k1)
-            k3 = rhs(t0 + 0.5 * h, w + (0.5 * h) * k2)
-            k4 = rhs(t0 + h, w + h * k3)
-            w = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t_next = (n + 1) * dt_out
-        norm_now = float(np.linalg.norm(w))
-        if not math.isfinite(norm_now):
-            raise StepSizeError(
-                f"non-finite solution after step {n + 1} (t={t_next:g}); "
-                f"reduce dt (current {dt_out:g}, {n_sub} internal sub-steps)"
-            )
-        if norm_prev > norm_floor and norm_now > 10.0 * norm_prev:
-            raise StepSizeError(
-                f"solution norm grew {norm_now / norm_prev:.2f}x in one step at "
-                f"t={t_next:g}; the step size dt={dt_out:g} is unstable"
-            )
-        norm_prev = norm_now
-        out[n + 1] = evolve_packed(grid, eps, t_next, w)
-        check_depth(out[n + 1, d], t_next)
-
-    times = np.linspace(0.0, T, n_steps + 1)
-    solution = TrajectoryField(grid, times, out)
-    if not return_stats:
-        return solution
-    stats = {
-        "steps": n_steps,
-        "substeps_per_step": n_sub,
-        "dt_output": dt_out,
-        "dt_internal": h,
-        "mass_solves": gn.CG_STATS["solves"] - solves0,
-        "mass_solve_iterations": gn.CG_STATS["iterations"] - iters0,
-        "backend": ACTIVE_BACKEND,
-    }
-    return solution, stats
+    solution, stats = _integrate_filtered(params, ivp, tendency, on_output=check_depth)
+    return (solution, stats) if return_stats else solution
 
 
 # ------------------------------------------------------- solitary reference

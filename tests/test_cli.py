@@ -153,3 +153,32 @@ def test_stability_artifacts(runner, tmp_path):
     ]
     assert rows[0] == "iota,residual_x0,error"
     assert len(rows) == 3
+    # the threaded sweep writes the same bytes as the serial one
+    out2 = tmp_path / "threaded"
+    res = runner.invoke(
+        main, ["stability", "--config", cfg, "--out", str(out2), "--threads", "2"]
+    )
+    assert res.exit_code == 0, res.output
+    for name in ("stability.csv", "stability.json"):
+        assert (out2 / name).read_bytes() == (out / name).read_bytes()
+
+
+def test_unreachable_cg_tolerance_exits_3(runner, tmp_path):
+    cfg = _write_cfg(tmp_path, {**TINY_MOL, "run": {**TINY_MOL["run"], "cg_tol": 1e-30}})
+    res = runner.invoke(main, ["solve", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 3
+    assert "bigT inversion did not reach" in res.output
+
+
+def test_validate_failure_exits_1(runner, tmp_path, monkeypatch):
+    monkeypatch.setattr(
+        cli, "_validation_checks", lambda: [("forced_failure", False, "injected")]
+    )
+    out = tmp_path / "o"
+    res = runner.invoke(main, ["validate", "--out", str(out)])
+    assert res.exit_code == 1
+    rep = json.loads((out / "validate.json").read_text())
+    assert rep["failures"] == 1
+    assert rep["results"] == [
+        {"name": "forced_failure", "passed": False, "detail": "injected"}
+    ]

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from nmshallow import linear_ivp
+from nmshallow.errors import StepSizeError
 from nmshallow.fourier_scale import (
     GridSpec,
     SpectralField,
@@ -202,3 +204,22 @@ def test_solver_stats(grid1d, params1d, state1d, rng):
     assert sol.n_times == 11
     assert stats["steps"] == 10
     assert stats["substeps_per_step"] >= 1
+
+
+@pytest.mark.parametrize("debug_env", [False, True])
+def test_step_size_guard_raises(grid1d, params1d, rng, monkeypatch, debug_env):
+    # with the sub-step cap disabled, dt = 0.5 is ~41x the stable RK4 step at
+    # N=64; the growth guard must stop the run, whatever the environment says
+    if debug_env:
+        monkeypatch.setenv("NMSHALLOW_DEBUG_GROWTH", "1")
+    monkeypatch.setattr(linear_ivp, "dispersive_dt_cap", lambda *args, **kwargs: math.inf)
+    data = GNState(
+        V=random_field(grid1d, 1, rng, amplitude=0.01, decay=0.5),
+        zeta=random_field(grid1d, 1, rng, amplitude=0.01, decay=0.5),
+    )
+    rest = TrajectoryField(
+        grid1d, np.linspace(0.0, 2.0, 5), np.zeros((5, 2, 64), dtype=np.complex128)
+    )
+    coeffs = build_linearized_coeffs(params1d, rest)
+    with pytest.raises(StepSizeError, match="unstable"):
+        solve_linearized(params1d, coeffs, IVPData(initial=data, horizon=2.0, dt=0.5))

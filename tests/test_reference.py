@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from nmshallow.errors import DomainError
+from nmshallow import linear_ivp
+from nmshallow.errors import DomainError, StepSizeError
 from nmshallow.fourier_scale import (
     GridSpec,
     SpectralField,
@@ -187,3 +188,18 @@ def test_mol_forcing_fn_matches_aligned_trajectory_at_low_order(grid1d, params1d
     a = mol_solve(params1d, state1d, 0.2, 0.02, forcing=traj)
     b = mol_solve(params1d, state1d, 0.2, 0.02, forcing_fn=lambda t: f0)
     assert np.max(np.abs(a.snapshots - b.snapshots)) < 1e-12
+
+
+@pytest.mark.parametrize("debug_env", [False, True])
+def test_mol_step_size_guard_raises(grid1d, params1d, rng, monkeypatch, debug_env):
+    # mol_solve shares the IF-RK4 driver of linear_ivp: disabling its sub-step
+    # cap makes dt = 0.5 unstable, and the growth guard must stop the run
+    if debug_env:
+        monkeypatch.setenv("NMSHALLOW_DEBUG_GROWTH", "1")
+    monkeypatch.setattr(linear_ivp, "dispersive_dt_cap", lambda *args, **kwargs: math.inf)
+    data = GNState(
+        V=random_field(grid1d, 1, rng, amplitude=0.01, decay=0.5),
+        zeta=random_field(grid1d, 1, rng, amplitude=0.01, decay=0.5),
+    )
+    with pytest.raises(StepSizeError, match="unstable"):
+        mol_solve(params1d, data, 2.0, 0.5)
