@@ -119,20 +119,23 @@ class GridSpec:
         n = self.nodes_per_axis
         return self._cached("k", lambda: np.fft.fftfreq(n, d=1.0 / n).astype(np.int64))
 
-    def wavenumbers(self) -> list[np.ndarray]:
-        """Physical wavenumbers 2*pi*k/L per axis, broadcastable to `shape`."""
+    def wavenumbers(self) -> tuple[np.ndarray, ...]:
+        """Physical wavenumbers 2*pi*k/L per axis, broadcastable to `shape`.
 
-        def build() -> np.ndarray:
-            k = self.mode_indices.astype(np.float64) * (2.0 * np.pi / self.domain_length)
-            return k
+        Cached read-only views: callers share them and cannot mutate them.
+        """
 
-        k1 = self._cached("xi1", build)
-        out = []
-        for ax in range(self.dimension):
-            spec = [None] * self.dimension
-            spec[ax] = slice(None)
-            out.append(k1[tuple(spec)])
-        return out
+        def build() -> tuple[np.ndarray, ...]:
+            k1 = self.mode_indices.astype(np.float64) * (2.0 * np.pi / self.domain_length)
+            k1.flags.writeable = False
+            out = []
+            for ax in range(self.dimension):
+                spec = [None] * self.dimension
+                spec[ax] = slice(None)
+                out.append(k1[tuple(spec)])
+            return tuple(out)
+
+        return self._cached("xi", build)
 
     @property
     def xi_sq(self) -> np.ndarray:

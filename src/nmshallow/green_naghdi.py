@@ -35,6 +35,22 @@ Operators (beta denotes eps*b wherever the model equations use it):
     D_V f        = -(V.grad) f + (div V) f
     Q[h, beta](V)= (1/2) grad(h^2 (V.grad)^2 beta)
                    + h ( (h/2) D_V div V + (V.grad)^2 beta ) grad(beta)
+
+Flat-bottom assembly
+--------------------
+`nonlinear_F`, `apply_K` and `apply_N` are each assembled once: list the
+grid samples needed, transform them, list the grid products, transform them
+back, combine the coefficients. The terms carrying grad(beta) (Q, its
+derivative in N1, the slope terms of T) are formed only when b has a nonzero
+coefficient, which `PhysicalParams._slope` decides once. On a flat bottom
+they vanish identically, T[h, 0] V = -(1/3) grad(h^3 div V) keeps one term,
+and each list goes through one stacked `GridSpec.to_grid` or
+`GridSpec.from_grid` call; with bathymetry each entry keeps its own call,
+since stacking the 2D transforms of that branch measured slower. The CG
+matvec `_apply_bigT_arrays`, the hottest loop, has the stacked flat form and,
+with bathymetry, the term-by-term form of `_T_terms`. A stacked transform
+equals the per-row ones and the zero terms change no bits, so both ways give
+the same output on b = 0 (tests compare them).
 """
 from __future__ import annotations
 
@@ -125,6 +141,14 @@ class PhysicalParams:
         """Samples of grad(eps*b)."""
         return self._cached("gbeta_g", lambda: self.eps * self.grad_b_grid)
 
+    @property
+    def _slope(self) -> np.ndarray | None:
+        """Slope argument of the private assemblies: grad(eps*b), or None on a
+        flat bottom (b identically zero), which selects the flat assembly."""
+        return self._cached(
+            "slope", lambda: self.grad_beta_grid if np.any(self.b.coefficients) else None
+        )
+
 
 @dataclass
 class GNState:
@@ -187,6 +211,27 @@ def _dot_g(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("i...,i...->...", a, b)
 
 
+def _transform(
+    transform, grid: GridSpec, parts: list[np.ndarray], stacked: bool
+) -> list[np.ndarray]:
+    """`transform` (grid.to_grid or grid.from_grid) of each part.
+
+    Each part has shape (*grid.shape) or (k, *grid.shape). With `stacked`
+    all rows go through one call, else each part through its own. The
+    transforms act row by row, so both give the same bits.
+    """
+    if not stacked:
+        return [transform(p) for p in parts]
+    out = transform(np.concatenate([p.reshape(-1, *grid.shape) for p in parts]))
+    pieces = []
+    start = 0
+    for p in parts:
+        n = p.size // grid.n_modes
+        pieces.append(out[start : start + n].reshape(p.shape))
+        start += n
+    return pieces
+
+
 def depth_grid(params: PhysicalParams, zeta: SpectralField | np.ndarray) -> np.ndarray:
     """Grid samples of h = 1 + eps*(zeta - b)."""
     zc = zeta.coefficients[0] if isinstance(zeta, SpectralField) else zeta
@@ -198,7 +243,7 @@ def depth_check(params: PhysicalParams, u: GNState) -> tuple[bool, float]:
     """(ok, min depth): ok iff the grid minimum of h stays above the floor h0."""
     hg = depth_grid(params, u.zeta)
     mn = float(np.min(hg))
-    return mn >= params.h0, mn
+    return mn > params.h0, mn
 
 
 def _require_admissible(params: PhysicalParams, hg: np.ndarray, where: str) -> None:
@@ -212,7 +257,12 @@ def _require_admissible(params: PhysicalParams, hg: np.ndarray, where: str) -> N
 def _T_terms(
     grid: GridSpec, hg: np.ndarray, gbeta_g: np.ndarray, Vg: np.ndarray, Xg: np.ndarray
 ) -> np.ndarray:
-    """Unprojected T[h, beta]V from grid samples of V and div V."""
+    """Unprojected T[h, beta]V from grid samples of V and div V (b != 0).
+
+    Each product is transformed and consumed before the next is formed: on
+    the 64^2 CG matvec, forming all products first and transforming them as
+    a list ran slower.
+    """
     Yg = _dot_g(gbeta_g, Vg)
     h2 = hg * hg
     h3 = h2 * hg
@@ -222,19 +272,16 @@ def _T_terms(
     return out
 
 
-def _apply_T_arrays(
-    grid: GridSpec, hg: np.ndarray, gbeta_g: np.ndarray, Vc: np.ndarray
-) -> np.ndarray:
-    """T[h, beta]V on coefficient arrays; hg, gbeta_g are grid samples."""
-    Vg = grid.to_grid(Vc)
-    Xg = grid.to_grid(_div_c(grid, Vc))
-    return grid.project(_T_terms(grid, hg, gbeta_g, Vg, Xg))
-
-
 def _apply_bigT_arrays(
-    grid: GridSpec, mu: float, hg: np.ndarray, gbeta_g: np.ndarray, Vc: np.ndarray
+    grid: GridSpec, mu: float, hg: np.ndarray, gbeta_g: np.ndarray | None, Vc: np.ndarray
 ) -> np.ndarray:
-    """(h + mu T[h, beta]) V on coefficient arrays."""
+    """(h + mu T[h, beta]) V on coefficient arrays; gbeta_g None means flat."""
+    if gbeta_g is None:
+        # T[h, 0] V = -(1/3) grad(h^3 div V)
+        Vg, Xg = _transform(grid.to_grid, grid, [Vc, _div_c(grid, Vc)], True)
+        out, h3X = _transform(grid.from_grid, grid, [hg[None] * Vg, hg * hg * hg * Xg], True)
+        out += mu * (-(1.0 / 3.0) * _grad_c(grid, h3X))
+        return grid.project(out)
     Vg = grid.to_grid(Vc)
     Xg = grid.to_grid(_div_c(grid, Vc))
     out = grid.from_grid(hg[None] * Vg)
@@ -247,7 +294,7 @@ def apply_bigT(params: PhysicalParams, h: SpectralField, V: SpectralField) -> Sp
     grid = V.grid
     hg = grid.to_grid(h.coefficients[0])
     return SpectralField(
-        grid, _apply_bigT_arrays(grid, params.mu, hg, params.grad_beta_grid, V.coefficients)
+        grid, _apply_bigT_arrays(grid, params.mu, hg, params._slope, V.coefficients)
     )
 
 
@@ -297,7 +344,7 @@ def invert_bigT(
     grid = V.grid
     hg = grid.to_grid(h.coefficients[0])
     _require_admissible(params, hg, "invert_bigT")
-    gbeta_g = params.grad_beta_grid
+    gbeta_g = params._slope
     mu = params.mu
     d = grid.dimension
     shape = (d, *grid.shape)
@@ -382,38 +429,82 @@ def nonlinear_F(params: PhysicalParams, u: GNState, tol: float = 1e-12) -> GNSta
         F2 = div( (zeta - b) V )
     """
     grid = u.grid
+    rhs, h_c, flux_c = _tendency_rows(params, u)
+    h_field = SpectralField(grid, grid.project(h_c))
+    F1 = invert_bigT(params, h_field, SpectralField(grid, rhs), tol=tol)
+    F2c = grid.project(_div_c(grid, flux_c))
+    return GNState(V=F1, zeta=SpectralField(grid, F2c[None]), t=u.t)
+
+
+def _tendency_rows(
+    params: PhysicalParams, u: GNState
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Projected bigT F1, and the coefficients of h and of (zeta - b) V.
+
+    A function of its own so that its temporaries are freed before the CG
+    solve.
+    """
+    grid = u.grid
     d = grid.dimension
-    hg = depth_grid(params, u.zeta)
-    _require_admissible(params, hg, "nonlinear_F")
-    gbeta_g = params.grad_beta_grid
     mu = params.mu
+    gbeta_g = params._slope
+    flat = gbeta_g is None
 
     Vc = u.V.coefficients
-    Vg = grid.to_grid(Vc)
+    zc = u.zeta.coefficients[0]
     Xc = _div_c(grid, Vc)
-    Xg = grid.to_grid(Xc)
-    gz_c = _grad_c(grid, u.zeta.coefficients[0])
+    gz_c = _grad_c(grid, zc)
+    grids = _transform(
+        grid.to_grid,
+        grid,
+        [
+            zc,
+            Vc,
+            Xc,
+            _div_c(grid, gz_c),
+            np.stack([_grad_c(grid, Vc[i]) for i in range(d)]),
+            _grad_c(grid, Xc),
+            *([] if flat else [gz_c]),  # grad(beta).grad(zeta) in T
+        ],
+        flat,
+    )
+    zg, Vg, Xg, lap_z_g, grad_V_g, grad_X_g = grids[:6]
+    gz_g = None if flat else grids[6]
+    hg = 1.0 + params.eps * (zg - params.b_grid)
+    _require_admissible(params, hg, "nonlinear_F")
+    if not flat:
+        # formed first, so that its temporaries and the products below are
+        # not held at the same time
+        mu_Q = mu * _apply_Q_bilinear_arrays(grid, hg, gbeta_g, Vc, Vc)
 
-    # -(mu/eps) T[h, eps b] grad zeta
-    rhs = (-mu / params.eps) * _apply_T_arrays(grid, hg, gbeta_g, gz_c)
-
-    # h (V.grad) V
-    grad_V_g = np.stack([grid.to_grid(_grad_c(grid, Vc[i])) for i in range(d)])
+    # h (V.grad) V, and D_V div V
     advect = np.stack([_dot_g(Vg, grad_V_g[i]) for i in range(d)])
-    rhs += grid.project(grid.from_grid(hg[None] * advect))
+    dv_x = -_dot_g(Vg, grad_X_g) + Xg * Xg
+    h_c, flux_c, h_advect, h3_dv_x, *h3_lap_z = _transform(
+        grid.from_grid,
+        grid,
+        [
+            hg,
+            (zg - params.b_grid)[None] * Vg,
+            hg[None] * advect,
+            hg**3 * dv_x,
+            *([hg * hg * hg * lap_z_g] if flat else []),
+        ],
+        flat,
+    )
 
-    # mu [ (1/3) grad(h^3 D_V div V) + Q(V) ]
-    dv_x = -_dot_g(Vg, grid.to_grid(_grad_c(grid, Xc))) + Xg * Xg
-    rhs += mu * (1.0 / 3.0) * grid.project(_grad_c(grid, grid.from_grid(hg**3 * dv_x)))
-    rhs += mu * _apply_Q_bilinear_arrays(grid, hg, gbeta_g, Vc, Vc)
-
-    h_field = SpectralField(grid, grid.project(grid.from_grid(hg)))
-    F1 = invert_bigT(params, h_field, SpectralField(grid, rhs), tol=tol)
-
-    zg = grid.to_grid(u.zeta.coefficients[0])
-    flux = (zg - params.b_grid)[None] * Vg
-    F2c = grid.project(_div_c(grid, grid.from_grid(flux)))
-    return GNState(V=F1, zeta=SpectralField(grid, F2c[None]), t=u.t)
+    # -(mu/eps) T[h, eps b] grad zeta + h (V.grad) V
+    # + mu [ (1/3) grad(h^3 D_V div V) + Q(V) ]
+    if flat:
+        T = -(1.0 / 3.0) * _grad_c(grid, h3_lap_z[0])
+    else:
+        T = _T_terms(grid, hg, gbeta_g, gz_g, lap_z_g)
+    rhs = (-mu / params.eps) * grid.project(T)
+    rhs += grid.project(h_advect)
+    rhs += mu * (1.0 / 3.0) * grid.project(_grad_c(grid, h3_dv_x))
+    if not flat:
+        rhs += mu_Q
+    return rhs, h_c, flux_c
 
 
 # ------------------------------------------------------ linearized operators
@@ -612,65 +703,87 @@ def build_linearized_coeffs(
     )
 
 
-def _N1_terms(
+def _N1_inputs(grid: GridSpec, v: GNState) -> list[np.ndarray]:
+    """Coefficients of V, zeta, div V, grad div V and grad V (row i: grad
+    V_i), whose grid samples `_N1_products` reads."""
+    d = grid.dimension
+    Vc = v.V.coefficients
+    Xc = _div_c(grid, Vc)
+    return [
+        Vc,
+        v.zeta.coefficients[0],
+        Xc,
+        _grad_c(grid, Xc),
+        np.stack([_grad_c(grid, Vc[i]) for i in range(d)]),
+    ]
+
+
+def _N1_products(
     coeffs_t: dict[str, np.ndarray],
     params: PhysicalParams,
-    v: GNState,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """N1 V + bbar zeta + mu grad(hbar abar zeta), unprojected, at one time.
+    Vg: np.ndarray,
+    zg: np.ndarray,
+    Xg: np.ndarray,
+    grad_X_g: np.ndarray,
+    grad_V_g: np.ndarray,
+) -> list[np.ndarray]:
+    """Grid products whose coefficients `_N1_from_products` assembles into
+    N1 V + bbar zeta + mu grad(hbar abar zeta), at one time.
 
     The part of the linearized momentum row that `apply_N` and `apply_K`
-    share; each adds its own 1/eps term. Also returns the grid samples of
-    V and zeta, which both reuse for the mass row.
+    share; each adds its own 1/eps term. On a flat bottom the Q derivative
+    of N1 vanishes and is left out.
     """
-    grid = v.grid
+    grid = params.grid
     d = grid.dimension
-    mu = params.mu
-    gbeta = params.grad_beta_grid
+    gbeta = params._slope
 
     hbar = coeffs_t["hbar"]
     Vbar = coeffs_t["Vbar"]
-    abar = coeffs_t["abar"]
-    bbar = coeffs_t["bbar"]
     divVbar = coeffs_t["divVbar"]
     gradVbar = coeffs_t["gradVbar"]
     graddivVbar = coeffs_t["graddivVbar"]
-    grad_vbarbeta = coeffs_t["grad_vbarbeta"]
-
-    Vc = v.V.coefficients
-    zc = v.zeta.coefficients[0]
-    Vg = grid.to_grid(Vc)
-    zg = grid.to_grid(zc)
-    Xc = _div_c(grid, Vc)
-    Xg = grid.to_grid(Xc)
-    grad_X_g = grid.to_grid(_grad_c(grid, Xc))
-    grad_V_g = np.stack([grid.to_grid(_grad_c(grid, Vc[i])) for i in range(d)])
 
     adv = np.stack(
         [_dot_g(Vbar, grad_V_g[i]) + _dot_g(Vg, gradVbar[i]) for i in range(d)]
     )
-    row1 = grid.from_grid(hbar[None] * adv)
-    # (mu/3) grad[hbar^3 (D_Vbar(div V) + D_V(div Vbar))]
+    # hbar^3 (D_Vbar(div V) + D_V(div Vbar))
     dsym2 = (
         -_dot_g(Vbar, grad_X_g)
         + divVbar * Xg
         - _dot_g(Vg, graddivVbar)
         + Xg * divVbar
     )
-    row1 += (mu / 3.0) * _grad_c(grid, grid.from_grid(hbar**3 * dsym2))
-    # 2 mu Q_bil[hbar, eps b](V, Vbar): the derivative of the quadratic form
-    # mu Q coincides with twice the diagonal-normalized bilinear form.
-    vb = _dot_g(gbeta, Vg)
-    grad_vb = grid.to_grid(_grad_c(grid, grid.from_grid(vb)))
-    sym2 = 0.5 * (_dot_g(Vg, grad_vbarbeta) + _dot_g(Vbar, grad_vb))
-    row1 += mu * (
-        _grad_c(grid, grid.from_grid(hbar**2 * sym2))
-        + grid.from_grid((hbar * (0.5 * hbar * dsym2 + 2.0 * sym2))[None] * gbeta)
-    )
-    # bbar zeta + mu grad(hbar abar zeta): N2 zeta without its 1/eps part
-    row1 += grid.from_grid(zg[None] * bbar)
-    row1 += mu * _grad_c(grid, grid.from_grid(hbar * abar * zg))
-    return row1, Vg, zg
+    # bbar zeta and hbar abar zeta: N2 zeta without its 1/eps part
+    parts = [
+        hbar[None] * adv,
+        hbar**3 * dsym2,
+        zg[None] * coeffs_t["bbar"],
+        hbar * coeffs_t["abar"] * zg,
+    ]
+    if gbeta is not None:
+        # 2 mu Q_bil[hbar, eps b](V, Vbar): the derivative of the quadratic
+        # form mu Q coincides with twice the diagonal-normalized bilinear form.
+        vb = _dot_g(gbeta, Vg)
+        grad_vb = grid.to_grid(_grad_c(grid, grid.from_grid(vb)))
+        sym2 = 0.5 * (_dot_g(Vg, coeffs_t["grad_vbarbeta"]) + _dot_g(Vbar, grad_vb))
+        parts += [
+            hbar**2 * sym2,
+            (hbar * (0.5 * hbar * dsym2 + 2.0 * sym2))[None] * gbeta,
+        ]
+    return parts
+
+
+def _N1_from_products(grid: GridSpec, mu: float, parts: list[np.ndarray]) -> np.ndarray:
+    """Unprojected N1 V + bbar zeta + mu grad(hbar abar zeta) from the
+    coefficients of `_N1_products`."""
+    row1 = parts[0]
+    row1 += (mu / 3.0) * _grad_c(grid, parts[1])
+    if len(parts) > 4:
+        row1 += mu * (_grad_c(grid, parts[4]) + parts[5])
+    row1 += parts[2]
+    row1 += mu * _grad_c(grid, parts[3])
+    return row1
 
 
 def _apply_N_rows(
@@ -682,14 +795,27 @@ def _apply_N_rows(
     grid = v.grid
     eps = params.eps
     hbar = coeffs_t["hbar"]
+    flat = params._slope is None
 
-    row1, Vg, zg = _N1_terms(coeffs_t, params, v)
-    gz_g = grid.to_grid(_grad_c(grid, v.zeta.coefficients[0]))
-    row1 += grid.from_grid((hbar / eps)[None] * gz_g)
+    Vg, zg, Xg, grad_X_g, grad_V_g, gz_g = _transform(
+        grid.to_grid,
+        grid,
+        [*_N1_inputs(grid, v), _grad_c(grid, v.zeta.coefficients[0])],
+        flat,
+    )
+    n1 = _N1_products(coeffs_t, params, Vg, zg, Xg, grad_X_g, grad_V_g)
+    h_gz, hV, zV, *n1_c = _transform(
+        grid.from_grid,
+        grid,
+        [(hbar / eps)[None] * gz_g, hbar[None] * Vg, zg[None] * coeffs_t["Vbar"], *n1],
+        flat,
+    )
+    row1 = _N1_from_products(grid, params.mu, n1_c)
+    row1 += h_gz
     row1 = grid.project(row1)
 
-    row2 = (1.0 / eps) * _div_c(grid, grid.from_grid(hbar[None] * Vg))
-    row2 += _div_c(grid, grid.from_grid(zg[None] * coeffs_t["Vbar"]))
+    row2 = (1.0 / eps) * _div_c(grid, hV)
+    row2 += _div_c(grid, zV)
     row2 = grid.project(row2)
     return row1, row2
 
@@ -738,24 +864,64 @@ def apply_K(
     solve with the returned vector.
     """
     grid = v.grid
-    mu, eps = params.mu, params.eps
-    coeffs_t = coeffs.at_time(float(t))
-    hbar = coeffs_t["hbar"]
-
-    rhs, Vg, zg = _N1_terms(coeffs_t, params, v)
-    gz_c = _grad_c(grid, v.zeta.coefficients[0])
-    rhs += -(mu / eps) * _apply_T_arrays(grid, hbar, params.grad_beta_grid, gz_c)
-    rhs = grid.project(rhs)
-
-    h_field = SpectralField(grid, grid.project(grid.from_grid(hbar)))
+    rhs, h_c, flux_c, zV_c = _K_rows(coeffs.at_time(float(t)), params, v)
+    h_field = SpectralField(grid, grid.project(h_c))
     K1 = invert_bigT(params, h_field, SpectralField(grid, rhs), tol=tol, x0=x0)
 
-    flux = (coeffs_t["zetabar"] - params.b_grid)[None] * Vg
-    row2 = _div_c(grid, grid.from_grid(flux))
-    row2 += _div_c(grid, grid.from_grid(zg[None] * coeffs_t["Vbar"]))
+    row2 = _div_c(grid, flux_c)
+    row2 += _div_c(grid, zV_c)
     row2 = grid.project(row2)
     out = GNState(V=K1, zeta=SpectralField(grid, row2[None]), t=v.t)
     return out, K1.coefficients.reshape(-1)
+
+
+def _K_rows(
+    coeffs_t: dict[str, np.ndarray], params: PhysicalParams, v: GNState
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Projected bigTbar K1 v, and the coefficients of hbar, (zetabar - b) V
+    and zeta Vbar, at one time; a function of its own so that its
+    temporaries are freed before the CG solve."""
+    grid = v.grid
+    mu, eps = params.mu, params.eps
+    hbar = coeffs_t["hbar"]
+    gbeta_g = params._slope
+    flat = gbeta_g is None
+
+    gz_c = _grad_c(grid, v.zeta.coefficients[0])
+    grids = _transform(
+        grid.to_grid,
+        grid,
+        [
+            *_N1_inputs(grid, v),
+            _div_c(grid, gz_c),
+            *([] if flat else [gz_c]),  # grad(beta).grad(zeta) in Tbar
+        ],
+        flat,
+    )
+    Vg, zg, Xg, grad_X_g, grad_V_g, lap_z_g = grids[:6]
+    gz_g = None if flat else grids[6]
+    n1 = _N1_products(coeffs_t, params, Vg, zg, Xg, grad_X_g, grad_V_g)
+    h_c, flux_c, zV_c, *rest = _transform(
+        grid.from_grid,
+        grid,
+        [
+            hbar,
+            (coeffs_t["zetabar"] - params.b_grid)[None] * Vg,
+            zg[None] * coeffs_t["Vbar"],
+            *n1,
+            *([hbar * hbar * hbar * lap_z_g] if flat else []),
+        ],
+        flat,
+    )
+
+    # Tbar grad zeta; on a flat bottom -(1/3) grad(hbar^3 div grad zeta)
+    if flat:
+        T = -(1.0 / 3.0) * _grad_c(grid, rest[len(n1)])
+    else:
+        T = _T_terms(grid, hbar, gbeta_g, gz_g, lap_z_g)
+    rhs = _N1_from_products(grid, mu, rest[: len(n1)])
+    rhs += -(mu / eps) * grid.project(T)
+    return grid.project(rhs), h_c, flux_c, zV_c
 
 
 def frechet_F(

@@ -217,7 +217,7 @@ def manufactured_residual(
         f_z += (1.0 / eps) * gn._div_c(grid, arr[:d])[None]
         h_vals = depth_grid(params, arr[d])
         r1[i] = gn._apply_bigT_arrays(
-            grid, params.mu, h_vals, params.grad_beta_grid, eps * f_V
+            grid, params.mu, h_vals, params._slope, eps * f_V
         )
         r2[i] = eps * f_z
     times = u_app.times

@@ -34,6 +34,15 @@ def test_grid_geometry(grid1d):
     assert math.isclose(grid1d.cell_volume, 2 * math.pi / 64)
 
 
+def test_wavenumbers_cached_read_only(grid2d):
+    xi = grid2d.wavenumbers()
+    assert xi is grid2d.wavenumbers()
+    assert isinstance(xi, tuple) and [x.shape for x in xi] == [(16, 1), (1, 16)]
+    assert xi[0][1, 0] == 1.0 and xi[1][0, -1] == -1.0  # 2*pi*k/L with L = 2*pi
+    with pytest.raises(ValueError):
+        xi[0][1, 0] = 5.0
+
+
 def test_dealias_cutoff_values():
     g = GridSpec(dimension=1, nodes_per_axis=64, domain_length=1.0)
     assert g.dealias_cutoff_index == 21  # int(2/3 * 32)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from nmshallow import green_naghdi as gn
 from nmshallow.errors import ConvergenceError, DomainError
 from nmshallow.fourier_scale import (
     GridSpec,
@@ -18,6 +19,7 @@ from nmshallow.green_naghdi import (
     GNState,
     PhysicalParams,
     apply_bigT,
+    apply_K,
     apply_N,
     bigT_pairing,
     build_linearized_coeffs,
@@ -82,6 +84,15 @@ def test_depth_check(params1d, grid1d):
     )  # zeta = -1.5 -> h well below the floor
     ok2, hmin2 = depth_check(params1d, GNState(V=zero_field(grid1d, 1), zeta=deep))
     assert not ok2 and hmin2 < params1d.h0
+
+
+def test_depth_check_fails_at_the_floor(grid1d):
+    # zeta = -1 with eps = 0.5 puts h exactly on h0 = 0.5: not above the floor
+    params = PhysicalParams(mu=0.3, eps=0.5, b=zero_field(grid1d))
+    zeta = field_from_grid(grid1d, np.full((1, 64), -1.0))
+    ok, hmin = depth_check(params, GNState(V=zero_field(grid1d, 1), zeta=zeta))
+    assert hmin == params.h0 == 0.5
+    assert not ok
 
 
 # ------------------------------------------------------------------- GNState
@@ -175,8 +186,10 @@ def test_rest_state_is_steady(params1d, grid1d):
 
 def test_tendency_rejects_low_depth(params1d, grid1d):
     deep = field_from_grid(grid1d, np.full((1, 64), -1.5))
-    with pytest.raises(DomainError):
-        nonlinear_F(params1d, GNState(V=zero_field(grid1d, 1), zeta=deep))
+    flat = PhysicalParams(mu=params1d.mu, eps=params1d.eps, b=zero_field(grid1d))
+    for params in (params1d, flat):
+        with pytest.raises(DomainError):
+            nonlinear_F(params, GNState(V=zero_field(grid1d, 1), zeta=deep))
 
 
 def test_tendency_mean_elevation_is_conserved(params1d, state1d):
@@ -247,6 +260,77 @@ def test_apply_N_frechet_wiring(params1d, grid1d, rng):
     expect_z = rows.zeta.coefficients[0] - div_v / params1d.eps
     assert np.max(np.abs(lhs.V.coefficients - expect_V)) < 1e-9
     assert np.max(np.abs(lhs.zeta.coefficients[0] - expect_z)) < 1e-11
+
+
+# --------------------------------------------------------- flat-bottom branch
+
+def _flat_case(dim, n):
+    """Flat-bottom params, a state, a direction and frozen coefficients."""
+    grid = GridSpec(dimension=dim, nodes_per_axis=n, domain_length=2 * math.pi)
+    rng = np.random.default_rng(20240817)
+    params = PhysicalParams(mu=0.3, eps=0.5, b=zero_field(grid))
+
+    def draw():
+        return GNState(
+            V=random_field(grid, dim, rng, amplitude=0.05, decay=4.0),
+            zeta=random_field(grid, 1, rng, amplitude=0.05, decay=4.0),
+        )
+
+    u, v, w = draw(), draw(), draw()
+    snaps = np.stack([u.packed().coefficients, w.packed().coefficients])
+    coeffs = build_linearized_coeffs(params, TrajectoryField(grid, np.array([0.0, 1.0]), snaps))
+    return params, u, v, coeffs
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 16)], ids=["1d", "2d"])
+def test_flat_assembly_matches_general_branch(monkeypatch, dim, n):
+    params, u, v, coeffs = _flat_case(dim, n)
+    grid = params.grid
+    assert params._slope is None
+    hg = depth_grid(params, u.zeta)
+    flat_T = gn._apply_bigT_arrays(grid, params.mu, hg, None, v.V.coefficients)
+    flat_F = nonlinear_F(params, u)
+    flat_K, flat_x = apply_K(coeffs, params, 0.3, v)
+    flat_N = apply_N(coeffs, params, 0, v)
+
+    # the general branch, run on b = 0 with the zero slope passed explicitly
+    zero_slope = params.grad_beta_grid
+    assert not np.any(zero_slope)
+    monkeypatch.setattr(PhysicalParams, "_slope", property(lambda p: p.grad_beta_grid))
+    gen_T = gn._apply_bigT_arrays(grid, params.mu, hg, zero_slope, v.V.coefficients)
+    gen_F = nonlinear_F(params, u)
+    gen_K, gen_x = apply_K(coeffs, params, 0.3, v)
+    gen_N = apply_N(coeffs, params, 0, v)
+
+    assert np.array_equal(flat_T, gen_T)
+    assert np.array_equal(flat_F.packed().coefficients, gen_F.packed().coefficients)
+    assert np.array_equal(flat_K.packed().coefficients, gen_K.packed().coefficients)
+    assert np.array_equal(flat_x, gen_x)
+    assert np.array_equal(flat_N.packed().coefficients, gen_N.packed().coefficients)
+
+
+def test_nonflat_bathymetry_takes_general_branch(params1d):
+    assert params1d._slope is params1d.grad_beta_grid
+
+
+def test_flat_transform_count(monkeypatch):
+    # one stacked to_grid and one stacked from_grid per assembly, one
+    # to_grid of h inside invert_bigT, and one pair per CG iteration
+    params, u, v, coeffs = _flat_case(1, 64)
+    calls = {"n": 0}
+    for name in ("to_grid", "from_grid"):
+        def counted(self, values, _transform=getattr(GridSpec, name)):
+            calls["n"] += 1
+            return _transform(self, values)
+
+        monkeypatch.setattr(GridSpec, name, counted)
+    for evaluate in (lambda: nonlinear_F(params, u), lambda: apply_K(coeffs, params, 0.3, v)):
+        calls["n"] = 0
+        iters0 = gn.CG_STATS["iterations"]
+        evaluate()
+        iters = gn.CG_STATS["iterations"] - iters0
+        assert iters > 0
+        assert calls["n"] <= 4 + 2 * iters
 
 
 # --------------------------------------------------------------------- norms

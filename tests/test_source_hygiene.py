@@ -29,3 +29,47 @@ def test_no_environment_variable_reaches_the_package():
     assert sources, f"no sources under {PACKAGE}"
     hits = [hit for path in sources for hit in _env_reads(path)]
     assert hits == []
+
+
+# numpy.fft / scipy.fft names that build frequencies or reorder, not transform
+FFT_HELPERS = {"fftfreq", "rfftfreq", "fftshift", "ifftshift"}
+FFT_MODULES = {"numpy.fft", "scipy.fft"}
+
+
+def _fft_bypasses(path: Path) -> list[str]:
+    """FFT uses outside GridSpec, whose to_grid/from_grid perfbench counts."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    allowed = set()
+    if path.name == "fourier_scale.py":
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and node.name == "GridSpec":
+                allowed = {id(n) for n in ast.walk(node)}
+    hits = []
+    for node in ast.walk(tree):
+        if id(node) in allowed:
+            continue
+        if isinstance(node, ast.Attribute) and node.attr not in FFT_HELPERS:
+            # np.fft.<name>, numpy.fft.<name>, scipy.fft.<name>
+            inner = node.value
+            bad = isinstance(inner, ast.Attribute) and inner.attr == "fft"
+        elif isinstance(node, ast.Import):
+            bad = any(alias.name in FFT_MODULES for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            bad = (node.module in FFT_MODULES and not names <= FFT_HELPERS) or (
+                node.module in {"numpy", "scipy"} and "fft" in names
+            )
+        else:
+            continue
+        if bad:
+            hits.append(f"{path.name}:{node.lineno}")
+    return hits
+
+
+def test_ffts_go_through_gridspec():
+    # a transform that bypasses GridSpec.to_grid/from_grid drops out of the
+    # benchmark's fourier_scale.fft_calls count
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources, f"no sources under {PACKAGE}"
+    hits = [hit for path in sources for hit in _fft_bypasses(path)]
+    assert hits == []
