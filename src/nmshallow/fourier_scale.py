@@ -206,6 +206,11 @@ class SpectralField:
     grid. Vector/scalar groups (e.g. velocity components plus elevation) share
     this one container so norms, smoothing and serialization have a single
     code path.
+
+    A batch of independent fields (ensemble members, snapshots) has shape
+    (components, batch, *grid.shape). Linear and pointwise operations act on
+    every member; a reduction of one field (`sobolev_norm`, `validate`)
+    refuses a batch instead of summing across members.
     """
 
     grid: GridSpec
@@ -213,9 +218,10 @@ class SpectralField:
 
     def __post_init__(self) -> None:
         c = np.asarray(self.coefficients, dtype=np.complex128)
-        if c.ndim == self.grid.dimension:
+        dim = self.grid.dimension
+        if c.ndim == dim:
             c = c[None]
-        if c.shape[1:] != self.grid.shape:
+        if c.ndim > dim + 2 or c.shape[-dim:] != self.grid.shape:
             raise ValueError(
                 f"coefficient shape {c.shape} does not match grid {self.grid.shape}"
             )
@@ -225,6 +231,20 @@ class SpectralField:
     def components(self) -> int:
         return self.coefficients.shape[0]
 
+    @property
+    def batch(self) -> int | None:
+        """Number of members of a batched field, None for a single field."""
+        c = self.coefficients
+        return c.shape[1] if c.ndim == self.grid.dimension + 2 else None
+
+    def require_single(self, what: str) -> None:
+        """Raise ValueError when this field is a batch; `what` names the caller."""
+        if self.batch is not None:
+            raise ValueError(
+                f"{what} reduces one field; got a batch of {self.batch}, "
+                "apply it to each member"
+            )
+
     def copy(self) -> "SpectralField":
         return SpectralField(self.grid, self.coefficients.copy())
 
@@ -233,6 +253,7 @@ class SpectralField:
 
     def validate(self, tol: float = 1e-12) -> None:
         """Check finiteness and Hermitian symmetry (relative tolerance)."""
+        self.require_single("validate")
         c = self.coefficients
         if not np.all(np.isfinite(c.view(np.float64))):
             raise ValueError("non-finite coefficients")
@@ -379,6 +400,7 @@ def random_field(
 
 def sobolev_norm(u: SpectralField, s: float) -> float:
     """Norm of index s: sqrt(L^d sum over components and modes of <xi>^{2s}|c|^2)."""
+    u.require_single("sobolev_norm")
     w = u.grid.sobolev_weights(s)
     abs2 = np.ascontiguousarray(
         (u.coefficients.real**2 + u.coefficients.imag**2).reshape(u.components, -1).sum(axis=0)

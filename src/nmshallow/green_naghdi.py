@@ -51,6 +51,34 @@ matvec `_apply_bigT_arrays`, the hottest loop, has the stacked flat form and,
 with bathymetry, the term-by-term form of `_T_terms`. A stacked transform
 equals the per-row ones and the zero terms change no bits, so both ways give
 the same output on b = 0 (tests compare them).
+
+Batch axis
+----------
+`SpectralField` and `GNState` may carry one batch axis after the component
+axis, (components, B, *shape): independent members (ensemble runs, the
+snapshots of a trajectory) on one grid. `nonlinear_F`, `invert_bigT` and
+`apply_bigT` take single or batched states through one code path: a single
+state enters as a batch of one (`_batched`) and leaves in its own layout,
+so `_tendency_rows`, `_apply_bigT_arrays`, `_T_terms` and
+`_apply_Q_bilinear_arrays` always see (d, B, *shape), with the slope given
+a batch axis (`PhysicalParams._batch_slope`). Every operation
+either acts pointwise or transforms row by row, so a member's result has
+the same bits as its own single call, whatever shares its batch (tests
+compare them byte for byte). Reductions of one field (`sobolev_norm`,
+`validate`, `depth_check`, `energy_E`) refuse a batch. The linearized
+operators (`apply_K`, `apply_N`) stay single-field.
+
+The elliptic solves of a batch run in one `_pcg` call, a numpy PCG that
+repeats, member by member, the arithmetic of `scipy.sparse.linalg.cg`
+(tests compare them byte for byte): per-member norms and inner products,
+the stopping rule norm(r) < tol * norm(b), a zero right side returned as it
+is, and a preconditioner from each member's own mean depth. Members that
+have converged leave the batch, and a ConvergenceError names the members
+that did not converge. The one exception to the batched layout is inside
+the solver: a batch of one runs `_cg`, the same arithmetic with scalars on
+the unbatched layout, because its matvecs are the hottest loop of a single
+trajectory (one `_pcg` path ran the N = 512 transit 19% slower on a
+2-core x86 host).
 """
 from __future__ import annotations
 
@@ -58,7 +86,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import ConvergenceError, DomainError
 from .fourier_scale import GridSpec, SpectralField, TrajectoryField, sobolev_norm
@@ -81,9 +108,9 @@ __all__ = [
     "depth_grid",
 ]
 
-#: Running counters for the elliptic mass-matrix solves. Callers that report
-#: solver statistics snapshot these before/after a run; they are never reset
-#: here.
+#: Running counters for the elliptic mass-matrix solves, one solve per member
+#: of a batch. Callers that report solver statistics snapshot these
+#: before/after a run; they are never reset here.
 CG_STATS = {"solves": 0, "iterations": 0}
 
 
@@ -149,6 +176,14 @@ class PhysicalParams:
             "slope", lambda: self.grad_beta_grid if np.any(self.b.coefficients) else None
         )
 
+    @property
+    def _batch_slope(self) -> np.ndarray | None:
+        """`_slope` with a batch axis, (d, 1, *shape), for the batched
+        assemblies of `nonlinear_F`, `invert_bigT` and `apply_bigT`."""
+        return self._cached(
+            "batch_slope", lambda: None if self._slope is None else self._slope[:, None]
+        )
+
 
 @dataclass
 class GNState:
@@ -166,10 +201,17 @@ class GNState:
             raise ValueError("elevation must be scalar")
         if self.zeta.grid != self.V.grid:
             raise ValueError("velocity and elevation live on different grids")
+        if self.zeta.batch != self.V.batch:
+            raise ValueError("velocity and elevation have different batch sizes")
 
     @property
     def grid(self) -> GridSpec:
         return self.V.grid
+
+    @property
+    def batch(self) -> int | None:
+        """Number of members of a batched state, None for a single state."""
+        return self.V.batch
 
     def packed(self) -> SpectralField:
         """Single stacked field (V components first, elevation last)."""
@@ -211,6 +253,13 @@ def _dot_g(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("i...,i...->...", a, b)
 
 
+def _batched(f: SpectralField) -> np.ndarray:
+    """Coefficients of `f` as a batch, (components, B, *shape): a single
+    field is a batch of one (a view, no copy)."""
+    c = f.coefficients
+    return c[:, None] if f.batch is None else c
+
+
 def _transform(
     transform, grid: GridSpec, parts: list[np.ndarray], stacked: bool
 ) -> list[np.ndarray]:
@@ -241,15 +290,23 @@ def depth_grid(params: PhysicalParams, zeta: SpectralField | np.ndarray) -> np.n
 
 def depth_check(params: PhysicalParams, u: GNState) -> tuple[bool, float]:
     """(ok, min depth): ok iff the grid minimum of h stays above the floor h0."""
+    u.zeta.require_single("depth_check")
     hg = depth_grid(params, u.zeta)
     mn = float(np.min(hg))
     return mn > params.h0, mn
 
 
 def _require_admissible(params: PhysicalParams, hg: np.ndarray, where: str) -> None:
+    """Raise DomainError if h falls below the floor; `hg` holds the depth
+    samples of one field, or of each member of a batch (B, *shape)."""
+    floor = params.h0 * (1.0 - 1e-12)
     mn = float(np.min(hg))
-    if mn < params.h0 * (1.0 - 1e-12):
-        raise DomainError(f"depth {mn:.6g} below floor {params.h0:.6g} in {where}")
+    if not mn < floor:
+        return
+    mins = np.min(hg.reshape(-1, params.grid.n_modes), axis=1)
+    low = np.flatnonzero(mins < floor)
+    members = "" if mins.size == 1 else f" (member {', '.join(map(str, low))})"
+    raise DomainError(f"depth {mn:.6g} below floor {params.h0:.6g} in {where}{members}")
 
 
 # --------------------------------------------------------------- T and bigT
@@ -258,6 +315,9 @@ def _T_terms(
     grid: GridSpec, hg: np.ndarray, gbeta_g: np.ndarray, Vg: np.ndarray, Xg: np.ndarray
 ) -> np.ndarray:
     """Unprojected T[h, beta]V from grid samples of V and div V (b != 0).
+
+    Layout-agnostic: the arrays may carry a batch axis after the component
+    axis (`Vg` (d, B, *shape), `hg` (B, *shape)) if `gbeta_g` has one too.
 
     Each product is transformed and consumed before the next is formed: on
     the 64^2 CG matvec, forming all products first and transforming them as
@@ -275,7 +335,11 @@ def _T_terms(
 def _apply_bigT_arrays(
     grid: GridSpec, mu: float, hg: np.ndarray, gbeta_g: np.ndarray | None, Vc: np.ndarray
 ) -> np.ndarray:
-    """(h + mu T[h, beta]) V on coefficient arrays; gbeta_g None means flat."""
+    """(h + mu T[h, beta]) V on coefficient arrays; gbeta_g None means flat.
+
+    `Vc` is (d, *shape) with `hg` (*shape), or a batch (d, B, *shape) with
+    `hg` (B, *shape) and, with bathymetry, the slope (d, 1, *shape).
+    """
     if gbeta_g is None:
         # T[h, 0] V = -(1/3) grad(h^3 div V)
         Vg, Xg = _transform(grid.to_grid, grid, [Vc, _div_c(grid, Vc)], True)
@@ -291,11 +355,12 @@ def _apply_bigT_arrays(
 
 def apply_bigT(params: PhysicalParams, h: SpectralField, V: SpectralField) -> SpectralField:
     """Elliptic momentum operator bigT V = h V + mu T[h, eps*b] V."""
+    if h.batch != V.batch:
+        raise ValueError(f"depth batch {h.batch} does not match velocity batch {V.batch}")
     grid = V.grid
-    hg = grid.to_grid(h.coefficients[0])
-    return SpectralField(
-        grid, _apply_bigT_arrays(grid, params.mu, hg, params._slope, V.coefficients)
-    )
+    hg = grid.to_grid(_batched(h)[0])
+    out = _apply_bigT_arrays(grid, params.mu, hg, params._batch_slope, _batched(V))
+    return SpectralField(grid, out if V.batch is not None else out[:, 0])
 
 
 def energy_E(params: PhysicalParams, h: SpectralField, V: SpectralField) -> float:
@@ -304,6 +369,7 @@ def energy_E(params: PhysicalParams, h: SpectralField, V: SpectralField) -> floa
     E^2 = h0 |V|^2_{L2} + mu h0 | h div V / sqrt(3) - (sqrt(3)/2) grad(beta).V |^2_{L2}
           + (mu h0 / 4) | grad(beta).V |^2_{L2},   beta = eps*b.
     """
+    V.require_single("energy_E")
     grid = V.grid
     hg = grid.to_grid(h.coefficients[0])
     Vg = grid.to_grid(V.coefficients)
@@ -317,6 +383,7 @@ def energy_E(params: PhysicalParams, h: SpectralField, V: SpectralField) -> floa
 
 def bigT_pairing(params: PhysicalParams, h: SpectralField, V: SpectralField, W: SpectralField) -> float:
     """L2 pairing (bigT V, W) evaluated by grid quadrature."""
+    V.require_single("bigT_pairing")
     grid = V.grid
     out = apply_bigT(params, h, V)
     og = grid.to_grid(out.coefficients)
@@ -340,48 +407,192 @@ def invert_bigT(
     preconditioner is the constant-coefficient symbol (hbar + mu |xi|^2
     hbar^3/3)^{-1} at the mean depth hbar. Terminates when the L2 residual
     drops below tol * |V|_{L2}; raises ConvergenceError otherwise.
+
+    A batched V (with h batched alike) solves every member in one `_pcg`
+    call, each with its own preconditioner, stopping rule and result. `x0`
+    has the shape of V's coefficients or is their flattening. With
+    `return_info`, also returns {"iterations": batched sweeps, the maximum
+    over members}; `CG_STATS` counts each member's solve and iterations.
     """
+    if h.batch != V.batch:
+        raise ValueError(f"depth batch {h.batch} does not match right side batch {V.batch}")
     grid = V.grid
-    hg = grid.to_grid(h.coefficients[0])
+    Vc = _batched(V)
+    hg = grid.to_grid(_batched(h)[0])
     _require_admissible(params, hg, "invert_bigT")
-    gbeta_g = params._slope
-    mu = params.mu
-    d = grid.dimension
-    shape = (d, *grid.shape)
-    n = int(np.prod(shape))
-
-    hbar = float(np.mean(hg))
-    symbol = hbar + mu * grid.xi_sq * hbar**3 / 3.0
-    inv_symbol = 1.0 / symbol
-
-    def matvec(x: np.ndarray) -> np.ndarray:
-        return _apply_bigT_arrays(grid, mu, hg, gbeta_g, x.reshape(shape)).reshape(-1)
-
-    def precond(x: np.ndarray) -> np.ndarray:
-        return (x.reshape(shape) * inv_symbol).reshape(-1)
-
-    A = LinearOperator((n, n), matvec=matvec, dtype=np.complex128)
-    M = LinearOperator((n, n), matvec=precond, dtype=np.complex128)
-    b = V.coefficients.reshape(-1)
-    iters = 0
-
-    def count(_):
-        nonlocal iters
-        iters += 1
-
-    x, info = cg(A, b, x0=x0, rtol=tol, atol=0.0, maxiter=max_iter, M=M, callback=count)
-    CG_STATS["solves"] += 1
-    CG_STATS["iterations"] += iters
-    if info != 0:
-        res = float(np.linalg.norm(b - matvec(x)))
-        raise ConvergenceError(
-            f"bigT inversion did not reach tol={tol:g} in {max_iter} iterations "
-            f"(residual {res:.3e}, |rhs| {float(np.linalg.norm(b)):.3e})"
+    restrict = _bigT_operators(params, hg)
+    b = _rows(Vc)
+    start = None if x0 is None else _rows(np.reshape(x0, Vc.shape))
+    x, iters, failed = _pcg(restrict, b, start, tol, max_iter)
+    CG_STATS["solves"] += b.shape[0]
+    CG_STATS["iterations"] += int(iters.sum())
+    if failed.size:
+        res = b[failed] - restrict(failed)[0](x[failed])
+        detail = "; ".join(
+            ("" if V.batch is None else f"member {m}: ")
+            + f"residual {float(np.linalg.norm(r)):.3e}, |rhs| {float(np.linalg.norm(b[m])):.3e}"
+            for m, r in zip(failed, res)
         )
-    W = SpectralField(grid, x.reshape(shape))
+        raise ConvergenceError(
+            f"bigT inversion did not reach tol={tol:g} in {max_iter} iterations ({detail})"
+        )
+    Wc = _fields(grid, x)
+    W = SpectralField(grid, Wc if V.batch is not None else Wc[:, 0])
     if return_info:
-        return W, {"iterations": iters}
+        return W, {"iterations": int(iters.max())}
     return W
+
+
+def _rows(c: np.ndarray) -> np.ndarray:
+    """A batch of coefficients (d, B, *shape) -> one row per member,
+    (B, d * n_modes)."""
+    return c.swapaxes(0, 1).reshape(c.shape[1], -1)
+
+
+def _fields(grid: GridSpec, x: np.ndarray, lone: bool = False) -> np.ndarray:
+    """Inverse of `_rows`: rows (B, d * n_modes) -> a batch (d, B, *shape),
+    or one row -> (d, *shape) if `lone`."""
+    if lone:
+        return x.reshape(grid.dimension, *grid.shape)
+    return x.reshape(-1, grid.dimension, *grid.shape).swapaxes(0, 1)
+
+
+def _bigT_operators(params: PhysicalParams, hg: np.ndarray):
+    """The operators of `_pcg` for bigT at the depth samples hg (B, *shape).
+
+    Returns `restrict(which)`, which gives (matvec, psolve) on the rows of
+    the members in the index array `which`. A lone member runs on the
+    unbatched layout (d, *shape), cheaper per matvec than a batch axis of
+    size one (see `_cg`). The preconditioner of member m is the
+    constant-coefficient symbol at its own mean depth, formed from that
+    mean as a Python float.
+    """
+    grid = params.grid
+    d = grid.dimension
+    mu = params.mu
+    # stored complex (zero imaginary part), so that psolve's product skips
+    # the cast of a real factor: the same bits
+    inv_symbol = np.empty(hg.shape, dtype=np.complex128)
+    for m in range(hg.shape[0]):
+        hbar = float(np.mean(hg[m]))
+        inv_symbol[m] = 1.0 / (hbar + mu * grid.xi_sq * hbar**3 / 3.0)
+
+    def restrict(which: np.ndarray):
+        lone = which.size == 1
+        if lone:
+            hg_w, inv_w, gbeta_g = hg[which[0]], inv_symbol[which[0]], params._slope
+        else:
+            hg_w, inv_w, gbeta_g = hg[which], inv_symbol[which][:, None], params._batch_slope
+
+        def matvec(x: np.ndarray) -> np.ndarray:
+            out = _apply_bigT_arrays(grid, mu, hg_w, gbeta_g, _fields(grid, x, lone))
+            return out.reshape(1, -1) if lone else _rows(out)
+
+        def psolve(r: np.ndarray) -> np.ndarray:
+            return (r.reshape(-1, d, *grid.shape) * inv_w).reshape(r.shape)
+
+        return matvec, psolve
+
+    return restrict
+
+
+def _cg(restrict, b: np.ndarray, x0: np.ndarray | None, tol: float, max_iter: int):
+    """`_pcg` for a batch of one member: the same arithmetic with scalar
+    norms and inner products and the unbatched layout. On the N = 512
+    transit workload a batch of one through `_pcg` ran 19% slower end to
+    end (2-core x86 host, 10 alternating pairs, 9/10 won by this loop)."""
+    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=b.dtype)
+    bnrm2 = np.linalg.norm(b)
+    if bnrm2 == 0:
+        return b.copy(), np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.intp)
+    atol = max(0.0, float(tol) * float(bnrm2))
+    matvec, psolve = restrict(np.zeros(1, dtype=np.intp))
+    r = b - matvec(x) if x.any() else b.copy()
+    for it in range(max_iter):
+        if np.linalg.norm(r) < atol:
+            return x, np.array([it]), np.zeros(0, dtype=np.intp)
+        z = psolve(r)
+        rho = np.vdot(r, z)
+        if it > 0:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p = z.copy()
+        q = matvec(p)
+        alpha = rho / np.vdot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x, np.array([max_iter]), np.zeros(1, dtype=np.intp)
+
+
+def _pcg(restrict, b: np.ndarray, x0: np.ndarray | None, tol: float, max_iter: int):
+    """Preconditioned conjugate gradients on a batch of independent systems.
+
+    Row m of `b`, shape (B, n), is the right side of member m.
+    `restrict(which)` returns (matvec, psolve): the operator and the
+    preconditioner of the members in the index array `which`, acting on
+    their rows. Every member repeats the arithmetic of
+    `scipy.sparse.linalg.cg(A, b[m], x0[m], rtol=tol, atol=0,
+    maxiter=max_iter, M=M)`: norms and inner products are taken on its own
+    row, a zero right side is returned as it is, a nonzero start is turned
+    into the residual b - A x0, and the member stops at the top of the first
+    sweep in which norm(r) < tol * norm(b). Stopped members leave the batch,
+    so a member's result does not depend on the others.
+
+    Returns (x, iterations, failed): the solution rows, the iterations of
+    each member, and the members that did not converge in max_iter. A batch
+    of one runs `_cg`.
+    """
+    if b.shape[0] == 1:
+        return _cg(restrict, b, x0, tol, max_iter)
+    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=b.dtype)
+    iterations = np.zeros(b.shape[0], dtype=np.int64)
+    bnrm2 = [np.linalg.norm(row) for row in b]
+    zero = [m for m, nrm in enumerate(bnrm2) if nrm == 0]
+    if zero:
+        x[zero] = b[zero]
+    act = np.array([m for m, nrm in enumerate(bnrm2) if nrm != 0], dtype=np.intp)
+    atol = [max(0.0, float(tol) * float(bnrm2[m])) for m in act]
+    r = b[act]
+    xa = x[act]
+    if x0 is not None:
+        warm = np.array([row.any() for row in xa], dtype=bool)
+        if warm.any():
+            r[warm] -= restrict(act[warm])[0](xa[warm])
+    matvec, psolve = restrict(act)
+    p = rho_prev = None
+    for it in range(max_iter):
+        done = [np.linalg.norm(row) < a for row, a in zip(r, atol)]
+        if any(done):
+            keep = ~np.array(done)
+            x[act[~keep]] = xa[~keep]
+            iterations[act[~keep]] = it
+            act, xa, r = act[keep], xa[keep], r[keep]
+            atol = [a for a, k in zip(atol, keep) if k]
+            if p is not None:
+                p = p[keep]
+                rho_prev = [v for v, k in zip(rho_prev, keep) if k]
+            matvec, psolve = restrict(act)
+        if not act.size:
+            break
+        z = psolve(r)
+        rho = [np.vdot(row, z_row) for row, z_row in zip(r, z)]
+        if p is None:
+            p = z.copy()
+        else:
+            p *= np.array([cur / prev for cur, prev in zip(rho, rho_prev)])[:, None]
+            p += z
+        q = matvec(p)
+        alpha = np.array([cur / np.vdot(p_row, q_row) for cur, p_row, q_row in zip(rho, p, q)])
+        alpha = alpha[:, None]
+        xa += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    else:
+        x[act] = xa
+        iterations[act] = max_iter
+    return x, iterations, act
 
 
 # ----------------------------------------------------------------- Q forms
@@ -393,7 +604,8 @@ def _apply_Q_bilinear_arrays(
     Vc: np.ndarray,
     Wc: np.ndarray,
 ) -> np.ndarray:
-    """Symmetric bilinear form associated with Q[h, beta], on coefficient arrays."""
+    """Symmetric bilinear form associated with Q[h, beta], on coefficient
+    arrays; batched like `_apply_bigT_arrays`."""
     Vg = grid.to_grid(Vc)
     Wg = grid.to_grid(Wc)
     Xv = grid.to_grid(_div_c(grid, Vc))
@@ -427,31 +639,35 @@ def nonlinear_F(params: PhysicalParams, u: GNState, tol: float = 1e-12) -> GNSta
                         + mu ( (1/3) grad(h^3 D_V div V) + Q[h, eps b](V) ) ]
     Elevation row:
         F2 = div( (zeta - b) V )
+
+    A batched `u` gives the batched tendency, one member per member of `u`,
+    assembled and inverted (one batched elliptic solve) together.
     """
     grid = u.grid
-    rhs, h_c, flux_c = _tendency_rows(params, u)
-    h_field = SpectralField(grid, grid.project(h_c))
-    F1 = invert_bigT(params, h_field, SpectralField(grid, rhs), tol=tol)
-    F2c = grid.project(_div_c(grid, flux_c))
-    return GNState(V=F1, zeta=SpectralField(grid, F2c[None]), t=u.t)
+    rhs, h_c, flux_c = _tendency_rows(params, _batched(u.V), _batched(u.zeta)[0])
+    h_field = SpectralField(grid, grid.project(h_c)[None])
+    F1c = invert_bigT(params, h_field, SpectralField(grid, rhs), tol=tol).coefficients
+    F2c = grid.project(_div_c(grid, flux_c))[None]
+    if u.batch is None:
+        F1c, F2c = F1c[:, 0], F2c[:, 0]
+    return GNState(V=SpectralField(grid, F1c), zeta=SpectralField(grid, F2c), t=u.t)
 
 
 def _tendency_rows(
-    params: PhysicalParams, u: GNState
+    params: PhysicalParams, Vc: np.ndarray, zc: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Projected bigT F1, and the coefficients of h and of (zeta - b) V.
+    """Projected bigT F1, and the coefficients of h and of (zeta - b) V, for
+    a batch of velocities Vc (d, B, *shape) and elevations zc (B, *shape).
 
     A function of its own so that its temporaries are freed before the CG
     solve.
     """
-    grid = u.grid
+    grid = params.grid
     d = grid.dimension
     mu = params.mu
-    gbeta_g = params._slope
+    gbeta_g = params._batch_slope
     flat = gbeta_g is None
 
-    Vc = u.V.coefficients
-    zc = u.zeta.coefficients[0]
     Xc = _div_c(grid, Vc)
     gz_c = _grad_c(grid, zc)
     grids = _transform(
@@ -638,8 +854,7 @@ def build_linearized_coeffs(
     # (Vbar.grad)^2 beta = (Vbar.grad)(Vbar.grad beta), assembled spectrally inside.
     vgrad2_beta = np.empty((nt, *grid.shape))
     for k in range(nt):
-        grad_vb = grid.to_grid(_grad_c(grid, grid.from_grid(_dot_g(gbeta, Vbar[k]))))
-        vgrad2_beta[k] = _dot_g(Vbar[k], grad_vb)
+        vgrad2_beta[k] = _dot_g(Vbar[k], grad_vbarbeta[k])
 
     # D_Vbar(div Vbar) = -(Vbar.grad)(div Vbar) + (div Vbar)^2
     d_vbar_div = np.empty((nt, *grid.shape))

@@ -19,7 +19,13 @@ Both integrators of the package run on one private IF-RK4 driver,
 `_integrate_filtered`: `solve_linearized` hands it the linearized operator
 K(t) and `reference.mol_solve` the nonlinear tendency F. The driver owns the
 output grid, the sub-step split, forcing sampling, the four RK4 stages, the
-growth guard and the run statistics.
+growth guard and the run statistics. It also carries the batch axis of
+`GNState`: a batched initial state (an ensemble on one grid, horizon and
+dt) advances all members through the same stages, with one batched
+tendency call per stage, the growth guard and its floor applied per
+member, and one trajectory returned per member; a single state is a batch
+of one. `evolve_packed` takes a packed array with or without the batch
+axis.
 
 Per-mode rotation, derived once
 -------------------------------
@@ -89,30 +95,33 @@ def _xi_unit(grid: GridSpec) -> np.ndarray:
 def evolve_packed(grid: GridSpec, eps: float, t: float, coeffs: np.ndarray) -> np.ndarray:
     """Apply the free wave group to a packed coefficient array.
 
-    `coeffs` has shape (d+1, *grid.shape): velocity components first,
-    elevation last. Returns a new array; the input is not modified.
+    `coeffs` has shape (d+1, *grid.shape), or (d+1, B, *grid.shape) for a
+    batch: velocity components first, elevation last. Returns a new array;
+    the input is not modified.
     """
     d = grid.dimension
-    if coeffs.shape != (d + 1, *grid.shape):
+    batched = coeffs.ndim == d + 2
+    if coeffs.shape[0] != d + 1 or coeffs.shape[1 + batched :] != grid.shape:
         raise ValueError(f"packed array shape {coeffs.shape} does not match grid")
     if t == 0.0:
         return coeffs.copy()
     xi_abs = _xi_abs(grid)
     unit = _xi_unit(grid)
+    if batched:
+        unit = unit[:, None]
     phase = (float(t) / eps) * xi_abs
-    cos_v = np.cos(phase).ravel()
-    sin_v = np.sin(phase).ravel()
+    cos_v = np.cos(phase)
+    sin_v = np.sin(phase)
 
     V = coeffs[:d]
     along = np.einsum("i...,i...->...", unit, V)
-    along_v = along.ravel()
-    zeta_v = coeffs[d].ravel()
-    a_new = cos_v * along_v - 1j * (sin_v * zeta_v)
-    z_new = cos_v * zeta_v - 1j * (sin_v * along_v)
+    zeta = coeffs[d]
+    a_new = cos_v * along - 1j * (sin_v * zeta)
+    z_new = cos_v * zeta - 1j * (sin_v * along)
     out = np.empty_like(coeffs)
-    delta = (a_new.reshape(grid.shape) - along)[None]
+    delta = (a_new - along)[None]
     out[:d] = V + delta * unit
-    out[d] = z_new.reshape(grid.shape)
+    out[d] = z_new
     return out
 
 
@@ -237,7 +246,7 @@ def _integrate_filtered(
     ivp: IVPData,
     tendency: Callable[[float, GNState], GNState],
     on_output: Callable[[float, np.ndarray], None] | None = None,
-) -> tuple[TrajectoryField, dict]:
+) -> tuple[TrajectoryField | list[TrajectoryField], dict]:
     """IF-RK4 driver shared by `solve_linearized` and `reference.mol_solve`.
 
     Integrates d/dt v + (1/eps) L v + G(t, v) = f on [0, T], where G is
@@ -248,12 +257,21 @@ def _integrate_filtered(
     advanced by classical RK4. If the requested dt exceeds the dispersive
     stability cap the step is split into equal sub-steps internally; the
     output grid is unchanged. `on_output(t, v)` sees every output snapshot
-    (physical variables), the initial one included, and may raise.
+    (physical variables, shape (d+1, B, *shape)), the initial one included,
+    and may raise.
 
-    Returns the physical trajectory and the run statistics. Raises
-    StepSizeError when a step multiplies the solution norm by more than 10
-    or produces non-finite values; solutions below a floor set by the data
-    and forcing sizes are exempt from the growth test.
+    A batched initial state (`GNState.batch`) advances all its members in
+    the same stages: `tendency` receives and returns batched states and the
+    forcing is shared by all members. A single initial state is a batch of
+    one whose tendency sees single states, since `solve_linearized`'s
+    tendency `apply_K` is single-field.
+
+    Returns the physical trajectory (a list of one trajectory per member,
+    in member order, for a batch) and the run statistics, which total over
+    the members. Raises StepSizeError when a step multiplies a member's
+    solution norm by more than 10 or produces non-finite values; a member
+    below a floor set by its data and the forcing size is exempt from the
+    growth test.
     """
     grid = ivp.initial.grid
     d = grid.dimension
@@ -274,35 +292,38 @@ def _integrate_filtered(
     solves0 = gn.CG_STATS["solves"]
     iters0 = gn.CG_STATS["iterations"]
 
+    single = ivp.initial.batch is None
     w = grid.project(ivp.initial.packed().coefficients)
-    out = np.empty((n_steps + 1, d + 1, *grid.shape), dtype=np.complex128)
-    out[0] = w
+    if single:
+        w = w[:, None]
+    members = w.shape[1]
+    state_shape = (d + 1, *grid.shape) if single else w.shape
+    out = np.empty((members, n_steps + 1, d + 1, *grid.shape), dtype=np.complex128)
+    out[:, 0] = w.swapaxes(0, 1)
     if on_output is not None:
-        on_output(0.0, out[0])
+        on_output(0.0, w)
 
     forcing_scale = 0.0
     if ivp.forcing is not None:
         flat = ivp.forcing.snapshots.reshape(ivp.forcing.n_times, -1)
         forcing_scale = float(np.max(np.linalg.norm(flat, axis=1)))
-    norm_floor = 1e-13 * (1.0 + float(np.linalg.norm(w)) + forcing_scale)
+    norm_prev = [float(np.linalg.norm(w[:, m])) for m in range(members)]
+    norm_floor = [1e-13 * (1.0 + norm + forcing_scale) for norm in norm_prev]
 
     def rhs(t: float, w_arr: np.ndarray) -> np.ndarray:
-        v_arr = evolve_packed(grid, eps, t, w_arr)
+        v_arr = evolve_packed(grid, eps, t, w_arr).reshape(state_shape)
         state = GNState(
             V=SpectralField(grid, v_arr[:d]),
             zeta=SpectralField(grid, v_arr[d : d + 1]),
             t=t,
         )
         G = tendency(t, state)
-        phys = np.empty_like(w_arr)
-        phys[:d] = -G.V.coefficients
-        phys[d] = -G.zeta.coefficients[0]
+        phys = -np.concatenate([G.V.coefficients, G.zeta.coefficients]).reshape(w_arr.shape)
         f_val = sample_f(t)
         if f_val is not None:
-            phys += f_val
+            phys += f_val[:, None]
         return evolve_packed(grid, eps, -t, phys)
 
-    norm_prev = float(np.linalg.norm(w))
     for n in range(n_steps):
         t_n = n * dt_out
         for j in range(n_sub):
@@ -313,23 +334,27 @@ def _integrate_filtered(
             k4 = rhs(t0 + h, w + h * k3)
             w = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t_next = (n + 1) * dt_out
-        norm_now = float(np.linalg.norm(w))
-        if not math.isfinite(norm_now):
-            raise StepSizeError(
-                f"non-finite solution after step {n + 1} (t={t_next:g}); "
-                f"reduce dt (current {dt_out:g}, {n_sub} internal sub-steps)"
-            )
-        if norm_prev > norm_floor and norm_now > 10.0 * norm_prev:
-            raise StepSizeError(
-                f"solution norm grew {norm_now / norm_prev:.2f}x in one step at "
-                f"t={t_next:g}; the step size dt={dt_out:g} is unstable"
-            )
-        norm_prev = norm_now
-        out[n + 1] = evolve_packed(grid, eps, t_next, w)
+        for m in range(members):
+            norm_now = float(np.linalg.norm(w[:, m]))
+            who = "" if single else f" of member {m}"
+            if not math.isfinite(norm_now):
+                raise StepSizeError(
+                    f"non-finite solution{who} after step {n + 1} (t={t_next:g}); "
+                    f"reduce dt (current {dt_out:g}, {n_sub} internal sub-steps)"
+                )
+            if norm_prev[m] > norm_floor[m] and norm_now > 10.0 * norm_prev[m]:
+                raise StepSizeError(
+                    f"solution norm{who} grew {norm_now / norm_prev[m]:.2f}x in one step "
+                    f"at t={t_next:g}; the step size dt={dt_out:g} is unstable"
+                )
+            norm_prev[m] = norm_now
+        v = evolve_packed(grid, eps, t_next, w)
+        out[:, n + 1] = v.swapaxes(0, 1)
         if on_output is not None:
-            on_output(t_next, out[n + 1])
+            on_output(t_next, v)
 
     times = np.linspace(0.0, ivp.horizon, n_steps + 1)
+    trajectories = [TrajectoryField(grid, times.copy(), snaps) for snaps in out]
     stats = {
         "steps": n_steps,
         "substeps_per_step": n_sub,
@@ -338,7 +363,7 @@ def _integrate_filtered(
         "mass_solves": gn.CG_STATS["solves"] - solves0,
         "mass_solve_iterations": gn.CG_STATS["iterations"] - iters0,
     }
-    return TrajectoryField(grid, times, out), stats
+    return (trajectories[0] if single else trajectories), stats
 
 
 def solve_linearized(

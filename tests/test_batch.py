@@ -1,0 +1,304 @@
+"""Batch axis: batched operators, PCG and integrator against per-member calls.
+
+Every comparison is byte for byte (`tobytes`): a member's result must not
+depend on which other members share its batch. scipy's `cg` is the oracle of
+the in-package PCG.
+"""
+import math
+
+import numpy as np
+import pytest
+
+from nmshallow import green_naghdi as gn
+from nmshallow import linear_ivp
+from nmshallow.errors import ConvergenceError, DomainError, StepSizeError
+from nmshallow.fourier_scale import (
+    GridSpec,
+    SpectralField,
+    TrajectoryField,
+    field_from_grid,
+    random_field,
+    sobolev_norm,
+    zero_field,
+)
+from nmshallow.green_naghdi import (
+    GNState,
+    PhysicalParams,
+    depth_check,
+    depth_grid,
+    invert_bigT,
+    nonlinear_F,
+)
+from nmshallow.linear_ivp import evolve_packed
+from nmshallow.reference import manufactured_residual, mol_solve
+
+MEMBERS = 3
+# PCG systems: enough members that a preconditioner formed from an array of
+# mean depths, rather than from each mean as a float, changes some bits
+PCG_MEMBERS = 12
+CASES = [(1, 64, True), (2, 16, False)]
+CASE_IDS = ["1d-flat", "2d-bathymetry"]
+
+
+def _case(dim, n, flat, seed=20240817, members=MEMBERS):
+    """Params, and a list of `members` independent states on one grid."""
+    grid = GridSpec(dimension=dim, nodes_per_axis=n, domain_length=2 * math.pi)
+    rng = np.random.default_rng(seed)
+    b = zero_field(grid) if flat else random_field(grid, 1, rng, amplitude=0.05, decay=5.0)
+    params = PhysicalParams(mu=0.3, eps=0.5, b=b)
+    states = [
+        GNState(
+            V=random_field(grid, dim, rng, amplitude=0.05, decay=4.0),
+            zeta=random_field(grid, 1, rng, amplitude=0.05, decay=4.0),
+        )
+        for _ in range(members)
+    ]
+    return params, states
+
+
+def _stack(grid, fields):
+    """Batch of the given single fields, (components, B, *shape)."""
+    return SpectralField(grid, np.stack([f.coefficients for f in fields], axis=1))
+
+
+def _stack_states(states):
+    grid = states[0].grid
+    return GNState(V=_stack(grid, [u.V for u in states]), zeta=_stack(grid, [u.zeta for u in states]))
+
+
+def _depth(params, zeta):
+    """Coefficients of h = 1 + eps (zeta - b)."""
+    grid = zeta.grid
+    hc = np.zeros((1, *grid.shape), dtype=np.complex128)
+    hc[(0,) + (0,) * grid.dimension] = 1.0
+    hc += params.eps * (zeta.coefficients - params.b.coefficients)
+    return SpectralField(grid, hc)
+
+
+# ---------------------------------------------------------- PCG against scipy
+
+
+def _scipy_cg(params, hg, b, x0, tol, max_iter):
+    """The oracle: scipy's cg on one member, with the single-field bigT
+    matvec and the mean-depth preconditioner."""
+    sla = pytest.importorskip("scipy.sparse.linalg")
+    grid = params.grid
+    shape = (grid.dimension, *grid.shape)
+    n = b.size
+    hbar = float(np.mean(hg))
+    inv_symbol = 1.0 / (hbar + params.mu * grid.xi_sq * hbar**3 / 3.0)
+
+    def matvec(x):
+        return gn._apply_bigT_arrays(grid, params.mu, hg, params._slope, x.reshape(shape)).reshape(-1)
+
+    A = sla.LinearOperator((n, n), matvec=matvec, dtype=np.complex128)
+    M = sla.LinearOperator(
+        (n, n), matvec=lambda x: (x.reshape(shape) * inv_symbol).reshape(-1), dtype=np.complex128
+    )
+    iters = [0]
+
+    def count(_):
+        iters[0] += 1
+
+    x, info = sla.cg(A, b, x0=x0, rtol=tol, atol=0.0, maxiter=max_iter, M=M, callback=count)
+    return x, info, iters[0]
+
+
+def _pcg_systems(dim, n, flat, members):
+    """Depth samples (B, *shape) and right sides (B, n) of `members`
+    systems; in a batch, the last member's right side is zero with signed
+    zeros."""
+    params, states = _case(dim, n, flat, members=members)
+    grid = params.grid
+    rng = np.random.default_rng(7)
+    hg = np.stack([depth_grid(params, 4.0 * u.zeta) for u in states])
+    rhs = np.stack(
+        [random_field(grid, dim, rng, amplitude=1.0, decay=2.0).coefficients.reshape(-1) for _ in states]
+    )
+    if members > 1:
+        rhs[-1] = complex(-0.0, -0.0)
+    return params, hg, rhs
+
+
+# a batch of one runs the scalar loop `_cg`, a larger batch the batched one
+SIZES = pytest.mark.parametrize("members", [1, PCG_MEMBERS], ids=["lone", "batch"])
+
+
+@SIZES
+@pytest.mark.parametrize("dim,n,flat", CASES, ids=CASE_IDS)
+@pytest.mark.parametrize("start", ["cold", "x0"])
+def test_pcg_matches_scipy_cg(dim, n, flat, start, members):
+    params, hg, rhs = _pcg_systems(dim, n, flat, members)
+    x0 = None
+    if start == "x0":
+        x0 = np.random.default_rng(11).standard_normal(rhs.shape) * (1.0 + 0.0j)
+        x0[2:3] = 0.0  # a zero start takes scipy's b.copy() branch
+    x, iters, failed = gn._pcg(gn._bigT_operators(params, hg), rhs, x0, 1e-12, 500)
+    assert failed.size == 0
+    for m in range(members):
+        want, info, want_iters = _scipy_cg(
+            params, hg[m], rhs[m], None if x0 is None else x0[m], 1e-12, 500
+        )
+        assert info == 0
+        assert x[m].tobytes() == want.tobytes(), f"member {m}"
+        assert iters[m] == want_iters
+    if members > 1:
+        assert iters[-1] == 0 and x[-1].tobytes() == rhs[-1].tobytes()  # zero side kept, signs too
+
+
+def test_lone_zero_side_is_returned():
+    params, hg, rhs = _pcg_systems(1, 64, True, 1)
+    rhs[0] = complex(-0.0, -0.0)
+    x, iters, failed = gn._pcg(gn._bigT_operators(params, hg), rhs, np.ones_like(rhs), 1e-12, 500)
+    want, info, _ = _scipy_cg(params, hg[0], rhs[0], np.ones_like(rhs[0]), 1e-12, 500)
+    assert failed.size == 0 and iters[0] == 0 and info == 0
+    assert x[0].tobytes() == rhs[0].tobytes() == want.tobytes()
+
+
+@SIZES
+@pytest.mark.parametrize("dim,n,flat", CASES, ids=CASE_IDS)
+def test_pcg_failure_matches_scipy_cg(dim, n, flat, members):
+    params, hg, rhs = _pcg_systems(dim, n, flat, members)
+    x, iters, failed = gn._pcg(gn._bigT_operators(params, hg), rhs, None, 1e-12, 1)
+    assert list(failed) == list(range(max(1, members - 1)))  # a batch's last side is zero
+    for m in failed:
+        want, info, want_iters = _scipy_cg(params, hg[m], rhs[m], None, 1e-12, 1)
+        assert info == 1
+        assert x[m].tobytes() == want.tobytes()
+        assert iters[m] == want_iters == 1
+    if members == 1:
+        return
+    grid = params.grid
+    V = SpectralField(grid, gn._fields(grid, rhs))
+    h = SpectralField(grid, grid.from_grid(hg)[None])
+    with pytest.raises(ConvergenceError, match="member 0: .*; member 2: "):
+        invert_bigT(params, h, V, tol=1e-12, max_iter=1)
+
+
+# ---------------------------------------------------- batched against looped
+
+
+@pytest.mark.parametrize("dim,n,flat", CASES, ids=CASE_IDS)
+def test_batched_operators_match_looped(dim, n, flat):
+    params, states = _case(dim, n, flat)
+    grid = params.grid
+    batch = _stack_states(states)
+    F = nonlinear_F(params, batch)
+    assert F.batch == MEMBERS
+    h = _stack(grid, [_depth(params, u.zeta) for u in states])
+    W, info = invert_bigT(params, h, batch.V, return_info=True)
+    T = gn.apply_bigT(params, h, batch.V)
+    iterations = []
+    for m, u in enumerate(states):
+        Fm = nonlinear_F(params, u)
+        assert F.V.coefficients[:, m].tobytes() == Fm.V.coefficients.tobytes()
+        assert F.zeta.coefficients[:, m].tobytes() == Fm.zeta.coefficients.tobytes()
+        Wm, info_m = invert_bigT(params, _depth(params, u.zeta), u.V, return_info=True)
+        assert W.coefficients[:, m].tobytes() == Wm.coefficients.tobytes()
+        iterations.append(info_m["iterations"])
+        Tm = gn.apply_bigT(params, _depth(params, u.zeta), u.V)
+        assert T.coefficients[:, m].tobytes() == Tm.coefficients.tobytes()
+    assert info["iterations"] == max(iterations)
+
+
+@pytest.mark.parametrize("dim,n,flat", CASES, ids=CASE_IDS)
+def test_batched_mol_solve_matches_looped(dim, n, flat):
+    params, states = _case(dim, n, flat)
+    sols, stats = mol_solve(params, _stack_states(states), 0.04, 0.02, return_stats=True)
+    assert len(sols) == MEMBERS
+    solves = iterations = 0
+    for sol, u in zip(sols, states):
+        want, st = mol_solve(params, u, 0.04, 0.02, return_stats=True)
+        assert sol.snapshots.tobytes() == want.snapshots.tobytes()
+        assert sol.times.tobytes() == want.times.tobytes()
+        solves += st["mass_solves"]
+        iterations += st["mass_solve_iterations"]
+    assert stats["mass_solves"] == solves
+    assert stats["mass_solve_iterations"] == iterations
+
+
+@pytest.mark.parametrize("dim,n,flat", CASES, ids=CASE_IDS)
+def test_manufactured_residual_matches_snapshot_loop(dim, n, flat):
+    params, states = _case(dim, n, flat)
+    grid = params.grid
+    d = grid.dimension
+    snaps = np.stack([u.packed().coefficients for u in states + states[::-1]])
+    traj = TrajectoryField(grid, 0.01 * np.arange(snaps.shape[0]), snaps)
+    rates = np.roll(snaps, 1, axis=0)  # any du/dt will do
+    r1, r2 = manufactured_residual(params, traj, dudt=TrajectoryField(grid, traj.times, rates))
+    eps = params.eps
+    for i, arr in enumerate(snaps):
+        # the single-snapshot evaluation it replaced
+        state = GNState(V=SpectralField(grid, arr[:d]), zeta=SpectralField(grid, arr[d:]))
+        F = nonlinear_F(params, state)
+        f_V = rates[i][:d] + F.V.coefficients
+        f_V += (1.0 / eps) * gn._grad_c(grid, arr[d])
+        f_z = rates[i][d:] + F.zeta.coefficients
+        f_z += (1.0 / eps) * gn._div_c(grid, arr[:d])[None]
+        want1 = gn._apply_bigT_arrays(
+            grid, params.mu, depth_grid(params, arr[d]), params._slope, eps * f_V
+        )
+        assert r1.snapshots[i].tobytes() == want1.tobytes(), f"snapshot {i}"
+        assert r2.snapshots[i].tobytes() == (eps * f_z).tobytes(), f"snapshot {i}"
+
+
+def test_batched_evolve_packed_matches_looped(grid2d, rng):
+    packed = np.stack([random_field(grid2d, 3, rng).coefficients for _ in range(MEMBERS)], axis=1)
+    out = evolve_packed(grid2d, 0.5, 0.37, packed)
+    for m in range(MEMBERS):
+        want = evolve_packed(grid2d, 0.5, 0.37, packed[:, m].copy())
+        assert out[:, m].tobytes() == want.tobytes()
+
+
+# ------------------------------------------------------------ failure paths
+
+
+def test_member_under_depth_floor_raises_domain_error():
+    params, states = _case(1, 64, True)
+    grid = params.grid
+    states[1] = GNState(V=zero_field(grid, 1), zeta=field_from_grid(grid, np.full((1, 64), -1.5)))
+    with pytest.raises(DomainError, match="member 1"):
+        mol_solve(params, _stack_states(states), 0.04, 0.02)
+    with pytest.raises(DomainError, match=r"member 1\)"):
+        nonlinear_F(params, _stack_states(states))
+
+
+def test_unstable_member_raises_step_size_error(grid1d, params1d, rng, monkeypatch):
+    # without the sub-step cap dt = 0.5 is unstable for rough data (as in the
+    # single-run guard test); member 0 is small and smooth, and its norm is
+    # its own: the much larger member 1 must not trip its guard
+    monkeypatch.setattr(linear_ivp, "dispersive_dt_cap", lambda *args, **kwargs: math.inf)
+    rough = GNState(
+        V=random_field(grid1d, 1, rng, amplitude=0.01, decay=0.5),
+        zeta=random_field(grid1d, 1, rng, amplitude=0.01, decay=0.5),
+    )
+    smooth = GNState(
+        V=random_field(grid1d, 1, rng, amplitude=1e-6, decay=4.0),
+        zeta=random_field(grid1d, 1, rng, amplitude=1e-6, decay=4.0),
+    )
+    with pytest.raises(StepSizeError, match="of member 1 grew"):
+        mol_solve(params1d, _stack_states([smooth, rough]), 2.0, 0.5)
+
+
+def test_unreachable_tolerance_names_the_member():
+    params, states = _case(1, 64, True)
+    grid = params.grid
+    V = _stack(grid, [zero_field(grid, 1), states[1].V])
+    h = _stack(grid, [_depth(params, u.zeta) for u in states[:2]])
+    with pytest.raises(ConvergenceError, match="member 1: ") as exc:
+        invert_bigT(params, h, V, tol=1e-30, max_iter=50)
+    assert "member 0" not in str(exc.value)
+
+
+def test_field_reductions_refuse_a_batch():
+    params, states = _case(1, 64, True)
+    batch = _stack_states(states)
+    assert batch.batch == MEMBERS and states[0].batch is None
+    with pytest.raises(ValueError, match="batch of 3"):
+        sobolev_norm(batch.V, 0.0)
+    with pytest.raises(ValueError, match="batch of 3"):
+        batch.V.validate()
+    with pytest.raises(ValueError, match="batch of 3"):
+        depth_check(params, batch)
+    with pytest.raises(ValueError, match="batch sizes"):
+        GNState(V=batch.V, zeta=states[0].zeta)

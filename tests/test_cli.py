@@ -163,6 +163,33 @@ def test_stability_artifacts(runner, tmp_path):
         assert (out2 / name).read_bytes() == (out / name).read_bytes()
 
 
+def test_scaling_threads_write_same_bytes(runner, tmp_path):
+    # scaling is the one command that still spreads its sweep over threads
+    cfg = _write_cfg(
+        tmp_path,
+        {
+            "grid": {"nodes": 32},
+            "data": {"type": "random", "amplitude": 0.05, "decay": 4.0, "seed": 7},
+            "run": {"T": 0.2, "dt": 0.02},
+            "scaling": {"mus": [0.2, 0.1]},
+        },
+    )
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        res = runner.invoke(
+            main, ["scaling", "--config", cfg, "--out", str(out), "--threads", threads]
+        )
+        assert res.exit_code == 0, res.output
+        outs.append(out)
+    rows = [
+        ln for ln in (outs[0] / "scaling.csv").read_text().splitlines() if not ln.startswith("#")
+    ]
+    assert rows[0] == "mu,eps,error" and len(rows) == 3
+    for name in ("scaling.csv", "scaling.json"):
+        assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes()
+
+
 def test_unreachable_cg_tolerance_exits_3(runner, tmp_path):
     cfg = _write_cfg(tmp_path, {**TINY_MOL, "run": {**TINY_MOL["run"], "cg_tol": 1e-30}})
     res = runner.invoke(main, ["solve", "--config", cfg, "--out", str(tmp_path / "o")])

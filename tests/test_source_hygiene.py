@@ -73,3 +73,27 @@ def test_ffts_go_through_gridspec():
     assert sources, f"no sources under {PACKAGE}"
     hits = [hit for path in sources for hit in _fft_bypasses(path)]
     assert hits == []
+
+
+def _scipy_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name == "scipy" or name.startswith("scipy.") for name in names):
+            hits.append(f"{path.name}:{node.lineno}")
+    return hits
+
+
+def test_package_does_not_import_scipy():
+    # scipy is a test-only dependency (the oracle of the in-package CG); the
+    # package needs numpy and click only, which keeps its import fast and small
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources, f"no sources under {PACKAGE}"
+    hits = [hit for path in sources for hit in _scipy_imports(path)]
+    assert hits == []
