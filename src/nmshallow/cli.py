@@ -129,6 +129,16 @@ DEFAULTS: dict = {
 
 # ------------------------------------------------------------ config plumbing
 
+#: `--seed N` adds SEED_STRIDE * N to the RNG seed of each of these sections
+#: (N = 0 leaves them as they are).
+SEED_STRIDE = 1000
+_SEEDED_SECTIONS = (
+    ("data",),
+    ("physics", "bathymetry"),
+    ("stability", "perturbation"),
+    ("scaling", "forcing"),
+)
+
 
 def _deep_merge(base: dict, extra: dict) -> dict:
     out = copy.deepcopy(base)
@@ -155,6 +165,12 @@ def _load_config(path: str | None, seed: int | None) -> dict:
         )
     if seed is not None:
         cfg["seed"] = int(seed)
+        if seed:
+            for path in _SEEDED_SECTIONS:
+                section = cfg
+                for key in path:
+                    section = section[key]
+                section["seed"] = int(section["seed"]) + SEED_STRIDE * int(seed)
     return cfg
 
 
@@ -339,7 +355,7 @@ def _common_options(fn):
     )(fn)
     fn = click.option(
         "--seed", type=click.IntRange(min=0), default=None,
-        help="Override the config's RNG seed.",
+        help=f"Shift every RNG seed of the config by {SEED_STRIDE} * SEED.",
     )(fn)
     fn = click.option(
         "--threads", type=click.IntRange(min=1), default=1, show_default=True,
@@ -563,9 +579,8 @@ def cmd_stability(config_path, out_dir, seed, threads) -> None:
         # Free-wave transport keeps the perturbation an exact solution of the
         # singular linear part, so the trajectory u_ref + iota*w is consistent
         # with the full system to O(iota).
-        w_snaps = np.stack(
-            [evolve_packed(grid, params.eps, float(t), w0) for t in u_ref.times]
-        )
+        w_rows = np.broadcast_to(w0[:, None], (d + 1, u_ref.n_times, *grid.shape))
+        w_snaps = evolve_packed(grid, params.eps, u_ref.times, w_rows).swapaxes(0, 1)
 
         rows = []
         for iota, u_num in zip(iotas, u_nums):

@@ -14,12 +14,16 @@ derivatives are accurate. The adapter converts between the two pictures:
 iterate, `solve_linearized` conjugates the forcing into physical
 variables, runs the integrating-factor solver, and filters the solution
 back, and `admissible` checks the depth of the physical snapshots.
+
+`evaluate_G` and `snapshot_norm` follow the engine's batch contract: a
+chunk of snapshots is conjugated with one time per member, its tendency is
+one batched `nonlinear_F`, and its norms one batched `x_norm_packed`.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .fourier_scale import GridSpec, SpectralField, TrajectoryField
+from .fourier_scale import GridSpec, SpectralField, TrajectoryField, _chunks
 from .green_naghdi import (
     GNState,
     LinearizedCoeffs,
@@ -63,14 +67,14 @@ class GNProblem(ProblemInterface):
 
     # -- engine capabilities ------------------------------------------------
 
-    def evaluate_G(self, t: float, u: SpectralField) -> SpectralField:
-        phys = evolve_packed(self.grid, self.params.eps, t, u.coefficients)
-        state = GNState.from_packed(SpectralField(self.grid, phys), t=t)
+    def evaluate_G(self, t: float | np.ndarray, u: SpectralField) -> SpectralField:
+        grid, eps = self.grid, self.params.eps
+        d = grid.dimension
+        phys = evolve_packed(grid, eps, t, u.coefficients)
+        state = GNState(V=SpectralField(grid, phys[:d]), zeta=SpectralField(grid, phys[d:]))
         F = nonlinear_F(self.params, state, tol=self.tol)
         packed = np.concatenate([F.V.coefficients, F.zeta.coefficients])
-        return SpectralField(
-            self.grid, evolve_packed(self.grid, self.params.eps, -t, packed)
-        )
+        return SpectralField(grid, evolve_packed(grid, eps, -t, packed))
 
     def linearize(self, uref: TrajectoryField) -> LinearizedCoeffs:
         phys = conjugate_trajectory(self.params, uref, direction=+1)
@@ -97,43 +101,45 @@ class GNProblem(ProblemInterface):
         )
         sol = solve_linearized(self.params, coeffs, ivp, tol=self.tol)
         assert isinstance(sol, TrajectoryField)
+        # the physical forcing is not needed any more: free it before the
+        # conjugation back allocates the filtered solution
+        del ivp, forcing_phys
         return conjugate_trajectory(self.params, sol, direction=-1)
 
     def forcing(self, times: np.ndarray) -> TrajectoryField | None:
         if self._forcing_fn is None:
             return None
+        times = np.asarray(times, dtype=np.float64)
         snaps = np.stack(
-            [
-                evolve_packed(
-                    self.grid,
-                    self.params.eps,
-                    -float(t),
-                    np.asarray(self._forcing_fn(float(t)), dtype=np.complex128),
-                )
-                for t in times
-            ]
+            [np.asarray(self._forcing_fn(float(t)), dtype=np.complex128) for t in times]
         )
-        return TrajectoryField(self.grid, np.asarray(times, dtype=np.float64), snaps)
+        filtered = evolve_packed(self.grid, self.params.eps, -times, snaps.swapaxes(0, 1))
+        return TrajectoryField(self.grid, times, filtered.swapaxes(0, 1))
 
     def initial_data(self) -> SpectralField:
         return SpectralField(self.grid, self._initial.coefficients.copy())
 
     def admissible(self, u: TrajectoryField) -> tuple[bool, str]:
+        """Depth check of the physical snapshots, one batched pass per chunk;
+        the reported time is the first snapshot at the lowest depth."""
         d = self.grid.dimension
         h0 = self.params.h0
         worst = np.inf
         worst_t = 0.0
-        for i in range(u.n_times):
-            t = float(u.times[i])
-            phys = evolve_packed(self.grid, self.params.eps, t, u.snapshots[i])
-            hmin = float(np.min(depth_grid(self.params, phys[d])))
-            if hmin < worst:
-                worst, worst_t = hmin, t
+        for part in _chunks(u.n_times):
+            times = u.times[part]
+            phys = evolve_packed(self.grid, self.params.eps, times, u.chunk(part).coefficients)
+            depth = depth_grid(self.params, phys[d])
+            hmins = np.min(depth.reshape(times.size, -1), axis=1)
+            hmins[np.isnan(hmins)] = np.inf  # a NaN depth is never the lowest
+            i = int(np.argmin(hmins))
+            if hmins[i] < worst:
+                worst, worst_t = float(hmins[i]), float(times[i])
         if worst <= h0:
             return False, (
                 f"water depth {worst:.6g} at t={worst_t:g} at or below the floor h0={h0:g}"
             )
         return True, ""
 
-    def snapshot_norm(self, u: SpectralField, s: float) -> float:
+    def snapshot_norm(self, u: SpectralField, s: float) -> float | np.ndarray:
         return x_norm_packed(self.params, u, s)

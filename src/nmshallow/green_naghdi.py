@@ -65,8 +65,10 @@ a batch axis (`PhysicalParams._batch_slope`). Every operation
 either acts pointwise or transforms row by row, so a member's result has
 the same bits as its own single call, whatever shares its batch (tests
 compare them byte for byte). Reductions of one field (`sobolev_norm`,
-`validate`, `depth_check`, `energy_E`) refuse a batch. The linearized
-operators (`apply_K`, `apply_N`) stay single-field.
+`validate`, `depth_check`, `energy_E`) refuse a batch; `x_norm_packed` gives
+one norm per member. `build_linearized_coeffs` assembles a trajectory in
+chunks of snapshots, each chunk a batch. The linearized operators
+(`apply_K`, `apply_N`) stay single-field.
 
 The elliptic solves of a batch run in one `_pcg` call, a numpy PCG that
 repeats, member by member, the arithmetic of `scipy.sparse.linalg.cg`
@@ -88,7 +90,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .fourier_scale import GridSpec, SpectralField, TrajectoryField, sobolev_norm
+from .fourier_scale import GridSpec, SpectralField, TrajectoryField, _chunks, _member_norms
 
 __all__ = [
     "PhysicalParams",
@@ -296,15 +298,27 @@ def depth_check(params: PhysicalParams, u: GNState) -> tuple[bool, float]:
     return mn > params.h0, mn
 
 
-def _require_admissible(params: PhysicalParams, hg: np.ndarray, where: str) -> None:
+def _require_admissible(
+    params: PhysicalParams, hg: np.ndarray, where: str, first: str | None = None
+) -> None:
     """Raise DomainError if h falls below the floor; `hg` holds the depth
-    samples of one field, or of each member of a batch (B, *shape)."""
+    samples of one field, or of each member of a batch (B, *shape).
+
+    The message names the members below the floor and the lowest depth; with
+    `first` (a label such as "snapshot") it names only the first such member
+    and its own lowest depth.
+    """
     floor = params.h0 * (1.0 - 1e-12)
     mn = float(np.min(hg))
     if not mn < floor:
         return
     mins = np.min(hg.reshape(-1, params.grid.n_modes), axis=1)
     low = np.flatnonzero(mins < floor)
+    if first is not None:
+        k = int(low[0])
+        raise DomainError(
+            f"depth {float(mins[k]):.6g} below floor {params.h0:.6g} in {where} ({first} {k})"
+        )
     members = "" if mins.size == 1 else f" (member {', '.join(map(str, low))})"
     raise DomainError(f"depth {mn:.6g} below floor {params.h0:.6g} in {where}{members}")
 
@@ -816,8 +830,13 @@ def build_linearized_coeffs(
     with beta = eps*b; this agrees with the exact linearization on exact
     solutions. With `substituted=False` the generic assembly replaces
     -eps*dtVbar by grad(zetabar) + eps*F1[ubar], re-evaluating the nonlinear
-    velocity tendency per snapshot (exact Frechet derivative, used by the
-    consistency tests).
+    velocity tendency (exact Frechet derivative, used by the consistency
+    tests).
+
+    The snapshots are processed in chunks (`fourier_scale._chunks`), each as
+    one batch: one transform per coefficient and chunk, and on the exact path
+    one batched `nonlinear_F`. Every snapshot gets the bits of its own
+    evaluation.
     """
     grid = uref.grid
     d = grid.dimension
@@ -829,8 +848,7 @@ def build_linearized_coeffs(
     Vbar = grid.to_grid(Vc)
     zetabar = grid.to_grid(zc)
     hbar = 1.0 + eps * (zetabar - params.b_grid[None])
-    for k in range(nt):
-        _require_admissible(params, hbar[k], f"build_linearized_coeffs (snapshot {k})")
+    _require_admissible(params, hbar, "build_linearized_coeffs", first="snapshot")
 
     dtVbar = _time_derivative_arrays(Vbar, uref.time_step)
 
@@ -838,68 +856,60 @@ def build_linearized_coeffs(
     gradVbar = np.empty((nt, d, d, *grid.shape))
     graddivVbar = np.empty((nt, d, *grid.shape))
     grad_vbarbeta = np.empty((nt, d, *grid.shape))
-    grad_zetabar = np.empty((nt, d, *grid.shape))
-    gbeta = params.grad_beta_grid
-    for k in range(nt):
-        div_c = _div_c(grid, Vc[k])
-        divVbar[k] = grid.to_grid(div_c)
-        graddivVbar[k] = grid.to_grid(_grad_c(grid, div_c))
-        for i in range(d):
-            gradVbar[k, i] = grid.to_grid(_grad_c(grid, Vc[k, i]))
-        grad_vbarbeta[k] = grid.to_grid(
-            _grad_c(grid, grid.from_grid(_dot_g(gbeta, Vbar[k])))
-        )
-        grad_zetabar[k] = grid.to_grid(_grad_c(grid, zc[k]))
-
-    # (Vbar.grad)^2 beta = (Vbar.grad)(Vbar.grad beta), assembled spectrally inside.
-    vgrad2_beta = np.empty((nt, *grid.shape))
-    for k in range(nt):
-        vgrad2_beta[k] = _dot_g(Vbar[k], grad_vbarbeta[k])
-
-    # D_Vbar(div Vbar) = -(Vbar.grad)(div Vbar) + (div Vbar)^2
-    d_vbar_div = np.empty((nt, *grid.shape))
-    for k in range(nt):
-        d_vbar_div[k] = -_dot_g(Vbar[k], graddivVbar[k]) + divVbar[k] ** 2
-
-    advect = np.empty((nt, d, *grid.shape))
-    for k in range(nt):
-        for i in range(d):
-            advect[k, i] = _dot_g(Vbar[k], gradVbar[k, i])
-
     abar = np.empty((nt, *grid.shape))
     bbar = np.empty((nt, d, *grid.shape))
-    if substituted:
-        for k in range(nt):
-            abar[k] = (
-                eps * hbar[k] * d_vbar_div[k]
-                + vgrad2_beta[k]
-                + eps * _dot_g(gbeta, dtVbar[k])
-                - eps * hbar[k] * grid.to_grid(_div_c(grid, grid.from_grid(dtVbar[k])))
+    gbeta = params.grad_beta_grid[:, None]
+    for part in _chunks(nt):
+        # one chunk of snapshots as a batch: (d, B, *shape) vectors and
+        # (B, *shape) scalars; each transform covers the whole chunk
+        V_c = Vc[part].swapaxes(0, 1)
+        V_g = Vbar[part].swapaxes(0, 1)
+        h_g = hbar[part]
+        div_c = _div_c(grid, V_c)
+        div_g = divVbar[part] = grid.to_grid(div_c)
+        graddiv_g = grid.to_grid(_grad_c(grid, div_c))
+        graddivVbar[part] = graddiv_g.swapaxes(0, 1)
+        # (component, axis, B, *shape): row i holds grad of component i
+        gradV_g = grid.to_grid(_grad_c(grid, V_c)).swapaxes(0, 1)
+        gradVbar[part] = np.moveaxis(gradV_g, 2, 0)
+        gvb_g = grid.to_grid(_grad_c(grid, grid.from_grid(_dot_g(gbeta, V_g))))
+        grad_vbarbeta[part] = gvb_g.swapaxes(0, 1)
+        grad_zeta_g = grid.to_grid(_grad_c(grid, zc[part]))
+
+        # (Vbar.grad)^2 beta = (Vbar.grad)(Vbar.grad beta), assembled spectrally inside.
+        vgrad2_beta = _dot_g(V_g, gvb_g)
+        # D_Vbar(div Vbar) = -(Vbar.grad)(div Vbar) + (div Vbar)^2
+        d_vbar_div = -_dot_g(V_g, graddiv_g) + div_g**2
+        advect = np.stack([_dot_g(V_g, gradV_g[i]) for i in range(d)])
+
+        if substituted:
+            dtV_g = dtVbar[part].swapaxes(0, 1)
+            a_part = abar[part] = (
+                eps * h_g * d_vbar_div
+                + vgrad2_beta
+                + eps * _dot_g(gbeta, dtV_g)
+                - eps * h_g * grid.to_grid(_div_c(grid, grid.from_grid(dtV_g)))
             )
-            bbar[k] = (
-                eps * advect[k]
-                + (eps * dtVbar[k] + grad_zetabar[k])
-                + params.mu * abar[k][None] * gbeta
+            b_part = (
+                eps * advect
+                + (eps * dtV_g + grad_zeta_g)
+                + params.mu * a_part[None] * gbeta
             )
-    else:
-        for k in range(nt):
-            state = GNState(
-                V=SpectralField(grid, Vc[k].copy()),
-                zeta=SpectralField(grid, zc[k][None].copy()),
-            )
-            F1 = nonlinear_F(params, state, tol=tol).V
-            F1g = grid.to_grid(F1.coefficients)
+        else:
+            state = GNState(V=SpectralField(grid, V_c), zeta=SpectralField(grid, zc[part][None]))
+            F1g = grid.to_grid(nonlinear_F(params, state, tol=tol).V.coefficients)
             # w := grad(zetabar) + eps F1[ubar]; abar = eps hbar D(divVbar)
             #      + (Vbar.grad)^2 beta - grad(beta).w + hbar div(w)
-            wg = grad_zetabar[k] + eps * F1g
+            wg = grad_zeta_g + eps * F1g
             div_w = grid.to_grid(_div_c(grid, grid.from_grid(wg)))
-            abar[k] = (
-                eps * hbar[k] * d_vbar_div[k]
-                + vgrad2_beta[k]
+            a_part = abar[part] = (
+                eps * h_g * d_vbar_div
+                + vgrad2_beta
                 - _dot_g(gbeta, wg)
-                + hbar[k] * div_w
+                + h_g * div_w
             )
-            bbar[k] = eps * advect[k] - eps * F1g + params.mu * abar[k][None] * gbeta
+            b_part = eps * advect - eps * F1g + params.mu * a_part[None] * gbeta
+        bbar[part] = b_part.swapaxes(0, 1)
 
     return LinearizedCoeffs(
         grid=grid,
@@ -1159,19 +1169,24 @@ def frechet_F(
 
 # ------------------------------------------------------------------- norms
 
-def x_norm_packed(params: PhysicalParams, u: SpectralField, s: float) -> float:
+def x_norm_packed(params: PhysicalParams, u: SpectralField, s: float) -> float | np.ndarray:
     """Scale norm of a packed (d+1)-component state: ||V||_s + |zeta|_{H^s},
-    with ||V||_s = |V|_{H^s} + sqrt(mu) |div V|_{H^s}."""
+    with ||V||_s = |V|_{H^s} + sqrt(mu) |div V|_{H^s}.
+
+    A batched `u` gives the (B,) array of its members' norms, each with the
+    bits of its own single call.
+    """
     grid = u.grid
     d = grid.dimension
-    V = SpectralField(grid, u.coefficients[:d])
-    zeta = SpectralField(grid, u.coefficients[d:])
-    divV = SpectralField(grid, _div_c(grid, u.coefficients[:d])[None])
-    return (
-        sobolev_norm(V, s)
-        + math.sqrt(params.mu) * sobolev_norm(divV, s)
-        + sobolev_norm(zeta, s)
-    )
+    c = u.coefficients
+    V, zeta = SpectralField(grid, c[:d]), SpectralField(grid, c[d:])
+    divV = SpectralField(grid, _div_c(grid, c[:d])[None])
+    k = math.sqrt(params.mu)
+    norms = [
+        nV + k * nD + nZ
+        for nV, nD, nZ in zip(_member_norms(V, s), _member_norms(divV, s), _member_norms(zeta, s))
+    ]
+    return np.array(norms) if u.batch is not None else norms[0]
 
 
 def x_norm(params: PhysicalParams, u: GNState, s: float) -> float:

@@ -25,7 +25,8 @@ dt) advances all members through the same stages, with one batched
 tendency call per stage, the growth guard and its floor applied per
 member, and one trajectory returned per member; a single state is a batch
 of one. `evolve_packed` takes a packed array with or without the batch
-axis.
+axis, and for a batch one time per member (a chunk of a trajectory's
+snapshots conjugated in one call).
 
 Per-mode rotation, derived once
 -------------------------------
@@ -56,7 +57,7 @@ import numpy as np
 
 from . import green_naghdi as gn
 from .errors import DomainError, StepSizeError
-from .fourier_scale import GridSpec, SpectralField, TrajectoryField
+from .fourier_scale import GridSpec, SpectralField, TrajectoryField, _chunks
 from .green_naghdi import GNState, LinearizedCoeffs, PhysicalParams, apply_K
 
 __all__ = [
@@ -92,24 +93,40 @@ def _xi_unit(grid: GridSpec) -> np.ndarray:
     return grid._cached("xi_unit", build)
 
 
-def evolve_packed(grid: GridSpec, eps: float, t: float, coeffs: np.ndarray) -> np.ndarray:
+def evolve_packed(
+    grid: GridSpec, eps: float, t: float | np.ndarray, coeffs: np.ndarray
+) -> np.ndarray:
     """Apply the free wave group to a packed coefficient array.
 
     `coeffs` has shape (d+1, *grid.shape), or (d+1, B, *grid.shape) for a
-    batch: velocity components first, elevation last. Returns a new array;
-    the input is not modified.
+    batch: velocity components first, elevation last. `t` is one time for
+    every member, or for a batch a (B,) array with one time per member.
+    Returns a new array; the input is not modified. A member at t == 0 is
+    returned as an exact copy (signed zeros included), and every member has
+    the bits of its own single call.
     """
     d = grid.dimension
     batched = coeffs.ndim == d + 2
     if coeffs.shape[0] != d + 1 or coeffs.shape[1 + batched :] != grid.shape:
         raise ValueError(f"packed array shape {coeffs.shape} does not match grid")
-    if t == 0.0:
+    if np.ndim(t):  # one time per member
+        times = np.asarray(t, dtype=np.float64)
+        if not batched or times.shape != coeffs.shape[1:2]:
+            raise ValueError(f"times of shape {times.shape} do not match array {coeffs.shape}")
+        still = times == 0.0
+        if still.all():
+            return coeffs.copy()
+        rate = (times / eps).reshape(-1, *(1,) * d)
+    elif t == 0.0:
         return coeffs.copy()
+    else:
+        still = None
+        rate = float(t) / eps
     xi_abs = _xi_abs(grid)
     unit = _xi_unit(grid)
     if batched:
         unit = unit[:, None]
-    phase = (float(t) / eps) * xi_abs
+    phase = rate * xi_abs
     cos_v = np.cos(phase)
     sin_v = np.sin(phase)
 
@@ -122,25 +139,29 @@ def evolve_packed(grid: GridSpec, eps: float, t: float, coeffs: np.ndarray) -> n
     delta = (a_new - along)[None]
     out[:d] = V + delta * unit
     out[d] = z_new
+    if still is not None and still.any():
+        out[:, still] = coeffs[:, still]
     return out
 
 
 def conjugate_trajectory(
     params: PhysicalParams, traj: TrajectoryField, direction: int
 ) -> TrajectoryField:
-    """Apply U(direction * t_i) snapshot-by-snapshot.
+    """Apply U(direction * t_i) to every snapshot, one batched call per chunk.
 
     direction=-1 maps a physical solution v(t) to the filtered unknown
-    w(t) = U(-t) v(t); direction=+1 maps back.
+    w(t) = U(-t) v(t); direction=+1 maps back. Chunks (`_chunks`) keep the
+    temporaries of `evolve_packed` small next to the trajectory itself.
     """
     if direction not in (-1, 1):
         raise ValueError("direction must be +1 or -1")
-    grid = traj.grid
-
-    def fn(i: int, snap: np.ndarray) -> np.ndarray:
-        return evolve_packed(grid, params.eps, direction * float(traj.times[i]), snap)
-
-    return traj.map_snapshots(fn)
+    out = np.empty_like(traj.snapshots)
+    for part in _chunks(traj.n_times):
+        moved = evolve_packed(
+            traj.grid, params.eps, direction * traj.times[part], traj.chunk(part).coefficients
+        )
+        out[part] = moved.swapaxes(0, 1)
+    return TrajectoryField(traj.grid, traj.times.copy(), out)
 
 
 # -------------------------------------------------------------- IVP problem

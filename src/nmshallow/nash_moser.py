@@ -35,6 +35,8 @@ from .fourier_scale import (
     GridSpec,
     SpectralField,
     TrajectoryField,
+    _chunks,
+    _member_norms,
     time_derivative,
     trajectory_norm,
 )
@@ -318,13 +320,21 @@ class ProblemInterface(ABC):
     stacks of them; both live in the problem's own working variables (for
     the shallow-water adapter these are the filtered variables, conjugated
     by the free wave group).
+
+    Batch contract: `evaluate_G` and `snapshot_norm` take one snapshot or a
+    batch of them. A batch is a (B,) array of times with a batched field
+    (components, B, *shape), and gives a batched field, or the (B,) array
+    of norms. The engine hands them the snapshots of a trajectory in chunks
+    of at most `fourier_scale._CHUNK` (one call per chunk), and a member's
+    result must be that of its own single call.
     """
 
     grid: GridSpec
 
     @abstractmethod
-    def evaluate_G(self, t: float, u: SpectralField) -> SpectralField:
-        """Filtered tendency G[t, u] so the equation reads du/dt + G = h."""
+    def evaluate_G(self, t: float | np.ndarray, u: SpectralField) -> SpectralField:
+        """Filtered tendency G[t, u] so the equation reads du/dt + G = h;
+        batched as described in the class docstring."""
 
     @abstractmethod
     def linearize(self, uref: TrajectoryField) -> object:
@@ -354,20 +364,25 @@ class ProblemInterface(ABC):
         """Domain restriction; default: everything admissible."""
         return True, ""
 
-    def snapshot_norm(self, u: SpectralField, s: float) -> float:
-        """Scale norm of one snapshot; defaults to the plain Sobolev norm."""
-        from .fourier_scale import sobolev_norm
-
-        return sobolev_norm(u, s)
+    def snapshot_norm(self, u: SpectralField, s: float) -> float | np.ndarray:
+        """Scale norm of one snapshot, or the (B,) norms of a batch; defaults
+        to the plain Sobolev norm, with the bits of `sobolev_norm` per member."""
+        norms = _member_norms(u, s)
+        return np.array(norms) if u.batch is not None else norms[0]
 
 
 # ----------------------------------------------------- iterate and residual
 
 
-def _tendency_trajectory(problem: ProblemInterface, u: TrajectoryField) -> np.ndarray:
-    out = np.empty_like(u.snapshots)
-    for i in range(u.n_times):
-        out[i] = problem.evaluate_G(float(u.times[i]), u.snapshot(i)).coefficients
+def _tendency_trajectory(
+    problem: ProblemInterface, times: np.ndarray, snaps: np.ndarray
+) -> np.ndarray:
+    """G[t_i, u_i] for every snapshot u_i = snaps[i], one call per chunk."""
+    out = np.empty(snaps.shape, dtype=np.complex128)
+    for part in _chunks(times.size):
+        batch = SpectralField(problem.grid, snaps[part].swapaxes(0, 1))
+        G = problem.evaluate_G(times[part], batch)
+        out[part] = G.coefficients.swapaxes(0, 1)
     return out
 
 
@@ -388,9 +403,9 @@ def initial_iterate(problem: ProblemInterface, T: float, dt: float) -> Trajector
     g = problem.initial_data()
     h = problem.forcing(times)
 
-    integrand = np.empty((n_steps + 1, *g.coefficients.shape), dtype=np.complex128)
-    for i, t in enumerate(times):
-        integrand[i] = -problem.evaluate_G(float(t), g).coefficients
+    datum = np.broadcast_to(g.coefficients, (times.size, *g.coefficients.shape))
+    integrand = _tendency_trajectory(problem, times, datum)
+    np.negative(integrand, out=integrand)
     if h is not None:
         integrand += h.snapshots
 
@@ -426,10 +441,12 @@ def residual(
         raise DomainError(
             f"forcing grid ({h.n_times}) does not match trajectory grid ({u.n_times})"
         )
-    dudt = time_derivative(u)
-    phi1_snaps = dudt.snapshots + _tendency_trajectory(problem, u)
+    # the tendency first, so that its chunk temporaries do not coexist with
+    # du/dt; the sum is accumulated in place
+    phi1_snaps = _tendency_trajectory(problem, u.times, u.snapshots)
+    phi1_snaps += time_derivative(u).snapshots
     if h is not None:
-        phi1_snaps = phi1_snaps - h.snapshots
+        phi1_snaps -= h.snapshots
     phi1 = TrajectoryField(u.grid, u.times.copy(), phi1_snaps)
     g = problem.initial_data()
     phi2 = SpectralField(u.grid, u.snapshots[0] - g.coefficients)

@@ -106,6 +106,37 @@ def test_seed_override_changes_config_hash(runner, tmp_path):
     assert h1 != h2
 
 
+def test_seed_shifts_every_rng_seed(runner, tmp_path):
+    cfg = cli._load_config(None, 2)
+    assert cfg["seed"] == 2
+    assert cfg["data"]["seed"] == 202 + 2 * cli.SEED_STRIDE
+    assert cfg["physics"]["bathymetry"]["seed"] == 101 + 2 * cli.SEED_STRIDE
+    assert cfg["stability"]["perturbation"]["seed"] == 303 + 2 * cli.SEED_STRIDE
+    assert cfg["scaling"]["forcing"]["seed"] == 404 + 2 * cli.SEED_STRIDE
+    assert cli._load_config(None, 0) == cli._load_config(None, None)
+
+    path = _write_cfg(
+        tmp_path,
+        {
+            "grid": {"nodes": 32},
+            "physics": {"mu": 0.3},
+            "data": {"type": "random", "amplitude": 0.05, "decay": 4.0, "seed": 7},
+            "run": {"T": 0.1, "dt": 0.02},
+            "stability": {"iotas": [1e-2, 1e-3]},
+        },
+    )
+    rows = {}
+    for name, extra in (("none", []), ("zero", ["--seed", "0"]), ("one", ["--seed", "1"])):
+        out = tmp_path / name
+        res = runner.invoke(main, ["stability", "--config", path, "--out", str(out), *extra])
+        assert res.exit_code == 0, res.output
+        rows[name] = (out / "stability.csv").read_bytes()
+    assert rows["zero"] == rows["none"]
+    data = {k: [ln for ln in v.splitlines() if not ln.startswith(b"#")] for k, v in rows.items()}
+    assert data["one"][0] == data["none"][0]  # same columns, other numbers
+    assert data["one"][1:] != data["none"][1:]
+
+
 def test_convergence_trace_and_induction(runner, tmp_path):
     cfg = _write_cfg(
         tmp_path,

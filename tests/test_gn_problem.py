@@ -58,6 +58,8 @@ def test_forcing_is_filtered_sampler(grid1d, params1d, rng):
     for i, t in enumerate(times):
         want = evolve_packed(grid1d, params1d.eps, -float(t), f0)
         assert np.max(np.abs(h.snapshots[i] - want)) < 1e-13
+        # one batched conjugation gives each time the bits of its own call
+        assert h.snapshots[i].tobytes() == want.tobytes()
     assert GNProblem(params1d, _small_state(grid1d, rng)).forcing(times) is None
 
 
