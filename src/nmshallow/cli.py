@@ -10,12 +10,20 @@ scope: downstream scripts consume the CSVs.
 Exit codes: 0 success, 1 validation-suite failure, 2 infeasible schedule,
 3 solver divergence / step-size / elliptic-convergence failure, 4 domain
 violation (depth floor, invalid problem domain), 5 I/O or config errors.
+
+Every config-driven command (`schedule`, `solve`, `convergence`,
+`stability`, `scaling`) is a body `fn(cfg, out)` registered by `_command`,
+which loads the config, creates the output directory and translates library
+errors to exit codes, so a command has one place where its run starts and
+ends. `validate` ignores the config and keeps its own exit mapping. Every
+command runs in one thread; `--threads` is still accepted (and must be at
+least 1) but changes nothing.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import copy
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -25,7 +33,6 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import green_naghdi as gn
 from .errors import (
     ConvergenceError,
     DivergenceError,
@@ -43,6 +50,7 @@ from .fourier_scale import (
     save_trajectory,
     smooth,
     sobolev_norm,
+    trajectory_norm,
     zero_field,
 )
 from .gn_problem import GNProblem
@@ -310,38 +318,14 @@ def _initial_state(params: PhysicalParams, spec: dict) -> GNState:
 def _sup_diff_norm(
     params: PhysicalParams, a: TrajectoryField, b: TrajectoryField, s: float
 ) -> float:
-    grid = a.grid
-    return max(
-        x_norm_packed(params, SpectralField(grid, a.snapshots[i] - b.snapshots[i]), s)
-        for i in range(a.n_times)
-    )
-
-
-def _parallel_map(fn, items, threads: int):
-    """Map preserving input order; sequential when threads <= 1."""
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    """sup over the snapshots of |a(t) - b(t)|_{X^s}, a chunk of snapshots
+    per `x_norm_packed` call."""
+    return trajectory_norm(a - b, s, snapshot_norm=functools.partial(x_norm_packed, params))
 
 
 def _fail(code: int, message: str) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
-
-
-def _guarded(body) -> None:
-    """Run a command body, translating library errors to exit codes."""
-    try:
-        body()
-    except InfeasibleScheduleError as exc:
-        _fail(2, str(exc))
-    except (DivergenceError, StepSizeError, ConvergenceError) as exc:
-        _fail(3, str(exc))
-    except DomainError as exc:
-        _fail(4, str(exc))
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
-        _fail(5, f"config/I-O: {exc}")
 
 
 def _common_options(fn):
@@ -359,7 +343,7 @@ def _common_options(fn):
     )(fn)
     fn = click.option(
         "--threads", type=click.IntRange(min=1), default=1, show_default=True,
-        help="Worker threads for the scaling sweep (stability batches its members).",
+        help="Accepted and ignored: every command runs in one thread.",
     )(fn)
     return fn
 
@@ -369,154 +353,93 @@ def main() -> None:
     """Pseudospectral shallow-water solvers with an iterative-scheme engine."""
 
 
+def _command(name: str):
+    """Register `fn(cfg, out)` as the config-driven command `name`: load the
+    config, create the output directory, run `fn`, and translate library
+    errors to exit codes."""
+
+    def register(fn):
+        def command(config_path, out_dir, seed, threads) -> None:
+            del threads  # accepted for compatibility; every command is serial
+            try:
+                cfg = _load_config(config_path, seed)
+                out = Path(out_dir)
+                out.mkdir(parents=True, exist_ok=True)
+                fn(cfg, out)
+            except InfeasibleScheduleError as exc:
+                _fail(2, str(exc))
+            except (DivergenceError, StepSizeError, ConvergenceError) as exc:
+                _fail(3, str(exc))
+            except DomainError as exc:
+                _fail(4, str(exc))
+            except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
+                _fail(5, f"config/I-O: {exc}")
+
+        command.__doc__ = fn.__doc__
+        main.command(name)(_common_options(command))
+        return fn
+
+    return register
+
+
 # ------------------------------------------------------------------ schedule
 
 
-@main.command("schedule")
-@_common_options
-def cmd_schedule(config_path, out_dir, seed, threads) -> None:
+@_command("schedule")
+def cmd_schedule(cfg: dict, out: Path) -> None:
     """Compute iteration constants and report feasibility."""
-
-    def body() -> None:
-        cfg = _load_config(config_path, seed)
-        sc = cfg["schedule"]
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        delta, q, p_min = p_min_threshold(
-            float(sc["m"]), float(sc["d1"]), float(sc["d1p"]), float(sc["D"])
-        )
-        report: dict = {
-            "config_hash": _config_hash(cfg),
-            "delta": delta,
-            "q": q,
-            "p_min": p_min,
-            "P": float(sc["P"]),
-        }
-        try:
-            sched = _schedule_from_cfg(cfg)
-        except InfeasibleScheduleError as exc:
-            report["feasible"] = False
-            report["reason"] = str(exc)
-            _write_json(out / "schedule.json", report)
-            raise
-        report["feasible"] = True
-        report.update(sched.to_dict())
+    sc = cfg["schedule"]
+    delta, q, p_min = p_min_threshold(
+        float(sc["m"]), float(sc["d1"]), float(sc["d1p"]), float(sc["D"])
+    )
+    report: dict = {
+        "config_hash": _config_hash(cfg),
+        "delta": delta,
+        "q": q,
+        "p_min": p_min,
+        "P": float(sc["P"]),
+    }
+    try:
+        sched = _schedule_from_cfg(cfg)
+    except InfeasibleScheduleError as exc:
+        report["feasible"] = False
+        report["reason"] = str(exc)
         _write_json(out / "schedule.json", report)
-        click.echo(
-            f"feasible: delta={delta:g} q={q:g} alpha={sched.alpha:.12g} "
-            f"P_min={p_min:.12g} r={sched.r:.12g}"
-            + (" (degenerate delta=0 fallback)" if sched.degenerate_alpha else "")
-        )
-
-    _guarded(body)
+        raise
+    report["feasible"] = True
+    report.update(sched.to_dict())
+    _write_json(out / "schedule.json", report)
+    click.echo(
+        f"feasible: delta={delta:g} q={q:g} alpha={sched.alpha:.12g} "
+        f"P_min={p_min:.12g} r={sched.r:.12g}"
+        + (" (degenerate delta=0 fallback)" if sched.degenerate_alpha else "")
+    )
 
 
 # --------------------------------------------------------------------- solve
 
 
-def _run_nash_moser(cfg: dict, params: PhysicalParams, u0: GNState, out: Path):
+def _run_nash_moser(
+    cfg: dict, params: PhysicalParams, u0: GNState, out: Path, induction: bool = False
+):
+    """Run the iterative scheme on the config's problem.
+
+    Writes `trace.csv` and, with `induction`, `induction.json`, for a diverged
+    run (before its DivergenceError propagates) as for a finished one.
+    Returns the filtered solution, the trace and the induction report (None
+    without `induction`).
+    """
     rc = cfg["run"]
     sched = _schedule_from_cfg(cfg)
     problem = GNProblem(params, u0, tol=float(rc["cg_tol"]))
-    u_tilde, trace = nash_moser_solve(
-        problem, sched, float(rc["T"]), float(rc["dt"]),
-        k_max=int(rc["k_max"]),
-        target_residual=float(rc["target_residual"]),
-        max_retries=int(rc["max_retries"]),
-    )
-    u_phys = conjugate_trajectory(params, u_tilde, +1)
-    header = "\n".join(
-        _csv_header(_config_hash(cfg), "all columns nondimensional; props are 0/1 booleans")
-    )
-    trace.to_csv(out / "trace.csv", header_comment=header)
-    return u_phys, trace, sched
 
-
-@main.command("solve")
-@_common_options
-def cmd_solve(config_path, out_dir, seed, threads) -> None:
-    """Solve one Cauchy problem (iterative scheme, direct MoL, or both)."""
-
-    def body() -> None:
-        cfg = _load_config(config_path, seed)
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        params = _params_from_cfg(cfg)
-        u0 = _initial_state(params, cfg["data"])
-        ok, hmin = depth_check(params, u0)
-        if not ok:
-            raise DomainError(
-                f"initial data violates the depth floor: min depth {hmin:.6g} "
-                f"<= h0 = {params.h0:g}"
-            )
-        rc = cfg["run"]
-        solver = rc["solver"]
-        if solver not in ("nash_moser", "mol", "both"):
-            raise ValueError(f"unknown solver {solver!r} (nash_moser | mol | both)")
-        report: dict = {"config_hash": _config_hash(cfg), "solver": solver}
-        traj_nm = traj_mol = None
-        if solver in ("nash_moser", "both"):
-            traj_nm, trace, sched = _run_nash_moser(cfg, params, u0, out)
-            save_trajectory(traj_nm, out / "solution_nash_moser.nmtrj")
-            report["nash_moser"] = {
-                "iterations": len(trace.theta),
-                "stop_reason": trace.stop_reason,
-                "final_residual": trace.residual_F[-1],
-                "theta0_used": trace.theta[0],
-            }
-        if solver in ("mol", "both"):
-            traj_mol = mol_solve(
-                params, u0, float(rc["T"]), float(rc["dt"]), tol=float(rc["cg_tol"])
-            )
-            save_trajectory(traj_mol, out / "solution_mol.nmtrj")
-            report["mol"] = {"steps": traj_mol.n_times - 1}
-        if solver == "both":
-            report["agreement_sup_x0"] = _sup_diff_norm(params, traj_nm, traj_mol, 0.0)
-            click.echo(f"cross-solver sup-t X^0 difference: {report['agreement_sup_x0']:.6e}")
-        _write_json(out / "solve_report.json", report)
-        click.echo(f"artifacts written to {out}")
-
-    _guarded(body)
-
-
-# --------------------------------------------------------------- convergence
-
-
-@main.command("convergence")
-@_common_options
-def cmd_convergence(config_path, out_dir, seed, threads) -> None:
-    """Run the iterative scheme and report the induction-property check."""
-
-    def body() -> None:
-        cfg = _load_config(config_path, seed)
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        params = _params_from_cfg(cfg)
-        u0 = _initial_state(params, cfg["data"])
-        sched = _schedule_from_cfg(cfg)
+    def record(trace) -> dict | None:
         header = "\n".join(
             _csv_header(_config_hash(cfg), "all columns nondimensional; props are 0/1 booleans")
         )
-        rc = cfg["run"]
-        problem = GNProblem(params, u0, tol=float(rc["cg_tol"]))
-        try:
-            _, trace = nash_moser_solve(
-                problem, sched, float(rc["T"]), float(rc["dt"]),
-                k_max=int(rc["k_max"]),
-                target_residual=float(rc["target_residual"]),
-                max_retries=int(rc["max_retries"]),
-            )
-        except DivergenceError as exc:
-            if exc.trace is not None:
-                exc.trace.to_csv(out / "trace.csv", header_comment=header)
-                _write_json(out / "induction.json", {
-                    "config_hash": _config_hash(cfg),
-                    "stop_reason": exc.trace.stop_reason,
-                    "converged": False,
-                    "report": check_induction(exc.trace, sched),
-                })
-            raise
         trace.to_csv(out / "trace.csv", header_comment=header)
+        if not induction:
+            return None
         report = check_induction(trace, sched)
         _write_json(out / "induction.json", {
             "config_hash": _config_hash(cfg),
@@ -524,185 +447,220 @@ def cmd_convergence(config_path, out_dir, seed, threads) -> None:
             "converged": trace.stop_reason == "converged",
             "report": report,
         })
-        click.echo(
-            f"stop: {trace.stop_reason} after {len(trace.theta)} iterations; "
-            f"first failures: {report['first_failure']}"
-        )
+        return report
 
-    _guarded(body)
+    try:
+        # looked up at call time, so that a caller may wrap the module global
+        u_tilde, trace = nash_moser_solve(
+            problem, sched, float(rc["T"]), float(rc["dt"]),
+            k_max=int(rc["k_max"]),
+            target_residual=float(rc["target_residual"]),
+            max_retries=int(rc["max_retries"]),
+        )
+    except DivergenceError as exc:
+        if exc.trace is not None:
+            record(exc.trace)
+        raise
+    return u_tilde, trace, record(trace)
+
+
+@_command("solve")
+def cmd_solve(cfg: dict, out: Path) -> None:
+    """Solve one Cauchy problem (iterative scheme, direct MoL, or both)."""
+    params = _params_from_cfg(cfg)
+    u0 = _initial_state(params, cfg["data"])
+    ok, hmin = depth_check(params, u0)
+    if not ok:
+        raise DomainError(
+            f"initial data violates the depth floor: min depth {hmin:.6g} "
+            f"<= h0 = {params.h0:g}"
+        )
+    rc = cfg["run"]
+    solver = rc["solver"]
+    if solver not in ("nash_moser", "mol", "both"):
+        raise ValueError(f"unknown solver {solver!r} (nash_moser | mol | both)")
+    report: dict = {"config_hash": _config_hash(cfg), "solver": solver}
+    traj_nm = traj_mol = None
+    if solver in ("nash_moser", "both"):
+        u_tilde, trace, _ = _run_nash_moser(cfg, params, u0, out)
+        traj_nm = conjugate_trajectory(params, u_tilde, +1)
+        save_trajectory(traj_nm, out / "solution_nash_moser.nmtrj")
+        report["nash_moser"] = {
+            "iterations": len(trace.theta),
+            "stop_reason": trace.stop_reason,
+            "final_residual": trace.residual_F[-1],
+            "theta0_used": trace.theta[0],
+        }
+    if solver in ("mol", "both"):
+        traj_mol = mol_solve(
+            params, u0, float(rc["T"]), float(rc["dt"]), tol=float(rc["cg_tol"])
+        )
+        save_trajectory(traj_mol, out / "solution_mol.nmtrj")
+        report["mol"] = {"steps": traj_mol.n_times - 1}
+    if solver == "both":
+        report["agreement_sup_x0"] = _sup_diff_norm(params, traj_nm, traj_mol, 0.0)
+        click.echo(f"cross-solver sup-t X^0 difference: {report['agreement_sup_x0']:.6e}")
+    _write_json(out / "solve_report.json", report)
+    click.echo(f"artifacts written to {out}")
+
+
+# --------------------------------------------------------------- convergence
+
+
+@_command("convergence")
+def cmd_convergence(cfg: dict, out: Path) -> None:
+    """Run the iterative scheme and report the induction-property check."""
+    params = _params_from_cfg(cfg)
+    u0 = _initial_state(params, cfg["data"])
+    _, trace, report = _run_nash_moser(cfg, params, u0, out, induction=True)
+    click.echo(
+        f"stop: {trace.stop_reason} after {len(trace.theta)} iterations; "
+        f"first failures: {report['first_failure']}"
+    )
 
 
 # ----------------------------------------------------------------- stability
 
 
-@main.command("stability")
-@_common_options
-def cmd_stability(config_path, out_dir, seed, threads) -> None:
+@_command("stability")
+def cmd_stability(cfg: dict, out: Path) -> None:
     """Error of an O(iota)-consistent approximate solution vs iota."""
-    del threads  # the members run as one batch
+    params = _params_from_cfg(cfg)
+    u0 = _initial_state(params, cfg["data"])
+    st = cfg["stability"]
+    rc = cfg["run"]
+    T, dt = float(rc["T"]), float(rc["dt"])
+    tol = float(rc["cg_tol"])
+    s_err = float(st["norm_index"])
+    grid = params.grid
+    d = grid.dimension
 
-    def body() -> None:
-        cfg = _load_config(config_path, seed)
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        params = _params_from_cfg(cfg)
-        u0 = _initial_state(params, cfg["data"])
-        st = cfg["stability"]
-        rc = cfg["run"]
-        T, dt = float(rc["T"]), float(rc["dt"])
-        tol = float(rc["cg_tol"])
-        s_err = float(st["norm_index"])
-        grid = params.grid
-        d = grid.dimension
+    pert = st["perturbation"]
+    if pert["type"] == "zero":
+        w0 = np.zeros((d + 1, *grid.shape), dtype=np.complex128)
+    elif pert["type"] == "random":
+        rng = np.random.default_rng(int(pert["seed"]))
+        w0 = random_field(
+            grid, d + 1, rng,
+            amplitude=float(pert["amplitude"]), decay=float(pert["decay"]),
+        ).coefficients
+    else:
+        raise ValueError(f"unknown perturbation type {pert['type']!r} (zero | random)")
+    iotas = [float(i) for i in st["iotas"]]
 
-        pert = st["perturbation"]
-        if pert["type"] == "zero":
-            w0 = np.zeros((d + 1, *grid.shape), dtype=np.complex128)
-        elif pert["type"] == "random":
-            rng = np.random.default_rng(int(pert["seed"]))
-            w0 = random_field(
-                grid, d + 1, rng,
-                amplitude=float(pert["amplitude"]), decay=float(pert["decay"]),
-            ).coefficients
-        else:
-            raise ValueError(f"unknown perturbation type {pert['type']!r} (zero | random)")
-        iotas = [float(i) for i in st["iotas"]]
+    # The reference and every perturbed member run as one batch: member
+    # i starts from the reference's projected data plus iota_i * w0.
+    u0_ref = u0.packed().coefficients
+    starts = [u0_ref] + [grid.project(u0_ref) + iota * w0 for iota in iotas]
+    batch = GNState.from_packed(SpectralField(grid, np.stack(starts, axis=1)), t=0.0)
+    u_ref, *u_nums = mol_solve(params, batch, T, dt, tol=tol)
+    base_res = manufactured_residual(params, u_ref, tol=tol)
 
-        # The reference and every perturbed member run as one batch: member
-        # i starts from the reference's projected data plus iota_i * w0.
-        u0_ref = u0.packed().coefficients
-        starts = [u0_ref] + [grid.project(u0_ref) + iota * w0 for iota in iotas]
-        batch = GNState.from_packed(SpectralField(grid, np.stack(starts, axis=1)), t=0.0)
-        u_ref, *u_nums = mol_solve(params, batch, T, dt, tol=tol)
-        base_res = manufactured_residual(params, u_ref, tol=tol)
+    # Free-wave transport keeps the perturbation an exact solution of the
+    # singular linear part, so the trajectory u_ref + iota*w is consistent
+    # with the full system to O(iota).
+    w_rows = np.broadcast_to(w0[:, None], (d + 1, u_ref.n_times, *grid.shape))
+    w_snaps = evolve_packed(grid, params.eps, u_ref.times, w_rows).swapaxes(0, 1)
 
-        # Free-wave transport keeps the perturbation an exact solution of the
-        # singular linear part, so the trajectory u_ref + iota*w is consistent
-        # with the full system to O(iota).
-        w_rows = np.broadcast_to(w0[:, None], (d + 1, u_ref.n_times, *grid.shape))
-        w_snaps = evolve_packed(grid, params.eps, u_ref.times, w_rows).swapaxes(0, 1)
-
-        rows = []
-        for iota, u_num in zip(iotas, u_nums):
-            snaps = u_ref.snapshots + iota * w_snaps
-            u_app = TrajectoryField(grid, u_ref.times, snaps)
-            r1, r2 = manufactured_residual(params, u_app, tol=tol)
-            res = max(
-                sobolev_norm(
-                    SpectralField(grid, np.concatenate([
-                        r1.snapshots[i] - base_res[0].snapshots[i],
-                        r2.snapshots[i] - base_res[1].snapshots[i],
-                    ])),
-                    0.0,
-                )
-                for i in range(u_app.n_times)
-            )
-            err = _sup_diff_norm(params, u_num, u_app, s_err)
-            rows.append((iota, res, err))
-        fit = [(i, e) for i, _, e in rows if i > 0.0 and e > 0.0]
-        slope = None
-        if len(fit) >= 2:
-            slope = float(np.polyfit(
-                np.log10([i for i, _ in fit]), np.log10([e for _, e in fit]), 1
-            )[0])
-        hdr = _csv_header(
-            _config_hash(cfg),
-            f"iota dimensionless; residual_x0 in X^0; error in X^{s_err:g} "
-            "(all nondimensional)",
+    rows = []
+    for iota, u_num in zip(iotas, u_nums):
+        snaps = u_ref.snapshots + iota * w_snaps
+        u_app = TrajectoryField(grid, u_ref.times, snaps)
+        r1, r2 = manufactured_residual(params, u_app, tol=tol)
+        res_diff = np.concatenate(
+            [r1.snapshots - base_res[0].snapshots, r2.snapshots - base_res[1].snapshots],
+            axis=1,
         )
-        _write_csv(out / "stability.csv", hdr, ["iota", "residual_x0", "error"], rows)
-        _write_json(out / "stability.json", {
-            "config_hash": _config_hash(cfg),
-            "slope": slope,
-            "points": len(fit),
-        })
-        click.echo(f"slope: {slope}" if slope is not None else "slope: undefined (no positive errors)")
-
-    _guarded(body)
+        res = trajectory_norm(TrajectoryField(grid, u_ref.times, res_diff), 0.0)
+        err = _sup_diff_norm(params, u_num, u_app, s_err)
+        rows.append((iota, res, err))
+    fit = [(i, e) for i, _, e in rows if i > 0.0 and e > 0.0]
+    slope = None
+    if len(fit) >= 2:
+        slope = float(np.polyfit(
+            np.log10([i for i, _ in fit]), np.log10([e for _, e in fit]), 1
+        )[0])
+    hdr = _csv_header(
+        _config_hash(cfg),
+        f"iota dimensionless; residual_x0 in X^0; error in X^{s_err:g} "
+        "(all nondimensional)",
+    )
+    _write_csv(out / "stability.csv", hdr, ["iota", "residual_x0", "error"], rows)
+    _write_json(out / "stability.json", {
+        "config_hash": _config_hash(cfg),
+        "slope": slope,
+        "points": len(fit),
+    })
+    click.echo(f"slope: {slope}" if slope is not None else "slope: undefined (no positive errors)")
 
 
 # ------------------------------------------------------------------- scaling
 
 
-@main.command("scaling")
-@_common_options
-def cmd_scaling(config_path, out_dir, seed, threads) -> None:
+@_command("scaling")
+def cmd_scaling(cfg: dict, out: Path) -> None:
     """Error against the shallowness parameter for forced residual mu^2*R."""
+    sl = cfg["scaling"]
+    rc = cfg["run"]
+    T, dt = float(rc["T"]), float(rc["dt"])
+    tol = float(rc["cg_tol"])
+    s_err = float(sl["norm_index"])
+    rule = sl["eps_rule"]
+    if rule not in ("one", "sqrt_mu"):
+        raise ValueError(f"unknown eps_rule {rule!r} (one | sqrt_mu)")
+    grid = _grid_from_cfg(cfg)
+    d = grid.dimension
 
-    def body() -> None:
-        cfg = _load_config(config_path, seed)
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        sl = cfg["scaling"]
-        rc = cfg["run"]
-        T, dt = float(rc["T"]), float(rc["dt"])
-        tol = float(rc["cg_tol"])
-        s_err = float(sl["norm_index"])
-        rule = sl["eps_rule"]
-        if rule not in ("one", "sqrt_mu"):
-            raise ValueError(f"unknown eps_rule {rule!r} (one | sqrt_mu)")
-        grid = _grid_from_cfg(cfg)
-        d = grid.dimension
+    fspec = sl["forcing"]
+    if float(fspec["amplitude"]) == 0.0:
+        R = np.zeros((d + 1, *grid.shape), dtype=np.complex128)
+    else:
+        rng = np.random.default_rng(int(fspec["seed"]))
+        R = random_field(
+            grid, d + 1, rng,
+            amplitude=float(fspec["amplitude"]), decay=float(fspec["decay"]),
+        ).coefficients
 
-        fspec = sl["forcing"]
-        if float(fspec["amplitude"]) == 0.0:
-            R = np.zeros((d + 1, *grid.shape), dtype=np.complex128)
+    rows = []
+    for mu in (float(m) for m in sl["mus"]):
+        eps = 1.0 if rule == "one" else math.sqrt(mu)
+        params = _params_from_cfg(cfg, mu=mu, eps=eps)
+        u0 = _initial_state(params, cfg["data"])
+        u_ref = mol_solve(params, u0, T, dt, tol=tol)
+        if np.any(R):
+            # Momentum-row forcing is prescribed at the conservation-form
+            # level: invert the elliptic mass operator at the initial
+            # depth so the slow-time residual is mu^2 * R up to O(eps)
+            # state drift.
+            hc = np.zeros((1, *grid.shape), dtype=np.complex128)
+            hc[(0,) + (0,) * d] = 1.0
+            hc += params.eps * (u0.zeta.coefficients - params.b.coefficients)
+            TinvR1 = invert_bigT(
+                params, SpectralField(grid, hc), SpectralField(grid, R[:d]), tol=tol
+            )
+            f_packed = (mu**2 / eps) * np.concatenate([TinvR1.coefficients, R[d:]])
+            u_app = mol_solve(params, u0, T, dt, forcing_fn=lambda t: f_packed, tol=tol)
         else:
-            rng = np.random.default_rng(int(fspec["seed"]))
-            R = random_field(
-                grid, d + 1, rng,
-                amplitude=float(fspec["amplitude"]), decay=float(fspec["decay"]),
-            ).coefficients
-
-        def run_one(mu: float) -> tuple[float, float, float]:
-            eps = 1.0 if rule == "one" else math.sqrt(mu)
-            params = _params_from_cfg(cfg, mu=mu, eps=eps)
-            u0 = _initial_state(params, cfg["data"])
-            u_ref = mol_solve(params, u0, T, dt, tol=tol)
-            if np.any(R):
-                # Momentum-row forcing is prescribed at the conservation-form
-                # level: invert the elliptic mass operator at the initial
-                # depth so the slow-time residual is mu^2 * R up to O(eps)
-                # state drift.
-                hc = np.zeros((1, *grid.shape), dtype=np.complex128)
-                hc[(0,) + (0,) * d] = 1.0
-                hc += params.eps * (u0.zeta.coefficients - params.b.coefficients)
-                TinvR1 = invert_bigT(
-                    params, SpectralField(grid, hc), SpectralField(grid, R[:d]), tol=tol
-                )
-                f_packed = (mu**2 / eps) * np.concatenate(
-                    [TinvR1.coefficients, R[d:]]
-                )
-                u_app = mol_solve(
-                    params, u0, T, dt, forcing_fn=lambda t: f_packed, tol=tol
-                )
-            else:
-                u_app = mol_solve(params, u0, T, dt, tol=tol)
-            err = _sup_diff_norm(params, u_app, u_ref, s_err)
-            return float(mu), eps, err
-
-        mus = [float(m) for m in sl["mus"]]
-        rows = _parallel_map(run_one, mus, threads)
-        fit = [(m, e) for m, _, e in rows if e > 0.0]
-        exponent = None
-        if len(fit) >= 2:
-            exponent = float(np.polyfit(
-                np.log10([m for m, _ in fit]), np.log10([e for _, e in fit]), 1
-            )[0])
-        hdr = _csv_header(
-            _config_hash(cfg),
-            f"mu, eps dimensionless; error in X^{s_err:g} (nondimensional)",
-        )
-        _write_csv(out / "scaling.csv", hdr, ["mu", "eps", "error"], rows)
-        _write_json(out / "scaling.json", {
-            "config_hash": _config_hash(cfg),
-            "exponent": exponent,
-            "eps_rule": rule,
-            "points": len(fit),
-        })
-        click.echo(f"exponent: {exponent}" if exponent is not None else "exponent: undefined")
-
-    _guarded(body)
+            u_app = mol_solve(params, u0, T, dt, tol=tol)
+        rows.append((mu, eps, _sup_diff_norm(params, u_app, u_ref, s_err)))
+    fit = [(m, e) for m, _, e in rows if e > 0.0]
+    exponent = None
+    if len(fit) >= 2:
+        exponent = float(np.polyfit(
+            np.log10([m for m, _ in fit]), np.log10([e for _, e in fit]), 1
+        )[0])
+    hdr = _csv_header(
+        _config_hash(cfg),
+        f"mu, eps dimensionless; error in X^{s_err:g} (nondimensional)",
+    )
+    _write_csv(out / "scaling.csv", hdr, ["mu", "eps", "error"], rows)
+    _write_json(out / "scaling.json", {
+        "config_hash": _config_hash(cfg),
+        "exponent": exponent,
+        "eps_rule": rule,
+        "points": len(fit),
+    })
+    click.echo(f"exponent: {exponent}" if exponent is not None else "exponent: undefined")
 
 
 # ------------------------------------------------------------------ validate
@@ -859,10 +817,8 @@ def _validation_checks() -> list[tuple[str, bool, str]]:
         g3, times, np.stack([-(c / p3.eps) * (1j * xi) * s_ for s_ in snaps])
     )
     R1, r2_ = manufactured_residual(p3, traj, dudt=dudt)
-    res = max(
-        sobolev_norm(SpectralField(g3, np.concatenate(
-            [R1.snapshots[i], r2_.snapshots[i]])), 0.0)
-        for i in range(4)
+    res = trajectory_norm(
+        TrajectoryField(g3, times, np.concatenate([R1.snapshots, r2_.snapshots], axis=1)), 0.0
     )
     record("solitary_residual", res <= 1e-8, f"X^0 residual {res:.2e} at N=512")
 

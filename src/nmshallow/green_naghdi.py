@@ -76,11 +76,16 @@ repeats, member by member, the arithmetic of `scipy.sparse.linalg.cg`
 the stopping rule norm(r) < tol * norm(b), a zero right side returned as it
 is, and a preconditioner from each member's own mean depth. Members that
 have converged leave the batch, and a ConvergenceError names the members
-that did not converge. The one exception to the batched layout is inside
-the solver: a batch of one runs `_cg`, the same arithmetic with scalars on
-the unbatched layout, because its matvecs are the hottest loop of a single
-trajectory (one `_pcg` path ran the N = 512 transit 19% slower on a
-2-core x86 host).
+that did not converge. Its per-member reductions are row operations over
+the batch (`np.vecdot`, `_row_norms`) with the bits of the per-row calls
+(a test checks this on the installed numpy).
+The one exception to the batched layout is inside the solver: a batch of
+one runs `_cg`, the same arithmetic with scalars on the unbatched layout,
+because its matvecs are the hottest loop of a single trajectory. Through
+the vectorised loop, one N = 512 solve took 1.09x as long (median of 60
+interleaved rounds, quartiles 1.06-1.11x), and the transit workload ran
+2.39 s [2.35, 2.41] against 2.47 s [2.42, 2.59] (10 alternating pairs,
+8 won by `_cg`; 2-core x86 host, numpy 2.4).
 """
 from __future__ import annotations
 
@@ -304,16 +309,18 @@ def _require_admissible(
     """Raise DomainError if h falls below the floor; `hg` holds the depth
     samples of one field, or of each member of a batch (B, *shape).
 
+    A member whose lowest depth is not finite (NaN as soon as one sample is)
+    counts as below the floor, so that it cannot hide another member that is.
     The message names the members below the floor and the lowest depth; with
     `first` (a label such as "snapshot") it names only the first such member
     and its own lowest depth.
     """
     floor = params.h0 * (1.0 - 1e-12)
-    mn = float(np.min(hg))
-    if not mn < floor:
-        return
     mins = np.min(hg.reshape(-1, params.grid.n_modes), axis=1)
-    low = np.flatnonzero(mins < floor)
+    low = np.flatnonzero((mins < floor) | ~np.isfinite(mins))
+    if not low.size:
+        return
+    mn = float(np.min(mins))
     if first is not None:
         k = int(low[0])
         raise DomainError(
@@ -512,9 +519,12 @@ def _bigT_operators(params: PhysicalParams, hg: np.ndarray):
 
 def _cg(restrict, b: np.ndarray, x0: np.ndarray | None, tol: float, max_iter: int):
     """`_pcg` for a batch of one member: the same arithmetic with scalar
-    norms and inner products and the unbatched layout. On the N = 512
-    transit workload a batch of one through `_pcg` ran 19% slower end to
-    end (2-core x86 host, 10 alternating pairs, 9/10 won by this loop)."""
+    norms and inner products and the unbatched layout. A batch of one
+    through the vectorised `_pcg` loop took 1.09x as long per N = 512 solve
+    (median of 60 interleaved in-process rounds, quartiles 1.06-1.11x), and
+    the transit workload ran 2.47 s against 2.39 s with this loop (medians
+    of 10 alternating pairs, 8 won by this loop; 2-core x86 host, numpy
+    2.4)."""
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=b.dtype)
     bnrm2 = np.linalg.norm(b)
     if bnrm2 == 0:
@@ -540,6 +550,12 @@ def _cg(restrict, b: np.ndarray, x0: np.ndarray | None, tol: float, max_iter: in
     return x, np.array([max_iter]), np.zeros(1, dtype=np.intp)
 
 
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """`np.linalg.norm` of each row of a complex (B, n) array, with its bits
+    (the same real and imaginary dot products), in one call per reduction."""
+    return np.sqrt(np.vecdot(a.real, a.real) + np.vecdot(a.imag, a.imag))
+
+
 def _pcg(restrict, b: np.ndarray, x0: np.ndarray | None, tol: float, max_iter: int):
     """Preconditioned conjugate gradients on a batch of independent systems.
 
@@ -562,44 +578,40 @@ def _pcg(restrict, b: np.ndarray, x0: np.ndarray | None, tol: float, max_iter: i
         return _cg(restrict, b, x0, tol, max_iter)
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=b.dtype)
     iterations = np.zeros(b.shape[0], dtype=np.int64)
-    bnrm2 = [np.linalg.norm(row) for row in b]
-    zero = [m for m, nrm in enumerate(bnrm2) if nrm == 0]
-    if zero:
-        x[zero] = b[zero]
-    act = np.array([m for m, nrm in enumerate(bnrm2) if nrm != 0], dtype=np.intp)
-    atol = [max(0.0, float(tol) * float(bnrm2[m])) for m in act]
+    bnrm2 = _row_norms(b)
+    zero = bnrm2 == 0
+    x[zero] = b[zero]
+    act = np.flatnonzero(~zero)
+    atol = np.maximum(0.0, float(tol) * bnrm2[act])
     r = b[act]
     xa = x[act]
     if x0 is not None:
-        warm = np.array([row.any() for row in xa], dtype=bool)
+        warm = xa.any(axis=1)
         if warm.any():
             r[warm] -= restrict(act[warm])[0](xa[warm])
     matvec, psolve = restrict(act)
     p = rho_prev = None
     for it in range(max_iter):
-        done = [np.linalg.norm(row) < a for row, a in zip(r, atol)]
-        if any(done):
-            keep = ~np.array(done)
-            x[act[~keep]] = xa[~keep]
-            iterations[act[~keep]] = it
-            act, xa, r = act[keep], xa[keep], r[keep]
-            atol = [a for a, k in zip(atol, keep) if k]
+        done = _row_norms(r) < atol
+        if done.any():
+            keep = ~done
+            x[act[done]] = xa[done]
+            iterations[act[done]] = it
+            act, xa, r, atol = act[keep], xa[keep], r[keep], atol[keep]
             if p is not None:
-                p = p[keep]
-                rho_prev = [v for v, k in zip(rho_prev, keep) if k]
+                p, rho_prev = p[keep], rho_prev[keep]
             matvec, psolve = restrict(act)
         if not act.size:
             break
         z = psolve(r)
-        rho = [np.vdot(row, z_row) for row, z_row in zip(r, z)]
+        rho = np.vecdot(r, z)
         if p is None:
             p = z.copy()
         else:
-            p *= np.array([cur / prev for cur, prev in zip(rho, rho_prev)])[:, None]
+            p *= (rho / rho_prev)[:, None]
             p += z
         q = matvec(p)
-        alpha = np.array([cur / np.vdot(p_row, q_row) for cur, p_row, q_row in zip(rho, p, q)])
-        alpha = alpha[:, None]
+        alpha = (rho / np.vecdot(p, q))[:, None]
         xa += alpha * p
         r -= alpha * q
         rho_prev = rho

@@ -120,6 +120,24 @@ def _pcg_systems(dim, n, flat, members):
     return params, hg, rhs
 
 
+@pytest.mark.parametrize("n", [64, 512, 8192, 12288])
+@pytest.mark.parametrize("members", [2, 4, 201])
+def test_row_reductions_keep_the_bits_of_per_row_calls(n, members):
+    # `_pcg` takes its inner products with np.vecdot and its norms with
+    # `_row_norms`; both must give, on the installed numpy, the bits of
+    # np.vdot and np.linalg.norm on each row, for rows of every magnitude
+    rng = np.random.default_rng(n + members)
+    scale = 10.0 ** rng.uniform(-12.0, 3.0, size=(members, 1))
+    r = (rng.standard_normal((members, n)) + 1j * rng.standard_normal((members, n))) * scale
+    z = (rng.standard_normal((members, n)) + 1j * rng.standard_normal((members, n))) * scale
+    want_dot = np.array([np.vdot(a, c) for a, c in zip(r, z)])
+    assert np.vecdot(r, z).tobytes() == want_dot.tobytes()
+    want_norm = np.array([np.linalg.norm(a) for a in r])
+    assert gn._row_norms(r).tobytes() == want_norm.tobytes()
+    kept = r[rng.random(members) < 0.5]  # the rows left after members converge
+    assert gn._row_norms(kept).tobytes() == np.array([np.linalg.norm(a) for a in kept]).tobytes()
+
+
 # a batch of one runs the scalar loop `_cg`, a larger batch the batched one
 SIZES = pytest.mark.parametrize("members", [1, PCG_MEMBERS], ids=["lone", "batch"])
 
@@ -260,6 +278,28 @@ def test_member_under_depth_floor_raises_domain_error():
     with pytest.raises(DomainError, match="member 1"):
         mol_solve(params, _stack_states(states), 0.04, 0.02)
     with pytest.raises(DomainError, match=r"member 1\)"):
+        nonlinear_F(params, _stack_states(states))
+
+
+def test_nan_member_does_not_hide_a_member_under_the_floor():
+    # member 0 has a NaN depth sample, member 1 is below the floor, member 2
+    # is fine: the NaN minimum counts as a violation instead of masking
+    # member 1, and both are named
+    params, states = _case(1, 64, True)
+    grid = params.grid
+    states[1] = GNState(V=zero_field(grid, 1), zeta=field_from_grid(grid, np.full((1, 64), -1.5)))
+    hg = np.stack([depth_grid(params, u.zeta) for u in states])
+    hg[0, 5] = np.nan
+    with pytest.raises(DomainError, match=r"below floor .* in check \(member 0, 1\)$"):
+        gn._require_admissible(params, hg, "check")
+    with pytest.raises(DomainError, match=r"\(snapshot 0\)$"):
+        gn._require_admissible(params, hg, "check", first="snapshot")
+    gn._require_admissible(params, hg[2:], "check")
+
+    zeta0 = states[0].zeta.coefficients.copy()
+    zeta0[0, 3] = np.nan
+    states[0] = GNState(V=states[0].V, zeta=SpectralField(grid, zeta0))
+    with pytest.raises(DomainError, match=r"in nonlinear_F \(member 0, 1\)$"):
         nonlinear_F(params, _stack_states(states))
 
 

@@ -1,18 +1,30 @@
 """Command-line interface: artifacts, exit codes, determinism."""
 import json
+import math
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from nmshallow import cli
+from nmshallow import cli, nash_moser
 from nmshallow.cli import main
+from nmshallow.errors import DivergenceError
+from nmshallow.gn_problem import GNProblem
+from nmshallow.nash_moser import IterationTrace
 
 TINY_MOL = {
     "grid": {"nodes": 32},
     "physics": {"mu": 0.3, "regime": "custom", "eps": 0.5},
     "data": {"type": "random", "amplitude": 0.05, "decay": 4.0, "seed": 7},
     "run": {"T": 0.2, "dt": 0.02, "solver": "mol"},
+}
+
+
+# a 32-node Nash-Moser run that converges in a few iterations
+TINY_NM = {
+    "grid": {"nodes": 32, "dealias_fraction": 0.125},
+    "data": {"amplitude": 1e-5},
+    "run": {"dt": 0.01, "k_max": 6},
 }
 
 
@@ -240,3 +252,95 @@ def test_validate_failure_exits_1(runner, tmp_path, monkeypatch):
     assert rep["results"] == [
         {"name": "forced_failure", "passed": False, "detail": "injected"}
     ]
+
+
+def test_every_command_accepts_threads_and_rejects_zero(runner, tmp_path):
+    for name in sorted(main.commands):
+        res = runner.invoke(main, [name, "--threads", "0", "--out", str(tmp_path / name)])
+        assert res.exit_code == 2, name  # click's usage error, before any work
+        assert "--threads" in res.output
+    # any accepted value leaves the artifacts as they are
+    for threads in ("1", "3"):
+        res = runner.invoke(main, ["schedule", "--threads", threads, "--out", str(tmp_path / threads)])
+        assert res.exit_code == 0, res.output
+    assert (tmp_path / "3" / "schedule.json").read_bytes() == (
+        tmp_path / "1" / "schedule.json"
+    ).read_bytes()
+
+
+def test_validate_runs_every_check(runner, tmp_path):
+    out = tmp_path / "o"
+    res = runner.invoke(main, ["validate", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    rep = json.loads((out / "validate.json").read_text())
+    assert rep["failures"] == 0
+    assert len(rep["results"]) == 13
+    assert all(row["passed"] for row in rep["results"]), rep["results"]
+    assert "all 13 checks passed" in res.output
+
+
+def test_solve_both_writes_the_convergence_trace(runner, tmp_path):
+    cfg = _write_cfg(tmp_path, {**TINY_NM, "run": {**TINY_NM["run"], "solver": "both"}})
+    out_solve, out_conv = tmp_path / "solve", tmp_path / "conv"
+    res = runner.invoke(main, ["solve", "--config", cfg, "--out", str(out_solve)])
+    assert res.exit_code == 0, res.output
+    res = runner.invoke(main, ["convergence", "--config", cfg, "--out", str(out_conv)])
+    assert res.exit_code == 0, res.output
+    assert (out_solve / "trace.csv").read_bytes() == (out_conv / "trace.csv").read_bytes()
+    rep = json.loads((out_solve / "solve_report.json").read_text())
+    assert rep["nash_moser"]["stop_reason"] == "converged"
+    assert rep["agreement_sup_x0"] <= 1e-6
+    for name in ("solution_nash_moser.nmtrj.bin", "solution_mol.nmtrj.bin"):
+        assert (out_solve / name).exists()
+
+
+def _forced_divergence(monkeypatch):
+    """Make every Nash-Moser attempt diverge at once with a one-row trace;
+    returns the list of the theta0 each attempt was given."""
+    attempts = []
+
+    def diverge(problem, schedule, theta0, *args):
+        attempts.append(theta0)
+        trace = IterationTrace()
+        trace.append_row(
+            theta=theta0, norm_u_EsD=1.0, norm_u_EsP=1.0, residual_F=math.inf,
+            prop_i=True, prop_ii=True,
+        )
+        trace.stop_reason = "diverged"
+        raise DivergenceError(f"forced divergence at theta0={theta0:g}", trace=trace)
+
+    monkeypatch.setattr(nash_moser, "_run_iteration", diverge)
+    return attempts
+
+
+def test_divergence_retries_with_doubled_theta0_then_reraises(monkeypatch):
+    attempts = _forced_divergence(monkeypatch)
+    cfg = cli._load_config(None, None)
+    cfg["grid"]["nodes"] = 32
+    params = cli._params_from_cfg(cfg)
+    problem = GNProblem(params, cli._initial_state(params, cfg["data"]))
+    sched = cli._schedule_from_cfg(cfg)
+    with pytest.raises(DivergenceError) as exc:
+        nash_moser.nash_moser_solve(problem, sched, 0.1, 0.01, max_retries=3)
+    assert attempts == [sched.theta0 * 2.0**k for k in range(4)]
+    assert exc.value.trace.theta == [sched.theta0 * 8.0]  # the last attempt's
+
+
+def test_diverged_run_exits_3_and_keeps_its_trace(runner, tmp_path, monkeypatch):
+    attempts = _forced_divergence(monkeypatch)
+    cfg = _write_cfg(tmp_path, {**TINY_NM, "run": {**TINY_NM["run"], "max_retries": 1}})
+    for name in ("solve", "convergence"):
+        attempts.clear()
+        out = tmp_path / name
+        res = runner.invoke(main, [name, "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 3, res.output
+        assert "forced divergence at theta0=20" in res.output
+        assert attempts == [10.0, 20.0]
+        rows = [
+            ln for ln in (out / "trace.csv").read_text().splitlines() if not ln.startswith("#")
+        ]
+        assert rows[0].split(",")[0] == "k" and len(rows) == 2
+        assert rows[1].split(",")[:2] == ["0", "20.0"]
+    assert not (tmp_path / "solve" / "solve_report.json").exists()
+    ind = json.loads((tmp_path / "convergence" / "induction.json").read_text())
+    assert ind["converged"] is False and ind["stop_reason"] == "diverged"

@@ -97,3 +97,36 @@ def test_package_does_not_import_scipy():
     assert sources, f"no sources under {PACKAGE}"
     hits = [hit for path in sources for hit in _scipy_imports(path)]
     assert hits == []
+
+
+# modules that would let the package run its work on other threads or processes
+CONCURRENCY_MODULES = ("concurrent.futures", "threading", "multiprocessing")
+
+
+def _concurrency_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            # `from concurrent import futures` imports concurrent.futures
+            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(
+            name == banned or name.startswith(banned + ".")
+            for name in names
+            for banned in CONCURRENCY_MODULES
+        ):
+            hits.append(f"{path.name}:{node.lineno}")
+    return hits
+
+
+def test_package_runs_in_one_thread():
+    # the run's counters (green_naghdi.CG_STATS) are module globals: they
+    # stay exact only while no worker thread or process shares them
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources, f"no sources under {PACKAGE}"
+    hits = [hit for path in sources for hit in _concurrency_imports(path)]
+    assert hits == []
