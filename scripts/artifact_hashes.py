@@ -1,0 +1,97 @@
+"""sha256 table of the CLI artifacts on the shipped configs.
+
+Runs `schedule` (defaults), `solve` and `convergence` on
+`configs/benchmark.json`, `stability` on `configs/stability.json` and
+`scaling` on both shipped scaling configs, each into its own directory
+under a temporary directory, and prints one markdown row per artifact with
+the first 16 hex digits of its sha256:
+
+    | command and config | artifact | sha256 |
+
+Two checkouts of the package that compute the same bits print the same
+table, so a change meant to keep every output byte for byte is checked by
+running this script on both and comparing. The hashes depend on the numpy
+build (its FFT and SIMD kernels), so they are compared between checkouts on
+one machine, not stored as a test.
+
+Run from anywhere; the package is imported from the `src/` next to this
+script's directory, or from `--root DIR/src`:
+
+    python3 scripts/artifact_hashes.py [--root DIR]
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: (label, command, config relative to the root or None for the defaults,
+#: artifacts the command writes).
+RUNS = [
+    ("`schedule` (default)", "schedule", None, ["schedule.json"]),
+    ("`solve`, `configs/benchmark.json`", "solve", "configs/benchmark.json", [
+        "solution_mol.nmtrj.bin",
+        "solution_mol.nmtrj.json",
+        "solution_nash_moser.nmtrj.bin",
+        "solution_nash_moser.nmtrj.json",
+        "solve_report.json",
+        "trace.csv",
+    ]),
+    ("`convergence`, `configs/benchmark.json`", "convergence", "configs/benchmark.json", [
+        "trace.csv",
+        "induction.json",
+    ]),
+    ("`stability`, `configs/stability.json`", "stability", "configs/stability.json", [
+        "stability.csv",
+        "stability.json",
+    ]),
+    ("`scaling`, `configs/scaling_eps_one.json`", "scaling", "configs/scaling_eps_one.json", [
+        "scaling.csv",
+        "scaling.json",
+    ]),
+    ("`scaling`, `configs/scaling_eps_sqrt_mu.json`", "scaling",
+     "configs/scaling_eps_sqrt_mu.json", ["scaling.csv", "scaling.json"]),
+]
+
+
+def _sha16(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--root", type=Path, default=ROOT,
+                        help="checkout whose src/ and configs/ are used")
+    args = parser.parse_args()
+    root = args.root.resolve()
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    failed = False
+    print("| command and config | artifact | sha256 |")
+    print("|---|---|---|")
+    with tempfile.TemporaryDirectory(prefix="nmshallow-hashes-") as tmp:
+        for i, (label, command, config, artifacts) in enumerate(RUNS):
+            out = Path(tmp) / f"{i}-{command}"
+            cmd = [sys.executable, "-m", "nmshallow", command, "--out", str(out)]
+            if config is not None:
+                cmd += ["--config", str(root / config)]
+            proc = subprocess.run(cmd, cwd=tmp, env=env, capture_output=True, text=True)
+            if proc.returncode != 0:
+                failed = True
+                print(f"| {label} | exit {proc.returncode} | {proc.stderr.strip()[-200:]} |")
+                continue
+            for name in artifacts:
+                path = out / name
+                digest = _sha16(path) if path.is_file() else "missing"
+                failed |= digest == "missing"
+                print(f"| {label} | `{name}` | `{digest}` |")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

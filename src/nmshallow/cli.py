@@ -425,7 +425,8 @@ def _run_nash_moser(
     """Run the iterative scheme on the config's problem.
 
     Writes `trace.csv` and, with `induction`, `induction.json`, for a diverged
-    run (before its DivergenceError propagates) as for a finished one.
+    run or one whose iterate left the admissible set (before its
+    DivergenceError or DomainError propagates) as for a finished one.
     Returns the filtered solution, the trace and the induction report (None
     without `induction`).
     """
@@ -457,7 +458,7 @@ def _run_nash_moser(
             target_residual=float(rc["target_residual"]),
             max_retries=int(rc["max_retries"]),
         )
-    except DivergenceError as exc:
+    except (DivergenceError, DomainError) as exc:
         if exc.trace is not None:
             record(exc.trace)
         raise

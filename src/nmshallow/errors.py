@@ -28,7 +28,14 @@ class DivergenceError(NmShallowError):
 
 
 class DomainError(NmShallowError):
-    """A state left the admissible set, e.g. depth under the floor (exit code 4)."""
+    """A state left the admissible set, e.g. depth under the floor (exit code 4).
+
+    Carries the trace when an iterate of the outer iteration left the set.
+    """
+
+    def __init__(self, message: str, trace=None):
+        super().__init__(message)
+        self.trace = trace
 
 
 class StepSizeError(NmShallowError):

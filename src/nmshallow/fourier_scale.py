@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -90,11 +91,15 @@ class GridSpec:
         object.__setattr__(self, "_cache", {})
 
     # ------------------------------------------------------------- geometry
-    @property
+    # `shape`, `n_modes`, `i_xi` and `dealias_factor` are read by every
+    # transform and operator call: cached attributes (`cached_property`
+    # writes the instance dict, which the frozen dataclass leaves open),
+    # built on first use.
+    @cached_property
     def shape(self) -> tuple[int, ...]:
         return (self.nodes_per_axis,) * self.dimension
 
-    @property
+    @cached_property
     def n_modes(self) -> int:
         return self.nodes_per_axis**self.dimension
 
@@ -143,6 +148,16 @@ class GridSpec:
 
         return self._cached("xi", build)
 
+    @cached_property
+    def i_xi(self) -> np.ndarray:
+        """1j * xi per axis on the full mode grid, (d, *shape), read-only:
+        the spectral gradient is one broadcast product with it. Each entry
+        has the bits of `1j * wavenumbers()[ax]`."""
+        xi = self.wavenumbers()
+        out = np.stack([np.broadcast_to(1j * xi[ax], self.shape) for ax in range(self.dimension)])
+        out.flags.writeable = False
+        return out
+
     @property
     def xi_sq(self) -> np.ndarray:
         """|xi|^2 on the full mode grid."""
@@ -187,20 +202,48 @@ class GridSpec:
 
         return self._cached("mask", build)
 
+    @cached_property
+    def dealias_factor(self) -> np.ndarray:
+        """`dealias_mask` as complex128 (exactly 1+0j or 0j), read-only: the
+        factor numpy would cast the bool mask to in `coeffs * mask`, formed
+        once."""
+        out = self.dealias_mask.astype(np.complex128)
+        out.flags.writeable = False
+        return out
+
     # --------------------------------------------------------- fft helpers
     def to_grid(self, coeffs: np.ndarray) -> np.ndarray:
-        """Coefficients (..., *shape) -> real grid samples."""
-        axes = tuple(range(-self.dimension, 0))
-        return np.fft.ifftn(coeffs, axes=axes).real * self.n_modes
+        """Coefficients (..., *shape) -> real grid samples.
+
+        The transform pair is the package's only FFT site. Each transform is
+        one `np.fft.ifft`/`fft` call per axis: the last axis first, then in
+        2D the first axis in place (`out=`). That is the order `np.fft.ifftn`
+        and `fftn` use internally, so the result has the bits of
+        `ifftn(coeffs, axes).real * n_modes` and `fftn(values, axes) /
+        n_modes` (tests compare them byte for byte) without `fftn`'s
+        per-call argument handling, which dominates at the sizes the package
+        runs. Transforming the first axis first changes bits. The scaling
+        stays an explicit product and quotient instead of `norm=`: pocketfft
+        multiplies by the reciprocal, and x * (1/n) differs from x / n when
+        n is not a power of two.
+        """
+        out = np.fft.ifft(coeffs, axis=-1)
+        if self.dimension == 2:
+            np.fft.ifft(out, axis=-2, out=out)
+        return out.real * self.n_modes
 
     def from_grid(self, values: np.ndarray) -> np.ndarray:
-        """Real grid samples (..., *shape) -> coefficients."""
-        axes = tuple(range(-self.dimension, 0))
-        return np.fft.fftn(values, axes=axes) / self.n_modes
+        """Real grid samples (..., *shape) -> coefficients; per axis, as
+        `to_grid`."""
+        out = np.fft.fft(values, axis=-1)
+        if self.dimension == 2:
+            np.fft.fft(out, axis=-2, out=out)
+        out /= self.n_modes
+        return out
 
     def project(self, coeffs: np.ndarray) -> np.ndarray:
         """Apply the dealiasing projector (zero all modes above the cutoff)."""
-        return coeffs * self.dealias_mask
+        return coeffs * self.dealias_factor
 
 
 @dataclass
@@ -484,6 +527,7 @@ def trajectory_norm(
     mode: str = "XsT",
     m: float = 0.0,
     snapshot_norm: Callable[[SpectralField, float], Sequence[float]] | None = None,
+    dudt: TrajectoryField | None = None,
 ) -> float:
     """Trajectory norms over the uniform time grid.
 
@@ -493,13 +537,17 @@ def trajectory_norm(
     `snapshot_norm(field, index)` overrides the plain Sobolev norm (used by
     the shallow-water norms, which carry a dispersive divergence term). It
     receives the snapshots as batched fields, (components, B, *shape), at
-    most `_CHUNK` at a time, and returns their B norms.
+    most `_CHUNK` at a time, and returns their B norms. `dudt` is
+    `time_derivative(u)` when the caller already holds it (mode "Es" only);
+    it is formed here otherwise.
     """
     if mode == "XsT":
         return float(np.max(_snapshot_norms(u, s, snapshot_norm)))
     if mode == "Es":
+        if dudt is None:
+            dudt = time_derivative(u)
         base = float(np.max(_snapshot_norms(u, s, snapshot_norm)))
-        slope = float(np.max(_snapshot_norms(time_derivative(u), s - m, snapshot_norm)))
+        slope = float(np.max(_snapshot_norms(dudt, s - m, snapshot_norm)))
         return base + slope
     raise ValueError(f"unknown trajectory norm mode {mode!r}")
 

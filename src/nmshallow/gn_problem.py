@@ -121,7 +121,9 @@ class GNProblem(ProblemInterface):
 
     def admissible(self, u: TrajectoryField) -> tuple[bool, str]:
         """Depth check of the physical snapshots, one batched pass per chunk;
-        the reported time is the first snapshot at the lowest depth."""
+        the reported time is the first snapshot at the lowest depth. A
+        snapshot whose lowest depth is not finite (NaN as soon as one sample
+        is) is inadmissible, and the first such time is reported instead."""
         d = self.grid.dimension
         h0 = self.params.h0
         worst = np.inf
@@ -131,7 +133,9 @@ class GNProblem(ProblemInterface):
             phys = evolve_packed(self.grid, self.params.eps, times, u.chunk(part).coefficients)
             depth = depth_grid(self.params, phys[d])
             hmins = np.min(depth.reshape(times.size, -1), axis=1)
-            hmins[np.isnan(hmins)] = np.inf  # a NaN depth is never the lowest
+            bad = np.flatnonzero(~np.isfinite(hmins))
+            if bad.size:
+                return False, f"water depth not finite at t={float(times[bad[0]]):g}"
             i = int(np.argmin(hmins))
             if hmins[i] < worst:
                 worst, worst_t = float(hmins[i]), float(times[i])

@@ -50,7 +50,13 @@ since stacking the 2D transforms of that branch measured slower. The CG
 matvec `_apply_bigT_arrays`, the hottest loop, has the stacked flat form and,
 with bathymetry, the term-by-term form of `_T_terms`. A stacked transform
 equals the per-row ones and the zero terms change no bits, so both ways give
-the same output on b = 0 (tests compare them).
+the same output on b = 0 (tests compare them). On a flat bottom the matvec
+fills its stacked rows (V, div V) in place and multiplies the grid samples
+in place, and `_bigT_operators` forms the depth cube h*h*h once per solve
+instead of once per CG iteration. Gradients and divergences multiply by the
+grid's cached 1j*xi (`GridSpec.i_xi`) and the projector by its cached complex
+mask: each keeps the bits of the per-axis formulas it replaced (tests keep
+those formulas and compare byte for byte).
 
 Batch axis
 ----------
@@ -81,11 +87,12 @@ the batch (`np.vecdot`, `_row_norms`) with the bits of the per-row calls
 (a test checks this on the installed numpy).
 The one exception to the batched layout is inside the solver: a batch of
 one runs `_cg`, the same arithmetic with scalars on the unbatched layout,
-because its matvecs are the hottest loop of a single trajectory. Through
-the vectorised loop, one N = 512 solve took 1.09x as long (median of 60
-interleaved rounds, quartiles 1.06-1.11x), and the transit workload ran
-2.39 s [2.35, 2.41] against 2.47 s [2.42, 2.59] (10 alternating pairs,
-8 won by `_cg`; 2-core x86 host, numpy 2.4).
+because its matvecs are the hottest loop of a single trajectory. On the
+per-axis transform kernel, one N = 512 solve through the vectorised loop
+took 1.19x as long (median of 60 interleaved rounds, quartiles
+1.15-1.24x), and the transit workload ran 2.11 s [1.97, 2.20] against
+1.92 s [1.85, 1.97] with `_cg` (10 alternating in-process pairs, 8 won by
+`_cg`; 2-core x86 host, numpy 2.4).
 """
 from __future__ import annotations
 
@@ -241,17 +248,23 @@ class GNState:
 # ------------------------------------------------------------- array helpers
 
 def _grad_c(grid: GridSpec, c: np.ndarray) -> np.ndarray:
-    """Spectral gradient of a scalar coefficient array -> (d, *shape)."""
-    xi = grid.wavenumbers()
-    return np.stack([1j * xi[ax] * c for ax in range(grid.dimension)])
+    """Spectral gradient of a scalar coefficient array (..., *shape) ->
+    (d, ..., *shape): one broadcast product with the cached 1j * xi."""
+    i_xi = grid.i_xi
+    lead = c.ndim - grid.dimension
+    if lead:
+        i_xi = i_xi.reshape(grid.dimension, *(1,) * lead, *grid.shape)
+    return i_xi * c
 
 
-def _div_c(grid: GridSpec, c: np.ndarray) -> np.ndarray:
-    """Spectral divergence of a vector coefficient array (d, *shape) -> (*shape)."""
-    xi = grid.wavenumbers()
-    out = 1j * xi[0] * c[0]
+def _div_c(grid: GridSpec, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Spectral divergence of a vector coefficient array (d, ..., *shape) ->
+    (..., *shape), summed over the axes in order; written into `out` if
+    given."""
+    i_xi = grid.i_xi
+    out = np.multiply(i_xi[0], c[0], out=out)
     for ax in range(1, grid.dimension):
-        out = out + 1j * xi[ax] * c[ax]
+        out += i_xi[ax] * c[ax]
     return out
 
 
@@ -354,18 +367,36 @@ def _T_terms(
 
 
 def _apply_bigT_arrays(
-    grid: GridSpec, mu: float, hg: np.ndarray, gbeta_g: np.ndarray | None, Vc: np.ndarray
+    grid: GridSpec,
+    mu: float,
+    hg: np.ndarray,
+    gbeta_g: np.ndarray | None,
+    Vc: np.ndarray,
+    h3: np.ndarray | None = None,
 ) -> np.ndarray:
     """(h + mu T[h, beta]) V on coefficient arrays; gbeta_g None means flat.
 
     `Vc` is (d, *shape) with `hg` (*shape), or a batch (d, B, *shape) with
-    `hg` (B, *shape) and, with bathymetry, the slope (d, 1, *shape).
+    `hg` (B, *shape) and, with bathymetry, the slope (d, 1, *shape). On a
+    flat bottom `h3`, if given, is `hg * hg * hg`, formed once by a caller
+    that applies the operator at one depth many times (the CG matvec).
     """
     if gbeta_g is None:
-        # T[h, 0] V = -(1/3) grad(h^3 div V)
-        Vg, Xg = _transform(grid.to_grid, grid, [Vc, _div_c(grid, Vc)], True)
-        out, h3X = _transform(grid.from_grid, grid, [hg[None] * Vg, hg * hg * hg * Xg], True)
-        out += mu * (-(1.0 / 3.0) * _grad_c(grid, h3X))
+        # T[h, 0] V = -(1/3) grad(h^3 div V). V and div V go through one
+        # stacked transform pair, (d+1, ..., *shape), whose rows are filled
+        # and multiplied in place.
+        if h3 is None:
+            h3 = hg * hg * hg
+        d = Vc.shape[0]
+        rows = np.empty((d + 1, *Vc.shape[1:]), dtype=np.complex128)
+        rows[:d] = Vc
+        _div_c(grid, Vc, out=rows[d])
+        g = grid.to_grid(rows)
+        np.multiply(hg, g[:d], out=g[:d])
+        np.multiply(h3, g[d], out=g[d])
+        c = grid.from_grid(g)
+        out = c[:d]
+        out += mu * (-(1.0 / 3.0) * _grad_c(grid, c[d]))
         return grid.project(out)
     Vg = grid.to_grid(Vc)
     Xg = grid.to_grid(_div_c(grid, Vc))
@@ -504,9 +535,11 @@ def _bigT_operators(params: PhysicalParams, hg: np.ndarray):
             hg_w, inv_w, gbeta_g = hg[which[0]], inv_symbol[which[0]], params._slope
         else:
             hg_w, inv_w, gbeta_g = hg[which], inv_symbol[which][:, None], params._batch_slope
+        # the depth cube of the flat matvec, formed once per solve
+        h3 = hg_w * hg_w * hg_w if gbeta_g is None else None
 
         def matvec(x: np.ndarray) -> np.ndarray:
-            out = _apply_bigT_arrays(grid, mu, hg_w, gbeta_g, _fields(grid, x, lone))
+            out = _apply_bigT_arrays(grid, mu, hg_w, gbeta_g, _fields(grid, x, lone), h3)
             return out.reshape(1, -1) if lone else _rows(out)
 
         def psolve(r: np.ndarray) -> np.ndarray:
@@ -519,12 +552,13 @@ def _bigT_operators(params: PhysicalParams, hg: np.ndarray):
 
 def _cg(restrict, b: np.ndarray, x0: np.ndarray | None, tol: float, max_iter: int):
     """`_pcg` for a batch of one member: the same arithmetic with scalar
-    norms and inner products and the unbatched layout. A batch of one
-    through the vectorised `_pcg` loop took 1.09x as long per N = 512 solve
-    (median of 60 interleaved in-process rounds, quartiles 1.06-1.11x), and
-    the transit workload ran 2.47 s against 2.39 s with this loop (medians
-    of 10 alternating pairs, 8 won by this loop; 2-core x86 host, numpy
-    2.4)."""
+    norms and inner products and the unbatched layout. With the per-axis
+    transforms and the in-place flat matvec, a batch of one through the
+    vectorised `_pcg` loop (batched layout) took 1.19x as long per N = 512
+    solve (median of 60 interleaved in-process rounds, quartiles
+    1.15-1.24x; 1.09x before that kernel), and the transit workload ran
+    2.11 s against 1.92 s with this loop (medians of 10 alternating
+    in-process pairs, 8 won by this loop; 2-core x86 host, numpy 2.4)."""
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=b.dtype)
     bnrm2 = np.linalg.norm(b)
     if bnrm2 == 0:

@@ -428,6 +428,7 @@ def residual(
     u: TrajectoryField,
     indices: Sequence[float],
     m: float = 0.0,
+    dudt: TrajectoryField | None = None,
 ) -> tuple[TrajectoryField, SpectralField, dict[float, float]]:
     """Defect of a trajectory: (phi1, phi2, norm map).
 
@@ -435,6 +436,7 @@ def residual(
     derivative, phi2 = u(0) - g. The norm map sends each index sigma to
     the pair norm sup_t |phi1(t)|_{sigma} + |phi2|_{sigma + m}, where m is
     the problem's loss order (the datum part sits m higher on the scale).
+    `dudt` is `time_derivative(u)` when the caller already holds it.
     """
     h = problem.forcing(u.times)
     if h is not None and h.n_times != u.n_times:
@@ -442,9 +444,9 @@ def residual(
             f"forcing grid ({h.n_times}) does not match trajectory grid ({u.n_times})"
         )
     # the tendency first, so that its chunk temporaries do not coexist with
-    # du/dt; the sum is accumulated in place
+    # a du/dt formed here; the sum is accumulated in place
     phi1_snaps = _tendency_trajectory(problem, u.times, u.snapshots)
-    phi1_snaps += time_derivative(u).snapshots
+    phi1_snaps += (time_derivative(u) if dudt is None else dudt).snapshots
     if h is not None:
         phi1_snaps -= h.snapshots
     phi1 = TrajectoryField(u.grid, u.times.copy(), phi1_snaps)
@@ -470,9 +472,15 @@ def smooth_trajectory(u: TrajectoryField, theta: float) -> TrajectoryField:
 
 
 def _norm_Es(
-    problem: ProblemInterface, u: TrajectoryField, s: float, m: float
+    problem: ProblemInterface,
+    u: TrajectoryField,
+    s: float,
+    m: float,
+    dudt: TrajectoryField | None = None,
 ) -> float:
-    return trajectory_norm(u, s, mode="Es", m=m, snapshot_norm=problem.snapshot_norm)
+    return trajectory_norm(
+        u, s, mode="Es", m=m, snapshot_norm=problem.snapshot_norm, dudt=dudt
+    )
 
 
 def _run_iteration(
@@ -492,9 +500,9 @@ def _run_iteration(
     ic_index = s + schedule.d1p + m
 
     g = problem.initial_data()
+    # without a configured bound, M = 2 |u0|_{E^sD} + 1 is set at k = 0 from
+    # that iteration's norm of u0
     M = schedule.M
-    if M is None:
-        M = 2.0 * _norm_Es(problem, u0, sD, m) + 1.0
 
     trace = IterationTrace()
     trace.M_used = M
@@ -512,10 +520,15 @@ def _run_iteration(
     prev_res = math.inf
 
     for k in range(k_max + 1):
-        phi1, phi2, norms = residual(problem, u, [res_index], m)
+        # one du/dt per iterate, for the residual and both Es norms
+        dudt = time_derivative(u)
+        phi1, phi2, norms = residual(problem, u, [res_index], m, dudt)
         res = norms[res_index]
-        nu_D = _norm_Es(problem, u, sD, m)
-        nu_P = _norm_Es(problem, u, sP, m)
+        nu_D = _norm_Es(problem, u, sD, m, dudt)
+        nu_P = _norm_Es(problem, u, sP, m, dudt)
+        del dudt  # not held through the linear solve
+        if M is None:
+            M = trace.M_used = sched_dict["M"] = 2.0 * nu_D + 1.0
         with np.errstate(over="ignore"):
             theta_alpha = float(theta**np.float64(schedule.alpha))
         trace.append_row(
@@ -568,7 +581,8 @@ def _run_iteration(
             trace.stop_reason = "inadmissible"
             raise DomainError(
                 f"iterate k={k + 1} left the admissible set: {why} "
-                "(domain restriction violated)"
+                "(domain restriction violated)",
+                trace=trace,
             )
 
         ic_lhs = problem.snapshot_norm(
@@ -578,6 +592,9 @@ def _run_iteration(
             SpectralField(u.grid, v.snapshots[0]), sD
         )
         trace.set_ic_diagnostic(ic_lhs, ic_rhs)
+        # free the linearization, the correction and the defect before the
+        # next residual, which holds the next iterate's du/dt
+        del coeffs, v, phi1
 
         u = u_next
         with np.errstate(over="ignore"):
@@ -604,7 +621,8 @@ def nash_moser_solve(
     On divergence (3 consecutive residual growths by more than 10x, or a
     non-finite residual) the run restarts with theta0 doubled, up to
     `max_retries` times, before the divergence error (trace attached)
-    propagates.
+    propagates. An iterate that leaves the admissible set raises DomainError
+    at once, also with the trace attached.
     """
     u0 = initial_iterate(problem, T, dt)
     last_err: DivergenceError | None = None

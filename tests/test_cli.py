@@ -344,3 +344,31 @@ def test_diverged_run_exits_3_and_keeps_its_trace(runner, tmp_path, monkeypatch)
     assert not (tmp_path / "solve" / "solve_report.json").exists()
     ind = json.loads((tmp_path / "convergence" / "induction.json").read_text())
     assert ind["converged"] is False and ind["stop_reason"] == "diverged"
+
+
+def test_inadmissible_iterate_exits_4_and_keeps_its_trace(runner, tmp_path, monkeypatch):
+    # the initial iterate passes the depth check and the first corrected
+    # iterate fails it
+    checks = []
+
+    def fenced(self, u):
+        checks.append(u.n_times)
+        return (True, "") if len(checks) == 1 else (False, "forced depth failure")
+
+    monkeypatch.setattr(GNProblem, "admissible", fenced)
+    cfg = _write_cfg(tmp_path, TINY_NM)
+    for name in ("solve", "convergence"):
+        checks.clear()
+        out = tmp_path / name
+        res = runner.invoke(main, [name, "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 4, res.output
+        assert "iterate k=1 left the admissible set: forced depth failure" in res.output
+        assert len(checks) == 2
+        rows = [
+            ln for ln in (out / "trace.csv").read_text().splitlines() if not ln.startswith("#")
+        ]
+        assert rows[0].split(",")[0] == "k" and len(rows) == 2
+        assert rows[1].split(",")[:2] == ["0", "10.0"]
+    assert not (tmp_path / "solve" / "solve_report.json").exists()
+    ind = json.loads((tmp_path / "convergence" / "induction.json").read_text())
+    assert ind["converged"] is False and ind["stop_reason"] == "inadmissible"

@@ -66,6 +66,59 @@ def test_projection_idempotent(grid1d, rng):
     assert np.array_equal(grid1d.project(once), once)
 
 
+# ------------------------------------------------------ transform kernel bits
+# The transform pair runs one FFT per axis and the projector multiplies by a
+# cached complex mask. The forms they replaced are kept here as references
+# and must give the same bytes.
+
+
+def _ref_to_grid(grid, c):
+    return np.fft.ifftn(c, axes=tuple(range(-grid.dimension, 0))).real * grid.n_modes
+
+
+def _ref_from_grid(grid, v):
+    return np.fft.fftn(v, axes=tuple(range(-grid.dimension, 0))) / grid.n_modes
+
+
+def _kernel_inputs(grid, rng):
+    """Real and complex inputs: single, batched, and swapaxes views of a
+    batch (the layout `build_linearized_coeffs` passes)."""
+    real = rng.standard_normal((2, 2, *grid.shape))
+    cplx = real + 1j * rng.standard_normal(real.shape)
+    cases = {}
+    for kind, a in (("real", real), ("complex", cplx)):
+        cases[f"single {kind}"] = a[0, 0]
+        cases[f"batched {kind}"] = a
+        cases[f"swapaxes {kind}"] = a.swapaxes(0, 1)
+    return cases
+
+
+@pytest.mark.parametrize("n", [8, 10, 12, 64, 96, 512])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_transforms_keep_the_bits_of_fftn(dim, n):
+    grid = GridSpec(dimension=dim, nodes_per_axis=n, domain_length=3.0)
+    for name, a in _kernel_inputs(grid, np.random.default_rng(n + dim)).items():
+        got, want = grid.to_grid(a), _ref_to_grid(grid, a)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), f"to_grid, {name}"
+        got, want = grid.from_grid(a), _ref_from_grid(grid, a)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), f"from_grid, {name}"
+
+
+@pytest.mark.parametrize("dim,n", [(1, 10), (1, 64), (2, 12)])
+def test_project_keeps_the_bits_of_the_bool_mask(dim, n):
+    grid = GridSpec(dimension=dim, nodes_per_axis=n, domain_length=1.0)
+    rng = np.random.default_rng(n)
+    # signed zeros and signs in every combination, so that a real-valued
+    # mask (or any other factor) shows in the sign bits of the product
+    parts = np.array([-1.5, -0.0, 0.0, 2.5])
+    c = rng.choice(parts, (3, *grid.shape)) + 1j * rng.choice(parts, (3, *grid.shape))
+    c[0].real = -0.0
+    assert grid.project(c).tobytes() == (c * grid.dealias_mask).tobytes()
+    assert grid.project(c[:, None]).tobytes() == (c[:, None] * grid.dealias_mask).tobytes()
+
+
 # -------------------------------------------------------------- SpectralField
 
 def test_field_shape_validation(grid1d):

@@ -88,6 +88,25 @@ def test_admissible_reports_depth_and_floor(grid1d, params1d, rng):
     assert "depth" in why and "h0" in why
 
 
+def test_admissible_rejects_non_finite_depth(grid1d, params1d, rng):
+    from nmshallow.fourier_scale import TrajectoryField
+
+    prob = GNProblem(params1d, _small_state(grid1d, rng))
+    times = np.array([0.0, 0.1, 0.2, 0.3])
+    nan_state = np.full((2, grid1d.nodes_per_axis), np.nan, dtype=np.complex128)
+    ok, why = prob.admissible(TrajectoryField(grid1d, times, np.stack([nan_state] * 4)))
+    assert not ok
+    assert why == "water depth not finite at t=0"
+
+    # one NaN snapshot among admissible ones
+    snaps = np.stack([_small_state(grid1d, rng).packed().coefficients for _ in range(4)])
+    assert prob.admissible(TrajectoryField(grid1d, times, snaps)) == (True, "")
+    snaps[2, 1, 5] = np.nan  # one elevation coefficient
+    ok, why = prob.admissible(TrajectoryField(grid1d, times, snaps))
+    assert not ok
+    assert why == "water depth not finite at t=0.2"
+
+
 def test_snapshot_norm_is_scaled_velocity_elevation_norm(grid1d, params1d, problem1d, rng):
     u = random_field(grid1d, 2, rng, amplitude=0.2, decay=2.0)
     assert problem1d.snapshot_norm(u, 3.5) == x_norm_packed(params1d, u, 3.5)

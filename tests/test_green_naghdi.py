@@ -309,6 +309,75 @@ def test_flat_assembly_matches_general_branch(monkeypatch, dim, n):
     assert np.array_equal(flat_N.packed().coefficients, gen_N.packed().coefficients)
 
 
+# ------------------------------------------------- derivative kernel bits
+# `_grad_c`/`_div_c` multiply by the cached 1j*xi and the flat matvec fills
+# its stacked transform rows in place with the depth cube formed once per
+# solve. The forms they replaced are kept here and must give the same bytes.
+
+
+def _ref_grad_c(grid, c):
+    xi = grid.wavenumbers()
+    return np.stack([1j * xi[ax] * c for ax in range(grid.dimension)])
+
+
+def _ref_div_c(grid, c):
+    xi = grid.wavenumbers()
+    out = 1j * xi[0] * c[0]
+    for ax in range(1, grid.dimension):
+        out = out + 1j * xi[ax] * c[ax]
+    return out
+
+
+def _ref_flat_bigT(grid, mu, hg, Vc):
+    Vg, Xg = gn._transform(grid.to_grid, grid, [Vc, _ref_div_c(grid, Vc)], True)
+    out, h3X = gn._transform(grid.from_grid, grid, [hg[None] * Vg, hg * hg * hg * Xg], True)
+    out += mu * (-(1.0 / 3.0) * _ref_grad_c(grid, h3X))
+    return grid.project(out)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 10), (1, 64), (2, 12), (2, 16)])
+def test_derivatives_keep_the_bits_of_the_per_axis_formulas(dim, n):
+    grid = GridSpec(dimension=dim, nodes_per_axis=n, domain_length=2.0)
+    rng = np.random.default_rng(n)
+    scalar = rng.standard_normal((3, *grid.shape)) + 1j * rng.standard_normal((3, *grid.shape))
+    # snapshots-first, as a trajectory stores them; a chunk is a swapaxes view
+    snaps = rng.standard_normal((3, dim, *grid.shape)) + 1j * rng.standard_normal(
+        (3, dim, *grid.shape)
+    )
+    vector = np.ascontiguousarray(snaps.swapaxes(0, 1))
+    for c in (scalar[0], scalar):
+        assert gn._grad_c(grid, c).tobytes() == _ref_grad_c(grid, c).tobytes()
+    for c in (vector[:, 0], vector, snaps.swapaxes(0, 1)):
+        assert gn._div_c(grid, c).tobytes() == _ref_div_c(grid, c).tobytes()
+        out = np.empty(c.shape[1:], dtype=np.complex128)
+        gn._div_c(grid, c, out=out)
+        assert out.tobytes() == _ref_div_c(grid, c).tobytes()
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (1, 96), (2, 16)])
+def test_flat_matvec_keeps_the_bits_of_the_unhoisted_form(dim, n):
+    grid = GridSpec(dimension=dim, nodes_per_axis=n, domain_length=2 * math.pi)
+    rng = np.random.default_rng(7 * n + dim)
+    params = PhysicalParams(mu=0.3, eps=0.5, b=zero_field(grid))
+    hg = 1.0 + 0.2 * rng.standard_normal((3, *grid.shape))
+    V = grid.project(grid.from_grid(rng.standard_normal((dim, 3, *grid.shape))))
+    for h, Vc in ((hg[0], V[:, 0]), (hg, V)):
+        want = _ref_flat_bigT(grid, params.mu, h, Vc).tobytes()
+        assert gn._apply_bigT_arrays(grid, params.mu, h, None, Vc).tobytes() == want
+        h3 = h * h * h
+        assert gn._apply_bigT_arrays(grid, params.mu, h, None, Vc, h3).tobytes() == want
+    # the CG operators form the cube once per solve: a lone member on the
+    # unbatched layout, and a batch
+    restrict = gn._bigT_operators(params, hg)
+    matvec = restrict(np.array([1]))[0]
+    want = _ref_flat_bigT(grid, params.mu, hg[1], V[:, 1]).reshape(1, -1)
+    assert matvec(V[:, 1].reshape(1, -1)).tobytes() == want.tobytes()
+    matvec = restrict(np.array([0, 2]))[0]
+    rows = gn._rows(V[:, [0, 2]])
+    want = gn._rows(_ref_flat_bigT(grid, params.mu, hg[[0, 2]], V[:, [0, 2]]))
+    assert matvec(rows).tobytes() == want.tobytes()
+
+
 def test_nonflat_bathymetry_takes_general_branch(params1d):
     assert params1d._slope is params1d.grad_beta_grid
 

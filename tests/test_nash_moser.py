@@ -251,6 +251,45 @@ def test_engine_matches_unsmoothed_baseline_and_exact_solution(toy_grid, toy_sch
     assert float(np.max(np.abs(u_nm.snapshots - exact))) <= 1e-8
 
 
+def test_time_derivative_once_per_iterate(toy_grid, toy_schedule, monkeypatch):
+    # the residual and both Es norms of an iterate share one du/dt; the only
+    # other derivative is the correction's, for its Es norm
+    from nmshallow import fourier_scale, nash_moser
+
+    calls = []
+
+    def counted(u, _derivative=fourier_scale.time_derivative):
+        calls.append(u.n_times)
+        return _derivative(u)
+
+    monkeypatch.setattr(fourier_scale, "time_derivative", counted)
+    monkeypatch.setattr(nash_moser, "time_derivative", counted)
+    prob = AdvectionProblem(toy_grid, c=0.7, g_coeffs=_mode(toy_grid, 12, 0.1))
+    _, trace = nash_moser_solve(prob, toy_schedule, 0.2, 0.01, k_max=3, target_residual=0.0)
+    assert trace.stop_reason == "k_max" and len(trace) == 4
+    assert len(calls) == len(trace) + (len(trace) - 1)
+
+
+def test_inadmissible_iterate_raises_with_its_trace(toy_grid, toy_schedule):
+    from nmshallow.errors import DomainError
+
+    class Fenced(AdvectionProblem):
+        """Admits the initial iterate and nothing after it."""
+
+        checks = 0
+
+        def admissible(self, u):
+            self.checks += 1
+            return (True, "") if self.checks == 1 else (False, "forced")
+
+    prob = Fenced(toy_grid, c=0.7, g_coeffs=_mode(toy_grid, 12, 0.1))
+    with pytest.raises(DomainError, match="iterate k=1 left the admissible set: forced") as exc:
+        nash_moser_solve(prob, toy_schedule, 0.2, 0.01, k_max=3, target_residual=0.0)
+    trace = exc.value.trace
+    assert trace.stop_reason == "inadmissible"
+    assert len(trace) == 1 and not math.isnan(trace.norm_v_EsD[0])
+
+
 def test_smooth_trajectory_is_snapshotwise_cutoff(toy_grid, rng):
     from nmshallow.fourier_scale import random_field, smooth
 
