@@ -10,6 +10,8 @@ scope: downstream scripts consume the CSVs.
 Exit codes: 0 success, 1 validation-suite failure, 2 infeasible schedule,
 3 solver divergence / step-size / elliptic-convergence failure, 4 domain
 violation (depth floor, invalid problem domain), 5 I/O or config errors.
+Code 2 is also click's usage error (an invalid option value such as
+`--threads 0`, an unknown option): stderr then starts with "Usage:".
 
 Every config-driven command (`schedule`, `solve`, `convergence`,
 `stability`, `scaling`) is a body `fn(cfg, out)` registered by `_command`,
@@ -633,11 +635,8 @@ def cmd_scaling(cfg: dict, out: Path) -> None:
             # level: invert the elliptic mass operator at the initial
             # depth so the slow-time residual is mu^2 * R up to O(eps)
             # state drift.
-            hc = np.zeros((1, *grid.shape), dtype=np.complex128)
-            hc[(0,) + (0,) * d] = 1.0
-            hc += params.eps * (u0.zeta.coefficients - params.b.coefficients)
             TinvR1 = invert_bigT(
-                params, SpectralField(grid, hc), SpectralField(grid, R[:d]), tol=tol
+                params, params._depth_field(u0.zeta), SpectralField(grid, R[:d]), tol=tol
             )
             f_packed = (mu**2 / eps) * np.concatenate([TinvR1.coefficients, R[d:]])
             u_app = mol_solve(params, u0, T, dt, forcing_fn=lambda t: f_packed, tol=tol)
@@ -745,10 +744,7 @@ def _validation_checks() -> list[tuple[str, bool, str]]:
         okd, hmin = depth_check(params, state)
         if not okd:
             continue
-        hc = np.zeros((1, *g.shape), dtype=np.complex128)
-        hc[0, 0] = 1.0
-        hc += params.eps * (zeta.coefficients - b.coefficients)
-        h = SpectralField(g, hc)
+        h = params._depth_field(zeta)
         V = random_field(g, 1, rng, amplitude=1.0, decay=2.0)
         quad = bigT_pairing(params, h, V, V)
         en = energy_E(params, h, V)

@@ -87,14 +87,12 @@ class GridSpec:
             raise ValueError("domain_length must be positive and finite")
         if not (0.0 < self.dealias_fraction <= 1.0):
             raise ValueError("dealias_fraction must lie in (0, 1]")
-        # Lazy caches (object.__setattr__ because the dataclass is frozen).
-        object.__setattr__(self, "_cache", {})
 
     # ------------------------------------------------------------- geometry
-    # `shape`, `n_modes`, `i_xi` and `dealias_factor` are read by every
-    # transform and operator call: cached attributes (`cached_property`
-    # writes the instance dict, which the frozen dataclass leaves open),
-    # built on first use.
+    # Every array derived from the grid alone is a `cached_property`, built
+    # on first use and kept on the instance (`cached_property` writes the
+    # instance dict, which the frozen dataclass leaves open): the transforms
+    # and operators read them on every call.
     @cached_property
     def shape(self) -> tuple[int, ...]:
         return (self.nodes_per_axis,) * self.dimension
@@ -114,39 +112,29 @@ class GridSpec:
     def axis_coordinates(self) -> np.ndarray:
         return np.arange(self.nodes_per_axis) * self.spacing
 
-    def meshgrid(self) -> list[np.ndarray]:
-        x = self.axis_coordinates()
-        return list(np.meshgrid(*([x] * self.dimension), indexing="ij"))
-
-    def _cached(self, key: str, builder: Callable[[], np.ndarray]) -> np.ndarray:
-        cache = self._cache  # type: ignore[attr-defined]
-        if key not in cache:
-            cache[key] = builder()
-        return cache[key]
-
-    @property
+    @cached_property
     def mode_indices(self) -> np.ndarray:
         """Integer mode numbers along one axis in FFT order."""
         n = self.nodes_per_axis
-        return self._cached("k", lambda: np.fft.fftfreq(n, d=1.0 / n).astype(np.int64))
+        return np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
+
+    @cached_property
+    def _wavenumbers(self) -> tuple[np.ndarray, ...]:
+        k1 = self.mode_indices.astype(np.float64) * (2.0 * np.pi / self.domain_length)
+        k1.flags.writeable = False
+        out = []
+        for ax in range(self.dimension):
+            spec = [None] * self.dimension
+            spec[ax] = slice(None)
+            out.append(k1[tuple(spec)])
+        return tuple(out)
 
     def wavenumbers(self) -> tuple[np.ndarray, ...]:
         """Physical wavenumbers 2*pi*k/L per axis, broadcastable to `shape`.
 
         Cached read-only views: callers share them and cannot mutate them.
         """
-
-        def build() -> tuple[np.ndarray, ...]:
-            k1 = self.mode_indices.astype(np.float64) * (2.0 * np.pi / self.domain_length)
-            k1.flags.writeable = False
-            out = []
-            for ax in range(self.dimension):
-                spec = [None] * self.dimension
-                spec[ax] = slice(None)
-                out.append(k1[tuple(spec)])
-            return tuple(out)
-
-        return self._cached("xi", build)
+        return self._wavenumbers
 
     @cached_property
     def i_xi(self) -> np.ndarray:
@@ -158,30 +146,48 @@ class GridSpec:
         out.flags.writeable = False
         return out
 
-    @property
+    @cached_property
     def xi_sq(self) -> np.ndarray:
         """|xi|^2 on the full mode grid."""
+        total = np.zeros(self.shape)
+        for xi in self.wavenumbers():
+            total = total + xi**2
+        return total
 
-        def build() -> np.ndarray:
-            total = np.zeros(self.shape)
-            for xi in self.wavenumbers():
-                total = total + xi**2
-            return total
+    @cached_property
+    def xi_abs(self) -> np.ndarray:
+        """|xi| on the full mode grid: the frequency of the free wave group."""
+        return np.sqrt(self.xi_sq)
 
-        return self._cached("xi_sq", build)
+    @cached_property
+    def xi_unit(self) -> np.ndarray:
+        """Unit wavevectors xi/|xi|, zero at the origin mode, (d, *shape): the
+        longitudinal direction the free wave group rotates."""
+        xi_abs = self.xi_abs
+        unit = np.zeros((self.dimension, *self.shape))
+        mask = xi_abs > 0.0
+        for i, xi_i in enumerate(self.wavenumbers()):
+            full = np.broadcast_to(xi_i, self.shape)
+            unit[i][mask] = full[mask] / xi_abs[mask]
+        return unit
 
-    @property
+    @cached_property
     def bracket_sq(self) -> np.ndarray:
         """(1 + |xi|^2) on the full mode grid."""
-        return self._cached("bracket_sq", lambda: 1.0 + self.xi_sq)
+        return 1.0 + self.xi_sq
+
+    @cached_property
+    def _sobolev_weights(self) -> dict[float, np.ndarray]:
+        """Weights per Sobolev index, filled by `sobolev_weights`."""
+        return {}
 
     def sobolev_weights(self, s: float) -> np.ndarray:
         """Flattened weights (1+|xi|^2)^s, cached per index s."""
-        cache = self._cache  # type: ignore[attr-defined]
-        key = ("w", float(s))
-        if key not in cache:
-            cache[key] = np.ascontiguousarray(self.bracket_sq.reshape(-1) ** float(s))
-        return cache[key]
+        weights = self._sobolev_weights
+        s = float(s)
+        if s not in weights:
+            weights[s] = np.ascontiguousarray(self.bracket_sq.reshape(-1) ** s)
+        return weights[s]
 
     @property
     def dealias_cutoff_index(self) -> int:
@@ -189,18 +195,15 @@ class GridSpec:
         n = self.nodes_per_axis
         return min(int(self.dealias_fraction * (n // 2)), n // 2 - 1)
 
-    @property
+    @cached_property
     def dealias_mask(self) -> np.ndarray:
-        def build() -> np.ndarray:
-            keep1 = np.abs(self.mode_indices) <= self.dealias_cutoff_index
-            mask = np.ones(self.shape, dtype=bool)
-            for ax in range(self.dimension):
-                spec = [None] * self.dimension
-                spec[ax] = slice(None)
-                mask &= keep1[tuple(spec)]
-            return mask
-
-        return self._cached("mask", build)
+        keep1 = np.abs(self.mode_indices) <= self.dealias_cutoff_index
+        mask = np.ones(self.shape, dtype=bool)
+        for ax in range(self.dimension):
+            spec = [None] * self.dimension
+            spec[ax] = slice(None)
+            mask &= keep1[tuple(spec)]
+        return mask
 
     @cached_property
     def dealias_factor(self) -> np.ndarray:
@@ -296,9 +299,6 @@ class SpectralField:
 
     def copy(self) -> "SpectralField":
         return SpectralField(self.grid, self.coefficients.copy())
-
-    def component(self, i: int) -> np.ndarray:
-        return self.coefficients[i]
 
     def validate(self, tol: float = 1e-12) -> None:
         """Check finiteness and Hermitian symmetry (relative tolerance)."""
@@ -492,14 +492,24 @@ def time_derivative(u: TrajectoryField) -> TrajectoryField:
     """Second-order time derivative: centered inside, one-sided at the ends."""
     if u.n_times < 3:
         raise ValueError("need at least 3 snapshots to differentiate in time")
-    s = u.snapshots
-    dt = u.time_step
-    out = np.empty_like(s)
-    inner = np.subtract(s[2:], s[:-2], out=out[1:-1])  # in place: no trajectory-sized temporary
-    inner /= 2.0 * dt
-    out[0] = (-3.0 * s[0] + 4.0 * s[1] - s[2]) / (2.0 * dt)
-    out[-1] = (3.0 * s[-1] - 4.0 * s[-2] + s[-3]) / (2.0 * dt)
+    out = _time_derivative_arrays(u.snapshots, u.time_step)
     return TrajectoryField(u.grid, u.times.copy(), out)
+
+
+def _time_derivative_arrays(snaps: np.ndarray, dt: float) -> np.ndarray:
+    """Derivative along axis 0 of snapshots `dt` apart: second-order,
+    centered inside and one-sided at the ends; two snapshots give their
+    difference quotient at both."""
+    out = np.empty_like(snaps)
+    if snaps.shape[0] == 2:
+        out[0] = out[1] = (snaps[1] - snaps[0]) / dt
+        return out
+    # in place: no trajectory-sized temporary
+    inner = np.subtract(snaps[2:], snaps[:-2], out=out[1:-1])
+    inner /= 2.0 * dt
+    out[0] = (-3.0 * snaps[0] + 4.0 * snaps[1] - snaps[2]) / (2.0 * dt)
+    out[-1] = (3.0 * snaps[-1] - 4.0 * snaps[-2] + snaps[-3]) / (2.0 * dt)
+    return out
 
 
 def _chunks(n: int) -> list[slice]:

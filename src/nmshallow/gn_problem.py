@@ -125,25 +125,24 @@ class GNProblem(ProblemInterface):
         snapshot whose lowest depth is not finite (NaN as soon as one sample
         is) is inadmissible, and the first such time is reported instead."""
         d = self.grid.dimension
-        h0 = self.params.h0
-        worst = np.inf
-        worst_t = 0.0
+        mins = np.empty(u.n_times)
+        below = np.empty(u.n_times, dtype=bool)
         for part in _chunks(u.n_times):
             times = u.times[part]
             phys = evolve_packed(self.grid, self.params.eps, times, u.chunk(part).coefficients)
-            depth = depth_grid(self.params, phys[d])
-            hmins = np.min(depth.reshape(times.size, -1), axis=1)
-            bad = np.flatnonzero(~np.isfinite(hmins))
-            if bad.size:
-                return False, f"water depth not finite at t={float(times[bad[0]]):g}"
-            i = int(np.argmin(hmins))
-            if hmins[i] < worst:
-                worst, worst_t = float(hmins[i]), float(times[i])
-        if worst <= h0:
-            return False, (
-                f"water depth {worst:.6g} at t={worst_t:g} at or below the floor h0={h0:g}"
+            mins[part], below[part] = self.params._min_depths(
+                depth_grid(self.params, phys[d]), strict=True
             )
-        return True, ""
+        if not below.any():
+            return True, ""
+        bad = np.flatnonzero(~np.isfinite(mins))
+        if bad.size:
+            return False, f"water depth not finite at t={float(u.times[bad[0]]):g}"
+        i = int(np.argmin(mins))
+        return False, (
+            f"water depth {float(mins[i]):.6g} at t={float(u.times[i]):g} at or below "
+            f"the floor h0={self.params.h0:g}"
+        )
 
     def snapshot_norm(self, u: SpectralField, s: float) -> float | np.ndarray:
         return x_norm_packed(self.params, u, s)

@@ -67,7 +67,7 @@ snapshots of a trajectory) on one grid. `nonlinear_F`, `invert_bigT` and
 state enters as a batch of one (`_batched`) and leaves in its own layout,
 so `_tendency_rows`, `_apply_bigT_arrays`, `_T_terms` and
 `_apply_Q_bilinear_arrays` always see (d, B, *shape), with the slope given
-a batch axis (`PhysicalParams._batch_slope`). Every operation
+a batch axis (`PhysicalParams._slope[:, None]`). Every operation
 either acts pointwise or transforms row by row, so a member's result has
 the same bits as its own single call, whatever shares its batch (tests
 compare them byte for byte). Reductions of one field (`sobolev_norm`,
@@ -98,11 +98,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .fourier_scale import GridSpec, SpectralField, TrajectoryField, _chunks, _member_norms
+from .fourier_scale import _time_derivative_arrays
 
 __all__ = [
     "PhysicalParams",
@@ -134,7 +136,18 @@ class PhysicalParams:
 
     eps = sqrt(mu) and eps = 1 are the two named scaling regimes; any
     eps in (0, 1] is accepted for experiments. The bathymetry enters the
-    dispersive operators through beta = eps*b.
+    dispersive operators through beta = eps*b. Derived arrays are
+    `cached_property`s; the water depth h = 1 + eps*(zeta - b) has one grid
+    formula (`_depth`), one spectral form (`_depth_field`) and one floor test
+    (`_min_depths`).
+
+    Two floors: the checks of a state or trajectory (`depth_check`,
+    `GNProblem.admissible`, `mol_solve`'s output check) are strict, h <= h0
+    is inadmissible, so a run stops before its operators reach the floor.
+    The operators (`nonlinear_F`, `invert_bigT`, `build_linearized_coeffs`)
+    reject only h < h0*(1 - 1e-12): bigT stays coercive at h0, and the depth
+    they test has been through a projection and a transform, which can move
+    a depth at the floor by rounding.
     """
 
     mu: float
@@ -151,7 +164,6 @@ class PhysicalParams:
             raise ValueError("h0 must be positive")
         if self.b.components != 1:
             raise ValueError("bathymetry must be a scalar field")
-        self._cache: dict = {}
 
     @property
     def grid(self) -> GridSpec:
@@ -161,42 +173,48 @@ class PhysicalParams:
     def dimension(self) -> int:
         return self.grid.dimension
 
-    def _cached(self, key, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
-
-    @property
+    @cached_property
     def b_grid(self) -> np.ndarray:
-        return self._cached("b_g", lambda: self.grid.to_grid(self.b.coefficients[0]))
+        return self.grid.to_grid(self.b.coefficients[0])
 
-    @property
+    @cached_property
     def grad_b_grid(self) -> np.ndarray:
         """Samples of grad b, shape (d, *grid.shape)."""
-        return self._cached(
-            "gb_g", lambda: self.grid.to_grid(_grad_c(self.grid, self.b.coefficients[0]))
-        )
+        return self.grid.to_grid(_grad_c(self.grid, self.b.coefficients[0]))
 
-    @property
+    @cached_property
     def grad_beta_grid(self) -> np.ndarray:
         """Samples of grad(eps*b)."""
-        return self._cached("gbeta_g", lambda: self.eps * self.grad_b_grid)
+        return self.eps * self.grad_b_grid
 
-    @property
+    @cached_property
     def _slope(self) -> np.ndarray | None:
         """Slope argument of the private assemblies: grad(eps*b), or None on a
-        flat bottom (b identically zero), which selects the flat assembly."""
-        return self._cached(
-            "slope", lambda: self.grad_beta_grid if np.any(self.b.coefficients) else None
-        )
+        flat bottom (b identically zero), which selects the flat assembly. A
+        batched assembly takes `_slope[:, None]`, (d, 1, *shape)."""
+        return self.grad_beta_grid if np.any(self.b.coefficients) else None
 
-    @property
-    def _batch_slope(self) -> np.ndarray | None:
-        """`_slope` with a batch axis, (d, 1, *shape), for the batched
-        assemblies of `nonlinear_F`, `invert_bigT` and `apply_bigT`."""
-        return self._cached(
-            "batch_slope", lambda: None if self._slope is None else self._slope[:, None]
-        )
+    def _depth(self, zg: np.ndarray) -> np.ndarray:
+        """Grid samples of h = 1 + eps*(zeta - b) from those of zeta, one
+        field (*shape) or a stack (B, *shape)."""
+        return 1.0 + self.eps * (zg - self.b_grid)
+
+    def _depth_field(self, zeta: SpectralField) -> SpectralField:
+        """h = 1 + eps*(zeta - b) from the coefficients of zeta."""
+        hc = np.zeros((1, *self.grid.shape), dtype=np.complex128)
+        hc[(0,) * (self.dimension + 1)] = 1.0
+        hc += self.eps * (zeta.coefficients - self.b.coefficients)
+        return SpectralField(self.grid, hc)
+
+    def _min_depths(self, hg: np.ndarray, strict: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Lowest depth of each member of `hg` (B, *shape), or of one field,
+        and a mask of the members that violate the floor: at or below h0 if
+        `strict`, below h0*(1 - 1e-12) otherwise (see the class docstring).
+        A member whose lowest depth is not finite (NaN as soon as one sample
+        is) violates either floor."""
+        mins = np.min(hg.reshape(-1, self.grid.n_modes), axis=1)
+        above = mins > self.h0 if strict else mins >= self.h0 * (1.0 - 1e-12)
+        return mins, ~(above & np.isfinite(mins))
 
 
 @dataclass
@@ -304,23 +322,21 @@ def _transform(
 def depth_grid(params: PhysicalParams, zeta: SpectralField | np.ndarray) -> np.ndarray:
     """Grid samples of h = 1 + eps*(zeta - b)."""
     zc = zeta.coefficients[0] if isinstance(zeta, SpectralField) else zeta
-    zg = params.grid.to_grid(zc)
-    return 1.0 + params.eps * (zg - params.b_grid)
+    return params._depth(params.grid.to_grid(zc))
 
 
 def depth_check(params: PhysicalParams, u: GNState) -> tuple[bool, float]:
     """(ok, min depth): ok iff the grid minimum of h stays above the floor h0."""
     u.zeta.require_single("depth_check")
-    hg = depth_grid(params, u.zeta)
-    mn = float(np.min(hg))
-    return mn > params.h0, mn
+    mins, below = params._min_depths(depth_grid(params, u.zeta), strict=True)
+    return not below[0], float(mins[0])
 
 
 def _require_admissible(
     params: PhysicalParams, hg: np.ndarray, where: str, first: str | None = None
 ) -> None:
-    """Raise DomainError if h falls below the floor; `hg` holds the depth
-    samples of one field, or of each member of a batch (B, *shape).
+    """Raise DomainError if h falls below the operators' floor; `hg` holds the
+    depth samples of one field, or of each member of a batch (B, *shape).
 
     A member whose lowest depth is not finite (NaN as soon as one sample is)
     counts as below the floor, so that it cannot hide another member that is.
@@ -328,9 +344,8 @@ def _require_admissible(
     `first` (a label such as "snapshot") it names only the first such member
     and its own lowest depth.
     """
-    floor = params.h0 * (1.0 - 1e-12)
-    mins = np.min(hg.reshape(-1, params.grid.n_modes), axis=1)
-    low = np.flatnonzero((mins < floor) | ~np.isfinite(mins))
+    mins, below = params._min_depths(hg, strict=False)
+    low = np.flatnonzero(below)
     if not low.size:
         return
     mn = float(np.min(mins))
@@ -411,7 +426,9 @@ def apply_bigT(params: PhysicalParams, h: SpectralField, V: SpectralField) -> Sp
         raise ValueError(f"depth batch {h.batch} does not match velocity batch {V.batch}")
     grid = V.grid
     hg = grid.to_grid(_batched(h)[0])
-    out = _apply_bigT_arrays(grid, params.mu, hg, params._batch_slope, _batched(V))
+    slope = params._slope
+    gbeta_g = None if slope is None else slope[:, None]
+    out = _apply_bigT_arrays(grid, params.mu, hg, gbeta_g, _batched(V))
     return SpectralField(grid, out if V.batch is not None else out[:, 0])
 
 
@@ -529,12 +546,15 @@ def _bigT_operators(params: PhysicalParams, hg: np.ndarray):
         hbar = float(np.mean(hg[m]))
         inv_symbol[m] = 1.0 / (hbar + mu * grid.xi_sq * hbar**3 / 3.0)
 
+    slope = params._slope
+
     def restrict(which: np.ndarray):
         lone = which.size == 1
         if lone:
-            hg_w, inv_w, gbeta_g = hg[which[0]], inv_symbol[which[0]], params._slope
+            hg_w, inv_w, gbeta_g = hg[which[0]], inv_symbol[which[0]], slope
         else:
-            hg_w, inv_w, gbeta_g = hg[which], inv_symbol[which][:, None], params._batch_slope
+            hg_w, inv_w = hg[which], inv_symbol[which][:, None]
+            gbeta_g = None if slope is None else slope[:, None]
         # the depth cube of the flat matvec, formed once per solve
         h3 = hg_w * hg_w * hg_w if gbeta_g is None else None
 
@@ -725,8 +745,9 @@ def _tendency_rows(
     grid = params.grid
     d = grid.dimension
     mu = params.mu
-    gbeta_g = params._batch_slope
-    flat = gbeta_g is None
+    slope = params._slope
+    flat = slope is None
+    gbeta_g = None if flat else slope[:, None]
 
     Xc = _div_c(grid, Vc)
     gz_c = _grad_c(grid, zc)
@@ -746,7 +767,7 @@ def _tendency_rows(
     )
     zg, Vg, Xg, lap_z_g, grad_V_g, grad_X_g = grids[:6]
     gz_g = None if flat else grids[6]
-    hg = 1.0 + params.eps * (zg - params.b_grid)
+    hg = params._depth(zg)
     _require_admissible(params, hg, "nonlinear_F")
     if not flat:
         # formed first, so that its temporaries and the products below are
@@ -847,18 +868,6 @@ class LinearizedCoeffs:
         return out
 
 
-def _time_derivative_arrays(snaps: np.ndarray, dt: float) -> np.ndarray:
-    """Second-order derivative along axis 0 (centered; one-sided at the ends)."""
-    out = np.empty_like(snaps)
-    if snaps.shape[0] == 2:
-        out[0] = out[1] = (snaps[1] - snaps[0]) / dt
-        return out
-    out[1:-1] = (snaps[2:] - snaps[:-2]) / (2.0 * dt)
-    out[0] = (-3.0 * snaps[0] + 4.0 * snaps[1] - snaps[2]) / (2.0 * dt)
-    out[-1] = (3.0 * snaps[-1] - 4.0 * snaps[-2] + snaps[-3]) / (2.0 * dt)
-    return out
-
-
 def build_linearized_coeffs(
     params: PhysicalParams,
     uref: TrajectoryField,
@@ -893,7 +902,7 @@ def build_linearized_coeffs(
     zc = uref.snapshots[:, d]
     Vbar = grid.to_grid(Vc)
     zetabar = grid.to_grid(zc)
-    hbar = 1.0 + eps * (zetabar - params.b_grid[None])
+    hbar = params._depth(zetabar)
     _require_admissible(params, hbar, "build_linearized_coeffs", first="snapshot")
 
     dtVbar = _time_derivative_arrays(Vbar, uref.time_step)

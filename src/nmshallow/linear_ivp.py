@@ -72,27 +72,6 @@ __all__ = [
 # ----------------------------------------------------------- free evolution
 
 
-def _xi_abs(grid: GridSpec) -> np.ndarray:
-    """|xi| on the full mode array."""
-
-    return grid._cached("xi_abs", lambda: np.sqrt(grid.xi_sq))
-
-
-def _xi_unit(grid: GridSpec) -> np.ndarray:
-    """Unit wavevectors xi/|xi|, zero at the origin mode; shape (d, *shape)."""
-
-    def build() -> np.ndarray:
-        xi_abs = _xi_abs(grid)
-        unit = np.zeros((grid.dimension, *grid.shape))
-        mask = xi_abs > 0.0
-        for i, xi_i in enumerate(grid.wavenumbers()):
-            full = np.broadcast_to(xi_i, grid.shape)
-            unit[i][mask] = full[mask] / xi_abs[mask]
-        return unit
-
-    return grid._cached("xi_unit", build)
-
-
 def evolve_packed(
     grid: GridSpec, eps: float, t: float | np.ndarray, coeffs: np.ndarray
 ) -> np.ndarray:
@@ -122,11 +101,10 @@ def evolve_packed(
     else:
         still = None
         rate = float(t) / eps
-    xi_abs = _xi_abs(grid)
-    unit = _xi_unit(grid)
+    unit = grid.xi_unit
     if batched:
         unit = unit[:, None]
-    phase = rate * xi_abs
+    phase = rate * grid.xi_abs
     cos_v = np.cos(phase)
     sin_v = np.sin(phase)
 

@@ -86,9 +86,8 @@ def mol_solve(
     d = u0.grid.dimension
 
     def check_depth(t: float, u: np.ndarray) -> None:
-        hg = depth_grid(params, u[d])
-        hmins = np.min(hg.reshape(hg.shape[0], -1), axis=1)
-        low = np.flatnonzero(hmins <= params.h0)
+        hmins, below = params._min_depths(depth_grid(params, u[d]), strict=True)
+        low = np.flatnonzero(below)
         if low.size:
             hmin = float(np.min(hmins))
             who = "" if u0.batch is None else f" in member {', '.join(map(str, low))}"
@@ -224,7 +223,9 @@ def manufactured_residual(
     f_z = rates[d : d + 1] + F.zeta.coefficients
     f_z += (1.0 / eps) * gn._div_c(grid, snaps[:d])[None]
     h_vals = depth_grid(params, snaps[d])
-    r1 = gn._apply_bigT_arrays(grid, params.mu, h_vals, params._batch_slope, eps * f_V)
+    slope = params._slope
+    gbeta_g = None if slope is None else slope[:, None]
+    r1 = gn._apply_bigT_arrays(grid, params.mu, h_vals, gbeta_g, eps * f_V)
     times = u_app.times
     return (
         TrajectoryField(grid, times, np.ascontiguousarray(r1.swapaxes(0, 1))),

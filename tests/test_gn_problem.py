@@ -4,11 +4,26 @@ import math
 import numpy as np
 import pytest
 
-from nmshallow.fourier_scale import GridSpec, SpectralField, random_field, zero_field
+from nmshallow.errors import DomainError
+from nmshallow.fourier_scale import (
+    GridSpec,
+    SpectralField,
+    TrajectoryField,
+    random_field,
+    zero_field,
+)
 from nmshallow.gn_problem import GNProblem
-from nmshallow.green_naghdi import GNState, PhysicalParams, nonlinear_F, x_norm_packed
+from nmshallow.green_naghdi import (
+    GNState,
+    PhysicalParams,
+    depth_check,
+    depth_grid,
+    nonlinear_F,
+    x_norm_packed,
+)
 from nmshallow.linear_ivp import evolve_packed
 from nmshallow.nash_moser import check_induction, compute_schedule, nash_moser_solve
+from nmshallow.reference import mol_solve
 
 
 def _small_state(grid, rng, amplitude=0.05):
@@ -105,6 +120,27 @@ def test_admissible_rejects_non_finite_depth(grid1d, params1d, rng):
     ok, why = prob.admissible(TrajectoryField(grid1d, times, snaps))
     assert not ok
     assert why == "water depth not finite at t=0.2"
+
+
+def test_depth_floors_operators_accept_h0_and_trajectory_checks_reject_it():
+    # zeta = -1 and eps = 0.5 on a flat bottom give h = h0 = 0.5 exactly. The
+    # operators tolerate the floor itself (their depth has been through a
+    # transform); the checks of a state or trajectory are strict.
+    grid = GridSpec(dimension=1, nodes_per_axis=16, domain_length=2 * math.pi)
+    params = PhysicalParams(mu=0.3, eps=0.5, b=zero_field(grid), h0=0.5)
+    zeta = zero_field(grid)
+    zeta.coefficients[0, 0] = -1.0
+    state = GNState(V=zero_field(grid, 1), zeta=zeta)
+    assert np.all(depth_grid(params, zeta) == params.h0)
+
+    nonlinear_F(params, state)
+    assert depth_check(params, state) == (False, 0.5)
+    traj = TrajectoryField(grid, np.array([0.0, 0.1]), np.stack([state.packed().coefficients] * 2))
+    ok, why = GNProblem(params, state).admissible(traj)
+    assert not ok
+    assert why == "water depth 0.5 at t=0 at or below the floor h0=0.5"
+    with pytest.raises(DomainError, match="^water depth reached 0.5 at t=0, at or below"):
+        mol_solve(params, state, 0.1, 0.05)
 
 
 def test_snapshot_norm_is_scaled_velocity_elevation_norm(grid1d, params1d, problem1d, rng):

@@ -161,6 +161,23 @@ def test_mol_depth_failure_carries_time(grid1d, params1d, rng):
     assert "t=" in str(exc.value)
 
 
+@pytest.mark.parametrize("batch", [None, 3], ids=["single", "batch"])
+def test_mol_output_check_rejects_a_nan_elevation(grid1d, batch):
+    # `nan <= h0` is false, so the output check counts a non-finite lowest
+    # depth as a violation itself: the state is refused at t=0, before a
+    # tendency is evaluated, and in a batch the message names the member
+    params = PhysicalParams(mu=0.3, eps=0.5, b=zero_field(grid1d))
+    rng = np.random.default_rng(5)
+    members = 1 if batch is None else batch
+    zg = 0.05 * rng.standard_normal((members, *grid1d.shape))
+    zg[members // 2, 7] = np.nan  # one elevation sample, of member 1 in the batch
+    zc = grid1d.from_grid(zg) if batch is None else grid1d.from_grid(zg)[None]
+    state = GNState(V=SpectralField(grid1d, np.zeros_like(zc)), zeta=SpectralField(grid1d, zc))
+    who = "" if batch is None else " in member 1"
+    with pytest.raises(DomainError, match=f"^water depth reached nan at t=0{who}, at or below"):
+        mol_solve(params, state, 0.1, 0.05)
+
+
 def test_mol_fourth_order_self_convergence():
     grid = GridSpec(dimension=1, nodes_per_axis=32, domain_length=2 * math.pi)
     bathy = random_field(grid, 1, np.random.default_rng(5), amplitude=0.05, decay=5.0)

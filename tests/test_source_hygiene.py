@@ -130,3 +130,33 @@ def test_package_runs_in_one_thread():
     assert sources, f"no sources under {PACKAGE}"
     hits = [hit for path in sources for hit in _concurrency_imports(path)]
     assert hits == []
+
+
+def _private_caches(path: Path) -> list[str]:
+    """Definitions or calls of a `_cached` helper and any `._cache` attribute."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            bad = node.name == "_cached"
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            bad = name == "_cached"
+        elif isinstance(node, ast.Attribute):
+            bad = node.attr == "_cache"
+        else:
+            continue
+        if bad:
+            hits.append(f"{path.name}:{node.lineno}")
+    return hits
+
+
+def test_derived_arrays_are_cached_one_way():
+    # an array derived from a grid or from the parameters is a
+    # functools.cached_property of its owner (GridSpec, PhysicalParams), so
+    # there is one place to find it and one way it is built
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources, f"no sources under {PACKAGE}"
+    hits = [hit for path in sources for hit in _private_caches(path)]
+    assert hits == []
