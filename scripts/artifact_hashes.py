@@ -1,10 +1,13 @@
 """sha256 table of the CLI artifacts on the shipped configs.
 
 Runs `schedule` (defaults), `solve` and `convergence` on
-`configs/benchmark.json`, `stability` on `configs/stability.json` and
-`scaling` on both shipped scaling configs, each into its own directory
-under a temporary directory, and prints one markdown row per artifact with
-the first 16 hex digits of its sha256:
+`configs/benchmark.json`, `stability` on `configs/stability.json`,
+`scaling` on both shipped scaling configs, and `solve` on a 2D variant of
+`configs/benchmark.json` (16^2 grid, random bathymetry, written into the
+temporary directory; the only row through the 2D and b != 0 operator
+branches). Each run writes into its own directory under a temporary
+directory, and the script prints one markdown row per artifact with the
+first 16 hex digits of its sha256:
 
     | command and config | artifact | sha256 |
 
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -31,8 +35,17 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-#: (label, command, config relative to the root or None for the defaults,
-#: artifacts the command writes).
+#: configs/benchmark.json on a 16^2 grid with the flagship's retained band
+#: (|k| <= 4 per axis) over random bathymetry, for T = 0.2.
+BENCHMARK_2D = ("configs/benchmark.json", {
+    "grid": {"dimension": 2, "nodes": 16, "dealias_fraction": 0.5},
+    "physics": {"bathymetry": {"type": "random", "amplitude": 0.05, "decay": 5.0, "seed": 101}},
+    "run": {"T": 0.2},
+})
+
+#: (label, command, config, artifacts the command writes). The config is a
+#: path relative to the root, None for the defaults, or (path, sections to
+#: update) for a config written into the temporary directory.
 RUNS = [
     ("`schedule` (default)", "schedule", None, ["schedule.json"]),
     ("`solve`, `configs/benchmark.json`", "solve", "configs/benchmark.json", [
@@ -57,11 +70,32 @@ RUNS = [
     ]),
     ("`scaling`, `configs/scaling_eps_sqrt_mu.json`", "scaling",
      "configs/scaling_eps_sqrt_mu.json", ["scaling.csv", "scaling.json"]),
+    ("`solve`, `configs/benchmark.json` in 2D, random bathymetry", "solve", BENCHMARK_2D, [
+        "solution_mol.nmtrj.bin",
+        "solution_nash_moser.nmtrj.bin",
+        "solve_report.json",
+        "trace.csv",
+    ]),
 ]
 
 
 def _sha16(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+
+
+def _config_path(root: Path, config, tmp: Path, i: int) -> Path | None:
+    """The `--config` file of run `i` (see `RUNS`), or None for the defaults."""
+    if config is None:
+        return None
+    if isinstance(config, str):
+        return root / config
+    base, sections = config
+    cfg = json.loads((root / base).read_text())
+    for name, values in sections.items():
+        cfg.setdefault(name, {}).update(values)
+    path = tmp / f"{i}-config.json"
+    path.write_text(json.dumps(cfg))
+    return path
 
 
 def main() -> int:
@@ -78,8 +112,9 @@ def main() -> int:
         for i, (label, command, config, artifacts) in enumerate(RUNS):
             out = Path(tmp) / f"{i}-{command}"
             cmd = [sys.executable, "-m", "nmshallow", command, "--out", str(out)]
-            if config is not None:
-                cmd += ["--config", str(root / config)]
+            path = _config_path(root, config, Path(tmp), i)
+            if path is not None:
+                cmd += ["--config", str(path)]
             proc = subprocess.run(cmd, cwd=tmp, env=env, capture_output=True, text=True)
             if proc.returncode != 0:
                 failed = True

@@ -80,9 +80,16 @@ The elliptic solves of a batch run in one `_pcg` call, a numpy PCG that
 repeats, member by member, the arithmetic of `scipy.sparse.linalg.cg`
 (tests compare them byte for byte): per-member norms and inner products,
 the stopping rule norm(r) < tol * norm(b), a zero right side returned as it
-is, and a preconditioner from each member's own mean depth. Members that
-have converged leave the batch, and a ConvergenceError names the members
-that did not converge. Its per-member reductions are row operations over
+is, and a preconditioner from each member's own mean depth hbar. Members
+that have converged leave the batch, and a ConvergenceError names the
+members that did not converge. The preconditioner is the exact inverse of
+the flat operator at depth hbar: the longitudinal part of V (along xi)
+takes the dispersive symbol 1/(hbar + mu |xi|^2 hbar^3/3) and, in 2D, the
+transverse (divergence-free) part takes 1/hbar, since at constant depth
+bigT multiplies it by h alone. With the dispersive symbol on every
+component, the 2D solve took 49 CG iterations on a flat bottom as over
+random bathymetry (64^2): the transverse modes, not the bathymetry, were
+mis-scaled. The split takes 6. Its per-member reductions are row operations over
 the batch (`np.vecdot`, `_row_norms`) with the bits of the per-row calls
 (a test checks this on the installed numpy).
 The one exception to the batched layout is inside the solver: a batch of
@@ -472,10 +479,14 @@ def invert_bigT(
     """Solve bigT W = V by preconditioned conjugate gradients.
 
     The discrete operator is symmetric positive definite on the dealiased band
-    (quadratic form bounded below by h0 |.|^2), so CG applies; the
-    preconditioner is the constant-coefficient symbol (hbar + mu |xi|^2
-    hbar^3/3)^{-1} at the mean depth hbar. Terminates when the L2 residual
-    drops below tol * |V|_{L2}; raises ConvergenceError otherwise.
+    (quadratic form bounded below by h0 |.|^2), so CG applies. The
+    preconditioner is the exact inverse of the flat operator at the mean
+    depth hbar, whose symbol is hbar I + (mu hbar^3/3) xi xi^T: the
+    longitudinal part of the residual takes (hbar + mu |xi|^2 hbar^3/3)^{-1}
+    and, in 2D, the transverse part 1/hbar (see `_bigT_operators`). At a
+    constant depth on a flat bottom one iteration solves the system.
+    Terminates when the L2 residual drops below tol * |V|_{L2}; raises
+    ConvergenceError otherwise.
 
     A batched V (with h batched alike) solves every member in one `_pcg`
     call, each with its own preconditioner, stopping rule and result. `x0`
@@ -532,19 +543,43 @@ def _bigT_operators(params: PhysicalParams, hg: np.ndarray):
     Returns `restrict(which)`, which gives (matvec, psolve) on the rows of
     the members in the index array `which`. A lone member runs on the
     unbatched layout (d, *shape), cheaper per matvec than a batch axis of
-    size one (see `_cg`). The preconditioner of member m is the
-    constant-coefficient symbol at its own mean depth, formed from that
-    mean as a Python float.
+    size one (see `_cg`).
+
+    The preconditioner of member m is the exact inverse of the flat
+    operator at its own mean depth hbar (formed from that mean as a Python
+    float). That operator's symbol is hbar I + (mu hbar^3/3) xi xi^T, so
+    its inverse splits along the longitudinal projector
+    P_L r = xi_unit (xi_unit . r):
+        inv_long P_L + (1/hbar) (I - P_L),
+        inv_long = 1/(hbar + mu |xi|^2 hbar^3/3).
+    In 1D, P_L is the identity (the zero mode, where xi_unit vanishes, has
+    inv_long = 1/hbar too), so psolve is the product with inv_long alone and
+    the transverse factor is not formed. In 2D the divergence-free part of V
+    only sees h: scaling it by inv_long too mis-scales its modes by up to
+    about 30x at the 64^2 cutoff, which cost 49 CG iterations per solve on
+    a flat bottom as on random bathymetry; the split symbol takes 6. Since
+    inv_long - 1/hbar = -(mu hbar^2/3) |xi|^2 inv_long, psolve forms the
+    split as
+        r/hbar + (mu hbar^2/3) inv_long (i xi) ((i xi) . r)
+    with the grid's cached 1j*xi: no unit vectors, nothing to guard at
+    xi = 0, and no grid-sized factor beyond the one the 1D product keeps.
     """
     grid = params.grid
     d = grid.dimension
     mu = params.mu
-    # stored complex (zero imaginary part), so that psolve's product skips
-    # the cast of a real factor: the same bits
+    # psolve's factors, stored complex (zero imaginary part) so that its
+    # products skip the cast of a real factor: the same bits. In 2D
+    # `inv_symbol` holds (mu hbar^2/3) inv_long (see the docstring).
     inv_symbol = np.empty(hg.shape, dtype=np.complex128)
+    inv_depth = None
+    if d > 1:
+        inv_depth = np.empty((hg.shape[0], *(1,) * (d + 1)), dtype=np.complex128)
     for m in range(hg.shape[0]):
         hbar = float(np.mean(hg[m]))
         inv_symbol[m] = 1.0 / (hbar + mu * grid.xi_sq * hbar**3 / 3.0)
+        if d > 1:
+            inv_depth[m] = 1.0 / hbar
+            inv_symbol[m] *= mu * hbar**2 / 3.0
 
     slope = params._slope
 
@@ -555,6 +590,8 @@ def _bigT_operators(params: PhysicalParams, hg: np.ndarray):
         else:
             hg_w, inv_w = hg[which], inv_symbol[which][:, None]
             gbeta_g = None if slope is None else slope[:, None]
+        if inv_depth is not None:
+            inv_w, trans_w = inv_symbol[which], inv_depth[which]
         # the depth cube of the flat matvec, formed once per solve
         h3 = hg_w * hg_w * hg_w if gbeta_g is None else None
 
@@ -563,7 +600,14 @@ def _bigT_operators(params: PhysicalParams, hg: np.ndarray):
             return out.reshape(1, -1) if lone else _rows(out)
 
         def psolve(r: np.ndarray) -> np.ndarray:
-            return (r.reshape(-1, d, *grid.shape) * inv_w).reshape(r.shape)
+            z = r.reshape(-1, d, *grid.shape)
+            if inv_depth is None:
+                return (z * inv_w).reshape(r.shape)
+            dot = _div_c(grid, z.swapaxes(0, 1))  # (i xi) . r
+            dot *= inv_w
+            out = z * trans_w
+            out += grid.i_xi * dot[:, None]
+            return out.reshape(r.shape)
 
         return matvec, psolve
 

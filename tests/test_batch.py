@@ -80,7 +80,11 @@ def _depth(params, zeta):
 
 def _scipy_cg(params, hg, b, x0, tol, max_iter):
     """The oracle: scipy's cg on one member, with the single-field bigT
-    matvec and the mean-depth preconditioner."""
+    matvec and the inverse of the flat operator at the mean depth hbar. In
+    1D that is the product with inv_long = 1/(hbar + mu |xi|^2 hbar^3/3); in
+    2D the longitudinal part P_L r = xi_unit (xi_unit . r) takes inv_long
+    and the transverse part r - P_L r takes 1/hbar, formed in the package's
+    order as r/hbar + (mu hbar^2/3) inv_long (i xi) ((i xi) . r)."""
     sla = pytest.importorskip("scipy.sparse.linalg")
     grid = params.grid
     shape = (grid.dimension, *grid.shape)
@@ -91,10 +95,16 @@ def _scipy_cg(params, hg, b, x0, tol, max_iter):
     def matvec(x):
         return gn._apply_bigT_arrays(grid, params.mu, hg, params._slope, x.reshape(shape)).reshape(-1)
 
+    def precondition(x):
+        z = x.reshape(shape)
+        if grid.dimension == 1:
+            return (z * inv_symbol).reshape(-1)
+        i_xi = grid.i_xi
+        dot = (i_xi[0] * z[0] + i_xi[1] * z[1]) * (inv_symbol * (params.mu * hbar**2 / 3.0))
+        return (z * (1.0 / hbar) + i_xi * dot).reshape(-1)
+
     A = sla.LinearOperator((n, n), matvec=matvec, dtype=np.complex128)
-    M = sla.LinearOperator(
-        (n, n), matvec=lambda x: (x.reshape(shape) * inv_symbol).reshape(-1), dtype=np.complex128
-    )
+    M = sla.LinearOperator((n, n), matvec=precondition, dtype=np.complex128)
     iters = [0]
 
     def count(_):

@@ -3,12 +3,14 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from nmshallow import cli, nash_moser
 from nmshallow.cli import main
 from nmshallow.errors import DivergenceError
+from nmshallow.fourier_scale import load_trajectory
 from nmshallow.gn_problem import GNProblem
 from nmshallow.nash_moser import IterationTrace
 
@@ -372,3 +374,57 @@ def test_inadmissible_iterate_exits_4_and_keeps_its_trace(runner, tmp_path, monk
     assert not (tmp_path / "solve" / "solve_report.json").exists()
     ind = json.loads((tmp_path / "convergence" / "induction.json").read_text())
     assert ind["converged"] is False and ind["stop_reason"] == "inadmissible"
+
+
+# ------------------------------------------------------------- 2D end to end
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _benchmark_2d(tmp_path, bathymetry):
+    """configs/benchmark.json on a 16^2 grid with the flagship's retained band
+    (|k| <= 4 per axis, as on its 128 nodes), over T = 0.2."""
+    cfg = json.loads((ROOT / "configs" / "benchmark.json").read_text())
+    cfg["grid"].update(dimension=2, nodes=16, dealias_fraction=0.5)
+    cfg["run"]["T"] = 0.2
+    cfg["physics"]["bathymetry"] = bathymetry
+    return _write_cfg(tmp_path, cfg, name=f"benchmark_2d_{bathymetry['type']}.json")
+
+
+def _mass_drift(traj):
+    mean = traj.snapshots[:, traj.grid.dimension].reshape(traj.n_times, -1)[:, 0]
+    return float(np.max(np.abs(mean - mean[0])))
+
+
+def test_solve_2d_over_random_bathymetry(runner, tmp_path):
+    cfg = _benchmark_2d(
+        tmp_path, {"type": "random", "amplitude": 0.05, "decay": 5.0, "seed": 101}
+    )
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        res = runner.invoke(main, ["solve", "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        rep = json.loads((out / "solve_report.json").read_text())
+        assert rep["nash_moser"]["stop_reason"] == "converged"
+        assert rep["nash_moser"]["final_residual"] <= 1e-8
+        assert rep["agreement_sup_x0"] <= 1e-6
+        for name in ("solution_mol.nmtrj", "solution_nash_moser.nmtrj"):
+            traj = load_trajectory(out / name)
+            assert traj.grid.dimension == 2
+            assert _mass_drift(traj) <= 1e-11, name
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_convergence_2d_flat_bottom_holds_every_induction_property(runner, tmp_path):
+    cfg = _benchmark_2d(tmp_path, {"type": "zero"})
+    out = tmp_path / "o"
+    res = runner.invoke(main, ["convergence", "--config", cfg, "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    ind = json.loads((out / "induction.json").read_text())
+    assert ind["converged"] is True
+    report = ind["report"]
+    for prop in ("prop_i", "prop_ii", "prop_iii"):
+        assert report[prop] and all(report[prop]), prop
