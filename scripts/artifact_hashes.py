@@ -2,10 +2,10 @@
 
 Runs `schedule` (defaults), `solve` and `convergence` on
 `configs/benchmark.json`, `stability` on `configs/stability.json`,
-`scaling` on both shipped scaling configs, and `solve` on a 2D variant of
+`scaling` on both shipped scaling configs, `solve` on a 2D variant of
 `configs/benchmark.json` (16^2 grid, random bathymetry, written into the
 temporary directory; the only row through the 2D and b != 0 operator
-branches). Each run writes into its own directory under a temporary
+branches), and `validate` (its own invariant suite, no config). Each run writes into its own directory under a temporary
 directory, and the script prints one markdown row per artifact with the
 first 16 hex digits of its sha256:
 
@@ -76,6 +76,7 @@ RUNS = [
         "solve_report.json",
         "trace.csv",
     ]),
+    ("`validate`", "validate", None, ["validate.json"]),
 ]
 
 

@@ -33,6 +33,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import DomainError
+
 __all__ = [
     "GridSpec",
     "SpectralField",
@@ -510,6 +512,21 @@ def _time_derivative_arrays(snaps: np.ndarray, dt: float) -> np.ndarray:
     out[0] = (-3.0 * snaps[0] + 4.0 * snaps[1] - snaps[2]) / (2.0 * dt)
     out[-1] = (3.0 * snaps[-1] - 4.0 * snaps[-2] + snaps[-3]) / (2.0 * dt)
     return out
+
+
+def _uniform_steps(T: float, dt: float) -> int:
+    """Number of steps of the uniform time grid of [0, T] with step dt.
+
+    dt divides T when the grid's own step T/n, n = round(T/dt), equals dt to
+    1e-8 relative; otherwise DomainError, with every digit of both steps.
+    """
+    n = max(1, int(round(T / dt)))
+    if abs(T / n - dt) > 1e-8 * dt:
+        raise DomainError(
+            f"dt={dt!r} does not divide the horizon T={T!r} "
+            f"(nearest uniform grid uses dt={T / n!r})"
+        )
+    return n
 
 
 def _chunks(n: int) -> list[slice]:

@@ -45,9 +45,9 @@ class GNProblem(ProblemInterface):
     initial: physical state at t = 0 (identical in filtered variables).
     forcing_fn: optional physical right-hand side sampler t -> packed
         coefficient array; the engine sees its filtered version.
-    substituted: coefficient-assembly mode passed to the linearization
-        (True = the reduced form whose time derivatives were eliminated
-        through the equations; False = the exact derivative).
+
+    `linearize` builds the substituted coefficients, whose time derivatives
+    were eliminated through the equations (see `build_linearized_coeffs`).
     """
 
     def __init__(
@@ -56,14 +56,12 @@ class GNProblem(ProblemInterface):
         initial: GNState,
         forcing_fn=None,
         tol: float = 1e-12,
-        substituted: bool = True,
     ) -> None:
         self.params = params
         self.grid: GridSpec = initial.grid
         self._initial = initial.packed()
         self._forcing_fn = forcing_fn
         self.tol = tol
-        self.substituted = substituted
 
     # -- engine capabilities ------------------------------------------------
 
@@ -78,9 +76,7 @@ class GNProblem(ProblemInterface):
 
     def linearize(self, uref: TrajectoryField) -> LinearizedCoeffs:
         phys = conjugate_trajectory(self.params, uref, direction=+1)
-        return build_linearized_coeffs(
-            self.params, phys, substituted=self.substituted, tol=self.tol
-        )
+        return build_linearized_coeffs(self.params, phys, tol=self.tol)
 
     def solve_linearized(
         self,

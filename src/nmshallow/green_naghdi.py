@@ -38,14 +38,15 @@ Operators (beta denotes eps*b wherever the model equations use it):
 
 Flat-bottom assembly
 --------------------
-`nonlinear_F`, `apply_K` and `apply_N` are each assembled once: list the
-grid samples needed, transform them, list the grid products, transform them
-back, combine the coefficients. The terms carrying grad(beta) (Q, its
-derivative in N1, the slope terms of T) are formed only when b has a nonzero
-coefficient, which `PhysicalParams._slope` decides once. On a flat bottom
-they vanish identically, T[h, 0] V = -(1/3) grad(h^3 div V) keeps one term,
-and each list goes through one stacked `GridSpec.to_grid` or
-`GridSpec.from_grid` call; with bathymetry each entry keeps its own call,
+`nonlinear_F` and `apply_K` are each assembled once (`_tendency_rows`,
+`_K_rows`): list the grid samples needed, transform them, list the grid
+products, transform them back, combine the coefficients. The terms carrying
+grad(beta) (Q, its derivative in N1, the slope terms of T) are formed only
+when b has a nonzero coefficient, which `PhysicalParams._slope` decides
+once. On a flat bottom they vanish identically, T[h, 0] V =
+-(1/3) grad(h^3 div V) keeps one term, and each list goes through one
+stacked `GridSpec.to_grid` or `GridSpec.from_grid` call; with bathymetry
+each entry keeps its own call,
 since stacking the 2D transforms of that branch measured slower. The CG
 matvec `_apply_bigT_arrays`, the hottest loop, has the stacked flat form and,
 with bathymetry, the term-by-term form of `_T_terms`. A stacked transform
@@ -73,8 +74,8 @@ the same bits as its own single call, whatever shares its batch (tests
 compare them byte for byte). Reductions of one field (`sobolev_norm`,
 `validate`, `depth_check`, `energy_E`) refuse a batch; `x_norm_packed` gives
 one norm per member. `build_linearized_coeffs` assembles a trajectory in
-chunks of snapshots, each chunk a batch. The linearized operators
-(`apply_K`, `apply_N`) stay single-field.
+chunks of snapshots, each chunk a batch. The linearized operator
+`apply_K` stays single-field.
 
 The elliptic solves of a batch run in one `_pcg` call, a numpy PCG that
 repeats, member by member, the arithmetic of `scipy.sparse.linalg.cg`
@@ -122,7 +123,6 @@ __all__ = [
     "invert_bigT",
     "nonlinear_F",
     "build_linearized_coeffs",
-    "apply_N",
     "apply_K",
     "frechet_F",
     "x_norm",
@@ -859,9 +859,9 @@ class LinearizedCoeffs:
     operators T[., eps b] and Q[., eps b] of the model; the finite-difference
     derivative tests pin this down). `abar` and `bbar` are built by default
     with the on-solution substitution grad(zetabar) + eps*F1[ubar] ->
-    -eps*dtVbar (flag `substituted`); the exact assembly re-evaluates the
-    nonlinear velocity tendency and is the true Frechet derivative, used by
-    the derivative-consistency tests.
+    -eps*dtVbar (flag `substituted`, see `build_linearized_coeffs`); the
+    exact assembly re-evaluates the nonlinear velocity tendency and is the
+    true Frechet derivative, used by the derivative-consistency tests.
     """
 
     grid: GridSpec
@@ -869,7 +869,6 @@ class LinearizedCoeffs:
     Vbar: np.ndarray        # (nt, d, *shape)
     zetabar: np.ndarray     # (nt, *shape)
     hbar: np.ndarray        # (nt, *shape)
-    dtVbar: np.ndarray      # (nt, d, *shape)
     abar: np.ndarray        # (nt, *shape)
     bbar: np.ndarray        # (nt, d, *shape)
     divVbar: np.ndarray     # (nt, *shape)
@@ -902,7 +901,7 @@ class LinearizedCoeffs:
         """Linear interpolation of every coefficient array at time t."""
         i, j, w = self.bracket(t)
         names = [
-            "Vbar", "zetabar", "hbar", "dtVbar", "abar", "bbar",
+            "Vbar", "zetabar", "hbar", "abar", "bbar",
             "divVbar", "gradVbar", "graddivVbar", "grad_vbarbeta",
         ]
         out = {}
@@ -1016,7 +1015,6 @@ def build_linearized_coeffs(
         Vbar=Vbar,
         zetabar=zetabar,
         hbar=hbar,
-        dtVbar=dtVbar,
         abar=abar,
         bbar=bbar,
         divVbar=divVbar,
@@ -1024,146 +1022,6 @@ def build_linearized_coeffs(
         graddivVbar=graddivVbar,
         grad_vbarbeta=grad_vbarbeta,
         substituted=substituted,
-    )
-
-
-def _N1_inputs(grid: GridSpec, v: GNState) -> list[np.ndarray]:
-    """Coefficients of V, zeta, div V, grad div V and grad V (row i: grad
-    V_i), whose grid samples `_N1_products` reads."""
-    d = grid.dimension
-    Vc = v.V.coefficients
-    Xc = _div_c(grid, Vc)
-    return [
-        Vc,
-        v.zeta.coefficients[0],
-        Xc,
-        _grad_c(grid, Xc),
-        np.stack([_grad_c(grid, Vc[i]) for i in range(d)]),
-    ]
-
-
-def _N1_products(
-    coeffs_t: dict[str, np.ndarray],
-    params: PhysicalParams,
-    Vg: np.ndarray,
-    zg: np.ndarray,
-    Xg: np.ndarray,
-    grad_X_g: np.ndarray,
-    grad_V_g: np.ndarray,
-) -> list[np.ndarray]:
-    """Grid products whose coefficients `_N1_from_products` assembles into
-    N1 V + bbar zeta + mu grad(hbar abar zeta), at one time.
-
-    The part of the linearized momentum row that `apply_N` and `apply_K`
-    share; each adds its own 1/eps term. On a flat bottom the Q derivative
-    of N1 vanishes and is left out.
-    """
-    grid = params.grid
-    d = grid.dimension
-    gbeta = params._slope
-
-    hbar = coeffs_t["hbar"]
-    Vbar = coeffs_t["Vbar"]
-    divVbar = coeffs_t["divVbar"]
-    gradVbar = coeffs_t["gradVbar"]
-    graddivVbar = coeffs_t["graddivVbar"]
-
-    adv = np.stack(
-        [_dot_g(Vbar, grad_V_g[i]) + _dot_g(Vg, gradVbar[i]) for i in range(d)]
-    )
-    # hbar^3 (D_Vbar(div V) + D_V(div Vbar))
-    dsym2 = (
-        -_dot_g(Vbar, grad_X_g)
-        + divVbar * Xg
-        - _dot_g(Vg, graddivVbar)
-        + Xg * divVbar
-    )
-    # bbar zeta and hbar abar zeta: N2 zeta without its 1/eps part
-    parts = [
-        hbar[None] * adv,
-        hbar**3 * dsym2,
-        zg[None] * coeffs_t["bbar"],
-        hbar * coeffs_t["abar"] * zg,
-    ]
-    if gbeta is not None:
-        # 2 mu Q_bil[hbar, eps b](V, Vbar): the derivative of the quadratic
-        # form mu Q coincides with twice the diagonal-normalized bilinear form.
-        vb = _dot_g(gbeta, Vg)
-        grad_vb = grid.to_grid(_grad_c(grid, grid.from_grid(vb)))
-        sym2 = 0.5 * (_dot_g(Vg, coeffs_t["grad_vbarbeta"]) + _dot_g(Vbar, grad_vb))
-        parts += [
-            hbar**2 * sym2,
-            (hbar * (0.5 * hbar * dsym2 + 2.0 * sym2))[None] * gbeta,
-        ]
-    return parts
-
-
-def _N1_from_products(grid: GridSpec, mu: float, parts: list[np.ndarray]) -> np.ndarray:
-    """Unprojected N1 V + bbar zeta + mu grad(hbar abar zeta) from the
-    coefficients of `_N1_products`."""
-    row1 = parts[0]
-    row1 += (mu / 3.0) * _grad_c(grid, parts[1])
-    if len(parts) > 4:
-        row1 += mu * (_grad_c(grid, parts[4]) + parts[5])
-    row1 += parts[2]
-    row1 += mu * _grad_c(grid, parts[3])
-    return row1
-
-
-def _apply_N_rows(
-    coeffs_t: dict[str, np.ndarray],
-    params: PhysicalParams,
-    v: GNState,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(N1 V + N2 zeta, N3 V + N4 zeta) on coefficient arrays, at one time."""
-    grid = v.grid
-    eps = params.eps
-    hbar = coeffs_t["hbar"]
-    flat = params._slope is None
-
-    Vg, zg, Xg, grad_X_g, grad_V_g, gz_g = _transform(
-        grid.to_grid,
-        grid,
-        [*_N1_inputs(grid, v), _grad_c(grid, v.zeta.coefficients[0])],
-        flat,
-    )
-    n1 = _N1_products(coeffs_t, params, Vg, zg, Xg, grad_X_g, grad_V_g)
-    h_gz, hV, zV, *n1_c = _transform(
-        grid.from_grid,
-        grid,
-        [(hbar / eps)[None] * gz_g, hbar[None] * Vg, zg[None] * coeffs_t["Vbar"], *n1],
-        flat,
-    )
-    row1 = _N1_from_products(grid, params.mu, n1_c)
-    row1 += h_gz
-    row1 = grid.project(row1)
-
-    row2 = (1.0 / eps) * _div_c(grid, hV)
-    row2 += _div_c(grid, zV)
-    row2 = grid.project(row2)
-    return row1, row2
-
-
-def apply_N(
-    coeffs: LinearizedCoeffs,
-    params: PhysicalParams,
-    t: int | float,
-    v: GNState,
-) -> GNState:
-    """Full frozen-coefficient operator (N1 V + N2 zeta, N3 V + N4 zeta).
-
-    `t` is a snapshot index (int) or a time (float, linearly interpolating the
-    coefficient snapshots). The mass term bigT d/dt V is *not* included.
-    """
-    if isinstance(t, (int, np.integer)):
-        if not (0 <= t < coeffs.n_times):
-            raise IndexError(f"snapshot index {t} out of range 0..{coeffs.n_times - 1}")
-        coeffs_t = coeffs.at_time(float(coeffs.times[t]))
-    else:
-        coeffs_t = coeffs.at_time(float(t))
-    row1, row2 = _apply_N_rows(coeffs_t, params, v)
-    return GNState(
-        V=SpectralField(v.grid, row1), zeta=SpectralField(v.grid, row2[None]), t=v.t
     )
 
 
@@ -1182,10 +1040,15 @@ def apply_K(
         K1 v = bigTbar^{-1}[ N1 V + bbar zeta + mu grad(hbar abar zeta)
                              - (mu/eps) Tbar grad zeta ]
         K2 v = div((zetabar - b) V) + div(zeta Vbar)
+        N1 V = hbar [(Vbar.grad)V + (V.grad)Vbar]
+               + (mu/3) grad(hbar^3 [D_Vbar(div V) + D_V(div Vbar)])
+               + 2 mu Q_bil[hbar, eps b](V, Vbar)
     (the 1/eps parts of N2/N3 reduce against L exactly, using
-    (hbar-1)/eps = zetabar - b pointwise). One elliptic solve per call;
-    returns (K v, raw CG solution vector) so callers can warm-start the next
-    solve with the returned vector.
+    (hbar-1)/eps = zetabar - b pointwise; Q_bil is the symmetric bilinear
+    form of Q). The coefficients are interpolated linearly in time between
+    snapshots and the momentum row is assembled by `_K_rows`. One elliptic
+    solve per call; returns (K v, raw CG solution vector) so callers can
+    warm-start the next solve with the returned vector.
     """
     grid = v.grid
     rhs, h_c, flux_c, zV_c = _K_rows(coeffs.at_time(float(t)), params, v)
@@ -1204,46 +1067,90 @@ def _K_rows(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Projected bigTbar K1 v, and the coefficients of hbar, (zetabar - b) V
     and zeta Vbar, at one time; a function of its own so that its
-    temporaries are freed before the CG solve."""
+    temporaries are freed before the CG solve.
+
+    The one assembly of the linearized momentum row
+        N1 V + bbar zeta + mu grad(hbar abar zeta) - (mu/eps) Tbar grad zeta,
+        N1 V = hbar [(Vbar.grad)V + (V.grad)Vbar]
+               + (mu/3) grad(hbar^3 [D_Vbar(div V) + D_V(div Vbar)])
+               + 2 mu Q_bil[hbar, eps b](V, Vbar),
+    with Q_bil the symmetric bilinear form of Q (`_apply_Q_bilinear_arrays`):
+    the derivative of the quadratic form mu Q is twice its diagonal-normalized
+    bilinear form. On a flat bottom the Q term vanishes and is not formed.
+    The coefficients are summed in the order written above.
+    """
     grid = v.grid
+    d = grid.dimension
     mu, eps = params.mu, params.eps
     hbar = coeffs_t["hbar"]
+    Vbar = coeffs_t["Vbar"]
+    divVbar = coeffs_t["divVbar"]
+    gradVbar = coeffs_t["gradVbar"]
+    graddivVbar = coeffs_t["graddivVbar"]
     gbeta_g = params._slope
     flat = gbeta_g is None
 
+    Vc = v.V.coefficients
+    Xc = _div_c(grid, Vc)
     gz_c = _grad_c(grid, v.zeta.coefficients[0])
     grids = _transform(
         grid.to_grid,
         grid,
         [
-            *_N1_inputs(grid, v),
+            Vc,
+            v.zeta.coefficients[0],
+            Xc,
+            _grad_c(grid, Xc),
+            np.stack([_grad_c(grid, Vc[i]) for i in range(d)]),  # row i: grad V_i
             _div_c(grid, gz_c),
             *([] if flat else [gz_c]),  # grad(beta).grad(zeta) in Tbar
         ],
         flat,
     )
     Vg, zg, Xg, grad_X_g, grad_V_g, lap_z_g = grids[:6]
-    gz_g = None if flat else grids[6]
-    n1 = _N1_products(coeffs_t, params, Vg, zg, Xg, grad_X_g, grad_V_g)
-    h_c, flux_c, zV_c, *rest = _transform(
-        grid.from_grid,
-        grid,
-        [
-            hbar,
-            (coeffs_t["zetabar"] - params.b_grid)[None] * Vg,
-            zg[None] * coeffs_t["Vbar"],
-            *n1,
-            *([hbar * hbar * hbar * lap_z_g] if flat else []),
-        ],
-        flat,
+
+    adv = np.stack(
+        [_dot_g(Vbar, grad_V_g[i]) + _dot_g(Vg, gradVbar[i]) for i in range(d)]
+    )
+    # D_Vbar(div V) + D_V(div Vbar)
+    dsym2 = (
+        -_dot_g(Vbar, grad_X_g)
+        + divVbar * Xg
+        - _dot_g(Vg, graddivVbar)
+        + Xg * divVbar
+    )
+    products = [
+        hbar,
+        (coeffs_t["zetabar"] - params.b_grid)[None] * Vg,
+        zg[None] * Vbar,
+        hbar[None] * adv,
+        hbar**3 * dsym2,
+        zg[None] * coeffs_t["bbar"],
+        hbar * coeffs_t["abar"] * zg,
+    ]
+    if flat:
+        products.append(hbar * hbar * hbar * lap_z_g)
+    else:
+        vb = _dot_g(gbeta_g, Vg)
+        grad_vb = grid.to_grid(_grad_c(grid, grid.from_grid(vb)))
+        sym2 = 0.5 * (_dot_g(Vg, coeffs_t["grad_vbarbeta"]) + _dot_g(Vbar, grad_vb))
+        products += [
+            hbar**2 * sym2,
+            (hbar * (0.5 * hbar * dsym2 + 2.0 * sym2))[None] * gbeta_g,
+        ]
+    h_c, flux_c, zV_c, rhs, h3_dsym2, bbar_z, habar_z, *rest = _transform(
+        grid.from_grid, grid, products, flat
     )
 
+    rhs += (mu / 3.0) * _grad_c(grid, h3_dsym2)
     # Tbar grad zeta; on a flat bottom -(1/3) grad(hbar^3 div grad zeta)
     if flat:
-        T = -(1.0 / 3.0) * _grad_c(grid, rest[len(n1)])
+        T = -(1.0 / 3.0) * _grad_c(grid, rest[0])
     else:
-        T = _T_terms(grid, hbar, gbeta_g, gz_g, lap_z_g)
-    rhs = _N1_from_products(grid, mu, rest[: len(n1)])
+        rhs += mu * (_grad_c(grid, rest[0]) + rest[1])
+        T = _T_terms(grid, hbar, gbeta_g, grids[6], lap_z_g)
+    rhs += bbar_z
+    rhs += mu * _grad_c(grid, habar_z)
     rhs += -(mu / eps) * grid.project(T)
     return grid.project(rhs), h_c, flux_c, zV_c
 

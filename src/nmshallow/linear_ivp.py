@@ -57,7 +57,7 @@ import numpy as np
 
 from . import green_naghdi as gn
 from .errors import DomainError, StepSizeError
-from .fourier_scale import GridSpec, SpectralField, TrajectoryField, _chunks
+from .fourier_scale import GridSpec, SpectralField, TrajectoryField, _chunks, _uniform_steps
 from .green_naghdi import GNState, LinearizedCoeffs, PhysicalParams, apply_K
 
 __all__ = [
@@ -206,7 +206,11 @@ def dispersive_dt_cap(params: PhysicalParams, grid: GridSpec, safety: float = 0.
 def _forcing_sampler(
     ivp: IVPData, grid: GridSpec, n_steps: int
 ) -> Callable[[float], np.ndarray | None]:
-    """Closure returning the packed forcing at an arbitrary stage time."""
+    """Closure returning the packed forcing at an arbitrary stage time.
+
+    A forcing trajectory must be sampled on the output grid: n_steps + 1
+    snapshots spanning the horizon (to 1e-8 relative), else DomainError.
+    """
     if ivp.forcing_fn is not None:
         fn = ivp.forcing_fn
 
@@ -219,10 +223,10 @@ def _forcing_sampler(
         return lambda t: None
 
     traj = ivp.forcing
-    if traj.n_times != n_steps + 1:
+    if traj.n_times != n_steps + 1 or abs(traj.duration - ivp.horizon) > 1e-8 * ivp.horizon:
         raise DomainError(
-            f"forcing trajectory has {traj.n_times} snapshots; the output grid "
-            f"needs {n_steps + 1}"
+            f"forcing trajectory spans [0, {traj.duration!r}] in {traj.n_times} snapshots; "
+            f"the output grid spans [0, {ivp.horizon!r}] in {n_steps + 1}"
         )
     snaps = traj.snapshots
     dtf = traj.time_step
@@ -275,13 +279,8 @@ def _integrate_filtered(
     grid = ivp.initial.grid
     d = grid.dimension
     eps = params.eps
-    n_steps = max(1, int(round(ivp.horizon / ivp.dt)))
+    n_steps = _uniform_steps(ivp.horizon, ivp.dt)
     dt_out = ivp.horizon / n_steps
-    if abs(dt_out - ivp.dt) > 1e-8 * ivp.dt:
-        raise DomainError(
-            f"dt={ivp.dt:g} does not divide the horizon T={ivp.horizon:g} "
-            f"(nearest uniform grid uses dt={dt_out:g})"
-        )
     sample_f = _forcing_sampler(ivp, grid, n_steps)
 
     cap = dispersive_dt_cap(params, grid)

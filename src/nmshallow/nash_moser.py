@@ -37,6 +37,7 @@ from .fourier_scale import (
     TrajectoryField,
     _chunks,
     _member_norms,
+    _uniform_steps,
     time_derivative,
     trajectory_norm,
 )
@@ -394,9 +395,7 @@ def initial_iterate(problem: ProblemInterface, T: float, dt: float) -> Trajector
     residual's time derivative cancels the tendency at t = 0 up to
     quadrature error.
     """
-    n_steps = max(1, int(round(T / dt)))
-    if abs(n_steps * dt - T) > 1e-8 * max(T, 1.0):
-        raise DomainError(f"dt={dt:g} does not divide the horizon T={T:g}")
+    n_steps = _uniform_steps(T, dt)
     if n_steps < 2:
         raise DomainError("need at least 2 time steps (3 snapshots) on the horizon")
     times = np.linspace(0.0, T, n_steps + 1)
@@ -617,7 +616,8 @@ def nash_moser_solve(
     Starts from the trapezoid initial iterate; each pass solves the
     linearized problem with forcing -phi1(u_k) and initial defect
     g - u_k(0), applies the sharp low-pass at scale theta_k to the
-    correction, and raises theta geometrically (theta_{k+1} = theta_k^r).
+    correction, and raises theta doubly exponentially (theta_{k+1} =
+    theta_k^r, so theta_k = theta0^(r^k)).
     On divergence (3 consecutive residual growths by more than 10x, or a
     non-finite residual) the run restarts with theta0 doubled, up to
     `max_retries` times, before the divergence error (trace attached)

@@ -20,7 +20,6 @@ from nmshallow.green_naghdi import (
     PhysicalParams,
     apply_bigT,
     apply_K,
-    apply_N,
     bigT_pairing,
     build_linearized_coeffs,
     depth_check,
@@ -235,33 +234,6 @@ def test_linearized_coeffs_reject_low_depth(params1d, grid1d):
         build_linearized_coeffs(params1d, uref)
 
 
-def test_apply_N_frechet_wiring(params1d, grid1d, rng):
-    # frechet_F == bigT^{-1}(N rows) - (1/eps) * (grad zeta, div V)
-    u = GNState(
-        V=random_field(grid1d, 1, rng, amplitude=0.1, decay=3.0),
-        zeta=random_field(grid1d, 1, rng, amplitude=0.1, decay=3.0),
-    )
-    v = GNState(
-        V=random_field(grid1d, 1, rng, amplitude=1.0, decay=3.0),
-        zeta=random_field(grid1d, 1, rng, amplitude=1.0, decay=3.0),
-    )
-    upk = u.packed().coefficients
-    uref = TrajectoryField(grid1d, np.array([0.0, 1.0]), np.stack([upk, upk]))
-    coeffs = build_linearized_coeffs(params1d, uref, substituted=False)
-
-    lhs = frechet_F(coeffs, params1d, 0, v)
-    rows = apply_N(coeffs, params1d, 0, v)
-    h = _depth_field(params1d, u.zeta)
-    inv = invert_bigT(params1d, h, rows.V, tol=1e-13)
-    xi = grid1d.wavenumbers()[0]
-    grad_z = 1j * np.broadcast_to(xi, grid1d.shape) * v.zeta.coefficients
-    div_v = 1j * np.broadcast_to(xi, grid1d.shape) * v.V.coefficients[0]
-    expect_V = inv.coefficients - grad_z / params1d.eps
-    expect_z = rows.zeta.coefficients[0] - div_v / params1d.eps
-    assert np.max(np.abs(lhs.V.coefficients - expect_V)) < 1e-9
-    assert np.max(np.abs(lhs.zeta.coefficients[0] - expect_z)) < 1e-11
-
-
 # --------------------------------------------------------- flat-bottom branch
 
 def _flat_case(dim, n):
@@ -291,7 +263,6 @@ def test_flat_assembly_matches_general_branch(monkeypatch, dim, n):
     flat_T = gn._apply_bigT_arrays(grid, params.mu, hg, None, v.V.coefficients)
     flat_F = nonlinear_F(params, u)
     flat_K, flat_x = apply_K(coeffs, params, 0.3, v)
-    flat_N = apply_N(coeffs, params, 0, v)
 
     # the general branch, run on b = 0 with the zero slope passed explicitly
     zero_slope = params.grad_beta_grid
@@ -300,13 +271,11 @@ def test_flat_assembly_matches_general_branch(monkeypatch, dim, n):
     gen_T = gn._apply_bigT_arrays(grid, params.mu, hg, zero_slope, v.V.coefficients)
     gen_F = nonlinear_F(params, u)
     gen_K, gen_x = apply_K(coeffs, params, 0.3, v)
-    gen_N = apply_N(coeffs, params, 0, v)
 
     assert np.array_equal(flat_T, gen_T)
     assert np.array_equal(flat_F.packed().coefficients, gen_F.packed().coefficients)
     assert np.array_equal(flat_K.packed().coefficients, gen_K.packed().coefficients)
     assert np.array_equal(flat_x, gen_x)
-    assert np.array_equal(flat_N.packed().coefficients, gen_N.packed().coefficients)
 
 
 # ------------------------------------------------- derivative kernel bits

@@ -5,15 +5,17 @@ import numpy as np
 import pytest
 
 from nmshallow import linear_ivp
-from nmshallow.errors import StepSizeError
+from nmshallow.errors import DomainError, StepSizeError
 from nmshallow.fourier_scale import (
     GridSpec,
     SpectralField,
     TrajectoryField,
+    _uniform_steps,
     random_field,
     sobolev_norm,
     zero_field,
 )
+from nmshallow.gn_problem import GNProblem
 from nmshallow.green_naghdi import GNState, PhysicalParams, build_linearized_coeffs
 from nmshallow.linear_ivp import (
     IVPData,
@@ -22,6 +24,7 @@ from nmshallow.linear_ivp import (
     evolve_packed,
     solve_linearized,
 )
+from nmshallow.nash_moser import initial_iterate
 from nmshallow.reference import mol_solve
 
 
@@ -137,14 +140,32 @@ def test_forcing_trajectory_length_checked(grid1d, params1d, state1d, rng):
     bad = TrajectoryField(
         grid1d, np.linspace(0.0, 0.2, 5), np.zeros((5, 2, 64), dtype=np.complex128)
     )
-    from nmshallow.errors import DomainError
-
     with pytest.raises(DomainError):
         solve_linearized(
             params1d,
             coeffs,
             IVPData(initial=state1d, horizon=0.2, dt=0.02, forcing=bad),
         )
+
+
+def test_forcing_trajectory_horizon_checked(grid1d, params1d, state1d, rng):
+    # the right number of snapshots over twice the horizon is not the output grid
+    f0 = random_field(grid1d, 2, rng, amplitude=0.05, decay=4.0).coefficients
+    long = TrajectoryField(grid1d, np.linspace(0.0, 0.4, 11), np.stack([f0] * 11))
+    with pytest.raises(DomainError, match=r"spans \[0, 0\.4\] in 11 snapshots"):
+        mol_solve(params1d, state1d, 0.2, 0.02, forcing=long)
+
+
+def test_dt_divides_horizon_by_one_rule(grid1d, params1d, state1d):
+    # the Nash-Moser grid and the integrator accept and reject the same dt
+    T, dt = 0.2, 0.005 * (1.0 + 2e-8)
+    with pytest.raises(DomainError) as nm:
+        initial_iterate(GNProblem(params1d, state1d), T, dt)
+    with pytest.raises(DomainError) as mol:
+        mol_solve(params1d, state1d, T, dt)
+    assert str(nm.value) == str(mol.value)
+    assert f"dt={dt!r}" in str(mol.value) and f"dt={T / 40!r}" in str(mol.value)
+    assert _uniform_steps(T, 0.005 * (1.0 + 2e-9)) == 40
 
 
 def test_ivp_validation(grid1d, state1d):

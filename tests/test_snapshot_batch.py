@@ -177,8 +177,8 @@ def _linearized_coeffs_loop(params, uref, substituted, tol=1e-12):
             abar[k] = eps * hbar[k] * d_vbar_div + vgrad2_beta - _dot(gbeta, wg) + hbar[k] * div_w
             bbar[k] = eps * advect - eps * F1g + params.mu * abar[k][None] * gbeta
     return {
-        "Vbar": Vbar, "zetabar": zetabar, "hbar": hbar, "dtVbar": dtVbar, "abar": abar,
-        "bbar": bbar, "divVbar": divVbar, "gradVbar": gradVbar, "graddivVbar": graddivVbar,
+        "Vbar": Vbar, "zetabar": zetabar, "hbar": hbar, "abar": abar, "bbar": bbar,
+        "divVbar": divVbar, "gradVbar": gradVbar, "graddivVbar": graddivVbar,
         "grad_vbarbeta": grad_vbarbeta,
     }
 
