@@ -36,28 +36,31 @@ Operators (beta denotes eps*b wherever the model equations use it):
     Q[h, beta](V)= (1/2) grad(h^2 (V.grad)^2 beta)
                    + h ( (h/2) D_V div V + (V.grad)^2 beta ) grad(beta)
 
-Flat-bottom assembly
---------------------
-`nonlinear_F` and `apply_K` are each assembled once (`_tendency_rows`,
-`_K_rows`): list the grid samples needed, transform them, list the grid
-products, transform them back, combine the coefficients. The terms carrying
-grad(beta) (Q, its derivative in N1, the slope terms of T) are formed only
-when b has a nonzero coefficient, which `PhysicalParams._slope` decides
-once. On a flat bottom they vanish identically, T[h, 0] V =
--(1/3) grad(h^3 div V) keeps one term, and each list goes through one
-stacked `GridSpec.to_grid` or `GridSpec.from_grid` call; with bathymetry
-each entry keeps its own call,
-since stacking the 2D transforms of that branch measured slower. The CG
-matvec `_apply_bigT_arrays`, the hottest loop, has the stacked flat form and,
-with bathymetry, the term-by-term form of `_T_terms`. A stacked transform
-equals the per-row ones and the zero terms change no bits, so both ways give
-the same output on b = 0 (tests compare them). On a flat bottom the matvec
-fills its stacked rows (V, div V) in place and multiplies the grid samples
-in place, and `_bigT_operators` forms the depth cube h*h*h once per solve
-instead of once per CG iteration. Gradients and divergences multiply by the
-grid's cached 1j*xi (`GridSpec.i_xi`) and the projector by its cached complex
-mask: each keeps the bits of the per-axis formulas it replaced (tests keep
-those formulas and compare byte for byte).
+Assembly
+--------
+`nonlinear_F`, `apply_K` and the CG matvec are each assembled once
+(`_tendency_rows`, `_K_rows`, `_apply_bigT_arrays`): list the grid samples
+needed, transform them, list the grid products, transform them back,
+combine the coefficients. The terms carrying grad(beta) (Q, its derivative
+in N1, the slope terms of T) are formed only when b has a nonzero
+coefficient, which `PhysicalParams._slope` decides once. On a flat bottom
+they vanish identically, T[h, 0] V = -(1/3) grad(h^3 div V) keeps one term,
+and each list goes through one stacked `GridSpec.to_grid` or
+`GridSpec.from_grid` call. With bathymetry the matvec and the tendency fold
+each slope term into a product that the flat assembly already transforms (a
+multiple of grad(beta) in a vector row, or a term of the scalar row whose
+gradient is taken). The tendency adds one transform pair, for the sym2 of
+Q, and keeps one call per entry, since stacking its lists measured slower
+on 64^2 (3.6 against 2.7 ms per call; 2-core x86 host, numpy 2.4).
+`_K_rows` keeps the term-by-term `_T_terms`. With a zero slope the folded
+products equal the flat ones, and a stacked transform equals the per-row
+ones, so both branches give the same output on b = 0 (tests compare them).
+The matvec fills its stacked rows in place, and `_bigT_operators` forms the
+depth powers h*h and h*h*h once per solve instead of once per CG iteration.
+Gradients and divergences multiply by the grid's cached 1j*xi
+(`GridSpec.i_xi`) and the projector by its cached complex mask: each keeps
+the bits of the per-axis formulas it replaced (tests keep those formulas
+and compare byte for byte).
 
 Batch axis
 ----------
@@ -66,12 +69,11 @@ axis, (components, B, *shape): independent members (ensemble runs, the
 snapshots of a trajectory) on one grid. `nonlinear_F`, `invert_bigT` and
 `apply_bigT` take single or batched states through one code path: a single
 state enters as a batch of one (`_batched`) and leaves in its own layout,
-so `_tendency_rows`, `_apply_bigT_arrays`, `_T_terms` and
-`_apply_Q_bilinear_arrays` always see (d, B, *shape), with the slope given
-a batch axis (`PhysicalParams._slope[:, None]`). Every operation
-either acts pointwise or transforms row by row, so a member's result has
-the same bits as its own single call, whatever shares its batch (tests
-compare them byte for byte). Reductions of one field (`sobolev_norm`,
+so `_tendency_rows` and `_apply_bigT_arrays` always see (d, B, *shape),
+with the slope given a batch axis (`PhysicalParams._slope[:, None]`). Every
+operation either acts pointwise or transforms row by row, so a member's
+result has the same bits as its own single call, whatever shares its batch
+(tests compare them byte for byte). Reductions of one field (`sobolev_norm`,
 `validate`, `depth_check`, `energy_E`) refuse a batch; `x_norm_packed` gives
 one norm per member. `build_linearized_coeffs` assembles a trajectory in
 chunks of snapshots, each chunk a batch. The linearized operator
@@ -370,15 +372,8 @@ def _require_admissible(
 def _T_terms(
     grid: GridSpec, hg: np.ndarray, gbeta_g: np.ndarray, Vg: np.ndarray, Xg: np.ndarray
 ) -> np.ndarray:
-    """Unprojected T[h, beta]V from grid samples of V and div V (b != 0).
-
-    Layout-agnostic: the arrays may carry a batch axis after the component
-    axis (`Vg` (d, B, *shape), `hg` (B, *shape)) if `gbeta_g` has one too.
-
-    Each product is transformed and consumed before the next is formed: on
-    the 64^2 CG matvec, forming all products first and transforming them as
-    a list ran slower.
-    """
+    """Unprojected T[h, beta]V from grid samples of V and div V (b != 0),
+    term by term with its own transforms: the linearized row `_K_rows`."""
     Yg = _dot_g(gbeta_g, Vg)
     h2 = hg * hg
     h3 = h2 * hg
@@ -395,35 +390,46 @@ def _apply_bigT_arrays(
     gbeta_g: np.ndarray | None,
     Vc: np.ndarray,
     h3: np.ndarray | None = None,
+    h2: np.ndarray | None = None,
 ) -> np.ndarray:
     """(h + mu T[h, beta]) V on coefficient arrays; gbeta_g None means flat.
 
     `Vc` is (d, *shape) with `hg` (*shape), or a batch (d, B, *shape) with
-    `hg` (B, *shape) and, with bathymetry, the slope (d, 1, *shape). On a
-    flat bottom `h3`, if given, is `hg * hg * hg`, formed once by a caller
-    that applies the operator at one depth many times (the CG matvec).
+    `hg` (B, *shape) and, with bathymetry, the slope (d, 1, *shape). `h3`
+    and `h2`, if given, are `hg * hg * hg` and `hg * hg`, formed once by a
+    caller that applies the operator at one depth many times (the CG
+    matvec); `h2` is read only with bathymetry.
+
+    V and div V go through one stacked transform pair, (d+1, ..., *shape),
+    whose rows are filled and multiplied in place. With Y = grad(beta).V
+    and X = div V,
+        bigT V = P[ c_V - (mu/3) grad c_X ],
+        c_V = hV + mu (-(1/2) h^2 X + h Y) grad(beta),
+        c_X = h^3 X - (3/2) h^2 Y,
+    the coefficients of the two rows; on a flat bottom Y = 0 and the slope
+    terms are not formed.
     """
-    if gbeta_g is None:
-        # T[h, 0] V = -(1/3) grad(h^3 div V). V and div V go through one
-        # stacked transform pair, (d+1, ..., *shape), whose rows are filled
-        # and multiplied in place.
-        if h3 is None:
-            h3 = hg * hg * hg
-        d = Vc.shape[0]
-        rows = np.empty((d + 1, *Vc.shape[1:]), dtype=np.complex128)
-        rows[:d] = Vc
-        _div_c(grid, Vc, out=rows[d])
-        g = grid.to_grid(rows)
-        np.multiply(hg, g[:d], out=g[:d])
-        np.multiply(h3, g[d], out=g[d])
-        c = grid.from_grid(g)
-        out = c[:d]
-        out += mu * (-(1.0 / 3.0) * _grad_c(grid, c[d]))
-        return grid.project(out)
-    Vg = grid.to_grid(Vc)
-    Xg = grid.to_grid(_div_c(grid, Vc))
-    out = grid.from_grid(hg[None] * Vg)
-    out += mu * _T_terms(grid, hg, gbeta_g, Vg, Xg)
+    if h3 is None:
+        h3 = hg * hg * hg
+    d = Vc.shape[0]
+    rows = np.empty((d + 1, *Vc.shape[1:]), dtype=np.complex128)
+    rows[:d] = Vc
+    _div_c(grid, Vc, out=rows[d])
+    g = grid.to_grid(rows)
+    if gbeta_g is not None:
+        if h2 is None:
+            h2 = hg * hg
+        Yg = _dot_g(gbeta_g, g[:d])
+        slope_V = (mu * (-0.5 * h2 * g[d] + hg * Yg))[None] * gbeta_g
+        slope_X = 1.5 * h2 * Yg
+    np.multiply(hg, g[:d], out=g[:d])
+    np.multiply(h3, g[d], out=g[d])
+    if gbeta_g is not None:
+        g[:d] += slope_V
+        g[d] -= slope_X
+    c = grid.from_grid(g)
+    out = c[:d]
+    out += mu * (-(1.0 / 3.0) * _grad_c(grid, c[d]))
     return grid.project(out)
 
 
@@ -592,11 +598,12 @@ def _bigT_operators(params: PhysicalParams, hg: np.ndarray):
             gbeta_g = None if slope is None else slope[:, None]
         if inv_depth is not None:
             inv_w, trans_w = inv_symbol[which], inv_depth[which]
-        # the depth cube of the flat matvec, formed once per solve
-        h3 = hg_w * hg_w * hg_w if gbeta_g is None else None
+        # the depth powers of the matvec, formed once per solve
+        h2 = hg_w * hg_w
+        h3 = h2 * hg_w
 
         def matvec(x: np.ndarray) -> np.ndarray:
-            out = _apply_bigT_arrays(grid, mu, hg_w, gbeta_g, _fields(grid, x, lone), h3)
+            out = _apply_bigT_arrays(grid, mu, hg_w, gbeta_g, _fields(grid, x, lone), h3, h2)
             return out.reshape(1, -1) if lone else _rows(out)
 
         def psolve(r: np.ndarray) -> np.ndarray:
@@ -719,40 +726,6 @@ def _pcg(restrict, b: np.ndarray, x0: np.ndarray | None, tol: float, max_iter: i
     return x, iterations, act
 
 
-# ----------------------------------------------------------------- Q forms
-
-def _apply_Q_bilinear_arrays(
-    grid: GridSpec,
-    hg: np.ndarray,
-    gbeta_g: np.ndarray,
-    Vc: np.ndarray,
-    Wc: np.ndarray,
-) -> np.ndarray:
-    """Symmetric bilinear form associated with Q[h, beta], on coefficient
-    arrays; batched like `_apply_bigT_arrays`."""
-    Vg = grid.to_grid(Vc)
-    Wg = grid.to_grid(Wc)
-    Xv = grid.to_grid(_div_c(grid, Vc))
-    Xw = grid.to_grid(_div_c(grid, Wc))
-
-    # sym2 = (1/2)[(V.grad)(W.grad)beta + (W.grad)(V.grad)beta]
-    wb = _dot_g(gbeta_g, Wg)
-    vb = _dot_g(gbeta_g, Vg)
-    grad_wb = grid.to_grid(_grad_c(grid, grid.from_grid(wb)))
-    grad_vb = grid.to_grid(_grad_c(grid, grid.from_grid(vb)))
-    sym2 = 0.5 * (_dot_g(Vg, grad_wb) + _dot_g(Wg, grad_vb))
-
-    # Dsym = (1/2)[D_V(div W) + D_W(div V)],  D_V f = -(V.grad) f + (div V) f
-    grad_Xw = grid.to_grid(_grad_c(grid, _div_c(grid, Wc)))
-    grad_Xv = grid.to_grid(_grad_c(grid, _div_c(grid, Vc)))
-    dsym = 0.5 * (-_dot_g(Vg, grad_Xw) - _dot_g(Wg, grad_Xv) + 2.0 * Xv * Xw)
-
-    h2 = hg * hg
-    out = 0.5 * _grad_c(grid, grid.from_grid(h2 * sym2))
-    out += grid.from_grid((hg * (0.5 * hg * dsym + sym2))[None] * gbeta_g)
-    return grid.project(out)
-
-
 # --------------------------------------------------------- nonlinear tendency
 
 def nonlinear_F(params: PhysicalParams, u: GNState, tol: float = 1e-12) -> GNState:
@@ -788,10 +761,9 @@ def _tendency_rows(
     """
     grid = params.grid
     d = grid.dimension
-    mu = params.mu
+    mu, eps = params.mu, params.eps
     slope = params._slope
     flat = slope is None
-    gbeta_g = None if flat else slope[:, None]
 
     Xc = _div_c(grid, Vc)
     gz_c = _grad_c(grid, zc)
@@ -810,41 +782,45 @@ def _tendency_rows(
         flat,
     )
     zg, Vg, Xg, lap_z_g, grad_V_g, grad_X_g = grids[:6]
-    gz_g = None if flat else grids[6]
     hg = params._depth(zg)
     _require_admissible(params, hg, "nonlinear_F")
-    if not flat:
-        # formed first, so that its temporaries and the products below are
-        # not held at the same time
-        mu_Q = mu * _apply_Q_bilinear_arrays(grid, hg, gbeta_g, Vc, Vc)
 
-    # h (V.grad) V, and D_V div V
+    # h (V.grad) V, h^3 D_V div V and h^3 div grad zeta
     advect = np.stack([_dot_g(Vg, grad_V_g[i]) for i in range(d)])
     dv_x = -_dot_g(Vg, grad_X_g) + Xg * Xg
-    h_c, flux_c, h_advect, h3_dv_x, *h3_lap_z = _transform(
+    h_advect = hg[None] * advect
+    h3_dv_x = hg**3 * dv_x
+    h3_lap_z = hg * hg * hg * lap_z_g
+    if not flat:
+        # The slope terms ride on the same three rows, scaled to the factor
+        # each row is combined with below. With Y = grad(beta).grad zeta,
+        # T grad zeta adds (1/2) grad(h^2 Y) = -(1/3) grad(-(3/2) h^2 Y) and
+        # (-(1/2) h^2 div grad zeta + h Y) grad(beta). At W = V the D-term of
+        # Q is dv_x and its sym2 is V.grad(grad(beta).V), so mu Q(V) adds
+        # (mu/3) grad((3/2) h^2 sym2) and mu h ((h/2) dv_x + sym2) grad(beta).
+        gbeta_g = slope[:, None]
+        Yg = _dot_g(gbeta_g, grids[6])
+        vb_c = grid.from_grid(_dot_g(gbeta_g, Vg))
+        sym2 = _dot_g(Vg, grid.to_grid(_grad_c(grid, vb_c)))
+        h2 = hg * hg
+        slope_terms = mu * hg * (0.5 * hg * dv_x + sym2)
+        slope_terms -= (mu / eps) * (-0.5 * h2 * lap_z_g + hg * Yg)
+        h_advect += slope_terms[None] * gbeta_g
+        h3_dv_x += 1.5 * h2 * sym2
+        h3_lap_z -= 1.5 * h2 * Yg
+    h_c, flux_c, h_advect, h3_dv_x, h3_lap_z = _transform(
         grid.from_grid,
         grid,
-        [
-            hg,
-            (zg - params.b_grid)[None] * Vg,
-            hg[None] * advect,
-            hg**3 * dv_x,
-            *([hg * hg * hg * lap_z_g] if flat else []),
-        ],
+        [hg, (zg - params.b_grid)[None] * Vg, h_advect, h3_dv_x, h3_lap_z],
         flat,
     )
 
     # -(mu/eps) T[h, eps b] grad zeta + h (V.grad) V
     # + mu [ (1/3) grad(h^3 D_V div V) + Q(V) ]
-    if flat:
-        T = -(1.0 / 3.0) * _grad_c(grid, h3_lap_z[0])
-    else:
-        T = _T_terms(grid, hg, gbeta_g, gz_g, lap_z_g)
-    rhs = (-mu / params.eps) * grid.project(T)
+    T = -(1.0 / 3.0) * _grad_c(grid, h3_lap_z)
+    rhs = (-mu / eps) * grid.project(T)
     rhs += grid.project(h_advect)
     rhs += mu * (1.0 / 3.0) * grid.project(_grad_c(grid, h3_dv_x))
-    if not flat:
-        rhs += mu_Q
     return rhs, h_c, flux_c
 
 
@@ -1074,7 +1050,11 @@ def _K_rows(
         N1 V = hbar [(Vbar.grad)V + (V.grad)Vbar]
                + (mu/3) grad(hbar^3 [D_Vbar(div V) + D_V(div Vbar)])
                + 2 mu Q_bil[hbar, eps b](V, Vbar),
-    with Q_bil the symmetric bilinear form of Q (`_apply_Q_bilinear_arrays`):
+    with Q_bil the symmetric bilinear form of Q,
+        Q_bil[h, beta](V, W) = (1/2) grad(h^2 sym2)
+                               + h ((h/2) dsym + sym2) grad(beta),
+        sym2 = (1/2) [(V.grad)(W.grad beta) + (W.grad)(V.grad beta)],
+        dsym = (1/2) [D_V(div W) + D_W(div V)]:
     the derivative of the quadratic form mu Q is twice its diagonal-normalized
     bilinear form. On a flat bottom the Q term vanishes and is not formed.
     The coefficients are summed in the order written above.
@@ -1166,9 +1146,13 @@ def frechet_F(
 
     DF[ubar] v = ( bigTbar^{-1}(N1 V + N2 zeta) - (1/eps) grad zeta,
                    N3 V + N4 zeta - (1/eps) div V ).
-    Meaningful as the exact derivative only when `coeffs` was built with
-    `substituted=False`.
+    It is the exact derivative only on coefficients built with
+    `substituted=False`; substituted ones raise ValueError.
     """
+    if coeffs.substituted:
+        raise ValueError(
+            "frechet_F needs the exact coefficients: build_linearized_coeffs(substituted=False)"
+        )
     out, _ = apply_K(coeffs, params, float(coeffs.times[t]), v, tol=tol)
     return out
 

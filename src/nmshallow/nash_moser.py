@@ -463,7 +463,8 @@ def smooth_trajectory(u: TrajectoryField, theta: float) -> TrajectoryField:
     """Sharp low-pass at scale theta applied to every snapshot in space."""
     if theta < 1.0:
         raise ValueError("smoothing scale theta must be >= 1")
-    mask = u.grid.bracket_sq <= theta * theta
+    with np.errstate(over="ignore"):  # a saturated theta keeps every mode
+        mask = u.grid.bracket_sq <= theta * theta
     return TrajectoryField(u.grid, u.times.copy(), u.snapshots * mask)
 
 

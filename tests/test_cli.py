@@ -428,3 +428,22 @@ def test_convergence_2d_flat_bottom_holds_every_induction_property(runner, tmp_p
     report = ind["report"]
     for prop in ("prop_i", "prop_ii", "prop_iii"):
         assert report[prop] and all(report[prop]), prop
+
+
+# ------------------------------------------------------------ growth guard
+
+def test_flagship_at_amplitude_1e_3_passes_its_first_linear_solve():
+    # The first correction starts from zero data, forced by the residual of
+    # the initial iterate, which changes sign between the first snapshots:
+    # its norm grows about 41x over the second step. The growth guard must
+    # read that as forcing, not as an unstable step (dt is far below the cap).
+    cfg = cli._load_config(str(ROOT / "configs" / "benchmark.json"), None)
+    cfg["data"]["amplitude"] = 1e-3
+    params = cli._params_from_cfg(cfg)
+    problem = GNProblem(params, cli._initial_state(params, cfg["data"]), tol=float(cfg["run"]["cg_tol"]))
+    sched = cli._schedule_from_cfg(cfg)
+    _, trace = nash_moser.nash_moser_solve(
+        problem, sched, float(cfg["run"]["T"]), float(cfg["run"]["dt"]), k_max=1
+    )
+    assert trace.stop_reason == "k_max"
+    assert trace.residual_F[1] < 0.01 * trace.residual_F[0]

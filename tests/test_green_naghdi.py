@@ -199,6 +199,18 @@ def test_tendency_mean_elevation_is_conserved(params1d, state1d):
 
 # ------------------------------------------------------------- linearization
 
+def test_frechet_F_refuses_substituted_coefficients(params1d, grid1d, rng):
+    # the substituted coefficients agree with the derivative only on exact
+    # solutions, so frechet_F takes only the exact ones
+    u = random_field(grid1d, 2, rng, amplitude=0.1, decay=3.0).coefficients
+    uref = TrajectoryField(grid1d, np.array([0.0, 1.0]), np.stack([u, u]))
+    w = GNState(V=random_field(grid1d, 1, rng), zeta=random_field(grid1d, 1, rng))
+    coeffs = build_linearized_coeffs(params1d, uref)
+    assert coeffs.substituted
+    with pytest.raises(ValueError, match="substituted=False"):
+        frechet_F(coeffs, params1d, 0, w)
+
+
 def test_frechet_consistency_fixed_direction(params1d, grid1d, rng):
     u = GNState(
         V=random_field(grid1d, 1, rng, amplitude=0.12, decay=3.0),

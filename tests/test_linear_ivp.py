@@ -244,3 +244,40 @@ def test_step_size_guard_raises(grid1d, params1d, rng, monkeypatch, debug_env):
     coeffs = build_linearized_coeffs(params1d, rest)
     with pytest.raises(StepSizeError, match="unstable"):
         solve_linearized(params1d, coeffs, IVPData(initial=data, horizon=2.0, dt=0.5))
+
+
+def _rest_coeffs(params):
+    grid = params.grid
+    rest = TrajectoryField(
+        grid, np.linspace(0.0, 2.0, 5), np.zeros((5, grid.dimension + 1, *grid.shape), dtype=np.complex128)
+    )
+    return build_linearized_coeffs(params, rest)
+
+
+def test_forced_growth_from_small_data_is_not_unstable(grid1d):
+    # A mean-flow forcing f(t) = (t - dt/2 + 1e-10) f0 adds only 1e-10 dt |f0|
+    # over the first step (Simpson is exact on it) and dt^2 |f0| over the
+    # second: a ratio of 1e8 that the forcing, not the step, explains. The
+    # growth test allows 10 (|w| + dt max|f|), with max|f| read from the
+    # stage samples of the forcing_fn.
+    params = PhysicalParams(mu=0.3, eps=0.5, b=zero_field(grid1d))
+    f0 = np.zeros((2, *grid1d.shape), dtype=np.complex128)
+    f0[0, 0] = 1.0
+    dt = 0.1
+    data = GNState(V=zero_field(grid1d), zeta=zero_field(grid1d))
+    ivp = IVPData(initial=data, horizon=0.5, dt=dt, forcing_fn=lambda t: (t - 0.5 * dt + 1e-10) * f0)
+    sol = solve_linearized(params, _rest_coeffs(params), ivp)
+    # the mean flow is the integral of the forcing: t^2/2 - (dt/2 - 1e-10) t
+    t = sol.times
+    assert np.allclose(sol.snapshots[:, 0, 0].real, 0.5 * t * t - (0.5 * dt - 1e-10) * t, atol=1e-14)
+
+
+def test_forced_run_from_zero_data_still_trips_the_guard(grid1d, params1d, rng, monkeypatch):
+    # the forcing's allowance does not hide an unstable step: with the
+    # sub-step cap disabled, dt = 0.5 is ~41x the stable RK4 step at N=64
+    monkeypatch.setattr(linear_ivp, "dispersive_dt_cap", lambda *args, **kwargs: math.inf)
+    f0 = random_field(grid1d, 2, rng, amplitude=0.01, decay=0.5).coefficients
+    data = GNState(V=zero_field(grid1d), zeta=zero_field(grid1d))
+    ivp = IVPData(initial=data, horizon=2.0, dt=0.5, forcing_fn=lambda t: f0)
+    with pytest.raises(StepSizeError, match="grew"):
+        solve_linearized(params1d, _rest_coeffs(params1d), ivp)

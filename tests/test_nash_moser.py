@@ -1,6 +1,7 @@
 """Schedule arithmetic and the smoothed-Newton engine on closed-form toys."""
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from nmshallow.fourier_scale import (
     GridSpec,
     SpectralField,
     TrajectoryField,
+    random_field,
     trajectory_norm,
 )
 from nmshallow.nash_moser import (
@@ -303,6 +305,19 @@ def test_smooth_trajectory_is_snapshotwise_cutoff(toy_grid, rng):
         assert np.array_equal(out.snapshots[i], ref.coefficients)
     with pytest.raises(ValueError):
         smooth_trajectory(traj, 0.5)
+
+
+def test_smooth_trajectory_at_a_saturated_theta_keeps_every_mode(toy_grid, rng):
+    # theta_k = theta0^(r^k) overflows theta^2 long before theta itself; the
+    # mask is then all modes, without an overflow warning
+    snaps = np.stack(
+        [random_field(toy_grid, 1, rng, amplitude=0.4, decay=1.5).coefficients for _ in range(2)]
+    )
+    traj = TrajectoryField(toy_grid, np.array([0.0, 1.0]), snaps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = smooth_trajectory(traj, np.float64(1e200))
+    assert np.array_equal(out.snapshots, snaps)
 
 
 # ------------------------------------------------------------ trace objects

@@ -160,3 +160,45 @@ def test_derived_arrays_are_cached_one_way():
     assert sources, f"no sources under {PACKAGE}"
     hits = [hit for path in sources for hit in _private_caches(path)]
     assert hits == []
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """`_`-prefixed functions and classes defined anywhere in a module
+    (methods and nested functions included, dunders excluded), by line."""
+    return {
+        node.name: node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    }
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    """Names that code uses, as a bare name or an attribute; definitions,
+    strings and docstrings do not count."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_every_private_helper_has_a_caller():
+    # a private helper that no package code uses is dead: tests may keep a
+    # replaced form as their reference, the package may not
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources, f"no sources under {PACKAGE}"
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sources}
+    used = set().union(*(_referenced_names(tree) for tree in trees.values()))
+    dead = [
+        f"{name}:{line} {helper}"
+        for name, tree in trees.items()
+        for helper, line in _private_definitions(tree).items()
+        if helper not in used
+    ]
+    assert dead == []
