@@ -13,14 +13,16 @@ first 16 hex digits of its sha256:
 
 Two checkouts of the package that compute the same bits print the same
 table, so a change meant to keep every output byte for byte is checked by
-running this script on both and comparing. The hashes depend on the numpy
-build (its FFT and SIMD kernels), so they are compared between checkouts on
-one machine, not stored as a test.
+comparing the tables of both. The hashes depend on the numpy build (its FFT
+and SIMD kernels), so they are compared between checkouts on one machine,
+not stored as a test. `--against DIR` does the comparison: it builds the
+table for this checkout and for the checkout DIR, prints only the rows that
+differ (this checkout's row, then DIR's), and exits 1 if any row differs.
 
 Run from anywhere; the package is imported from the `src/` next to this
 script's directory, or from `--root DIR/src`:
 
-    python3 scripts/artifact_hashes.py [--root DIR]
+    python3 scripts/artifact_hashes.py [--root DIR] [--against DIR]
 """
 from __future__ import annotations
 
@@ -99,16 +101,14 @@ def _config_path(root: Path, config, tmp: Path, i: int) -> Path | None:
     return path
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--root", type=Path, default=ROOT,
-                        help="checkout whose src/ and configs/ are used")
-    args = parser.parse_args()
-    root = args.root.resolve()
+def table(root: Path) -> tuple[list[tuple[str, str, str]], bool]:
+    """The rows (label, artifact, digest) of the checkout `root`, and
+    whether a command failed or left an artifact missing. The artifacts of
+    a failed command read `exit N`, and the end of its stderr goes to
+    stderr."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    rows = []
     failed = False
-    print("| command and config | artifact | sha256 |")
-    print("|---|---|---|")
     with tempfile.TemporaryDirectory(prefix="nmshallow-hashes-") as tmp:
         for i, (label, command, config, artifacts) in enumerate(RUNS):
             out = Path(tmp) / f"{i}-{command}"
@@ -118,16 +118,46 @@ def main() -> int:
                 cmd += ["--config", str(path)]
             proc = subprocess.run(cmd, cwd=tmp, env=env, capture_output=True, text=True)
             if proc.returncode != 0:
-                failed = True
-                print(f"| {label} | exit {proc.returncode} | {proc.stderr.strip()[-200:]} |")
-                continue
+                print(f"{root}: {command} exited {proc.returncode}: "
+                      f"{proc.stderr.strip()[-200:]}", file=sys.stderr)
             for name in artifacts:
                 path = out / name
-                digest = _sha16(path) if path.is_file() else "missing"
-                failed |= digest == "missing"
-                print(f"| {label} | `{name}` | `{digest}` |")
-    return 1 if failed else 0
+                if proc.returncode != 0:
+                    digest = f"exit {proc.returncode}"
+                else:
+                    digest = _sha16(path) if path.is_file() else "missing"
+                failed |= proc.returncode != 0 or digest == "missing"
+                rows.append((label, f"`{name}`", f"`{digest}`"))
+    return rows, failed
 
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--root", type=Path, default=ROOT,
+                        help="checkout whose src/ and configs/ are used")
+    parser.add_argument("--against", type=Path, default=None,
+                        help="second checkout; print only the rows that differ")
+    args = parser.parse_args()
+    rows, failed = table(args.root.resolve())
+    if args.against is None:
+        print("| command and config | artifact | sha256 |")
+        print("|---|---|---|")
+        for row in rows:
+            print("| " + " | ".join(row) + " |")
+        return 1 if failed else 0
+    other, other_failed = table(args.against.resolve())
+    total = max(len(rows), len(other))
+    pairs = [tuple(t[n] if n < len(t) else None for t in (rows, other)) for n in range(total)]
+    differ = [pair for pair in pairs if pair[0] != pair[1]]
+    print("| checkout | command and config | artifact | sha256 |")
+    print("|---|---|---|---|")
+    for pair in differ:
+        for name, row in zip(("this", "against"), pair):
+            if row is not None:
+                print(f"| {name} | " + " | ".join(row) + " |")
+    print(f"{len(differ)} of {total} rows differ"
+          + ("; a command failed" if failed or other_failed else ""))
+    return 1 if differ or failed or other_failed else 0
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -31,10 +31,8 @@ from .fourier_scale import (
     field_from_grid,
     field_to_grid,
     interpolate_bound_check,
-    load_field,
     load_trajectory,
     random_field,
-    save_field,
     save_trajectory,
     smooth,
     sobolev_norm,
@@ -54,7 +52,6 @@ from .green_naghdi import (
     energy_E,
     invert_bigT,
     nonlinear_F,
-    x_norm,
     x_norm_packed,
 )
 from .linear_ivp import (
@@ -86,10 +83,8 @@ __all__ = [
     "field_from_grid",
     "field_to_grid",
     "interpolate_bound_check",
-    "load_field",
     "load_trajectory",
     "random_field",
-    "save_field",
     "save_trajectory",
     "smooth",
     "sobolev_norm",
@@ -107,7 +102,6 @@ __all__ = [
     "energy_E",
     "invert_bigT",
     "nonlinear_F",
-    "x_norm",
     "x_norm_packed",
     "IVPData",
     "conjugate_trajectory",

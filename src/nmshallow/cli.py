@@ -494,6 +494,11 @@ def cmd_solve(cfg: dict, out: Path) -> None:
             "final_residual": trace.residual_F[-1],
             "theta0_used": trace.theta[0],
         }
+        # a stop at k_max exits 0 like a converged run; this line tells them apart
+        click.echo(
+            f"nash-moser stop: {trace.stop_reason} after {len(trace.theta)} iterations, "
+            f"final residual {trace.residual_F[-1]:.6e}"
+        )
     if solver in ("mol", "both"):
         traj_mol = mol_solve(
             params, u0, float(rc["T"]), float(rc["dt"]), tol=float(rc["cg_tol"])

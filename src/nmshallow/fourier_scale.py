@@ -18,8 +18,8 @@ Trajectories are uniformly sampled in time starting at t = 0; time derivatives
 use centered differences in the interior and one-sided second-order stencils at
 the endpoints.
 
-Serialization: a field or trajectory is written as ``<stem>.json`` (header:
-format version, grid metadata, component count, times) plus ``<stem>.bin``
+Serialization: a trajectory is written as ``<stem>.json`` (header: format
+version, grid metadata, component count, times) plus ``<stem>.bin``
 holding the coefficients as little-endian float64 pairs (re, im) in C order.
 """
 from __future__ import annotations
@@ -48,8 +48,6 @@ __all__ = [
     "field_to_grid",
     "zero_field",
     "random_field",
-    "save_field",
-    "load_field",
     "save_trajectory",
     "load_trajectory",
 ]
@@ -72,6 +70,11 @@ class GridSpec:
     domain_length: side length of the box (same on each axis).
     dealias_fraction: fraction of the Nyquist range kept after nonlinear
         products (defaults to the classical 2/3 rule).
+
+    The transforms call numpy's private pocketfft gufuncs
+    (`np.fft._pocketfft_umath`) directly; a numpy that changes them fails
+    `test_transforms_keep_the_bits_of_the_per_axis_wrappers`, which compares
+    both transforms byte for byte with `np.fft.ifft`/`fft`.
     """
 
     dimension: int
@@ -220,29 +223,35 @@ class GridSpec:
     def to_grid(self, coeffs: np.ndarray) -> np.ndarray:
         """Coefficients (..., *shape) -> real grid samples.
 
-        The transform pair is the package's only FFT site. Each transform is
-        one `np.fft.ifft`/`fft` call per axis: the last axis first, then in
-        2D the first axis in place (`out=`). That is the order `np.fft.ifftn`
-        and `fftn` use internally, so the result has the bits of
+        The transform pair is the package's only FFT site: one gufunc call
+        per axis, the last axis first, then in 2D the first axis in place,
+        with the arguments `np.fft.ifft`/`fft` pass (an output laid out like
+        the input, the factor 1/n as float64 for the inverse and 1 for the
+        forward transform) but without their per-call argument handling,
+        which dominates at the sizes the package runs. That is the order
+        `np.fft.ifftn`/`fftn` use, so the result has the bits of
         `ifftn(coeffs, axes).real * n_modes` and `fftn(values, axes) /
-        n_modes` (tests compare them byte for byte) without `fftn`'s
-        per-call argument handling, which dominates at the sizes the package
-        runs. Transforming the first axis first changes bits. The scaling
-        stays an explicit product and quotient instead of `norm=`: pocketfft
+        n_modes` (tests compare them byte for byte). The scaling stays an
+        explicit product and quotient instead of `norm=`: pocketfft
         multiplies by the reciprocal, and x * (1/n) differs from x / n when
         n is not a power of two.
         """
-        out = np.fft.ifft(coeffs, axis=-1)
+        fft = np.fft._pocketfft_umath
+        out = np.empty_like(coeffs, dtype=np.complex128)
+        fct = 1.0 / self.nodes_per_axis
+        fft.ifft(coeffs, fct, out=out)
         if self.dimension == 2:
-            np.fft.ifft(out, axis=-2, out=out)
+            fft.ifft(out, fct, axes=[(-2,), (), (-2,)], out=out)
         return out.real * self.n_modes
 
     def from_grid(self, values: np.ndarray) -> np.ndarray:
         """Real grid samples (..., *shape) -> coefficients; per axis, as
         `to_grid`."""
-        out = np.fft.fft(values, axis=-1)
+        fft = np.fft._pocketfft_umath
+        out = np.empty_like(values, dtype=np.complex128)
+        fft.fft(values, 1, out=out)
         if self.dimension == 2:
-            np.fft.fft(out, axis=-2, out=out)
+            fft.fft(out, 1, axes=[(-2,), (), (-2,)], out=out)
         out /= self.n_modes
         return out
 
@@ -620,36 +629,6 @@ def _read_blob(path: Path, shape: tuple[int, ...]) -> np.ndarray:
     if raw.size != expected:
         raise ValueError(f"binary payload has {raw.size} floats, expected {expected}")
     return raw.astype(np.float64).view(np.complex128).reshape(shape).copy()
-
-
-def save_field(u: SpectralField, path: str | Path) -> Path:
-    """Write `<stem>.json` + `<stem>.bin`; returns the header path."""
-    header_path, blob_path = _paths(path)
-    header = {
-        "format_version": FORMAT_VERSION,
-        "kind": "field",
-        "dtype": "complex128 as little-endian float64 (re, im) pairs, C order",
-        "grid": _grid_header(u.grid),
-        "components": u.components,
-        "coefficient_shape": list(u.coefficients.shape),
-        "payload": blob_path.name,
-    }
-    header_path.write_text(json.dumps(header, indent=2, sort_keys=True) + "\n")
-    _write_blob(blob_path, u.coefficients)
-    return header_path
-
-
-def load_field(path: str | Path) -> SpectralField:
-    header_path, _ = _paths(path)
-    header = json.loads(header_path.read_text())
-    if header.get("kind") != "field":
-        raise ValueError(f"{header_path} does not hold a single field")
-    if header.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported format version {header.get('format_version')}")
-    grid = _grid_from_header(header["grid"])
-    blob_path = header_path.with_name(header["payload"])
-    coeffs = _read_blob(blob_path, tuple(header["coefficient_shape"]))
-    return SpectralField(grid, coeffs)
 
 
 def save_trajectory(u: TrajectoryField, path: str | Path) -> Path:

@@ -127,7 +127,6 @@ __all__ = [
     "build_linearized_coeffs",
     "apply_K",
     "frechet_F",
-    "x_norm",
     "x_norm_packed",
     "depth_check",
     "depth_grid",
@@ -221,7 +220,8 @@ class PhysicalParams:
         `strict`, below h0*(1 - 1e-12) otherwise (see the class docstring).
         A member whose lowest depth is not finite (NaN as soon as one sample
         is) violates either floor."""
-        mins = np.min(hg.reshape(-1, self.grid.n_modes), axis=1)
+        # np.min's reduction, without its Python wrapper
+        mins = np.minimum.reduce(hg.reshape(-1, self.grid.n_modes), axis=1)
         above = mins > self.h0 if strict else mins >= self.h0 * (1.0 - 1e-12)
         return mins, ~(above & np.isfinite(mins))
 
@@ -354,9 +354,9 @@ def _require_admissible(
     and its own lowest depth.
     """
     mins, below = params._min_depths(hg, strict=False)
-    low = np.flatnonzero(below)
-    if not low.size:
+    if not below.any():
         return
+    low = np.flatnonzero(below)
     mn = float(np.min(mins))
     if first is not None:
         k = int(low[0])
@@ -429,8 +429,12 @@ def _apply_bigT_arrays(
         g[d] -= slope_X
     c = grid.from_grid(g)
     out = c[:d]
-    out += mu * (-(1.0 / 3.0) * _grad_c(grid, c[d]))
-    return grid.project(out)
+    grad_X = _grad_c(grid, c[d])
+    grad_X *= -(1.0 / 3.0)
+    grad_X *= mu
+    out += grad_X
+    out *= grid.dealias_factor  # grid.project, in place
+    return out
 
 
 def apply_bigT(params: PhysicalParams, h: SpectralField, V: SpectralField) -> SpectralField:
@@ -581,7 +585,7 @@ def _bigT_operators(params: PhysicalParams, hg: np.ndarray):
     if d > 1:
         inv_depth = np.empty((hg.shape[0], *(1,) * (d + 1)), dtype=np.complex128)
     for m in range(hg.shape[0]):
-        hbar = float(np.mean(hg[m]))
+        hbar = float(np.add.reduce(hg[m], axis=None) / grid.n_modes)  # np.mean's sum
         inv_symbol[m] = 1.0 / (hbar + mu * grid.xi_sq * hbar**3 / 3.0)
         if d > 1:
             inv_depth[m] = 1.0 / hbar
@@ -623,22 +627,23 @@ def _bigT_operators(params: PhysicalParams, hg: np.ndarray):
 
 def _cg(restrict, b: np.ndarray, x0: np.ndarray | None, tol: float, max_iter: int):
     """`_pcg` for a batch of one member: the same arithmetic with scalar
-    norms and inner products and the unbatched layout. With the per-axis
-    transforms and the in-place flat matvec, a batch of one through the
-    vectorised `_pcg` loop (batched layout) took 1.19x as long per N = 512
-    solve (median of 60 interleaved in-process rounds, quartiles
-    1.15-1.24x; 1.09x before that kernel), and the transit workload ran
-    2.11 s against 1.92 s with this loop (medians of 10 alternating
-    in-process pairs, 8 won by this loop; 2-core x86 host, numpy 2.4)."""
+    norms (`_norm`, the bits of `np.linalg.norm`) and inner products and
+    the unbatched layout. With the per-axis transforms and the in-place
+    flat matvec, a batch of one through the vectorised `_pcg` loop
+    (batched layout) took 1.19x as long per N = 512 solve (median of 60
+    interleaved in-process rounds, quartiles 1.15-1.24x; 1.09x before that
+    kernel), and the transit workload ran 2.11 s against 1.92 s with this
+    loop (medians of 10 alternating in-process pairs, 8 won by this loop;
+    2-core x86 host, numpy 2.4)."""
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=b.dtype)
-    bnrm2 = np.linalg.norm(b)
+    bnrm2 = _norm(b)
     if bnrm2 == 0:
         return b.copy(), np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.intp)
-    atol = max(0.0, float(tol) * float(bnrm2))
+    atol = max(0.0, float(tol) * bnrm2)
     matvec, psolve = restrict(np.zeros(1, dtype=np.intp))
     r = b - matvec(x) if x.any() else b.copy()
     for it in range(max_iter):
-        if np.linalg.norm(r) < atol:
+        if _norm(r) < atol:
             return x, np.array([it]), np.zeros(0, dtype=np.intp)
         z = psolve(r)
         rho = np.vdot(r, z)
@@ -653,6 +658,15 @@ def _cg(restrict, b: np.ndarray, x0: np.ndarray | None, tol: float, max_iter: in
         r -= alpha * q
         rho_prev = rho
     return x, np.array([max_iter]), np.zeros(1, dtype=np.intp)
+
+
+def _norm(a: np.ndarray) -> float:
+    """`np.linalg.norm` of a complex array, with its arithmetic (the dot
+    products of the real and of the imaginary parts of the flattened array,
+    summed, then the square root) and without its dispatch."""
+    flat = a.ravel(order="K")
+    re, im = flat.real, flat.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
@@ -760,7 +774,6 @@ def _tendency_rows(
     solve.
     """
     grid = params.grid
-    d = grid.dimension
     mu, eps = params.mu, params.eps
     slope = params._slope
     flat = slope is None
@@ -775,7 +788,7 @@ def _tendency_rows(
             Vc,
             Xc,
             _div_c(grid, gz_c),
-            np.stack([_grad_c(grid, Vc[i]) for i in range(d)]),
+            _grad_c(grid, Vc).swapaxes(0, 1),  # row i: grad V_i
             _grad_c(grid, Xc),
             *([] if flat else [gz_c]),  # grad(beta).grad(zeta) in T
         ],
@@ -786,7 +799,7 @@ def _tendency_rows(
     _require_admissible(params, hg, "nonlinear_F")
 
     # h (V.grad) V, h^3 D_V div V and h^3 div grad zeta
-    advect = np.stack([_dot_g(Vg, grad_V_g[i]) for i in range(d)])
+    advect = _dot_g(Vg, grad_V_g.swapaxes(0, 1))  # row i: V.grad V_i
     dv_x = -_dot_g(Vg, grad_X_g) + Xg * Xg
     h_advect = hg[None] * advect
     h3_dv_x = hg**3 * dv_x
@@ -1060,7 +1073,6 @@ def _K_rows(
     The coefficients are summed in the order written above.
     """
     grid = v.grid
-    d = grid.dimension
     mu, eps = params.mu, params.eps
     hbar = coeffs_t["hbar"]
     Vbar = coeffs_t["Vbar"]
@@ -1081,7 +1093,7 @@ def _K_rows(
             v.zeta.coefficients[0],
             Xc,
             _grad_c(grid, Xc),
-            np.stack([_grad_c(grid, Vc[i]) for i in range(d)]),  # row i: grad V_i
+            _grad_c(grid, Vc).swapaxes(0, 1),  # row i: grad V_i
             _div_c(grid, gz_c),
             *([] if flat else [gz_c]),  # grad(beta).grad(zeta) in Tbar
         ],
@@ -1089,9 +1101,7 @@ def _K_rows(
     )
     Vg, zg, Xg, grad_X_g, grad_V_g, lap_z_g = grids[:6]
 
-    adv = np.stack(
-        [_dot_g(Vbar, grad_V_g[i]) + _dot_g(Vg, gradVbar[i]) for i in range(d)]
-    )
+    adv = _dot_g(Vbar, grad_V_g.swapaxes(0, 1)) + _dot_g(Vg, gradVbar.swapaxes(0, 1))
     # D_Vbar(div V) + D_V(div Vbar)
     dsym2 = (
         -_dot_g(Vbar, grad_X_g)
@@ -1177,8 +1187,3 @@ def x_norm_packed(params: PhysicalParams, u: SpectralField, s: float) -> float |
         for nV, nD, nZ in zip(_member_norms(V, s), _member_norms(divV, s), _member_norms(zeta, s))
     ]
     return np.array(norms) if u.batch is not None else norms[0]
-
-
-def x_norm(params: PhysicalParams, u: GNState, s: float) -> float:
-    """Scale norm |(V, zeta)|_{X^s} of a state."""
-    return x_norm_packed(params, u.packed(), s)

@@ -88,7 +88,7 @@ def evolve_packed(
     batched = coeffs.ndim == d + 2
     if coeffs.shape[0] != d + 1 or coeffs.shape[1 + batched :] != grid.shape:
         raise ValueError(f"packed array shape {coeffs.shape} does not match grid")
-    if np.ndim(t):  # one time per member
+    if getattr(t, "ndim", 0):  # one time per member
         times = np.asarray(t, dtype=np.float64)
         if not batched or times.shape != coeffs.shape[1:2]:
             raise ValueError(f"times of shape {times.shape} do not match array {coeffs.shape}")
@@ -109,14 +109,24 @@ def evolve_packed(
     sin_v = np.sin(phase)
 
     V = coeffs[:d]
-    along = np.einsum("i...,i...->...", unit, V)
-    zeta = coeffs[d]
-    a_new = cos_v * along - 1j * (sin_v * zeta)
-    z_new = cos_v * zeta - 1j * (sin_v * along)
+    # (along, zeta) stacked, so that cos and sin each multiply both at once
+    pair = np.empty((2, *coeffs.shape[1:]), dtype=np.complex128)
+    along = pair[0]
+    if d == 1:  # unit is sign(xi); += 0.0 turns -0.0 into +0.0 as the einsum's sum does
+        np.multiply(unit[0], V[0], out=along)
+        along += 0.0
+    else:
+        np.einsum("i...,i...->...", unit, V, out=along)
+    pair[1] = coeffs[d]
+    cos_pair = cos_v * pair
+    sin_pair = sin_v * pair
+    sin_pair *= 1j
     out = np.empty_like(coeffs)
-    delta = (a_new - along)[None]
-    out[:d] = V + delta * unit
-    out[d] = z_new
+    np.subtract(cos_pair[1], sin_pair[0], out=out[d])  # cos zeta - i sin along
+    delta = np.subtract(cos_pair[0], sin_pair[1], out=cos_pair[0])  # a_new
+    delta -= along
+    np.multiply(delta[None], unit, out=out[:d])
+    out[:d] += V
     if still is not None and still.any():
         out[:, still] = coeffs[:, still]
     return out

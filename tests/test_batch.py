@@ -183,6 +183,61 @@ def test_lone_zero_side_is_returned():
     assert x[0].tobytes() == rhs[0].tobytes() == want.tobytes()
 
 
+def _ref_cg(restrict, b, x0, tol, max_iter):
+    """`_cg` as it was written with `np.linalg.norm` for its norms."""
+    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=b.dtype)
+    bnrm2 = np.linalg.norm(b)
+    if bnrm2 == 0:
+        return b.copy(), np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.intp)
+    atol = max(0.0, float(tol) * float(bnrm2))
+    matvec, psolve = restrict(np.zeros(1, dtype=np.intp))
+    r = b - matvec(x) if x.any() else b.copy()
+    for it in range(max_iter):
+        if np.linalg.norm(r) < atol:
+            return x, np.array([it]), np.zeros(0, dtype=np.intp)
+        z = psolve(r)
+        rho = np.vdot(r, z)
+        if it > 0:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p = z.copy()
+        q = matvec(p)
+        alpha = rho / np.vdot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x, np.array([max_iter]), np.zeros(1, dtype=np.intp)
+
+
+@pytest.mark.parametrize("dim,n,flat", CASES, ids=CASE_IDS)
+@pytest.mark.parametrize("start", ["cold", "x0", "zero side"])
+@pytest.mark.parametrize("max_iter", [1, 2, 500])
+def test_lone_cg_matches_the_linalg_norm_loop(dim, n, flat, start, max_iter):
+    params, hg, rhs = _pcg_systems(dim, n, flat, 1)
+    x0 = None
+    if start == "x0":
+        x0 = np.random.default_rng(5).standard_normal(rhs.shape) * (1.0 + 0.0j)
+    elif start == "zero side":
+        rhs[0] = complex(-0.0, -0.0)
+    restrict = gn._bigT_operators(params, hg)
+    got = gn._cg(restrict, rhs, x0, 1e-12, max_iter)
+    want = _ref_cg(restrict, rhs, x0, 1e-12, max_iter)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 64, 256, 8192])
+def test_norm_keeps_the_bits_of_linalg_norm(n):
+    # `_cg` stops on `_norm(r) < tol * _norm(b)`: a last-bit difference from
+    # np.linalg.norm could move a stop by one iteration
+    rng = np.random.default_rng(n)
+    for scale in 10.0 ** np.arange(-12.0, 4.0, 3.0):
+        a = (rng.standard_normal((1, n)) + 1j * rng.standard_normal((1, n))) * scale
+        assert np.float64(gn._norm(a)).tobytes() == np.linalg.norm(a).tobytes()
+        assert np.float64(gn._norm(a[0])).tobytes() == np.linalg.norm(a[0]).tobytes()
+
+
 @SIZES
 @pytest.mark.parametrize("dim,n,flat", CASES, ids=CASE_IDS)
 def test_pcg_failure_matches_scipy_cg(dim, n, flat, members):

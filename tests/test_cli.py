@@ -209,7 +209,8 @@ def test_stability_artifacts(runner, tmp_path):
 
 
 def test_scaling_threads_write_same_bytes(runner, tmp_path):
-    # scaling is the one command that still spreads its sweep over threads
+    # every command runs serially and accepts --threads only for
+    # compatibility: the thread count must not change a byte
     cfg = _write_cfg(
         tmp_path,
         {
@@ -389,6 +390,24 @@ def _benchmark_2d(tmp_path, bathymetry):
     cfg["run"]["T"] = 0.2
     cfg["physics"]["bathymetry"] = bathymetry
     return _write_cfg(tmp_path, cfg, name=f"benchmark_2d_{bathymetry['type']}.json")
+
+
+def test_solve_prints_a_k_max_stop(runner, tmp_path):
+    # a run that stops at k_max exits 0, as a converged one does; its stdout
+    # names the stop reason, the iteration count and the final residual
+    cfg = json.loads((ROOT / "configs" / "benchmark.json").read_text())
+    cfg["data"]["amplitude"] = 1e-3
+    cfg["run"].update(T=0.1, k_max=2)
+    out = tmp_path / "o"
+    res = runner.invoke(main, ["solve", "--config", _write_cfg(tmp_path, cfg), "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    rep = json.loads((out / "solve_report.json").read_text())["nash_moser"]
+    assert rep["stop_reason"] == "k_max"
+    line = (
+        f"nash-moser stop: k_max after {rep['iterations']} iterations, "
+        f"final residual {rep['final_residual']:.6e}"
+    )
+    assert line in res.output.splitlines()
 
 
 def _mass_drift(traj):

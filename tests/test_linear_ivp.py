@@ -81,6 +81,71 @@ def test_evolution_preserves_reality(grid2d, rng):
     out.validate(1e-11)
 
 
+def _ref_evolve_packed(grid, eps, t, coeffs):
+    """`evolve_packed` as it was written before its in-place 1D body: an
+    einsum over the velocity components, new temporaries throughout. The
+    shape checks are left out; the inputs here are valid."""
+    d = grid.dimension
+    batched = coeffs.ndim == d + 2
+    if np.ndim(t):
+        times = np.asarray(t, dtype=np.float64)
+        still = times == 0.0
+        if still.all():
+            return coeffs.copy()
+        rate = (times / eps).reshape(-1, *(1,) * d)
+    elif t == 0.0:
+        return coeffs.copy()
+    else:
+        still = None
+        rate = float(t) / eps
+    unit = grid.xi_unit
+    if batched:
+        unit = unit[:, None]
+    phase = rate * grid.xi_abs
+    cos_v = np.cos(phase)
+    sin_v = np.sin(phase)
+    V = coeffs[:d]
+    along = np.einsum("i...,i...->...", unit, V)
+    zeta = coeffs[d]
+    a_new = cos_v * along - 1j * (sin_v * zeta)
+    z_new = cos_v * zeta - 1j * (sin_v * along)
+    out = np.empty_like(coeffs)
+    delta = (a_new - along)[None]
+    out[:d] = V + delta * unit
+    out[d] = z_new
+    if still is not None and still.any():
+        out[:, still] = coeffs[:, still]
+    return out
+
+
+def _signed_zero_packed(grid, rng, members=None):
+    """Packed coefficients mixing random values with -0.0 and +0.0 in both
+    parts of the velocity and the elevation, so that a sign the old einsum
+    body would flip shows in the bytes."""
+    shape = (grid.dimension + 1, *(() if members is None else (members,)), *grid.shape)
+    parts = np.array([-1.5, -0.0, 0.0, 2.5])
+    c = rng.choice(parts, shape) + 1j * rng.choice(parts, shape)
+    dense = rng.random(shape) < 0.5
+    c[dense] = rng.standard_normal(dense.sum()) + 1j * rng.standard_normal(dense.sum())
+    c[(slice(None), *(() if members is None else (0,)), *(0,) * grid.dimension)] = complex(-0.0, -0.0)
+    return c
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_evolve_packed_keeps_the_bits_of_the_einsum_body(dim):
+    grid = GridSpec(dimension=dim, nodes_per_axis=32 if dim == 1 else 16, domain_length=3.0)
+    rng = np.random.default_rng(17 + dim)
+    eps = 0.4
+    single = _signed_zero_packed(grid, rng)
+    for t in (0.37, -0.37, 1e-3, 0.0, -0.0):
+        got, want = evolve_packed(grid, eps, t, single), _ref_evolve_packed(grid, eps, t, single)
+        assert got.tobytes() == want.tobytes(), f"single, t={t}"
+    batch = _signed_zero_packed(grid, rng, members=5)
+    for t in (0.37, -1.1, np.array([0.0, -0.4, 0.9, -0.0, 1.3]), np.array([-0.2, 0.2, 0.5, -2.0, 0.0])):
+        got, want = evolve_packed(grid, eps, t, batch), _ref_evolve_packed(grid, eps, t, batch)
+        assert got.tobytes() == want.tobytes(), f"batched, t={t}"
+
+
 def test_conjugate_trajectory_inverse(grid1d, params1d, rng):
     times = np.linspace(0.0, 0.5, 6)
     snaps = np.stack([_packed(grid1d, rng) for _ in range(6)])
