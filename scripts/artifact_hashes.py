@@ -18,6 +18,10 @@ and SIMD kernels), so they are compared between checkouts on one machine,
 not stored as a test. `--against DIR` does the comparison: it builds the
 table for this checkout and for the checkout DIR, prints only the rows that
 differ (this checkout's row, then DIR's), and exits 1 if any row differs.
+For each differing trajectory (`.nmtrj.bin`) it also prints the largest
+per-snapshot relative difference between the two trajectories, in the l2
+norm of the coefficients (the H^0 norm, by Parseval), so a change that
+moves bits at rounding level shows by how much.
 
 Run from anywhere; the package is imported from the `src/` next to this
 script's directory, or from `--root DIR/src`:
@@ -29,11 +33,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -101,34 +108,51 @@ def _config_path(root: Path, config, tmp: Path, i: int) -> Path | None:
     return path
 
 
-def table(root: Path) -> tuple[list[tuple[str, str, str]], bool]:
-    """The rows (label, artifact, digest) of the checkout `root`, and
-    whether a command failed or left an artifact missing. The artifacts of
-    a failed command read `exit N`, and the end of its stderr goes to
-    stderr."""
+def table(root: Path, tmp: Path) -> tuple[list[tuple[str, str, str]], list[Path], bool]:
+    """The rows (label, artifact, digest) of the checkout `root`, the path of
+    each row's artifact under the work directory `tmp`, and whether a
+    command failed or left an artifact missing. The artifacts of a failed
+    command read `exit N`, and the end of its stderr goes to stderr."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    rows = []
+    rows, paths = [], []
     failed = False
-    with tempfile.TemporaryDirectory(prefix="nmshallow-hashes-") as tmp:
-        for i, (label, command, config, artifacts) in enumerate(RUNS):
-            out = Path(tmp) / f"{i}-{command}"
-            cmd = [sys.executable, "-m", "nmshallow", command, "--out", str(out)]
-            path = _config_path(root, config, Path(tmp), i)
-            if path is not None:
-                cmd += ["--config", str(path)]
-            proc = subprocess.run(cmd, cwd=tmp, env=env, capture_output=True, text=True)
+    for i, (label, command, config, artifacts) in enumerate(RUNS):
+        out = tmp / f"{i}-{command}"
+        cmd = [sys.executable, "-m", "nmshallow", command, "--out", str(out)]
+        path = _config_path(root, config, tmp, i)
+        if path is not None:
+            cmd += ["--config", str(path)]
+        proc = subprocess.run(cmd, cwd=tmp, env=env, capture_output=True, text=True)
+        if proc.returncode != 0:
+            print(f"{root}: {command} exited {proc.returncode}: "
+                  f"{proc.stderr.strip()[-200:]}", file=sys.stderr)
+        for name in artifacts:
+            path = out / name
             if proc.returncode != 0:
-                print(f"{root}: {command} exited {proc.returncode}: "
-                      f"{proc.stderr.strip()[-200:]}", file=sys.stderr)
-            for name in artifacts:
-                path = out / name
-                if proc.returncode != 0:
-                    digest = f"exit {proc.returncode}"
-                else:
-                    digest = _sha16(path) if path.is_file() else "missing"
-                failed |= proc.returncode != 0 or digest == "missing"
-                rows.append((label, f"`{name}`", f"`{digest}`"))
-    return rows, failed
+                digest = f"exit {proc.returncode}"
+            else:
+                digest = _sha16(path) if path.is_file() else "missing"
+            failed |= proc.returncode != 0 or digest == "missing"
+            rows.append((label, f"`{name}`", f"`{digest}`"))
+            paths.append(path)
+    return rows, paths, failed
+
+
+def _snapshots(blob: Path) -> np.ndarray:
+    """The coefficients of a trajectory payload, one row per snapshot."""
+    header = json.loads(blob.with_name(blob.name.replace(".bin", ".json")).read_text())
+    return np.fromfile(blob, dtype="<c16").reshape(int(header["n_times"]), -1)
+
+
+def max_relative_difference(this: Path, other: Path) -> float:
+    """Largest per-snapshot l2 difference of two trajectory payloads,
+    relative to the snapshot of `other`."""
+    a, b = _snapshots(this), _snapshots(other)
+    if a.shape != b.shape:
+        return math.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.linalg.norm(a - b, axis=1) / np.linalg.norm(b, axis=1)
+    return float(np.max(np.nan_to_num(rel, nan=0.0)))
 
 
 def main() -> int:
@@ -138,26 +162,35 @@ def main() -> int:
     parser.add_argument("--against", type=Path, default=None,
                         help="second checkout; print only the rows that differ")
     args = parser.parse_args()
-    rows, failed = table(args.root.resolve())
-    if args.against is None:
-        print("| command and config | artifact | sha256 |")
-        print("|---|---|---|")
-        for row in rows:
-            print("| " + " | ".join(row) + " |")
-        return 1 if failed else 0
-    other, other_failed = table(args.against.resolve())
-    total = max(len(rows), len(other))
-    pairs = [tuple(t[n] if n < len(t) else None for t in (rows, other)) for n in range(total)]
-    differ = [pair for pair in pairs if pair[0] != pair[1]]
-    print("| checkout | command and config | artifact | sha256 |")
-    print("|---|---|---|---|")
-    for pair in differ:
-        for name, row in zip(("this", "against"), pair):
-            if row is not None:
+    with tempfile.TemporaryDirectory(prefix="nmshallow-hashes-") as tmp:
+        (Path(tmp) / "this").mkdir()
+        rows, paths, failed = table(args.root.resolve(), Path(tmp) / "this")
+        if args.against is None:
+            print("| command and config | artifact | sha256 |")
+            print("|---|---|---|")
+            for row in rows:
+                print("| " + " | ".join(row) + " |")
+            return 1 if failed else 0
+        (Path(tmp) / "against").mkdir()
+        other, other_paths, other_failed = table(args.against.resolve(), Path(tmp) / "against")
+        # both tables come from this script's RUNS, so their rows line up
+        total = len(rows)
+        differ = [n for n in range(total) if rows[n] != other[n]]
+        print("| checkout | command and config | artifact | sha256 |")
+        print("|---|---|---|---|")
+        for n in differ:
+            for name, row in (("this", rows[n]), ("against", other[n])):
                 print(f"| {name} | " + " | ".join(row) + " |")
-    print(f"{len(differ)} of {total} rows differ"
-          + ("; a command failed" if failed or other_failed else ""))
-    return 1 if differ or failed or other_failed else 0
+        for n in differ:
+            this, that = paths[n], other_paths[n]
+            if this.name.endswith(".nmtrj.bin") and this.is_file() and that.is_file():
+                rel = max_relative_difference(this, that)
+                print(f"{rows[n][0]}, {rows[n][1]}: largest per-snapshot relative "
+                      f"difference {rel:.3e}")
+        print(f"{len(differ)} of {total} rows differ"
+              + ("; a command failed" if failed or other_failed else ""))
+        return 1 if differ or failed or other_failed else 0
+
 
 if __name__ == "__main__":
     sys.exit(main())
