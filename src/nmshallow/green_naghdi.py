@@ -886,13 +886,17 @@ class LinearizedCoeffs:
             return i + 1, i + 1, 0.0
         return i, i + 1, float(w)
 
-    def at_time(self, t: float) -> dict[str, np.ndarray]:
-        """Linear interpolation of every coefficient array at time t."""
+    def at_time(self, t: float, slope: bool = True) -> dict[str, np.ndarray]:
+        """Linear interpolation of the coefficient arrays at time t; without
+        `slope` (a flat bottom) `grad_vbarbeta`, which only the slope terms
+        of `_K_rows` read, is left out."""
         i, j, w = self.bracket(t)
         names = [
             "Vbar", "zetabar", "hbar", "abar", "bbar",
-            "divVbar", "gradVbar", "graddivVbar", "grad_vbarbeta",
+            "divVbar", "gradVbar", "graddivVbar",
         ]
+        if slope:
+            names.append("grad_vbarbeta")
         out = {}
         for name in names:
             arr = getattr(self, name)
@@ -1021,6 +1025,7 @@ def apply_K(
     v: GNState,
     tol: float = 1e-12,
     x0: np.ndarray | None = None,
+    coeffs_t: dict[str, np.ndarray] | None = None,
 ) -> tuple[GNState, np.ndarray]:
     """Nonstiff part K(t) v of the linearized system, cancellation-free.
 
@@ -1037,10 +1042,14 @@ def apply_K(
     form of Q). The coefficients are interpolated linearly in time between
     snapshots and the momentum row is assembled by `_K_rows`. One elliptic
     solve per call; returns (K v, raw CG solution vector) so callers can
-    warm-start the next solve with the returned vector.
+    warm-start the next solve with the returned vector. A caller that
+    already holds `coeffs.at_time(t, params._slope is not None)` may pass
+    it as `coeffs_t`.
     """
     grid = v.grid
-    rhs, h_c, flux_c, zV_c = _K_rows(coeffs.at_time(float(t)), params, v)
+    if coeffs_t is None:
+        coeffs_t = coeffs.at_time(float(t), params._slope is not None)
+    rhs, h_c, flux_c, zV_c = _K_rows(coeffs_t, params, v)
     h_field = SpectralField(grid, grid.project(h_c))
     K1 = invert_bigT(params, h_field, SpectralField(grid, rhs), tol=tol, x0=x0)
 

@@ -395,17 +395,23 @@ def solve_linearized(
     the bounded conjugated operator is applied as U(-t) o K(t) o U(t) each
     stage (one elliptic solve per stage, warm-started from the previous
     stage's solution). Time-dependent coefficients are interpolated
-    linearly between their snapshots by `apply_K`.
+    linearly between their snapshots; a stage at the same time as the one
+    before it (RK4's k3 after k2) reuses that stage's interpolation.
 
     Raises StepSizeError when a step produces non-finite values or takes
     the solution norm above 10 (norm_prev + dt * max|f|); see
     `_integrate_filtered`.
     """
     warm: np.ndarray | None = None
+    slope = params._slope is not None
+    memo_t: float | None = None
+    memo: dict[str, np.ndarray] = {}
 
     def tendency(t: float, v: GNState) -> GNState:
-        nonlocal warm
-        Kv, warm = apply_K(coeffs, params, t, v, tol=tol, x0=warm)
+        nonlocal warm, memo_t, memo
+        if t != memo_t:
+            memo_t, memo = t, coeffs.at_time(float(t), slope)
+        Kv, warm = apply_K(coeffs, params, t, v, tol=tol, x0=warm, coeffs_t=memo)
         return Kv
 
     solution, stats = _integrate_filtered(params, ivp, tendency)
