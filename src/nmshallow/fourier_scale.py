@@ -72,9 +72,12 @@ class GridSpec:
         products (defaults to the classical 2/3 rule).
 
     The transforms call numpy's private pocketfft gufuncs
-    (`np.fft._pocketfft_umath`) directly; a numpy that changes them fails
-    `test_transforms_keep_the_bits_of_the_per_axis_wrappers`, which compares
-    both transforms byte for byte with `np.fft.ifft`/`fft`.
+    (`np.fft._pocketfft_umath`) directly and use the real-data transforms
+    along the last axis; `test_transforms_keep_the_bits_of_fftn` and
+    `test_transforms_keep_the_bits_of_the_per_axis_wrappers` compare them
+    at rounding level with `np.fft.ifftn`/`fftn` and the per-axis
+    `np.fft.ifft`/`fft`, and `tests/test_rounding_gate.py` with the
+    complex-to-complex pair they replaced.
     """
 
     dimension: int
@@ -221,38 +224,60 @@ class GridSpec:
 
     # --------------------------------------------------------- fft helpers
     def to_grid(self, coeffs: np.ndarray) -> np.ndarray:
-        """Coefficients (..., *shape) -> real grid samples.
+        """Coefficients (..., *shape) -> real grid samples, float64.
 
-        The transform pair is the package's only FFT site: one gufunc call
-        per axis, the last axis first, then in 2D the first axis in place,
-        with the arguments `np.fft.ifft`/`fft` pass (an output laid out like
-        the input, the factor 1/n as float64 for the inverse and 1 for the
-        forward transform) but without their per-call argument handling,
-        which dominates at the sizes the package runs. That is the order
-        `np.fft.ifftn`/`fftn` use, so the result has the bits of
-        `ifftn(coeffs, axes).real * n_modes` and `fftn(values, axes) /
-        n_modes` (tests compare them byte for byte). The scaling stays an
-        explicit product and quotient instead of `norm=`: pocketfft
-        multiplies by the reciprocal, and x * (1/n) differs from x / n when
-        n is not a power of two.
+        The transform pair is the package's only FFT site, one gufunc call
+        per axis without the per-call argument handling of `np.fft`, which
+        dominates at the sizes the package runs. The input is the full
+        coefficient array of a real field: Hermitian, c(-k) = conj(c(k)),
+        except that on the Nyquist planes only the Hermitian part counts.
+        An unprojected spectral derivative is such an input, since 1j * xi
+        is not odd at the Nyquist index. The result is the real part of the
+        inverse DFT, `ifftn(coeffs, axes).real * n_modes` to rounding.
+
+        The real-data inverse reads only the modes with a non-negative
+        last-axis index: in 2D the first axis is inverted on those columns,
+        with the Nyquist row replaced by its Hermitian part
+        (c[N, k] + conj(c[N, -k])) / 2, then `irfft` runs along the last
+        axis (which takes the real part of its k = 0 and Nyquist modes).
+        Both calls are unnormalized, so the samples are the plain sum
+        sum_k c_k exp(2 pi i k.x / L).
         """
         fft = np.fft._pocketfft_umath
-        out = np.empty_like(coeffs, dtype=np.complex128)
-        fct = 1.0 / self.nodes_per_axis
-        fft.ifft(coeffs, fct, out=out)
-        if self.dimension == 2:
-            fft.ifft(out, fct, axes=[(-2,), (), (-2,)], out=out)
-        return out.real * self.n_modes
+        nyq = self.nodes_per_axis // 2
+        out = np.empty_like(coeffs, dtype=np.float64)
+        if self.dimension == 1:
+            fft.irfft(coeffs[..., : nyq + 1], 1.0, out=out)
+            return out
+        half = coeffs[..., : nyq + 1].astype(np.complex128)
+        row = half[..., nyq, 1:nyq]
+        row += np.conjugate(coeffs[..., nyq, :nyq:-1])
+        row *= 0.5
+        fft.ifft(half, 1.0, axes=[(-2,), (), (-2,)], out=half)
+        fft.irfft(half, 1.0, out=out)
+        return out
 
     def from_grid(self, values: np.ndarray) -> np.ndarray:
-        """Real grid samples (..., *shape) -> coefficients; per axis, as
-        `to_grid`."""
+        """Real grid samples (..., *shape) -> coefficients, complex128, the
+        full array of `fftn(values, axes) / n_modes` to rounding.
+
+        `rfft` along the last axis, scaled by 1/n_modes, writes the modes
+        with a non-negative last-axis index, in 2D followed by the
+        first-axis transform in place; the other half is their mirror,
+        c(-k) = conj(c(k)). Complex input raises TypeError (the real-data
+        gufunc does not take it).
+        """
         fft = np.fft._pocketfft_umath
+        nyq = self.nodes_per_axis // 2
         out = np.empty_like(values, dtype=np.complex128)
-        fft.fft(values, 1, out=out)
-        if self.dimension == 2:
-            fft.fft(out, 1, axes=[(-2,), (), (-2,)], out=out)
-        out /= self.n_modes
+        half = out[..., : nyq + 1]
+        fft.rfft_n_even(values, 1.0 / self.n_modes, out=half)
+        if self.dimension == 1:
+            np.conjugate(half[..., nyq - 1 : 0 : -1], out=out[..., nyq + 1 :])
+            return out
+        fft.fft(half, 1.0, axes=[(-2,), (), (-2,)], out=half)
+        np.conjugate(half[..., 0, nyq - 1 : 0 : -1], out=out[..., 0, nyq + 1 :])
+        np.conjugate(half[..., :0:-1, nyq - 1 : 0 : -1], out=out[..., 1:, nyq + 1 :])
         return out
 
     def project(self, coeffs: np.ndarray) -> np.ndarray:
