@@ -96,22 +96,17 @@ def _assert_members_keep_their_bits(transform, a, what):
 
 def _kernel_inputs(grid, real):
     """Grid samples and the coefficients of those real fields, with an
-    unprojected axis-0 derivative (not Hermitian on a Nyquist plane): a
-    single field, a batch, and a swapaxes view of the batch (the layout
-    `build_linearized_coeffs` passes)."""
+    unprojected axis-0 derivative (not Hermitian on a Nyquist plane), each
+    as a batch, a swapaxes view of the batch (the layout
+    `build_linearized_coeffs` passes) and a single field."""
     coeffs = _ref_from_grid(grid, real)
-    grids, spectra = {}, {}
-    for kind, cases, a in (
-        ("samples", grids, real),
-        ("coefficients", spectra, coeffs),
-        ("derivative", spectra, grid.i_xi[0] * coeffs),
-    ):
-        if a.ndim == grid.dimension + 2:
-            cases[f"batched {kind}"] = a
-            cases[f"swapaxes {kind}"] = a.swapaxes(0, 1)
-            a = a[0, 0]
-        cases[f"single {kind}"] = a
-    return grids, spectra
+
+    def layouts(kind, a):
+        return {f"batched {kind}": a, f"swapaxes {kind}": a.swapaxes(0, 1),
+                f"single {kind}": a[0, 0]}
+
+    spectra = {**layouts("coefficients", coeffs), **layouts("derivative", grid.i_xi[0] * coeffs)}
+    return layouts("samples", real), spectra
 
 
 @pytest.mark.parametrize("n", [8, 10, 12, 64, 96, 512])
