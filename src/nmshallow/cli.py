@@ -274,11 +274,20 @@ def _schedule_from_cfg(cfg: dict) -> ScheduleParams:
 
 
 def _single_mode_zeta(grid: GridSpec, mode, amplitude: float) -> SpectralField:
+    """Cosine of wavenumber index `mode` (in 2D a pair; k means (k, 0)); a
+    mode outside the retained band raises ValueError."""
     zc = np.zeros((1, *grid.shape), dtype=np.complex128)
     if grid.dimension == 1:
         k = (int(mode),)
     else:
         k = tuple(int(m) for m in (mode if isinstance(mode, (list, tuple)) else (mode, 0)))
+    cut = grid.dealias_cutoff_index
+    if len(k) != grid.dimension or not any(k) or max(abs(ki) for ki in k) > cut:
+        axes = "" if grid.dimension == 1 else " on each axis, not all zero"
+        raise ValueError(
+            f"data.mode {mode!r} is outside the grid's retained band "
+            f"1 <= |k| <= {cut}{axes} (dealias_cutoff_index)"
+        )
     neg = tuple(-ki for ki in k)
     zc[(0, *k)] = amplitude / 2.0
     zc[(0, *neg)] = amplitude / 2.0

@@ -41,18 +41,19 @@ Assembly
 `nonlinear_F`, `apply_K` and the CG matvec are each assembled once
 (`_tendency_rows`, `_K_rows`, `_apply_bigT_arrays`): list the grid samples
 needed, transform them, list the grid products, transform them back,
-combine the coefficients. The terms carrying grad(beta) (Q, its derivative
-in N1, the slope terms of T) are formed only when b has a nonzero
-coefficient, which `PhysicalParams._slope` decides once. On a flat bottom
-they vanish identically, T[h, 0] V = -(1/3) grad(h^3 div V) keeps one term,
-and each list goes through one stacked `GridSpec.to_grid` or
-`GridSpec.from_grid` call. With bathymetry the matvec and the tendency fold
-each slope term into a product that the flat assembly already transforms (a
-multiple of grad(beta) in a vector row, or a term of the scalar row whose
-gradient is taken). The tendency adds one transform pair, for the sym2 of
-Q, and keeps one call per entry, since stacking its lists measured slower
-on 64^2 (3.6 against 2.7 ms per call; 2-core x86 host, numpy 2.4).
-`_K_rows` keeps the term-by-term `_T_terms`. With a zero slope the folded
+combine the coefficients. The terms carrying grad(beta) (Q, its bilinear
+form in N1, the slope terms of T) are formed only when b has a nonzero
+coefficient, which `PhysicalParams._slope` decides once; no other module
+reads it. On a flat bottom they vanish identically, T[h, 0] V =
+-(1/3) grad(h^3 div V) keeps one term, and each list goes through one
+stacked `GridSpec.to_grid` or `GridSpec.from_grid` call. With bathymetry
+all three fold each slope term into a product that the flat assembly
+already transforms (a multiple of grad(beta) in a vector row, or a term of
+a scalar row whose gradient is taken): one product list and one
+combination for both branches. The tendency and `_K_rows` add one
+transform pair, for the sym2 of Q, and keep one call per entry, since
+stacking the tendency's lists measured slower on 64^2 (3.6 against 2.7 ms
+per call; 2-core x86 host, numpy 2.4). With a zero slope the folded
 products equal the flat ones, and a stacked transform equals the per-row
 ones, so both branches give the same output on b = 0 (tests compare them).
 The matvec fills its stacked rows in place, and `_bigT_operators` forms the
@@ -369,20 +370,6 @@ def _require_admissible(
 
 # --------------------------------------------------------------- T and bigT
 
-def _T_terms(
-    grid: GridSpec, hg: np.ndarray, gbeta_g: np.ndarray, Vg: np.ndarray, Xg: np.ndarray
-) -> np.ndarray:
-    """Unprojected T[h, beta]V from grid samples of V and div V (b != 0),
-    term by term with its own transforms: the linearized row `_K_rows`."""
-    Yg = _dot_g(gbeta_g, Vg)
-    h2 = hg * hg
-    h3 = h2 * hg
-    out = -(1.0 / 3.0) * _grad_c(grid, grid.from_grid(h3 * Xg))
-    out += 0.5 * _grad_c(grid, grid.from_grid(h2 * Yg))
-    out += grid.from_grid((-0.5 * h2 * Xg + hg * Yg)[None] * gbeta_g)
-    return out
-
-
 def _apply_bigT_arrays(
     grid: GridSpec,
     mu: float,
@@ -442,11 +429,15 @@ def apply_bigT(params: PhysicalParams, h: SpectralField, V: SpectralField) -> Sp
     if h.batch != V.batch:
         raise ValueError(f"depth batch {h.batch} does not match velocity batch {V.batch}")
     grid = V.grid
-    hg = grid.to_grid(_batched(h)[0])
+    out = _apply_bigT_batch(params, grid.to_grid(_batched(h)[0]), _batched(V))
+    return SpectralField(grid, out if V.batch is not None else out[:, 0])
+
+
+def _apply_bigT_batch(params: PhysicalParams, hg: np.ndarray, Vc: np.ndarray) -> np.ndarray:
+    """bigT V on a batch Vc (d, B, *shape) at the depth samples hg (B, *shape)."""
     slope = params._slope
     gbeta_g = None if slope is None else slope[:, None]
-    out = _apply_bigT_arrays(grid, params.mu, hg, gbeta_g, _batched(V))
-    return SpectralField(grid, out if V.batch is not None else out[:, 0])
+    return _apply_bigT_arrays(params.grid, params.mu, hg, gbeta_g, Vc)
 
 
 def energy_E(params: PhysicalParams, h: SpectralField, V: SpectralField) -> float:
@@ -851,6 +842,8 @@ class LinearizedCoeffs:
     -eps*dtVbar (flag `substituted`, see `build_linearized_coeffs`); the
     exact assembly re-evaluates the nonlinear velocity tendency and is the
     true Frechet derivative, used by the derivative-consistency tests.
+    On a flat bottom grad(grad(beta).Vbar) vanishes and `grad_vbarbeta`,
+    which only the slope terms of `_K_rows` read, is None.
     """
 
     grid: GridSpec
@@ -863,7 +856,7 @@ class LinearizedCoeffs:
     divVbar: np.ndarray     # (nt, *shape)
     gradVbar: np.ndarray    # (nt, d, d, *shape) : gradVbar[t, i] = grad of component i
     graddivVbar: np.ndarray # (nt, d, *shape)
-    grad_vbarbeta: np.ndarray  # (nt, d, *shape) : grad( grad(beta).Vbar )
+    grad_vbarbeta: np.ndarray | None  # (nt, d, *shape) : grad( grad(beta).Vbar ), None if flat
     substituted: bool = True
 
     @property
@@ -886,21 +879,20 @@ class LinearizedCoeffs:
             return i + 1, i + 1, 0.0
         return i, i + 1, float(w)
 
-    def at_time(self, t: float, slope: bool = True) -> dict[str, np.ndarray]:
-        """Linear interpolation of the coefficient arrays at time t; without
-        `slope` (a flat bottom) `grad_vbarbeta`, which only the slope terms
-        of `_K_rows` read, is left out."""
+    def at_time(self, t: float) -> dict[str, np.ndarray]:
+        """Linear interpolation of the coefficient arrays at time t, by name;
+        an array that is None (`grad_vbarbeta` on a flat bottom) is left
+        out."""
         i, j, w = self.bracket(t)
         names = [
             "Vbar", "zetabar", "hbar", "abar", "bbar",
-            "divVbar", "gradVbar", "graddivVbar",
+            "divVbar", "gradVbar", "graddivVbar", "grad_vbarbeta",
         ]
-        if slope:
-            names.append("grad_vbarbeta")
         out = {}
         for name in names:
             arr = getattr(self, name)
-            out[name] = arr[i] if j == i else (1.0 - w) * arr[i] + w * arr[j]
+            if arr is not None:
+                out[name] = arr[i] if j == i else (1.0 - w) * arr[i] + w * arr[j]
         return out
 
 
@@ -946,7 +938,8 @@ def build_linearized_coeffs(
     divVbar = np.empty((nt, *grid.shape))
     gradVbar = np.empty((nt, d, d, *grid.shape))
     graddivVbar = np.empty((nt, d, *grid.shape))
-    grad_vbarbeta = np.empty((nt, d, *grid.shape))
+    flat = params._slope is None
+    grad_vbarbeta = None if flat else np.empty((nt, d, *grid.shape))
     abar = np.empty((nt, *grid.shape))
     bbar = np.empty((nt, d, *grid.shape))
     gbeta = params.grad_beta_grid[:, None]
@@ -963,21 +956,22 @@ def build_linearized_coeffs(
         # (component, axis, B, *shape): row i holds grad of component i
         gradV_g = grid.to_grid(_grad_c(grid, V_c)).swapaxes(0, 1)
         gradVbar[part] = np.moveaxis(gradV_g, 2, 0)
-        gvb_g = grid.to_grid(_grad_c(grid, grid.from_grid(_dot_g(gbeta, V_g))))
-        grad_vbarbeta[part] = gvb_g.swapaxes(0, 1)
         grad_zeta_g = grid.to_grid(_grad_c(grid, zc[part]))
 
-        # (Vbar.grad)^2 beta = (Vbar.grad)(Vbar.grad beta), assembled spectrally inside.
-        vgrad2_beta = _dot_g(V_g, gvb_g)
         # D_Vbar(div Vbar) = -(Vbar.grad)(div Vbar) + (div Vbar)^2
         d_vbar_div = -_dot_g(V_g, graddiv_g) + div_g**2
         advect = np.stack([_dot_g(V_g, gradV_g[i]) for i in range(d)])
+        a_flow = eps * h_g * d_vbar_div
+        if not flat:
+            gvb_g = grid.to_grid(_grad_c(grid, grid.from_grid(_dot_g(gbeta, V_g))))
+            grad_vbarbeta[part] = gvb_g.swapaxes(0, 1)
+            # (Vbar.grad)^2 beta = (Vbar.grad)(Vbar.grad beta), assembled spectrally inside.
+            a_flow += _dot_g(V_g, gvb_g)
 
         if substituted:
             dtV_g = dtVbar[part].swapaxes(0, 1)
             a_part = abar[part] = (
-                eps * h_g * d_vbar_div
-                + vgrad2_beta
+                a_flow
                 + eps * _dot_g(gbeta, dtV_g)
                 - eps * h_g * grid.to_grid(_div_c(grid, grid.from_grid(dtV_g)))
             )
@@ -993,12 +987,7 @@ def build_linearized_coeffs(
             #      + (Vbar.grad)^2 beta - grad(beta).w + hbar div(w)
             wg = grad_zeta_g + eps * F1g
             div_w = grid.to_grid(_div_c(grid, grid.from_grid(wg)))
-            a_part = abar[part] = (
-                eps * h_g * d_vbar_div
-                + vgrad2_beta
-                - _dot_g(gbeta, wg)
-                + h_g * div_w
-            )
+            a_part = abar[part] = a_flow - _dot_g(gbeta, wg) + h_g * div_w
             b_part = eps * advect - eps * F1g + params.mu * a_part[None] * gbeta
         bbar[part] = b_part.swapaxes(0, 1)
 
@@ -1043,12 +1032,11 @@ def apply_K(
     snapshots and the momentum row is assembled by `_K_rows`. One elliptic
     solve per call; returns (K v, raw CG solution vector) so callers can
     warm-start the next solve with the returned vector. A caller that
-    already holds `coeffs.at_time(t, params._slope is not None)` may pass
-    it as `coeffs_t`.
+    already holds `coeffs.at_time(t)` may pass it as `coeffs_t`.
     """
     grid = v.grid
     if coeffs_t is None:
-        coeffs_t = coeffs.at_time(float(t), params._slope is not None)
+        coeffs_t = coeffs.at_time(float(t))
     rhs, h_c, flux_c, zV_c = _K_rows(coeffs_t, params, v)
     h_field = SpectralField(grid, grid.project(h_c))
     K1 = invert_bigT(params, h_field, SpectralField(grid, rhs), tol=tol, x0=x0)
@@ -1078,8 +1066,9 @@ def _K_rows(
         sym2 = (1/2) [(V.grad)(W.grad beta) + (W.grad)(V.grad beta)],
         dsym = (1/2) [D_V(div W) + D_W(div V)]:
     the derivative of the quadratic form mu Q is twice its diagonal-normalized
-    bilinear form. On a flat bottom the Q term vanishes and is not formed.
-    The coefficients are summed in the order written above.
+    bilinear form. Over bathymetry the slope terms of Q_bil and Tbar ride on
+    the flat rows, as in `_tendency_rows`; on a flat bottom they vanish and
+    are not formed. The coefficients are summed in the order written above.
     """
     grid = v.grid
     mu, eps = params.mu, params.eps
@@ -1118,36 +1107,44 @@ def _K_rows(
         - _dot_g(Vg, graddivVbar)
         + Xg * divVbar
     )
-    products = [
-        hbar,
-        (coeffs_t["zetabar"] - params.b_grid)[None] * Vg,
-        zg[None] * Vbar,
-        hbar[None] * adv,
-        hbar**3 * dsym2,
-        zg[None] * coeffs_t["bbar"],
-        hbar * coeffs_t["abar"] * zg,
-    ]
-    if flat:
-        products.append(hbar * hbar * hbar * lap_z_g)
-    else:
-        vb = _dot_g(gbeta_g, Vg)
-        grad_vb = grid.to_grid(_grad_c(grid, grid.from_grid(vb)))
+    h_adv = hbar[None] * adv
+    h3_dsym2 = hbar**3 * dsym2
+    h3_lap_z = hbar * hbar * hbar * lap_z_g
+    if not flat:
+        # The slope terms ride on the rows above, scaled to the factor each
+        # row is combined with below. With Y = grad(beta).grad zeta, Tbar
+        # grad zeta adds (1/2) grad(hbar^2 Y) = -(1/3) grad(-(3/2) hbar^2 Y)
+        # and (-(1/2) hbar^2 div grad zeta + hbar Y) grad(beta); 2 mu Q_bil
+        # adds (mu/3) grad(3 hbar^2 sym2) and mu hbar (hbar dsym + 2 sym2) grad(beta).
+        Yg = _dot_g(gbeta_g, grids[6])
+        vb_c = grid.from_grid(_dot_g(gbeta_g, Vg))
+        grad_vb = grid.to_grid(_grad_c(grid, vb_c))
         sym2 = 0.5 * (_dot_g(Vg, coeffs_t["grad_vbarbeta"]) + _dot_g(Vbar, grad_vb))
-        products += [
-            hbar**2 * sym2,
-            (hbar * (0.5 * hbar * dsym2 + 2.0 * sym2))[None] * gbeta_g,
-        ]
-    h_c, flux_c, zV_c, rhs, h3_dsym2, bbar_z, habar_z, *rest = _transform(
-        grid.from_grid, grid, products, flat
+        h2 = hbar * hbar
+        slope_terms = mu * hbar * (0.5 * hbar * dsym2 + 2.0 * sym2)
+        slope_terms -= (mu / eps) * (-0.5 * h2 * lap_z_g + hbar * Yg)
+        h_adv += slope_terms[None] * gbeta_g
+        h3_dsym2 += 3.0 * h2 * sym2
+        h3_lap_z -= 1.5 * h2 * Yg
+    h_c, flux_c, zV_c, rhs, h3_dsym2, bbar_z, habar_z, h3_lap_z = _transform(
+        grid.from_grid,
+        grid,
+        [
+            hbar,
+            (coeffs_t["zetabar"] - params.b_grid)[None] * Vg,
+            zg[None] * Vbar,
+            h_adv,
+            h3_dsym2,
+            zg[None] * coeffs_t["bbar"],
+            hbar * coeffs_t["abar"] * zg,
+            h3_lap_z,
+        ],
+        flat,
     )
 
     rhs += (mu / 3.0) * _grad_c(grid, h3_dsym2)
-    # Tbar grad zeta; on a flat bottom -(1/3) grad(hbar^3 div grad zeta)
-    if flat:
-        T = -(1.0 / 3.0) * _grad_c(grid, rest[0])
-    else:
-        rhs += mu * (_grad_c(grid, rest[0]) + rest[1])
-        T = _T_terms(grid, hbar, gbeta_g, grids[6], lap_z_g)
+    # Tbar grad zeta, its slope terms already in the rows
+    T = -(1.0 / 3.0) * _grad_c(grid, h3_lap_z)
     rhs += bbar_z
     rhs += mu * _grad_c(grid, habar_z)
     rhs += -(mu / eps) * grid.project(T)

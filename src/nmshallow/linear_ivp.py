@@ -403,14 +403,13 @@ def solve_linearized(
     `_integrate_filtered`.
     """
     warm: np.ndarray | None = None
-    slope = params._slope is not None
     memo_t: float | None = None
     memo: dict[str, np.ndarray] = {}
 
     def tendency(t: float, v: GNState) -> GNState:
         nonlocal warm, memo_t, memo
         if t != memo_t:
-            memo_t, memo = t, coeffs.at_time(float(t), slope)
+            memo_t, memo = t, coeffs.at_time(float(t))
         Kv, warm = apply_K(coeffs, params, t, v, tol=tol, x0=warm, coeffs_t=memo)
         return Kv
 

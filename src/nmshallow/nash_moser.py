@@ -21,7 +21,6 @@ the residual trace, and the initial-condition telescoping diagnostic.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from abc import ABC, abstractmethod
 from dataclasses import asdict, dataclass, field
@@ -101,11 +100,6 @@ class ScheduleParams:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def to_json(self, path: str | Path) -> Path:
-        p = Path(path)
-        p.write_text(json.dumps(self.to_dict(), indent=2) + "\n")
-        return p
 
 
 def p_min_threshold(m: float, d1: float, d1p: float, D: float) -> tuple[float, float, float]:
@@ -304,11 +298,6 @@ class IterationTrace:
             "schedule": self.schedule,
             "stop_reason": self.stop_reason,
         }
-
-    def to_json(self, path: str | Path) -> Path:
-        p = Path(path)
-        p.write_text(json.dumps(self.to_dict(), indent=2) + "\n")
-        return p
 
 
 # ----------------------------------------------------------------- interface

@@ -222,10 +222,7 @@ def manufactured_residual(
     f_V += (1.0 / eps) * gn._grad_c(grid, snaps[d])
     f_z = rates[d : d + 1] + F.zeta.coefficients
     f_z += (1.0 / eps) * gn._div_c(grid, snaps[:d])[None]
-    h_vals = depth_grid(params, snaps[d])
-    slope = params._slope
-    gbeta_g = None if slope is None else slope[:, None]
-    r1 = gn._apply_bigT_arrays(grid, params.mu, h_vals, gbeta_g, eps * f_V)
+    r1 = gn._apply_bigT_batch(params, depth_grid(params, snaps[d]), eps * f_V)
     times = u_app.times
     return (
         TrajectoryField(grid, times, np.ascontiguousarray(r1.swapaxes(0, 1))),

@@ -86,6 +86,45 @@ def test_unknown_solver_exits_5(runner, tmp_path):
     assert res.exit_code == 5
 
 
+GRID_2D_16 = {"dimension": 2, "nodes": 16, "dealias_fraction": 0.5}
+
+
+@pytest.mark.parametrize(
+    "grid,mode",
+    [
+        ({}, 5),  # beyond the cutoff: was projected away, an all-zero run
+        ({}, 200),  # off the grid: was an IndexError traceback
+        ({}, 0),  # the mean: was set to amplitude/2
+        (GRID_2D_16, [0, 0]),
+        (GRID_2D_16, [1, 5]),
+        (GRID_2D_16, -5),
+    ],
+    ids=["1d-5", "1d-200", "1d-0", "2d-0-0", "2d-1-5", "2d--5"],
+)
+def test_single_mode_outside_the_retained_band_exits_5(runner, tmp_path, grid, mode):
+    # configs/benchmark.json retains 1 <= |k| <= 4 (per axis on the 2D grid)
+    cfg = json.loads(Path("configs/benchmark.json").read_text())
+    cfg["grid"].update(grid)
+    cfg["data"]["mode"] = mode
+    cfg["run"].update({"solver": "mol", "T": 0.01})
+    path = _write_cfg(tmp_path, cfg)
+    res = runner.invoke(main, ["solve", "--config", path, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 5, res.output
+    assert "1 <= |k| <= 4" in res.output
+    assert not (tmp_path / "o" / "solution_mol.nmtrj.bin").exists()
+
+
+def test_single_mode_at_the_band_edge_runs(runner, tmp_path):
+    cfg = json.loads(Path("configs/benchmark.json").read_text())
+    cfg["data"]["mode"] = -4
+    cfg["run"].update({"solver": "mol", "T": 0.01})
+    path = _write_cfg(tmp_path, cfg)
+    res = runner.invoke(main, ["solve", "--config", path, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 0, res.output
+    traj = load_trajectory(tmp_path / "o" / "solution_mol.nmtrj.json")
+    assert np.any(traj.snapshots[0, 1, [4, -4]]) and traj.snapshots[0, 1, 0] == 0
+
+
 def test_depth_violation_exits_4(runner, tmp_path):
     cfg = _write_cfg(
         tmp_path,

@@ -1,12 +1,17 @@
-"""The linearized momentum row: `_K_rows` against its split assembly.
+"""The linearized momentum row: `_K_rows` against its pre-fold form.
 
 `_K_rows` assembles N1 V + bbar zeta + mu grad(hbar abar zeta)
-- (mu/eps) Tbar grad zeta in one function. It replaced a form split over
-three helpers (grid inputs, grid products, coefficient sums), which are
-kept below as the reference. `apply_K` must return the same bytes through
-either, for K v and for the warm-start vector: in 1D and 2D, on a flat
-bottom and over bathymetry, with substituted and exact coefficients, at a
-snapshot time and between snapshots.
+- (mu/eps) Tbar grad zeta with one product list for both branches: over
+bathymetry it adds the slope terms of Q_bil and Tbar to the rows that the
+flat assembly already transforms. The form it replaced transformed the
+slope terms as rows of their own and applied Tbar term by term
+(`_T_terms`); both are kept below as the reference. Through `apply_K`, K v
+and the warm-start vector keep the bytes of the reference on a flat
+bottom, and agree with it to rounding over bathymetry: in 1D and 2D, with
+substituted and exact coefficients, at a snapshot time and between
+snapshots, and through a 2D `solve_linearized` with the same CG iteration
+counts. The fold also cuts the transforms of one `_K_rows` call over
+bathymetry, and a flat-bottom linearization transforms no zero input.
 """
 import math
 
@@ -14,100 +19,103 @@ import numpy as np
 import pytest
 
 from nmshallow import green_naghdi as gn
-from nmshallow.fourier_scale import GridSpec, TrajectoryField, random_field, zero_field
-from nmshallow.green_naghdi import GNState, PhysicalParams, apply_K, build_linearized_coeffs
+from nmshallow.fourier_scale import GridSpec, SpectralField, TrajectoryField, random_field, zero_field
+from nmshallow.green_naghdi import (
+    GNState,
+    PhysicalParams,
+    apply_K,
+    build_linearized_coeffs,
+    x_norm_packed,
+)
+from nmshallow.linear_ivp import IVPData, solve_linearized
+from nmshallow.reference import mol_solve
 
 _dc, _gc, _dot = gn._div_c, gn._grad_c, gn._dot_g
 
 
-def _ref_N1_inputs(grid, v):
-    d = grid.dimension
-    Vc = v.V.coefficients
-    Xc = _dc(grid, Vc)
-    return [
-        Vc,
-        v.zeta.coefficients[0],
-        Xc,
-        _gc(grid, Xc),
-        np.stack([_gc(grid, Vc[i]) for i in range(d)]),
-    ]
+def _ref_T_terms(grid, hg, gbeta_g, Vg, Xg):
+    """Unprojected T[h, beta]V from grid samples of V and div V, term by
+    term with its own transforms."""
+    Yg = _dot(gbeta_g, Vg)
+    h2 = hg * hg
+    h3 = h2 * hg
+    out = -(1.0 / 3.0) * _gc(grid, grid.from_grid(h3 * Xg))
+    out += 0.5 * _gc(grid, grid.from_grid(h2 * Yg))
+    out += grid.from_grid((-0.5 * h2 * Xg + hg * Yg)[None] * gbeta_g)
+    return out
 
 
-def _ref_N1_products(coeffs_t, params, Vg, zg, Xg, grad_X_g, grad_V_g):
-    grid = params.grid
-    d = grid.dimension
-    gbeta = params._slope
+def _ref_K_rows(coeffs_t, params, v):
+    """`_K_rows` before the fold: the Q_bil slope terms as two rows of their
+    own and Tbar through `_ref_T_terms`."""
+    grid = v.grid
+    mu, eps = params.mu, params.eps
     hbar = coeffs_t["hbar"]
     Vbar = coeffs_t["Vbar"]
     divVbar = coeffs_t["divVbar"]
     gradVbar = coeffs_t["gradVbar"]
     graddivVbar = coeffs_t["graddivVbar"]
+    gbeta_g = params._slope
+    flat = gbeta_g is None
 
-    adv = np.stack([_dot(Vbar, grad_V_g[i]) + _dot(Vg, gradVbar[i]) for i in range(d)])
+    Vc = v.V.coefficients
+    Xc = _dc(grid, Vc)
+    gz_c = _gc(grid, v.zeta.coefficients[0])
+    grids = gn._transform(
+        grid.to_grid,
+        grid,
+        [
+            Vc,
+            v.zeta.coefficients[0],
+            Xc,
+            _gc(grid, Xc),
+            _gc(grid, Vc).swapaxes(0, 1),
+            _dc(grid, gz_c),
+            *([] if flat else [gz_c]),
+        ],
+        flat,
+    )
+    Vg, zg, Xg, grad_X_g, grad_V_g, lap_z_g = grids[:6]
+
+    adv = _dot(Vbar, grad_V_g.swapaxes(0, 1)) + _dot(Vg, gradVbar.swapaxes(0, 1))
     dsym2 = -_dot(Vbar, grad_X_g) + divVbar * Xg - _dot(Vg, graddivVbar) + Xg * divVbar
-    parts = [
+    products = [
+        hbar,
+        (coeffs_t["zetabar"] - params.b_grid)[None] * Vg,
+        zg[None] * Vbar,
         hbar[None] * adv,
         hbar**3 * dsym2,
         zg[None] * coeffs_t["bbar"],
         hbar * coeffs_t["abar"] * zg,
     ]
-    if gbeta is not None:
-        vb = _dot(gbeta, Vg)
+    if flat:
+        products.append(hbar * hbar * hbar * lap_z_g)
+    else:
+        vb = _dot(gbeta_g, Vg)
         grad_vb = grid.to_grid(_gc(grid, grid.from_grid(vb)))
         sym2 = 0.5 * (_dot(Vg, coeffs_t["grad_vbarbeta"]) + _dot(Vbar, grad_vb))
-        parts += [
+        products += [
             hbar**2 * sym2,
-            (hbar * (0.5 * hbar * dsym2 + 2.0 * sym2))[None] * gbeta,
+            (hbar * (0.5 * hbar * dsym2 + 2.0 * sym2))[None] * gbeta_g,
         ]
-    return parts
-
-
-def _ref_N1_from_products(grid, mu, parts):
-    row1 = parts[0]
-    row1 += (mu / 3.0) * _gc(grid, parts[1])
-    if len(parts) > 4:
-        row1 += mu * (_gc(grid, parts[4]) + parts[5])
-    row1 += parts[2]
-    row1 += mu * _gc(grid, parts[3])
-    return row1
-
-
-def _ref_K_rows(coeffs_t, params, v):
-    grid = v.grid
-    mu, eps = params.mu, params.eps
-    hbar = coeffs_t["hbar"]
-    gbeta_g = params._slope
-    flat = gbeta_g is None
-
-    gz_c = _gc(grid, v.zeta.coefficients[0])
-    grids = gn._transform(
-        grid.to_grid,
-        grid,
-        [*_ref_N1_inputs(grid, v), _dc(grid, gz_c), *([] if flat else [gz_c])],
-        flat,
+    h_c, flux_c, zV_c, rhs, h3_dsym2, bbar_z, habar_z, *rest = gn._transform(
+        grid.from_grid, grid, products, flat
     )
-    Vg, zg, Xg, grad_X_g, grad_V_g, lap_z_g = grids[:6]
-    gz_g = None if flat else grids[6]
-    n1 = _ref_N1_products(coeffs_t, params, Vg, zg, Xg, grad_X_g, grad_V_g)
-    h_c, flux_c, zV_c, *rest = gn._transform(
-        grid.from_grid,
-        grid,
-        [
-            hbar,
-            (coeffs_t["zetabar"] - params.b_grid)[None] * Vg,
-            zg[None] * coeffs_t["Vbar"],
-            *n1,
-            *([hbar * hbar * hbar * lap_z_g] if flat else []),
-        ],
-        flat,
-    )
+
+    rhs += (mu / 3.0) * _gc(grid, h3_dsym2)
     if flat:
-        T = -(1.0 / 3.0) * _gc(grid, rest[len(n1)])
+        T = -(1.0 / 3.0) * _gc(grid, rest[0])
     else:
-        T = gn._T_terms(grid, hbar, gbeta_g, gz_g, lap_z_g)
-    rhs = _ref_N1_from_products(grid, mu, rest[: len(n1)])
+        rhs += mu * (_gc(grid, rest[0]) + rest[1])
+        T = _ref_T_terms(grid, hbar, gbeta_g, grids[6], lap_z_g)
+    rhs += bbar_z
+    rhs += mu * _gc(grid, habar_z)
     rhs += -(mu / eps) * grid.project(T)
     return grid.project(rhs), h_c, flux_c, zV_c
+
+
+def _rel(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
 def _case(dim, n, flat, substituted):
@@ -142,5 +150,88 @@ def test_K_rows_match_split_assembly(monkeypatch, dim, n, flat, substituted, t):
     got, got_x = apply_K(coeffs, params, t, v)
     monkeypatch.setattr(gn, "_K_rows", _ref_K_rows)
     want, want_x = apply_K(coeffs, params, t, v)
-    assert got.packed().coefficients.tobytes() == want.packed().coefficients.tobytes()
-    assert got_x.tobytes() == want_x.tobytes()
+    got, want = got.packed().coefficients, want.packed().coefficients
+    if flat:
+        assert got.tobytes() == want.tobytes()
+        assert got_x.tobytes() == want_x.tobytes()
+    else:
+        # the slope terms are summed in another order: rounding only
+        assert _rel(got, want) < 1e-13
+        assert _rel(got_x, want_x) < 1e-13
+
+
+@pytest.mark.parametrize("n", [16, 64], ids=["2d-16", "2d-64"])
+def test_solve_linearized_over_bathymetry_matches_pre_fold(monkeypatch, n):
+    grid = GridSpec(dimension=2, nodes_per_axis=n, domain_length=2 * math.pi)
+    rng = np.random.default_rng(7 * n)
+    params = PhysicalParams(
+        mu=0.2, eps=0.5, b=random_field(grid, 1, rng, amplitude=0.1, decay=4.0)
+    )
+
+    def draw(amplitude):
+        return GNState(
+            V=random_field(grid, 2, rng, amplitude=amplitude, decay=4.0),
+            zeta=random_field(grid, 1, rng, amplitude=amplitude, decay=4.0),
+        )
+
+    coeffs = build_linearized_coeffs(params, mol_solve(params, draw(0.1), 0.02, 0.005))
+    ivp = IVPData(initial=draw(1.0), horizon=0.02, dt=0.005)
+    got, got_stats = solve_linearized(params, coeffs, ivp, return_stats=True)
+    monkeypatch.setattr(gn, "_K_rows", _ref_K_rows)
+    want, want_stats = solve_linearized(params, coeffs, ivp, return_stats=True)
+    assert got_stats["mass_solve_iterations"] == want_stats["mass_solve_iterations"]
+    diff = SpectralField(grid, (got.snapshots - want.snapshots).swapaxes(0, 1))
+    size = SpectralField(grid, want.snapshots.swapaxes(0, 1))
+    rel = x_norm_packed(params, diff, 0.0) / x_norm_packed(params, size, 0.0)
+    assert np.all(rel <= 1e-12), rel
+
+
+# ---------------------------------------------------------- transform counts
+
+
+def _record_transforms(monkeypatch):
+    """Wrap `GridSpec.to_grid`/`from_grid`; returns a list that gets one
+    entry per call: whether its input had a nonzero entry."""
+    nonzero = []
+    for name in ("to_grid", "from_grid"):
+        transform = getattr(GridSpec, name)
+
+        def recorded(grid, values, _transform=transform):
+            nonzero.append(bool(np.any(values)))
+            return _transform(grid, values)
+
+        monkeypatch.setattr(GridSpec, name, recorded)
+    return nonzero
+
+
+@pytest.mark.parametrize("flat", [True, False], ids=["flat", "bathymetry"])
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 16)], ids=["1d-64", "2d-16"])
+def test_K_rows_transform_calls(monkeypatch, dim, n, flat):
+    params, coeffs, v = _case(dim, n, flat, True)
+    coeffs_t = coeffs.at_time(0.137)
+    calls = _record_transforms(monkeypatch)
+    gn._K_rows(coeffs_t, params, v)
+    # one stacked pair on a flat bottom; the pre-fold assembly made 21 calls
+    # over bathymetry
+    assert len(calls) <= (2 if flat else 17), len(calls)
+
+
+@pytest.mark.parametrize("substituted", [True, False], ids=["substituted", "exact"])
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 16)], ids=["1d-64", "2d-16"])
+def test_flat_linearization_transforms_no_zero_input(monkeypatch, dim, n, substituted):
+    grid = GridSpec(dimension=dim, nodes_per_axis=n, domain_length=2 * math.pi)
+    rng = np.random.default_rng(11)
+    params = PhysicalParams(mu=0.3, eps=0.5, b=zero_field(grid))
+    snaps = np.stack(
+        [
+            random_field(grid, dim + 1, rng, amplitude=0.05, decay=4.0).coefficients
+            for _ in range(3)
+        ]
+    )
+    uref = TrajectoryField(grid, np.array([0.0, 0.1, 0.2]), snaps)
+    # the one-time samples of b and grad(eps b) that PhysicalParams caches
+    params.b_grid, params.grad_beta_grid
+    calls = _record_transforms(monkeypatch)
+    coeffs = build_linearized_coeffs(params, uref, substituted=substituted)
+    assert calls and all(calls), calls.count(False)
+    assert coeffs.grad_vbarbeta is None

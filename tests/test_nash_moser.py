@@ -1,5 +1,4 @@
 """Schedule arithmetic and the smoothed-Newton engine on closed-form toys."""
-import json
 import math
 import warnings
 
@@ -75,15 +74,6 @@ def test_schedule_parameter_validation():
             compute_schedule(2, 2, 0, 4, 38.5, margin=margin)
     with pytest.raises(InfeasibleScheduleError):
         compute_schedule(2, 2, 0, 4, 38.5, theta0=1.0)
-
-
-def test_schedule_json_round_trip(tmp_path):
-    sch = compute_schedule(2, 2, 0, 4, 38.5, margin=0.5, theta0=10.0)
-    p = sch.to_json(tmp_path / "sched.json")
-    loaded = json.loads(p.read_text())
-    assert loaded["r"] == sch.r
-    assert loaded["p_min"] == 38.0
-    assert loaded["theta0"] == 10.0
 
 
 # -------------------------------------------------------------- toy problem

@@ -277,6 +277,10 @@ def test_linearized_coeffs_match_snapshot_loop(dim, n, flat, substituted):
     params, traj = _case(dim, n, flat)
     got = build_linearized_coeffs(params, traj, substituted=substituted)
     want = _linearized_coeffs_loop(params, traj, substituted)
+    if flat:
+        # grad(grad(beta).Vbar) vanishes on a flat bottom and is not formed
+        assert got.grad_vbarbeta is None
+        del want["grad_vbarbeta"]
     for name, arr in want.items():
         assert getattr(got, name).tobytes() == arr.tobytes(), name
 

@@ -202,3 +202,22 @@ def test_every_private_helper_has_a_caller():
         if helper not in used
     ]
     assert dead == []
+
+
+def _slope_reads(path: Path) -> list[str]:
+    """Reads of the attribute `_slope` (PhysicalParams' flat-bottom test)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "_slope"
+    ]
+
+
+def test_only_green_naghdi_knows_whether_the_bottom_is_flat():
+    # the bathymetry branches of the operators are chosen in green_naghdi
+    # alone; other modules call its operators and never branch on the slope
+    sources = sorted(p for p in PACKAGE.glob("*.py") if p.name != "green_naghdi.py")
+    assert sources, f"no sources under {PACKAGE}"
+    hits = [hit for path in sources for hit in _slope_reads(path)]
+    assert hits == []
