@@ -69,7 +69,6 @@ from .nash_moser import (
     compute_schedule,
     nash_moser_solve,
     p_min_threshold,
-    picard_solve,
 )
 from .gn_problem import GNProblem
 from .reference import manufactured_residual, mol_solve, serre_solitary_wave
@@ -115,7 +114,6 @@ __all__ = [
     "compute_schedule",
     "nash_moser_solve",
     "p_min_threshold",
-    "picard_solve",
     "GNProblem",
     "manufactured_residual",
     "mol_solve",

@@ -186,7 +186,11 @@ class IVPData:
             raise ValueError("dt must lie in (0, horizon]")
 
 
-def dispersive_dt_cap(params: PhysicalParams, grid: GridSpec, safety: float = 0.5) -> float:
+#: Largest h * |K_max| that `dispersive_dt_cap` allows (see its docstring).
+_DT_CAP_SAFETY = 0.5
+
+
+def dispersive_dt_cap(params: PhysicalParams, grid: GridSpec) -> float:
     """Largest stable RK4 step for the filtered system.
 
     The integrating factor removes the non-dispersive wave operator exactly,
@@ -199,7 +203,7 @@ def dispersive_dt_cap(params: PhysicalParams, grid: GridSpec, safety: float = 0.
     oscillate at ~2|xi|/eps. Explicit RK4 on such an oscillatory linear
     system is parametrically unstable once h * |K| at the band cutoff
     approaches 1 (measured blow-up threshold h*|K| in [0.7, 1.1]); the
-    default keeps h * |K_max| <= 0.5. For mu -> 0 the correction vanishes
+    cap keeps h * |K_max| <= 0.5. For mu -> 0 the correction vanishes
     and the cap is infinite.
     """
     k_c = grid.dealias_cutoff_index
@@ -210,7 +214,7 @@ def dispersive_dt_cap(params: PhysicalParams, grid: GridSpec, safety: float = 0.
     k_mag = (xi_c / params.eps) * tau / (1.0 + tau)
     if k_mag <= 0.0:
         return math.inf
-    return safety / k_mag
+    return _DT_CAP_SAFETY / k_mag
 
 
 def _forcing_sampler(

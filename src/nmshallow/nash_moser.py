@@ -17,6 +17,12 @@ induction properties
     (iii)_k |v_k|_{E^{s+D}} <= theta_k^{-q},
 
 the residual trace, and the initial-condition telescoping diagnostic.
+
+The unsmoothed fixed-point (Picard) iteration u_{k+1} = u_k + v_k is the
+same loop at theta0 = inf, where S_theta keeps every mode: run it as
+`nash_moser_solve(problem, compute_schedule(..., theta0=math.inf), T, dt,
+max_retries=0)`, since a retry doubles theta0 and 2 * inf = inf repeats
+the same run.
 """
 from __future__ import annotations
 
@@ -50,7 +56,6 @@ __all__ = [
     "residual",
     "nash_moser_solve",
     "check_induction",
-    "picard_solve",
     "smooth_trajectory",
 ]
 
@@ -86,17 +91,6 @@ class ScheduleParams:
     p_min: float = float("nan")
     margin: float = 0.5
     degenerate_alpha: bool = False
-
-    @property
-    def norm_indices(self) -> dict[str, float]:
-        """The finite set of scale indices the iteration actually uses."""
-        return {
-            "s0+m": self.s0 + self.m,
-            "s+d1p": self.s + self.d1p,
-            "s+D-delta": self.s + self.D - self.delta,
-            "s+D": self.s + self.D,
-            "s+P": self.s + self.P,
-        }
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -665,57 +659,3 @@ def check_induction(trace: IterationTrace, schedule: ScheduleParams) -> dict:
             "prop_iii": first_failure(prop_iii),
         },
     }
-
-
-def picard_solve(
-    problem: ProblemInterface,
-    T: float,
-    dt: float,
-    k_max: int = 25,
-    target_residual: float = 1e-8,
-    s_index: float | None = None,
-    m: float = 0.0,
-) -> tuple[TrajectoryField, list[float]]:
-    """Unsmoothed fixed-point baseline: u_{k+1} = u_k + v_k.
-
-    Identical plumbing to the smoothed loop but with no low-pass and no
-    theta schedule, provided as a contrast baseline: with derivative loss
-    in the tendency the correction's high modes are never tamed and the
-    defect history need not decrease. Returns the last iterate and the
-    residual history (measured at `s_index`, default the plain working
-    index 2).
-    """
-    sigma = 2.0 if s_index is None else s_index
-    u = initial_iterate(problem, T, dt)
-    g = problem.initial_data()
-    history: list[float] = []
-    for k in range(k_max + 1):
-        phi1, phi2, norms = residual(problem, u, [sigma], m)
-        res = norms[sigma]
-        history.append(res)
-        if not math.isfinite(res) or (
-            len(history) >= 4
-            and all(
-                history[-j] > 10.0 * history[-j - 1] and math.isfinite(history[-j - 1])
-                for j in (1, 2, 3)
-            )
-        ):
-            raise DivergenceError(
-                f"unsmoothed iteration diverged at k={k} (residual {res:.3e})",
-                trace=history,
-            )
-        if res <= target_residual or k == k_max:
-            return u, history
-        coeffs = problem.linearize(u)
-        v = problem.solve_linearized(
-            coeffs,
-            -1.0 * phi1,
-            SpectralField(u.grid, g.coefficients - u.snapshots[0]),
-            T,
-            dt,
-        )
-        u = TrajectoryField(u.grid, u.times.copy(), u.snapshots + v.snapshots)
-        ok, why = problem.admissible(u)
-        if not ok:
-            raise DomainError(f"unsmoothed iterate k={k + 1} left the admissible set: {why}")
-    raise AssertionError("unreachable")

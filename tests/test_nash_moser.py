@@ -5,14 +5,17 @@ import warnings
 import numpy as np
 import pytest
 
-from nmshallow.errors import InfeasibleScheduleError
+from nmshallow.errors import DivergenceError, DomainError, InfeasibleScheduleError
 from nmshallow.fourier_scale import (
     GridSpec,
     SpectralField,
     TrajectoryField,
     random_field,
     trajectory_norm,
+    zero_field,
 )
+from nmshallow.gn_problem import GNProblem
+from nmshallow.green_naghdi import GNState, PhysicalParams
 from nmshallow.nash_moser import (
     IterationTrace,
     ProblemInterface,
@@ -21,7 +24,6 @@ from nmshallow.nash_moser import (
     initial_iterate,
     nash_moser_solve,
     p_min_threshold,
-    picard_solve,
     residual,
     smooth_trajectory,
 )
@@ -38,13 +40,6 @@ def test_schedule_gn_exact_constants():
     # r = (1/2) r_lo + (1/2) rbar with r_lo = 4/3 and rbar = 130/97
     assert abs(sch.r - 389 / 291) < 1e-15
     assert sch.s0 == 1.0 and sch.s == 3.0
-    assert sch.norm_indices == {
-        "s0+m": 3.0,
-        "s+d1p": 3.0,
-        "s+D-delta": 5.0,
-        "s+D": 7.0,
-        "s+P": 41.5,
-    }
 
 
 def test_schedule_threshold_with_irrational_root():
@@ -222,25 +217,113 @@ def test_engine_zero_residual_short_circuit(toy_grid, toy_schedule):
     assert rep["prop_iii"] == [True]
 
 
+def _forced_toy(grid):
+    g = _mode(grid, 2, 0.3) + _mode(grid, 3, 0.2)
+    a = _mode(grid, 1, 0.1) + _mode(grid, 4, 0.05)
+    b = _mode(grid, 2, 0.07)
+    return AdvectionForced(grid, c=0.7, g_coeffs=g, a=a, b=b)
+
+
+def _unsmoothed(schedule):
+    """The same schedule at theta0 = inf, where S_theta keeps every mode."""
+    return compute_schedule(
+        schedule.m, schedule.d1, schedule.d1p, schedule.D, schedule.P,
+        margin=schedule.margin, s0=schedule.s0, s=schedule.s, theta0=math.inf,
+    )
+
+
 def test_engine_matches_unsmoothed_baseline_and_exact_solution(toy_grid, toy_schedule):
-    g = _mode(toy_grid, 2, 0.3) + _mode(toy_grid, 3, 0.2)
-    a = _mode(toy_grid, 1, 0.1) + _mode(toy_grid, 4, 0.05)
-    b = _mode(toy_grid, 2, 0.07)
-    prob = AdvectionForced(toy_grid, c=0.7, g_coeffs=g, a=a, b=b)
+    prob = _forced_toy(toy_grid)
     T, dt = 1.0, 0.01
 
     u_nm, trace = nash_moser_solve(prob, toy_schedule, T, dt, k_max=20, target_residual=1e-11)
     assert trace.residual_F[0] == pytest.approx(7.325, rel=1e-3)
     assert min(trace.residual_F) <= 3e-6
 
-    u_p, hist = picard_solve(
-        prob, T, dt, k_max=20, target_residual=1e-11, s_index=toy_schedule.s, m=toy_schedule.m
+    u_p, _ = nash_moser_solve(
+        prob, _unsmoothed(toy_schedule), T, dt, k_max=20, target_residual=1e-11, max_retries=0
     )
     assert float(np.max(np.abs(u_p.snapshots - u_nm.snapshots))) <= 1e-12
 
     times = np.linspace(0.0, T, int(T / dt) + 1)
-    exact = np.stack([g + t * a + t * t * b for t in times])
+    exact = np.stack([prob._g + t * prob.a + t * t * prob.b for t in times])
     assert float(np.max(np.abs(u_nm.snapshots - exact))) <= 1e-8
+
+
+def _picard_reference(problem, T, dt, k_max, target_residual, s_index, m):
+    """The unsmoothed fixed-point loop u_{k+1} = u_k + v_k as a separate
+    function, kept as the differential reference of the engine at
+    theta0 = inf; returns the last iterate and the residual history."""
+    sigma = s_index
+    u = initial_iterate(problem, T, dt)
+    g = problem.initial_data()
+    history = []
+    for k in range(k_max + 1):
+        phi1, phi2, norms = residual(problem, u, [sigma], m)
+        res = norms[sigma]
+        history.append(res)
+        if not math.isfinite(res) or (
+            len(history) >= 4
+            and all(
+                history[-j] > 10.0 * history[-j - 1] and math.isfinite(history[-j - 1])
+                for j in (1, 2, 3)
+            )
+        ):
+            raise DivergenceError(
+                f"unsmoothed iteration diverged at k={k} (residual {res:.3e})",
+                trace=history,
+            )
+        if res <= target_residual or k == k_max:
+            return u, history
+        coeffs = problem.linearize(u)
+        v = problem.solve_linearized(
+            coeffs,
+            -1.0 * phi1,
+            SpectralField(u.grid, g.coefficients - u.snapshots[0]),
+            T,
+            dt,
+        )
+        u = TrajectoryField(u.grid, u.times.copy(), u.snapshots + v.snapshots)
+        ok, why = problem.admissible(u)
+        if not ok:
+            raise DomainError(f"unsmoothed iterate k={k + 1} left the admissible set: {why}")
+    raise AssertionError("unreachable")
+
+
+def _gn_wide_band():
+    # N = 64 with the 2/3 rule keeps |k| <= 21, so the default theta0 = 10
+    # would cut modes 10-21 of every correction
+    grid = GridSpec(dimension=1, nodes_per_axis=64, domain_length=2 * math.pi)
+    assert grid.dealias_cutoff_index == 21
+    rng = np.random.default_rng(3)
+    data = GNState(
+        V=random_field(grid, 1, rng, amplitude=1e-3, decay=1.0),
+        zeta=random_field(grid, 1, rng, amplitude=1e-3, decay=1.0),
+    )
+    params = PhysicalParams(mu=0.1, eps=math.sqrt(0.1), b=zero_field(grid))
+    return GNProblem(params, data)
+
+
+@pytest.mark.parametrize("case", ["toy", "gn-wide-band"])
+def test_engine_at_infinite_theta0_is_the_unsmoothed_loop(case, toy_grid, toy_schedule):
+    if case == "toy":
+        prob, schedule, T, dt, k_max = _forced_toy(toy_grid), toy_schedule, 1.0, 0.01, 20
+    else:
+        schedule = compute_schedule(m=2, d1=2, d1p=0, D=4, P=38.5)
+        prob, T, dt, k_max = _gn_wide_band(), 0.1, 0.005, 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u_nm, trace = nash_moser_solve(
+            prob, _unsmoothed(schedule), T, dt, k_max=k_max, target_residual=1e-12,
+            max_retries=0,
+        )
+        u_p, history = _picard_reference(
+            prob, T, dt, k_max, 1e-12, s_index=schedule.s + schedule.d1p, m=schedule.m
+        )
+    assert np.array_equal(u_nm.snapshots, u_p.snapshots)
+    assert trace.residual_F == history
+    assert trace.stop_reason == "k_max" and len(trace) == k_max + 1
+    assert trace.theta == [math.inf] * len(trace)
 
 
 def test_time_derivative_once_per_iterate(toy_grid, toy_schedule, monkeypatch):
@@ -304,10 +387,11 @@ def test_smooth_trajectory_at_a_saturated_theta_keeps_every_mode(toy_grid, rng):
         [random_field(toy_grid, 1, rng, amplitude=0.4, decay=1.5).coefficients for _ in range(2)]
     )
     traj = TrajectoryField(toy_grid, np.array([0.0, 1.0]), snaps)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        out = smooth_trajectory(traj, np.float64(1e200))
-    assert np.array_equal(out.snapshots, snaps)
+    for theta in (np.float64(1e200), math.inf):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = smooth_trajectory(traj, theta)
+        assert np.array_equal(out.snapshots, snaps)
 
 
 # ------------------------------------------------------------ trace objects

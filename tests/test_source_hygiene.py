@@ -221,3 +221,24 @@ def test_only_green_naghdi_knows_whether_the_bottom_is_flat():
     assert sources, f"no sources under {PACKAGE}"
     hits = [hit for path in sources for hit in _slope_reads(path)]
     assert hits == []
+
+
+def test_every_exported_name_resolves():
+    # a name that a deletion leaves in an `__all__` fails only at
+    # `from ... import *`, which no other test runs
+    import importlib
+
+    import nmshallow
+
+    modules = [nmshallow] + [
+        importlib.import_module(f"nmshallow.{path.stem}")
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem not in {"__init__", "__main__"}
+    ]
+    missing = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in getattr(module, "__all__", ())
+        if not hasattr(module, name)
+    ]
+    assert missing == []
