@@ -187,14 +187,9 @@ class PhysicalParams:
         return self.grid.to_grid(self.b.coefficients[0])
 
     @cached_property
-    def grad_b_grid(self) -> np.ndarray:
-        """Samples of grad b, shape (d, *grid.shape)."""
-        return self.grid.to_grid(_grad_c(self.grid, self.b.coefficients[0]))
-
-    @cached_property
     def grad_beta_grid(self) -> np.ndarray:
-        """Samples of grad(eps*b)."""
-        return self.eps * self.grad_b_grid
+        """Samples of grad(eps*b), shape (d, *grid.shape)."""
+        return self.eps * self.grid.to_grid(_grad_c(self.grid, self.b.coefficients[0]))
 
     @cached_property
     def _slope(self) -> np.ndarray | None:
@@ -942,7 +937,7 @@ def build_linearized_coeffs(
     grad_vbarbeta = None if flat else np.empty((nt, d, *grid.shape))
     abar = np.empty((nt, *grid.shape))
     bbar = np.empty((nt, d, *grid.shape))
-    gbeta = params.grad_beta_grid[:, None]
+    gbeta = None if flat else params._slope[:, None]
     for part in _chunks(nt):
         # one chunk of snapshots as a batch: (d, B, *shape) vectors and
         # (B, *shape) scalars; each transform covers the whole chunk
@@ -968,18 +963,15 @@ def build_linearized_coeffs(
             # (Vbar.grad)^2 beta = (Vbar.grad)(Vbar.grad beta), assembled spectrally inside.
             a_flow += _dot_g(V_g, gvb_g)
 
+        # the grad(beta) terms vanish on a flat bottom and are left out there
         if substituted:
             dtV_g = dtVbar[part].swapaxes(0, 1)
-            a_part = abar[part] = (
-                a_flow
-                + eps * _dot_g(gbeta, dtV_g)
-                - eps * h_g * grid.to_grid(_div_c(grid, grid.from_grid(dtV_g)))
+            if not flat:
+                a_flow += eps * _dot_g(gbeta, dtV_g)
+            a_part = abar[part] = a_flow - eps * h_g * grid.to_grid(
+                _div_c(grid, grid.from_grid(dtV_g))
             )
-            b_part = (
-                eps * advect
-                + (eps * dtV_g + grad_zeta_g)
-                + params.mu * a_part[None] * gbeta
-            )
+            b_part = eps * advect + (eps * dtV_g + grad_zeta_g)
         else:
             state = GNState(V=SpectralField(grid, V_c), zeta=SpectralField(grid, zc[part][None]))
             F1g = grid.to_grid(nonlinear_F(params, state, tol=tol).V.coefficients)
@@ -987,8 +979,12 @@ def build_linearized_coeffs(
             #      + (Vbar.grad)^2 beta - grad(beta).w + hbar div(w)
             wg = grad_zeta_g + eps * F1g
             div_w = grid.to_grid(_div_c(grid, grid.from_grid(wg)))
-            a_part = abar[part] = a_flow - _dot_g(gbeta, wg) + h_g * div_w
-            b_part = eps * advect - eps * F1g + params.mu * a_part[None] * gbeta
+            if not flat:
+                a_flow -= _dot_g(gbeta, wg)
+            a_part = abar[part] = a_flow + h_g * div_w
+            b_part = eps * advect - eps * F1g
+        if not flat:
+            b_part += params.mu * a_part[None] * gbeta
         bbar[part] = b_part.swapaxes(0, 1)
 
     return LinearizedCoeffs(

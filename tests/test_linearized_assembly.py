@@ -229,9 +229,11 @@ def test_flat_linearization_transforms_no_zero_input(monkeypatch, dim, n, substi
         ]
     )
     uref = TrajectoryField(grid, np.array([0.0, 0.1, 0.2]), snaps)
-    # the one-time samples of b and grad(eps b) that PhysicalParams caches
-    params.b_grid, params.grad_beta_grid
+    # the one-time samples of b that PhysicalParams caches; a flat build
+    # never forms those of grad(eps b)
+    params.b_grid
     calls = _record_transforms(monkeypatch)
     coeffs = build_linearized_coeffs(params, uref, substituted=substituted)
     assert calls and all(calls), calls.count(False)
     assert coeffs.grad_vbarbeta is None
+    assert "grad_beta_grid" not in vars(params)
