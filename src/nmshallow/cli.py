@@ -274,15 +274,17 @@ def _schedule_from_cfg(cfg: dict) -> ScheduleParams:
 
 
 def _single_mode_zeta(grid: GridSpec, mode, amplitude: float) -> SpectralField:
-    """Cosine of wavenumber index `mode` (in 2D a pair; k means (k, 0)); a
-    mode outside the retained band raises ValueError."""
+    """Cosine of wavenumber index `mode`, a JSON integer (in 2D also a pair of
+    them; k means (k, 0)); any other value, or a mode outside the retained
+    band, raises ValueError."""
     zc = np.zeros((1, *grid.shape), dtype=np.complex128)
-    if grid.dimension == 1:
-        k = (int(mode),)
-    else:
-        k = tuple(int(m) for m in (mode if isinstance(mode, (list, tuple)) else (mode, 0)))
+    pair = grid.dimension == 2 and isinstance(mode, list) and len(mode) == 2
+    k = tuple(mode) if pair else (mode,) + (0,) * (grid.dimension - 1)
+    if not all(isinstance(ki, int) and not isinstance(ki, bool) for ki in k):
+        kinds = "an integer" if grid.dimension == 1 else "an integer or a pair of integers"
+        raise ValueError(f"data.mode must be {kinds}, got {mode!r}")
     cut = grid.dealias_cutoff_index
-    if len(k) != grid.dimension or not any(k) or max(abs(ki) for ki in k) > cut:
+    if not any(k) or max(abs(ki) for ki in k) > cut:
         axes = "" if grid.dimension == 1 else " on each axis, not all zero"
         raise ValueError(
             f"data.mode {mode!r} is outside the grid's retained band "

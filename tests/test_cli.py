@@ -114,6 +114,35 @@ def test_single_mode_outside_the_retained_band_exits_5(runner, tmp_path, grid, m
     assert not (tmp_path / "o" / "solution_mol.nmtrj.bin").exists()
 
 
+@pytest.mark.parametrize(
+    "grid,mode",
+    [
+        ({}, [1]),
+        ({}, 1.7),
+        ({}, 1.0),
+        ({}, True),
+        ({}, "1"),
+        (GRID_2D_16, [1.0, 2]),
+        (GRID_2D_16, [True, 1]),
+        (GRID_2D_16, [1, 2, 3]),
+        (GRID_2D_16, 1.5),
+        (GRID_2D_16, False),
+    ],
+    ids=["1d-list", "1d-1.7", "1d-1.0", "1d-true", "1d-str", "2d-float-pair", "2d-bool-pair",
+         "2d-triple", "2d-1.5", "2d-false"],
+)
+def test_single_mode_that_is_not_an_integer_exits_5(runner, tmp_path, grid, mode):
+    cfg = json.loads(Path("configs/benchmark.json").read_text())
+    cfg["grid"].update(grid)
+    cfg["data"]["mode"] = mode
+    cfg["run"].update({"solver": "mol", "T": 0.01})
+    path = _write_cfg(tmp_path, cfg)
+    res = runner.invoke(main, ["solve", "--config", path, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 5, res.output
+    assert "data.mode must be an integer" in res.output
+    assert not (tmp_path / "o" / "solution_mol.nmtrj.bin").exists()
+
+
 def test_single_mode_at_the_band_edge_runs(runner, tmp_path):
     cfg = json.loads(Path("configs/benchmark.json").read_text())
     cfg["data"]["mode"] = -4
