@@ -20,8 +20,10 @@ table for this checkout and for the checkout DIR, prints only the rows that
 differ (this checkout's row, then DIR's), and exits 1 if any row differs.
 For each differing trajectory (`.nmtrj.bin`) it also prints the largest
 per-snapshot relative difference between the two trajectories, in the l2
-norm of the coefficients (the H^0 norm, by Parseval), so a change that
-moves bits at rounding level shows by how much.
+norm of the coefficients (the H^0 norm, by Parseval), and for each
+differing CSV file (`trace.csv`, `stability.csv`, `scaling.csv`) the largest
+relative difference over its numeric cells, so a change that moves bits at
+rounding level shows by how much.
 
 Run from anywhere; the package is imported from the `src/` next to this
 script's directory, or from `--root DIR/src`:
@@ -31,6 +33,7 @@ script's directory, or from `--root DIR/src`:
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import math
@@ -155,6 +158,38 @@ def max_relative_difference(this: Path, other: Path) -> float:
     return float(np.max(np.nan_to_num(rel, nan=0.0)))
 
 
+def _csv_cells(path: Path) -> list[list[str]]:
+    """The rows of a CSV artifact after its `#` header lines, column names
+    included."""
+    with path.open(newline="") as fh:
+        return list(csv.reader(line for line in fh if not line.startswith("#")))
+
+
+def max_csv_relative_difference(this: Path, other: Path) -> float:
+    """Largest relative difference |a - b| / |b| over the numeric cells of two
+    CSV artifacts, b from `other`: 0 where both cells are equal (two NaNs
+    included); inf where the two tables differ in shape, or where differing
+    cells are not both finite numbers or b is zero."""
+    a_rows, b_rows = _csv_cells(this), _csv_cells(other)
+    if [len(r) for r in a_rows] != [len(r) for r in b_rows]:
+        return math.inf
+    worst = 0.0
+    for a_row, b_row in zip(a_rows, b_rows):
+        for a_cell, b_cell in zip(a_row, b_row):
+            if a_cell == b_cell:
+                continue
+            try:
+                a, b = float(a_cell), float(b_cell)
+            except ValueError:
+                return math.inf
+            if a == b or (math.isnan(a) and math.isnan(b)):
+                continue
+            if b == 0.0 or not (math.isfinite(a) and math.isfinite(b)):
+                return math.inf
+            worst = max(worst, abs(a - b) / abs(b))
+    return worst
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=ROOT,
@@ -183,10 +218,16 @@ def main() -> int:
                 print(f"| {name} | " + " | ".join(row) + " |")
         for n in differ:
             this, that = paths[n], other_paths[n]
-            if this.name.endswith(".nmtrj.bin") and this.is_file() and that.is_file():
+            if not (this.is_file() and that.is_file()):
+                continue
+            if this.name.endswith(".nmtrj.bin"):
                 rel = max_relative_difference(this, that)
                 print(f"{rows[n][0]}, {rows[n][1]}: largest per-snapshot relative "
                       f"difference {rel:.3e}")
+            elif this.suffix == ".csv":
+                rel = max_csv_relative_difference(this, that)
+                print(f"{rows[n][0]}, {rows[n][1]}: largest relative difference "
+                      f"over the numeric cells {rel:.3e}")
         print(f"{len(differ)} of {total} rows differ"
               + ("; a command failed" if failed or other_failed else ""))
         return 1 if differ or failed or other_failed else 0

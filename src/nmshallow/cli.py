@@ -263,6 +263,17 @@ def _params_from_cfg(cfg: dict, mu: float | None = None, eps: float | None = Non
     )
 
 
+def _cg_tol(cfg: dict) -> float:
+    """`run.cg_tol`, the relative tolerance of every elliptic solve: a finite
+    number in (0, 1), else ValueError. Each command that solves reads it
+    first, before any work."""
+    raw = cfg["run"]["cg_tol"]
+    tol = float(raw)
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"run.cg_tol must be a finite number in (0, 1), got {raw!r}")
+    return tol
+
+
 def _schedule_from_cfg(cfg: dict) -> ScheduleParams:
     """The iteration schedule the config's ``schedule`` section describes."""
     sc = cfg["schedule"]
@@ -445,7 +456,7 @@ def _run_nash_moser(
     """
     rc = cfg["run"]
     sched = _schedule_from_cfg(cfg)
-    problem = GNProblem(params, u0, tol=float(rc["cg_tol"]))
+    problem = GNProblem(params, u0, tol=_cg_tol(cfg))
 
     def record(trace) -> dict | None:
         header = "\n".join(
@@ -481,6 +492,7 @@ def _run_nash_moser(
 @_command("solve")
 def cmd_solve(cfg: dict, out: Path) -> None:
     """Solve one Cauchy problem (iterative scheme, direct MoL, or both)."""
+    tol = _cg_tol(cfg)
     params = _params_from_cfg(cfg)
     u0 = _initial_state(params, cfg["data"])
     ok, hmin = depth_check(params, u0)
@@ -512,7 +524,7 @@ def cmd_solve(cfg: dict, out: Path) -> None:
         )
     if solver in ("mol", "both"):
         traj_mol = mol_solve(
-            params, u0, float(rc["T"]), float(rc["dt"]), tol=float(rc["cg_tol"])
+            params, u0, float(rc["T"]), float(rc["dt"]), tol=tol
         )
         save_trajectory(traj_mol, out / "solution_mol.nmtrj")
         report["mol"] = {"steps": traj_mol.n_times - 1}
@@ -529,6 +541,7 @@ def cmd_solve(cfg: dict, out: Path) -> None:
 @_command("convergence")
 def cmd_convergence(cfg: dict, out: Path) -> None:
     """Run the iterative scheme and report the induction-property check."""
+    _cg_tol(cfg)
     params = _params_from_cfg(cfg)
     u0 = _initial_state(params, cfg["data"])
     _, trace, report = _run_nash_moser(cfg, params, u0, out, induction=True)
@@ -544,12 +557,12 @@ def cmd_convergence(cfg: dict, out: Path) -> None:
 @_command("stability")
 def cmd_stability(cfg: dict, out: Path) -> None:
     """Error of an O(iota)-consistent approximate solution vs iota."""
+    tol = _cg_tol(cfg)
     params = _params_from_cfg(cfg)
     u0 = _initial_state(params, cfg["data"])
     st = cfg["stability"]
     rc = cfg["run"]
     T, dt = float(rc["T"]), float(rc["dt"])
-    tol = float(rc["cg_tol"])
     s_err = float(st["norm_index"])
     grid = params.grid
     d = grid.dimension
@@ -622,7 +635,7 @@ def cmd_scaling(cfg: dict, out: Path) -> None:
     sl = cfg["scaling"]
     rc = cfg["run"]
     T, dt = float(rc["T"]), float(rc["dt"])
-    tol = float(rc["cg_tol"])
+    tol = _cg_tol(cfg)
     s_err = float(sl["norm_index"])
     rule = sl["eps_rule"]
     if rule not in ("one", "sqrt_mu"):

@@ -80,7 +80,16 @@ one norm per member. `build_linearized_coeffs` assembles a trajectory in
 chunks of snapshots, each chunk a batch. The linearized operator
 `apply_K` stays single-field.
 
-The elliptic solves of a batch run in one `_pcg` call, a numpy PCG that
+Elliptic solves take one of two paths. On a flat bottom in 1D with a
+retained band of at most `_DENSE_MODES` modes, `_band_solve` solves each
+member directly: there bigT is the Fourier-Galerkin matrix
+A[j, l] = h^(k_j - k_l) + (mu/3) xi_j xi_l (h^3)^(k_j - k_l) (indices mod
+N) on the band, a few dozen modes at most, which one batched LU solves in
+less time than the per-call overhead of a few PCG sweeps. Both paths keep
+one stopping contract, |b - A x| < tol |b| per member, and raise the same
+ConvergenceError; the solutions differ by rounding (at most 3.6e-15
+relative per snapshot on the flagship's trajectories).
+Every other batch of elliptic solves runs in one `_pcg` call, a numpy PCG that
 repeats, member by member, the arithmetic of `scipy.sparse.linalg.cg`
 (tests compare them byte for byte): per-member norms and inner products,
 the stopping rule norm(r) < tol * norm(b), a zero right side returned as it
@@ -137,6 +146,15 @@ __all__ = [
 #: of a batch. Callers that report solver statistics snapshot these
 #: before/after a run; they are never reset here.
 CG_STATS = {"solves": 0, "iterations": 0}
+
+#: Largest retained band, in modes, of a flat 1D grid whose elliptic systems
+#: `invert_bigT` solves directly (`_band_solve`) rather than by PCG. Per
+#: call on random depths, PCG against direct: lone solves took 238 against
+#: 77 us at 21 modes and 253 against 154 us at 65, but 230 against 249 us
+#: at 85; batches of 4 took 498 against 405 us at 65 modes and 450 against
+#: 759 us at 85, and batches of 16 (one `_CHUNK`) 689 against 671 us at 43
+#: (best of 7 rounds; 2-core x86 host, numpy 2.4, OpenBLAS on one thread).
+_DENSE_MODES = 64
 
 
 @dataclass
@@ -440,16 +458,21 @@ def energy_E(params: PhysicalParams, h: SpectralField, V: SpectralField) -> floa
 
     E^2 = h0 |V|^2_{L2} + mu h0 | h div V / sqrt(3) - (sqrt(3)/2) grad(beta).V |^2_{L2}
           + (mu h0 / 4) | grad(beta).V |^2_{L2},   beta = eps*b.
+
+    On a flat bottom Y = grad(beta).V vanishes and is not formed.
     """
     V.require_single("energy_E")
     grid = V.grid
     hg = grid.to_grid(h.coefficients[0])
     Vg = grid.to_grid(V.coefficients)
     Xg = grid.to_grid(_div_c(grid, V.coefficients))
-    Yg = _dot_g(params.grad_beta_grid, Vg)
     sq = (Vg**2).sum(axis=0)
-    sq = sq + params.mu * (hg * Xg / math.sqrt(3.0) - (math.sqrt(3.0) / 2.0) * Yg) ** 2
-    sq = sq + 0.25 * params.mu * Yg**2
+    if params._slope is None:
+        sq = sq + params.mu * (hg * Xg / math.sqrt(3.0)) ** 2
+    else:
+        Yg = _dot_g(params._slope, Vg)
+        sq = sq + params.mu * (hg * Xg / math.sqrt(3.0) - (math.sqrt(3.0) / 2.0) * Yg) ** 2
+        sq = sq + 0.25 * params.mu * Yg**2
     return math.sqrt(params.h0 * grid.cell_volume * float(np.sum(sq)))
 
 
@@ -472,51 +495,118 @@ def invert_bigT(
     x0: np.ndarray | None = None,
     return_info: bool = False,
 ):
-    """Solve bigT W = V by preconditioned conjugate gradients.
+    """Solve bigT W = V on the dealiased band, directly or by preconditioned
+    conjugate gradients.
 
     The discrete operator is symmetric positive definite on the dealiased band
-    (quadratic form bounded below by h0 |.|^2), so CG applies. The
-    preconditioner is the exact inverse of the flat operator at the mean
-    depth hbar, whose symbol is hbar I + (mu hbar^3/3) xi xi^T: the
-    longitudinal part of the residual takes (hbar + mu |xi|^2 hbar^3/3)^{-1}
-    and, in 2D, the transverse part 1/hbar (see `_bigT_operators`). At a
-    constant depth on a flat bottom one iteration solves the system.
-    Terminates when the L2 residual drops below tol * |V|_{L2}; raises
-    ConvergenceError otherwise.
+    (quadratic form bounded below by h0 |.|^2). On a flat bottom in 1D with a
+    band of at most `_DENSE_MODES` modes, each member is one dense solve of
+    its Fourier-Galerkin matrix (`_band_solve`); `x0` and `max_iter` do not
+    apply there, and the solve counts 0 iterations. Every other system (2D,
+    bathymetry, wider bands) runs PCG. Its preconditioner is the exact
+    inverse of the flat operator at the mean depth hbar, whose symbol is
+    hbar I + (mu hbar^3/3) xi xi^T: the longitudinal part of the residual
+    takes (hbar + mu |xi|^2 hbar^3/3)^{-1} and, in 2D, the transverse part
+    1/hbar (see `_bigT_operators`). At a constant depth on a flat bottom one
+    iteration solves the system. Both paths keep one contract: a member
+    whose L2 residual is not below tol * |V|_{L2} (and |V| > 0) raises
+    ConvergenceError, which names it. `tol` must lie in (0, 1), else
+    ValueError.
 
-    A batched V (with h batched alike) solves every member in one `_pcg`
-    call, each with its own preconditioner, stopping rule and result. `x0`
+    A batched V (with h batched alike) solves every member in one call, each
+    with its own matrix or preconditioner, stopping rule and result. `x0`
     has the shape of V's coefficients or is their flattening. With
     `return_info`, also returns {"iterations": batched sweeps, the maximum
     over members}; `CG_STATS` counts each member's solve and iterations.
     """
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must be a finite number in (0, 1), got {tol!r}")
     if h.batch != V.batch:
         raise ValueError(f"depth batch {h.batch} does not match right side batch {V.batch}")
     grid = V.grid
     Vc = _batched(V)
     hg = grid.to_grid(_batched(h)[0])
     _require_admissible(params, hg, "invert_bigT")
-    restrict = _bigT_operators(params, hg)
     b = _rows(Vc)
-    start = None if x0 is None else _rows(np.reshape(x0, Vc.shape))
-    x, iters, failed = _pcg(restrict, b, start, tol, max_iter)
+    dense = 2 * grid.dealias_cutoff_index + 1 <= _DENSE_MODES  # the 1D band's size
+    if grid.dimension == 1 and params._slope is None and dense:
+        x, residuals = _band_solve(params, hg, b)
+        bnorms = _row_norms(b)
+        failed = np.flatnonzero(~(residuals < tol * bnorms) & (bnorms != 0))
+        iters = np.zeros(b.shape[0], dtype=np.int64)
+        how = "by a direct solve"
+    else:
+        restrict = _bigT_operators(params, hg)
+        start = None if x0 is None else _rows(np.reshape(x0, Vc.shape))
+        x, iters, failed = _pcg(restrict, b, start, tol, max_iter)
+        if failed.size:
+            res = b[failed] - restrict(failed)[0](x[failed])
+            residuals = np.zeros(b.shape[0])
+            residuals[failed] = [np.linalg.norm(r) for r in res]
+        how = f"in {max_iter} iterations"
     CG_STATS["solves"] += b.shape[0]
     CG_STATS["iterations"] += int(iters.sum())
     if failed.size:
-        res = b[failed] - restrict(failed)[0](x[failed])
         detail = "; ".join(
             ("" if V.batch is None else f"member {m}: ")
-            + f"residual {float(np.linalg.norm(r)):.3e}, |rhs| {float(np.linalg.norm(b[m])):.3e}"
-            for m, r in zip(failed, res)
+            + f"residual {float(residuals[m]):.3e}, |rhs| {float(np.linalg.norm(b[m])):.3e}"
+            for m in failed
         )
-        raise ConvergenceError(
-            f"bigT inversion did not reach tol={tol:g} in {max_iter} iterations ({detail})"
-        )
+        raise ConvergenceError(f"bigT inversion did not reach tol={tol:g} {how} ({detail})")
     Wc = _fields(grid, x)
     W = SpectralField(grid, Wc if V.batch is not None else Wc[:, 0])
     if return_info:
         return W, {"iterations": int(iters.max())}
     return W
+
+
+def _band_solve(params: PhysicalParams, hg: np.ndarray, b: np.ndarray):
+    """Solve bigT x = b on the retained band of a flat 1D grid by LU, one
+    dense system per member.
+
+    On a flat bottom bigT V = P[ h V - (mu/3) d/dx (h^3 dV/dx) ], and the
+    grid product of h with a band field, projected, is the circular
+    convolution of their coefficients (Boyd, *Chebyshev and Fourier Spectral
+    Methods*, 2nd ed., 2001, ch. 7). So on the band modes k_j, with
+    wavenumbers xi_j, the matrix of member m is
+        A[j, l] = h^((k_j - k_l) mod N) + (mu/3) xi_j xi_l (h^3)^((k_j - k_l) mod N),
+    the coefficients of one stacked `from_grid` of the samples hg[m] and
+    their cube (the products the PCG matvec forms), gathered through the
+    grid's cached tables (`GridSpec._band_galerkin`). The members are
+    solved `_CHUNK` at a time by one batched `np.linalg.solve`, so that the
+    matrices of a long batch are never all held at once.
+
+    Rows of `b` (B, N) are the right sides. Returns (x, residuals): the
+    solutions, zero off the band, with the negative modes written as the
+    conjugate mirror of the positive ones and a real zero mode (as
+    `GridSpec.from_grid` writes them), and each member's L2 residual
+    |b - bigT x|, the part of b off the band included.
+    """
+    grid = params.grid
+    modes, gather, xixi = grid._band_galerkin
+    cut = grid.dealias_cutoff_index
+    powers = np.empty((2, *hg.shape))
+    powers[0] = hg
+    np.multiply(hg * hg, hg, out=powers[1])
+    c = grid.from_grid(powers)
+    coupling = (params.mu / 3.0) * xixi
+    band = b.take(modes, axis=1)
+    off = b[:, cut + 1 : grid.nodes_per_axis - cut]
+    residuals = np.vecdot(off.real, off.real) + np.vecdot(off.imag, off.imag)
+    x = np.zeros_like(b)
+    for part in _chunks(b.shape[0]):
+        terms = c[:, part].take(gather, axis=-1)  # C-ordered, unlike c[..., gather]
+        terms[1] *= coupling
+        A = terms[0]
+        A += terms[1]
+        xb = np.linalg.solve(A, band[part, :, None])
+        xb[:, cut + 1 :] = np.conjugate(xb[:, cut:0:-1])
+        xb[:, 0].imag = 0.0
+        r = np.matmul(A, xb)[..., 0]
+        r -= band[part]
+        residuals[part] += np.vecdot(r.real, r.real) + np.vecdot(r.imag, r.imag)
+        x[part, modes] = xb[..., 0]
+    return x, np.sqrt(residuals)
 
 
 def _rows(c: np.ndarray) -> np.ndarray:

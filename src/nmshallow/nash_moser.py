@@ -606,8 +606,11 @@ def nash_moser_solve(
     non-finite residual) the run restarts with theta0 doubled, up to
     `max_retries` times, before the divergence error (trace attached)
     propagates. An iterate that leaves the admissible set raises DomainError
-    at once, also with the trace attached.
+    at once, also with the trace attached. A negative `k_max` raises
+    ValueError before any work.
     """
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
     u0 = initial_iterate(problem, T, dt)
     last_err: DivergenceError | None = None
     for attempt in range(max_retries + 1):

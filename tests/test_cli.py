@@ -311,6 +311,30 @@ def test_unreachable_cg_tolerance_exits_3(runner, tmp_path):
     assert "bigT inversion did not reach" in res.output
 
 
+@pytest.mark.parametrize(
+    "cg_tol",
+    [math.inf, 1.0, 0.0, -1e-12, math.nan],
+    ids=["inf", "one", "zero", "negative", "nan"],
+)
+def test_cg_tol_outside_the_unit_interval_exits_5(runner, tmp_path, cg_tol):
+    # inf and 1 returned a first guess as the solution and exited 0; 0, a
+    # negative tolerance and NaN ran 500 CG iterations and exited 3
+    cfg = _write_cfg(tmp_path, {**TINY_MOL, "run": {**TINY_MOL["run"], "cg_tol": cg_tol}})
+    res = runner.invoke(main, ["solve", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 5, res.output
+    assert "run.cg_tol must be a finite number in (0, 1)" in res.output
+    assert not (tmp_path / "o" / "solution_mol.nmtrj.bin").exists()
+
+
+def test_negative_k_max_exits_5(runner, tmp_path):
+    # the iteration loop was empty and ended in an AssertionError (exit 1)
+    cfg = _write_cfg(tmp_path, {**TINY_NM, "run": {**TINY_NM["run"], "k_max": -1}})
+    res = runner.invoke(main, ["solve", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 5, res.output
+    assert "k_max must be >= 0, got -1" in res.output
+    assert not (tmp_path / "o" / "trace.csv").exists()
+
+
 def test_validate_failure_exits_1(runner, tmp_path, monkeypatch):
     monkeypatch.setattr(
         cli, "_validation_checks", lambda: [("forced_failure", False, "injected")]

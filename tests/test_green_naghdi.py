@@ -268,6 +268,9 @@ def _flat_case(dim, n):
 
 @pytest.mark.parametrize("dim,n", [(1, 64), (2, 16)], ids=["1d", "2d"])
 def test_flat_assembly_matches_general_branch(monkeypatch, dim, n):
+    # both branches solve by PCG: the patched slope below would send only
+    # the general one there, past the direct solve of a small flat 1D band
+    monkeypatch.setattr(gn, "_DENSE_MODES", 0)
     params, u, v, coeffs = _flat_case(dim, n)
     grid = params.grid
     assert params._slope is None
@@ -290,6 +293,20 @@ def test_flat_assembly_matches_general_branch(monkeypatch, dim, n):
     assert np.array_equal(flat_F.packed().coefficients, gen_F.packed().coefficients)
     assert np.array_equal(flat_K.packed().coefficients, gen_K.packed().coefficients)
     assert np.array_equal(flat_x, gen_x)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 16)], ids=["1d", "2d"])
+def test_flat_energy_forms_no_slope(monkeypatch, dim, n):
+    # on a flat bottom energy_E leaves out grad(beta).V and never samples
+    # the all-zero slope; the general formula gives the same bits
+    _, u, v, _ = _flat_case(dim, n)
+    params = PhysicalParams(mu=0.3, eps=0.5, b=zero_field(u.V.grid))
+    h = _depth_field(params, u.zeta)
+    flat = energy_E(params, h, v.V)
+    assert "grad_beta_grid" not in vars(params)
+    monkeypatch.setattr(PhysicalParams, "_slope", property(lambda p: p.grad_beta_grid))
+    assert energy_E(params, h, v.V) == flat
+    assert "grad_beta_grid" in vars(params)
 
 
 # ------------------------------------------------- derivative kernel bits
@@ -390,7 +407,9 @@ def test_nonflat_bathymetry_takes_general_branch(params1d):
 
 def test_flat_transform_count(monkeypatch):
     # one stacked to_grid and one stacked from_grid per assembly, one
-    # to_grid of h inside invert_bigT, and one pair per CG iteration
+    # to_grid of h inside invert_bigT, and one pair per CG iteration (the
+    # PCG path; this band would otherwise be solved directly)
+    monkeypatch.setattr(gn, "_DENSE_MODES", 0)
     params, u, v, coeffs = _flat_case(1, 64)
     calls = {"n": 0}
     for name in ("to_grid", "from_grid"):

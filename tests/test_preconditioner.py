@@ -69,10 +69,12 @@ def _random_batch(grid, components, rng, members, amplitude, decay):
 
 @pytest.mark.parametrize("members", [None, 3], ids=["single", "batch"])
 @pytest.mark.parametrize("dim,n", [(1, 64), (2, 16), (2, 64)], ids=["1d-64", "2d-16", "2d-64"])
-def test_constant_depth_flat_bottom_solves_in_one_iteration(dim, n, members):
+def test_constant_depth_flat_bottom_solves_in_one_iteration(dim, n, members, monkeypatch):
     # the preconditioner is the exact inverse there, so the first sweep
     # lands on the solution (the mean-depth symbol took 18 and 68 sweeps
-    # on these 2D systems)
+    # on these 2D systems); the 1D band goes through PCG, not the direct
+    # solve it would otherwise take
+    monkeypatch.setattr(gn, "_DENSE_MODES", 0)
     params, rng = _params(dim, n, flat=True)
     grid = params.grid
     depths = [1.3] if members is None else [1.3, 0.8, 1.05]
