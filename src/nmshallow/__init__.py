@@ -14,6 +14,8 @@ Layers (bottom up):
   iteration engine's problem interface.
 * ``reference``      — method-of-lines reference solver, solitary-wave
   solutions, manufactured residuals.
+* ``invariants``     — the measurements that ``validate`` and the acceptance
+  criteria share, one body per invariant check (not re-exported here).
 * ``cli``            — the ``nmshallow`` command-line interface.
 """
 from .errors import (

@@ -17,9 +17,11 @@ Every config-driven command (`schedule`, `solve`, `convergence`,
 `stability`, `scaling`) is a body `fn(cfg, out)` registered by `_command`,
 which loads the config, creates the output directory and translates library
 errors to exit codes, so a command has one place where its run starts and
-ends. `validate` ignores the config and keeps its own exit mapping. Every
-command runs in one thread; `--threads` is still accepted (and must be at
-least 1) but changes nothing.
+ends. `validate` ignores the config and keeps its own exit mapping (3 when
+a check's solver fails); its checks take their measurements from
+`invariants`, as the acceptance criteria do, each with its own inputs and
+bounds. Every command runs in one thread; `--threads` is still accepted
+(and must be at least 1) but changes nothing.
 """
 from __future__ import annotations
 
@@ -35,6 +37,7 @@ from pathlib import Path
 import click
 import numpy as np
 
+from . import invariants
 from .errors import (
     ConvergenceError,
     DivergenceError,
@@ -59,9 +62,7 @@ from .gn_problem import GNProblem
 from .green_naghdi import (
     GNState,
     PhysicalParams,
-    bigT_pairing,
     depth_check,
-    energy_E,
     invert_bigT,
     x_norm_packed,
 )
@@ -725,17 +726,12 @@ def _validation_checks() -> list[tuple[str, bool, str]]:
         s = float(rng.uniform(-2, 4))
         sp = s + float(rng.uniform(0.1, 4))
         theta = float(rng.uniform(1.0, 30.0))
-        low = smooth(f, theta)
-        hi_part = SpectralField(g, f.coefficients - low.coefficients)
-        lhs1 = sobolev_norm(low, sp)
-        rhs1 = theta ** (sp - s) * sobolev_norm(f, s)
-        lhs2 = sobolev_norm(hi_part, s)
-        rhs2 = theta ** (s - sp) * sobolev_norm(f, sp)
+        (lhs1, rhs1), (lhs2, rhs2) = invariants.smoothing_bound_check(f, s, sp, theta)
         viol = max(lhs1 - rhs1, lhs2 - rhs2)
         worst = max(worst, viol)
-        ok = ok and viol <= 1e-12 * max(rhs1, rhs2, 1.0)
-        again = smooth(low, theta)
-        ok = ok and np.array_equal(again.coefficients, low.coefficients)
+        low = smooth(f, theta)
+        ok = (ok and viol <= 1e-12 * max(rhs1, rhs2, 1.0)
+              and np.array_equal(smooth(low, theta).coefficients, low.coefficients))
     record("smoothing_laws", ok, f"200 trials, worst violation {worst:.2e}")
 
     # 3. interpolation inequality with constant 1.
@@ -761,48 +757,21 @@ def _validation_checks() -> list[tuple[str, bool, str]]:
     record("parseval", ok, "50 trials at 1e-12 relative")
 
     # 5/6. elliptic operator: energy identity (coercivity) + inverse bound.
-    ok_en = True
-    ok_inv = True
-    worst_en = 0.0
-    for _ in range(50):
-        b = random_field(g, 1, rng, amplitude=0.1, decay=3.0)
-        params = PhysicalParams(mu=float(rng.uniform(0.05, 0.9)),
-                                eps=float(rng.uniform(0.1, 1.0)), b=b)
-        zeta = random_field(g, 1, rng, amplitude=0.3, decay=3.0)
-        state = GNState(V=zero_field(g, 1), zeta=zeta)
-        okd, hmin = depth_check(params, state)
-        if not okd:
-            continue
-        h = params._depth_field(zeta)
-        V = random_field(g, 1, rng, amplitude=1.0, decay=2.0)
-        quad = bigT_pairing(params, h, V, V)
-        en = energy_E(params, h, V)
-        gap = quad - en**2
-        worst_en = min(worst_en, gap / max(quad, 1e-30))
-        ok_en = ok_en and gap >= -1e-10 * quad
-        W = invert_bigT(params, h, V, tol=1e-12)
-        ok_inv = ok_inv and sobolev_norm(W, 0.0) <= (1 + 1e-8) / params.h0 * sobolev_norm(V, 0.0)
-    record("energy_identity", ok_en, f"50 trials, worst relative gap {worst_en:.2e}")
-    record("elliptic_inverse_bound", ok_inv, "|T^-1 V|_0 <= (1+1e-8)/h0 |V|_0")
+    _, worst_gap, worst_ratio = invariants.elliptic_bounds(g, rng, 50, 50)
+    record("energy_identity", worst_gap >= -1e-10,
+           f"50 trials, worst relative gap {worst_gap:.2e}")
+    record("elliptic_inverse_bound", worst_ratio <= 1 + 1e-8,
+           "|T^-1 V|_0 <= (1+1e-8)/h0 |V|_0")
 
     # 7. free evolution group: identity, group law, isometry.
-    params = PhysicalParams(mu=0.3, eps=0.4, b=zero_field(g))
-    ok = True
     worst = 0.0
     for _ in range(50):
         u = random_field(g, 2, rng, amplitude=1.0, decay=2.0).coefficients
         t1 = float(rng.uniform(-3, 3))
         t2 = float(rng.uniform(-3, 3))
         s = float(rng.uniform(0, 3))
-        two = evolve_packed(g, params.eps, t2, evolve_packed(g, params.eps, t1, u))
-        one = evolve_packed(g, params.eps, t1 + t2, u)
-        dev = np.max(np.abs(two - one))
-        ident = np.max(np.abs(evolve_packed(g, params.eps, 0.0, u) - u))
-        n0 = sobolev_norm(SpectralField(g, u), s)
-        n1 = sobolev_norm(SpectralField(g, evolve_packed(g, params.eps, t1, u)), s)
-        worst = max(worst, dev, ident, abs(n1 - n0) / max(n0, 1e-30))
-        ok = ok and worst <= 1e-12
-    record("evolution_group", ok, f"50 triples, worst deviation {worst:.2e}")
+        worst = max(worst, invariants.group_deviation(g, 0.4, u, t1, t2, s))
+    record("evolution_group", worst <= 1e-12, f"50 triples, worst deviation {worst:.2e}")
 
     # 8. mass conservation + MoL self-convergence order.
     g2 = GridSpec(dimension=1, nodes_per_axis=32, domain_length=2 * math.pi)
@@ -815,62 +784,32 @@ def _validation_checks() -> list[tuple[str, bool, str]]:
         zeta=random_field(g2, 1, np.random.default_rng(12), amplitude=0.1, decay=4.0),
     )
     sol = mol_solve(p2, u0, T=0.4, dt=0.02)
-    mean0 = sol.snapshots[0, 1].reshape(-1)[0]
-    drift = max(abs(s_[1].reshape(-1)[0] - mean0) for s_ in sol.snapshots)
-    record("mass_conservation", abs(drift) <= 1e-11, f"mean-elevation drift {abs(drift):.2e}")
+    drift = invariants.mass_drift(sol)
+    record("mass_conservation", drift <= 1e-11, f"mean-elevation drift {drift:.2e}")
 
-    ref = mol_solve(p2, u0, T=0.4, dt=0.00125)
-    errs = []
-    for dtv in (0.02, 0.01, 0.005):
-        s_ = mol_solve(p2, u0, T=0.4, dt=dtv)
-        errs.append(sobolev_norm(SpectralField(g2, s_.snapshots[-1] - ref.snapshots[-1]), 0.0))
-    r1, r2 = errs[0] / errs[1], errs[1] / errs[2]
+    r1, r2 = invariants.halving_ratios(
+        lambda dt: mol_solve(p2, u0, T=0.4, dt=dt), (0.02, 0.01, 0.005), 0.00125, (1.0,)
+    )
     record("mol_order", 12.0 <= r1 <= 20.0 and 12.0 <= r2 <= 20.0,
            f"dt-halving ratios {r1:.1f}, {r2:.1f}")
 
     # 9. solitary-wave residual at N=512.
     g3 = GridSpec(dimension=1, nodes_per_axis=512, domain_length=40.0)
     p3 = PhysicalParams(mu=0.1, eps=math.sqrt(0.1), b=zero_field(g3))
-    a = 0.2
-    c = math.sqrt(1.0 + p3.eps * a)
-    times = np.linspace(0.0, 0.15, 4)
-    snaps = np.stack(
-        [serre_solitary_wave(p3, a, t=t).packed().coefficients for t in times]
-    )
-    traj = TrajectoryField(g3, times, snaps)
-    xi = g3.wavenumbers()[0]
-    dudt = TrajectoryField(
-        g3, times, np.stack([-(c / p3.eps) * (1j * xi) * s_ for s_ in snaps])
-    )
-    R1, r2_ = manufactured_residual(p3, traj, dudt=dudt)
-    res = trajectory_norm(
-        TrajectoryField(g3, times, np.concatenate([R1.snapshots, r2_.snapshots], axis=1)), 0.0
-    )
+    res = invariants.solitary_residual(p3, 0.2, np.linspace(0.0, 0.15, 4))
     record("solitary_residual", res <= 1e-8, f"X^0 residual {res:.2e} at N=512")
 
     # 10. benchmark iteration: induction properties + convergence + oracle match.
-    g4 = GridSpec(dimension=1, nodes_per_axis=128, domain_length=2 * math.pi,
-                  dealias_fraction=0.0625)
-    p4 = PhysicalParams(mu=0.1, eps=math.sqrt(0.1), b=zero_field(g4))
-    zc = np.zeros((1, *g4.shape), dtype=np.complex128)
-    zc[0, 1] = 5e-6
-    zc[0, -1] = 5e-6
-    data = GNState(V=zero_field(g4, 1), zeta=SpectralField(g4, zc))
-    sched4 = compute_schedule(m=2, d1=2, d1p=0, D=4, P=38.5, margin=0.5, theta0=10.0)
-    problem = GNProblem(p4, data)
-    u_t, trace = nash_moser_solve(problem, sched4, 1.0, 5e-3, k_max=25,
-                                  target_residual=1e-8)
-    rep = check_induction(trace, sched4)
-    ff = rep["first_failure"]
+    run = invariants.flagship_run(128, 5e-3)
+    trace = run.trace
+    ff = check_induction(trace, run.schedule)["first_failure"]
     okc = (trace.stop_reason == "converged"
            and all(ff[k] is None for k in ("prop_i", "prop_ii", "prop_iii")))
     record("benchmark_iteration", okc,
            f"{len(trace.theta)} iterations, residual {trace.residual_F[-1]:.2e}, "
            f"first failures {ff}")
 
-    direct = mol_solve(p4, data, T=1.0, dt=5e-3)
-    u_p = conjugate_trajectory(p4, u_t, +1)
-    gap = _sup_diff_norm(p4, u_p, direct, 0.0)
+    gap = _sup_diff_norm(run.params, run.u_nm, run.direct, 0.0)
     record("cross_solver", gap <= 1e-6, f"sup-t X^0 gap {gap:.2e}")
 
     # 11. determinism: identical run -> bit-identical trajectory.

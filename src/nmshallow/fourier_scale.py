@@ -517,16 +517,23 @@ def _member_norms(u: SpectralField, s: float) -> list[float]:
     return [math.sqrt(vol * float(np.dot(row, w))) for row in abs2]
 
 
+def _cutoff_mask(grid: GridSpec, theta: float) -> np.ndarray:
+    """Modes with (1+|xi|^2)^{1/2} <= theta; a theta whose square overflows
+    keeps every mode. theta must be >= 1, so the mean is always kept; NaN,
+    which would keep no mode at all, raises ValueError like theta < 1."""
+    if not theta >= 1.0:
+        raise ValueError(f"smoothing level must be >= 1, got {theta}")
+    with np.errstate(over="ignore"):
+        return grid.bracket_sq <= theta * theta
+
+
 def smooth(u: SpectralField, theta: float) -> SpectralField:
     """Sharp low-pass cutoff: keep modes with (1+|xi|^2)^{1/2} <= theta.
 
     Requires theta >= 1 so the mean is always retained. Idempotent bit-exactly
     and commutes bit-exactly with the diagonal weight multipliers.
     """
-    if theta < 1.0:
-        raise ValueError(f"smoothing level must be >= 1, got {theta}")
-    keep = u.grid.bracket_sq <= theta * theta
-    return SpectralField(u.grid, u.coefficients * keep)
+    return SpectralField(u.grid, u.coefficients * _cutoff_mask(u.grid, theta))
 
 
 def interpolate_bound_check(

@@ -41,6 +41,7 @@ from .fourier_scale import (
     SpectralField,
     TrajectoryField,
     _chunks,
+    _cutoff_mask,
     _member_norms,
     _uniform_steps,
     time_derivative,
@@ -143,8 +144,10 @@ def compute_schedule(
     """
     if not (0.0 < margin < 1.0):
         raise InfeasibleScheduleError(f"margin must lie in (0, 1), got {margin:g}")
-    if theta0 <= 1.0:
+    if not theta0 > 1.0:  # NaN fails too; inf is the unsmoothed iteration
         raise InfeasibleScheduleError(f"theta0 must exceed 1, got {theta0:g}")
+    if not math.isfinite(s0):
+        raise InfeasibleScheduleError(f"s0 must be finite, got {s0:g}")
     delta, q, p_min = p_min_threshold(m, d1, d1p, D)
     if not (P > p_min):
         raise InfeasibleScheduleError(
@@ -444,11 +447,7 @@ def residual(
 
 def smooth_trajectory(u: TrajectoryField, theta: float) -> TrajectoryField:
     """Sharp low-pass at scale theta applied to every snapshot in space."""
-    if theta < 1.0:
-        raise ValueError("smoothing scale theta must be >= 1")
-    with np.errstate(over="ignore"):  # a saturated theta keeps every mode
-        mask = u.grid.bracket_sq <= theta * theta
-    return TrajectoryField(u.grid, u.times.copy(), u.snapshots * mask)
+    return TrajectoryField(u.grid, u.times.copy(), u.snapshots * _cutoff_mask(u.grid, theta))
 
 
 # ------------------------------------------------------------------- engine
@@ -606,11 +605,13 @@ def nash_moser_solve(
     non-finite residual) the run restarts with theta0 doubled, up to
     `max_retries` times, before the divergence error (trace attached)
     propagates. An iterate that leaves the admissible set raises DomainError
-    at once, also with the trace attached. A negative `k_max` raises
-    ValueError before any work.
+    at once, also with the trace attached. A negative `k_max` or
+    `max_retries` raises ValueError before any work.
     """
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
+    if max_retries < 0:
+        raise ValueError(f"max_retries must be >= 0, got {max_retries}")
     u0 = initial_iterate(problem, T, dt)
     last_err: DivergenceError | None = None
     for attempt in range(max_retries + 1):

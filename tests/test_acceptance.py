@@ -6,7 +6,6 @@ capture) with the measured numbers, and fails its test on violation.
 """
 import json
 import math
-import time
 
 import numpy as np
 import pytest
@@ -14,6 +13,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nmshallow import invariants
 from nmshallow.cli import _sup_diff_norm, main
 from nmshallow.errors import InfeasibleScheduleError
 from nmshallow.fourier_scale import (
@@ -26,26 +26,16 @@ from nmshallow.fourier_scale import (
     sobolev_norm,
     zero_field,
 )
-from nmshallow.gn_problem import GNProblem
 from nmshallow.green_naghdi import (
     GNState,
     PhysicalParams,
-    bigT_pairing,
     build_linearized_coeffs,
-    depth_check,
-    energy_E,
     frechet_F,
-    invert_bigT,
     nonlinear_F,
 )
-from nmshallow.linear_ivp import IVPData, conjugate_trajectory, evolve_packed, solve_linearized
-from nmshallow.nash_moser import (
-    check_induction,
-    compute_schedule,
-    nash_moser_solve,
-    p_min_threshold,
-)
-from nmshallow.reference import manufactured_residual, mol_solve, serre_solitary_wave
+from nmshallow.linear_ivp import IVPData, solve_linearized
+from nmshallow.nash_moser import check_induction, compute_schedule, p_min_threshold
+from nmshallow.reference import mol_solve, serre_solitary_wave
 
 
 # one line per criterion; echoed in the terminal summary by the conftest hook
@@ -87,15 +77,12 @@ def test_criterion_02_smoothing_and_convexity_inequalities():
         s = float(rng.uniform(-2, 4))
         sp = s + float(rng.uniform(0.1, 4))
         theta = float(rng.uniform(1.0, 30.0))
-        low = smooth(f, theta)
-        high = SpectralField(grid, f.coefficients - low.coefficients)
-        # low-pass boost and high-pass decay, both with constant 1
-        lhs1, rhs1 = sobolev_norm(low, sp), theta ** (sp - s) * sobolev_norm(f, s)
-        lhs2, rhs2 = sobolev_norm(high, s), theta ** (s - sp) * sobolev_norm(f, sp)
-        # log-convexity of the norm scale, constant 1
+        # low-pass boost and high-pass decay, then log-convexity, constant 1
         lam = float(rng.uniform(0.0, 1.0))
-        lhs3, rhs3 = interpolate_bound_check(f, s, sp, lam)
-        for lhs, rhs in ((lhs1, rhs1), (lhs2, rhs2), (lhs3, rhs3)):
+        for lhs, rhs in (
+            *invariants.smoothing_bound_check(f, s, sp, theta),
+            interpolate_bound_check(f, s, sp, lam),
+        ):
             rel = (lhs - rhs) / max(rhs, 1e-300)
             worst = max(worst, rel)
             if lhs > rhs * (1.0 + 1e-12):
@@ -112,42 +99,13 @@ def test_criterion_02_smoothing_and_convexity_inequalities():
 
 
 def test_criterion_03_elliptic_energy_and_inverse_bound():
-    rng = np.random.default_rng(31337)
     grid = GridSpec(dimension=1, nodes_per_axis=64, domain_length=2 * math.pi)
-    accepted = 0
-    attempts = 0
-    ok_energy = True
-    ok_inverse = True
-    worst_gap = 0.0
-    worst_ratio = 0.0
-    while accepted < 200 and attempts < 2000:
-        attempts += 1
-        b = random_field(grid, 1, rng, amplitude=0.1, decay=3.0)
-        params = PhysicalParams(
-            mu=float(rng.uniform(0.05, 0.9)), eps=float(rng.uniform(0.1, 1.0)), b=b
-        )
-        zeta = random_field(grid, 1, rng, amplitude=0.3, decay=3.0)
-        okd, _ = depth_check(params, GNState(V=zero_field(grid, 1), zeta=zeta))
-        if not okd:
-            continue
-        accepted += 1
-        hc = np.zeros((1, *grid.shape), dtype=np.complex128)
-        hc[0, 0] = 1.0
-        hc += params.eps * (zeta.coefficients - b.coefficients)
-        h = SpectralField(grid, hc)
-        V = random_field(grid, 1, rng, amplitude=1.0, decay=2.0)
-        quad = bigT_pairing(params, h, V, V)
-        en = energy_E(params, h, V)
-        gap = (quad - en**2) / max(quad, 1e-300)
-        worst_gap = min(worst_gap, gap)
-        ok_energy = ok_energy and quad - en**2 >= -1e-10 * quad
-        W = invert_bigT(params, h, V, tol=1e-12)
-        ratio = sobolev_norm(W, 0.0) / sobolev_norm(V, 0.0)
-        worst_ratio = max(worst_ratio, ratio * params.h0)
-        ok_inverse = ok_inverse and ratio <= (1 + 1e-8) / params.h0
+    accepted, worst_gap, worst_ratio = invariants.elliptic_bounds(
+        grid, np.random.default_rng(31337), 200, 2000
+    )
     _report(
         3,
-        ok_energy and ok_inverse and accepted == 200,
+        worst_gap >= -1e-10 and worst_ratio <= 1 + 1e-8 and accepted == 200,
         f"{accepted} admissible draws: worst relative energy gap {worst_gap:.2e}, "
         f"worst h0-scaled inverse ratio {worst_ratio:.6f}",
     )
@@ -207,13 +165,7 @@ def test_criterion_05_free_evolution_group():
         for _ in range(50):
             u = random_field(grid, dim + 1, rng, amplitude=1.0, decay=2.0).coefficients
             t1, t2 = float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3))
-            ident = np.max(np.abs(evolve_packed(grid, eps, 0.0, u) - u))
-            two = evolve_packed(grid, eps, t2, evolve_packed(grid, eps, t1, u))
-            one = evolve_packed(grid, eps, t1 + t2, u)
-            group = np.max(np.abs(two - one))
-            n0 = sobolev_norm(SpectralField(grid, u), 0.0)
-            n1 = sobolev_norm(SpectralField(grid, evolve_packed(grid, eps, t1, u)), 0.0)
-            worst = max(worst, ident, group, abs(n1 - n0) / n0)
+            worst = max(worst, invariants.group_deviation(grid, eps, u, t1, t2, 0.0))
     _report(5, worst <= 1e-12, f"100 random triples, worst deviation {worst:.2e}")
 
 
@@ -242,67 +194,27 @@ def test_criterion_06_linearized_solver_self_convergence():
     def f_fn(t):
         return base * math.cos(1.7 * t) + mod * math.sin(0.9 * t)
 
-    sols = {}
-    for dtv in (0.02, 0.01, 0.005, 0.00125):
-        ivp = IVPData(initial=v0, horizon=T, dt=dtv, forcing_fn=f_fn)
-        sols[dtv] = solve_linearized(params, coeffs, ivp)
-    ref = sols[0.00125]
-    errs = []
-    for dtv in (0.02, 0.01, 0.005):
-        sol = sols[dtv]
-        e = 0.0
-        for frac in (0.5, 1.0):
-            i = int(frac * (sol.n_times - 1))
-            j = int(frac * (ref.n_times - 1))
-            e = max(e, sobolev_norm(SpectralField(grid, sol.snapshots[i] - ref.snapshots[j]), 0.0))
-        errs.append(e)
-    r1, r2 = errs[0] / errs[1], errs[1] / errs[2]
+    def solve(dt):
+        ivp = IVPData(initial=v0, horizon=T, dt=dt, forcing_fn=f_fn)
+        return solve_linearized(params, coeffs, ivp)
+
+    r1, r2 = invariants.halving_ratios(solve, (0.02, 0.01, 0.005), 0.00125, (0.5, 1.0))
     ok = 12.0 <= r1 <= 20.0 and 12.0 <= r2 <= 20.0
     _report(6, ok, f"dt-halving error ratios {r1:.3f}, {r2:.3f} (want within [12, 20])")
 
 
 # ----------------------------------------------------- criteria 7 and 8 share
-# the flagship small-amplitude instance: 1D, mu=0.1, eps=sqrt(mu), N=128,
-# single elevation mode, reduced retained band so the top-index norms are
-# evaluable in float64 (amplitude and band are part of the instance).
-
-
-def _flagship(n_nodes, dt):
-    grid = GridSpec(
-        dimension=1, nodes_per_axis=n_nodes, domain_length=2 * math.pi,
-        dealias_fraction=0.0625,
-    )
-    params = PhysicalParams(mu=0.1, eps=math.sqrt(0.1), b=zero_field(grid))
-    zc = np.zeros((1, *grid.shape), dtype=np.complex128)
-    zc[0, 1] = 5e-6
-    zc[0, -1] = 5e-6
-    data = GNState(V=zero_field(grid, 1), zeta=SpectralField(grid, zc))
-    sched = compute_schedule(m=2, d1=2, d1p=0, D=4, P=38.5, margin=0.5, theta0=10.0)
-    return grid, params, data, sched
+# the flagship small-amplitude instance (`invariants.flagship_run`) at N=128.
 
 
 @pytest.fixture(scope="module")
-def flagship_run():
-    grid, params, data, sched = _flagship(128, 5e-3)
-    problem = GNProblem(params, data)
-    t0 = time.perf_counter()
-    u_t, trace = nash_moser_solve(problem, sched, 1.0, 5e-3, k_max=25, target_residual=1e-8)
-    elapsed = time.perf_counter() - t0
-    u_nm = conjugate_trajectory(params, u_t, +1)
-    direct = mol_solve(params, data, T=1.0, dt=5e-3)
-    return {
-        "params": params,
-        "sched": sched,
-        "trace": trace,
-        "u_nm": u_nm,
-        "direct": direct,
-        "elapsed": elapsed,
-    }
+def flagship():
+    return invariants.flagship_run(128, 5e-3)
 
 
-def test_criterion_07_flagship_induction_and_convergence(flagship_run):
-    trace = flagship_run["trace"]
-    rep = check_induction(trace, flagship_run["sched"])
+def test_criterion_07_flagship_induction_and_convergence(flagship):
+    trace = flagship.trace
+    rep = check_induction(trace, flagship.schedule)
     iters = len(trace.theta) - 1
     ok = (
         trace.stop_reason == "converged"
@@ -311,27 +223,21 @@ def test_criterion_07_flagship_induction_and_convergence(flagship_run):
         and all(rep["prop_i"])
         and all(rep["prop_ii"])
         and all(rep["prop_iii"])
-        and flagship_run["elapsed"] <= 120.0
+        and flagship.elapsed <= 120.0
     )
     _report(
         7,
         ok,
         f"converged in {iters} corrections, residual {trace.residual_F[-1]:.2e}, "
         f"all induction properties hold at every iteration, "
-        f"{flagship_run['elapsed']:.1f}s (limit 120s)",
+        f"{flagship.elapsed:.1f}s (limit 120s)",
     )
 
 
-def test_criterion_08_cross_solver_agreement_and_refinement(flagship_run):
-    params = flagship_run["params"]
-    gap_base = _sup_diff_norm(params, flagship_run["u_nm"], flagship_run["direct"], 0.0)
-
-    grid, params2, data2, sched = _flagship(256, 2.5e-3)
-    problem = GNProblem(params2, data2)
-    u_t, _ = nash_moser_solve(problem, sched, 1.0, 2.5e-3, k_max=25, target_residual=1e-8)
-    u_nm2 = conjugate_trajectory(params2, u_t, +1)
-    direct2 = mol_solve(params2, data2, T=1.0, dt=2.5e-3)
-    gap_fine = _sup_diff_norm(params2, u_nm2, direct2, 0.0)
+def test_criterion_08_cross_solver_agreement_and_refinement(flagship):
+    gap_base = _sup_diff_norm(flagship.params, flagship.u_nm, flagship.direct, 0.0)
+    fine = invariants.flagship_run(256, 2.5e-3)
+    gap_fine = _sup_diff_norm(fine.params, fine.u_nm, fine.direct, 0.0)
 
     ok = gap_base <= 1e-6 and gap_fine < gap_base
     _report(
@@ -352,21 +258,7 @@ def test_criterion_09_solitary_wave_reference():
     c = math.sqrt(1.0 + params.eps * a)
 
     # (a) the frozen ansatz annihilates the residual rows at N=512
-    times = np.linspace(0.0, 0.15, 4)
-    snaps = np.stack(
-        [serre_solitary_wave(params, a, t=float(t)).packed().coefficients for t in times]
-    )
-    xi = grid.wavenumbers()[0]
-    dudt = TrajectoryField(
-        grid, times, np.stack([-(c / params.eps) * (1j * xi) * s for s in snaps])
-    )
-    R1, r2 = manufactured_residual(params, TrajectoryField(grid, times, snaps), dudt=dudt)
-    res = max(
-        sobolev_norm(
-            SpectralField(grid, np.concatenate([R1.snapshots[i], r2.snapshots[i]])), 0.0
-        )
-        for i in range(4)
-    )
+    res = invariants.solitary_residual(params, a, np.linspace(0.0, 0.15, 4))
 
     # (b) one full transit around the box returns the crest to its start
     wave = serre_solitary_wave(params, a)
@@ -377,15 +269,14 @@ def test_criterion_09_solitary_wave_reference():
     )
 
     # (c) the mean elevation (total mass) is exactly conserved
-    mean0 = prop.snapshots[0, 1].reshape(-1)[0]
-    drift = max(abs(s[1].reshape(-1)[0] - mean0) for s in prop.snapshots)
+    drift = invariants.mass_drift(prop)
 
-    ok = res <= 1e-8 and shape_err <= 1e-4 and abs(drift) <= 1e-11
+    ok = res <= 1e-8 and shape_err <= 1e-4 and drift <= 1e-11
     _report(
         9,
         ok,
         f"ansatz residual {res:.2e} (limit 1e-8), one-transit shape error "
-        f"{shape_err:.2e} (limit 1e-4), mass drift {abs(drift):.2e} (limit 1e-11)",
+        f"{shape_err:.2e} (limit 1e-4), mass drift {drift:.2e} (limit 1e-11)",
     )
 
 

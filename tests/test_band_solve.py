@@ -11,13 +11,12 @@ import math
 
 import numpy as np
 import pytest
-from test_rounding_gate import X0_REL_MAX, _run, _x0_rel
+from test_rounding_gate import _assert_runs_agree, _run
 
 from nmshallow import green_naghdi as gn
 from nmshallow.errors import ConvergenceError
-from nmshallow.fourier_scale import GridSpec, SpectralField, load_trajectory, random_field, zero_field
+from nmshallow.fourier_scale import GridSpec, SpectralField, random_field, zero_field
 from nmshallow.green_naghdi import PhysicalParams, invert_bigT
-from nmshallow.nash_moser import check_induction
 
 TOL = 1e-12
 
@@ -151,24 +150,4 @@ def test_workloads_agree_with_pcg(name, tmp_path, monkeypatch):
         m.setattr(gn, "_DENSE_MODES", 0)
         old = _run(name, tmp_path / "pcg", monkeypatch)
     assert gn.CG_STATS["iterations"] > iterations
-
-    pairs = []
-    for (params, got), (_, want) in zip(new["solves"], old["solves"], strict=True):
-        pairs += [(params, g, w) for g, w in zip(got, want, strict=True)]
-    if name == "flagship":
-        params = new["inputs"].params
-        for stem in ("solution_nash_moser", "solution_mol"):
-            pairs.append((
-                params,
-                load_trajectory(new["outcome"]["out"] / f"{stem}.nmtrj"),
-                load_trajectory(old["outcome"]["out"] / f"{stem}.nmtrj"),
-            ))
-        (tn, sn), (to, so) = ((r["outcome"]["trace"], r["outcome"]["schedule"]) for r in (new, old))
-        assert len(tn.theta) == len(to.theta)
-        assert tn.stop_reason == to.stop_reason
-        props = ("prop_i", "prop_ii", "prop_iii")
-        got, want = check_induction(tn, sn), check_induction(to, so)
-        assert [got[p] for p in props] == [want[p] for p in props]
-    assert pairs
-    worst = max(_x0_rel(params, got, want) for params, got, want in pairs)
-    assert worst <= X0_REL_MAX, f"{name}: relative X^0 difference {worst:.3e}"
+    _assert_runs_agree(name, new, old)

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from nmshallow import cli, nash_moser
+from nmshallow import cli, invariants, nash_moser
 from nmshallow.cli import main
-from nmshallow.errors import DivergenceError
+from nmshallow.errors import ConvergenceError, DivergenceError
 from nmshallow.fourier_scale import load_trajectory
 from nmshallow.gn_problem import GNProblem
 from nmshallow.nash_moser import IterationTrace
@@ -333,6 +333,40 @@ def test_negative_k_max_exits_5(runner, tmp_path):
     assert res.exit_code == 5, res.output
     assert "k_max must be >= 0, got -1" in res.output
     assert not (tmp_path / "o" / "trace.csv").exists()
+
+
+def test_negative_max_retries_exits_5(runner, tmp_path):
+    # the retry loop was empty and ended in an AssertionError (exit 1)
+    cfg = _write_cfg(tmp_path, {**TINY_NM, "run": {**TINY_NM["run"], "max_retries": -1}})
+    res = runner.invoke(main, ["solve", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 5, res.output
+    assert "max_retries must be >= 0, got -1" in res.output
+    assert not (tmp_path / "o" / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["schedule", "solve"])
+@pytest.mark.parametrize("key, value", [("theta0", math.nan), ("s0", math.nan), ("s0", math.inf)])
+def test_non_finite_schedule_entry_exits_2(runner, tmp_path, command, key, value):
+    # a NaN theta0 was feasible and its iterate never moved (exit 0); a NaN s0
+    # ran every retry into a "divergence" (exit 3)
+    cfg = _write_cfg(tmp_path, {**TINY_NM, "schedule": {key: value}})
+    out = tmp_path / "o"
+    res = runner.invoke(main, [command, "--config", cfg, "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert f"{key} must" in res.output
+    assert not (out / "trace.csv").exists()
+
+
+def test_validate_solver_failure_exits_3(runner, tmp_path, monkeypatch):
+    def fail(*args):
+        raise ConvergenceError("forced elliptic failure")
+
+    monkeypatch.setattr(invariants, "elliptic_bounds", fail)
+    out = tmp_path / "o"
+    res = runner.invoke(main, ["validate", "--out", str(out)])
+    assert res.exit_code == 3, res.output
+    assert "validation aborted: forced elliptic failure" in res.output
+    assert not (out / "validate.json").exists()
 
 
 def test_validate_failure_exits_1(runner, tmp_path, monkeypatch):

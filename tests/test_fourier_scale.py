@@ -261,8 +261,9 @@ def test_smooth_idempotent_and_mean_preserving(grid1d, rng):
     low = smooth(f, 7.3)
     assert np.array_equal(smooth(low, 7.3).coefficients, low.coefficients)
     assert low.coefficients[0, 0] == f.coefficients[0, 0]
-    with pytest.raises(ValueError):
-        smooth(f, 0.5)
+    for theta in (0.5, math.nan):  # a NaN level kept no mode at all
+        with pytest.raises(ValueError, match="smoothing level"):
+            smooth(f, theta)
 
 
 def test_interpolation_convexity(grid1d, rng):

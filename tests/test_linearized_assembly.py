@@ -5,7 +5,8 @@
 bathymetry it adds the slope terms of Q_bil and Tbar to the rows that the
 flat assembly already transforms. The form it replaced transformed the
 slope terms as rows of their own and applied Tbar term by term
-(`_T_terms`); both are kept below as the reference. Through `apply_K`, K v
+(`_T_terms`); both are kept as the reference, the second in
+`test_bathymetry_assembly`. Through `apply_K`, K v
 and the warm-start vector keep the bytes of the reference on a flat
 bottom, and agree with it to rounding over bathymetry: in 1D and 2D, with
 substituted and exact coefficients, at a snapshot time and between
@@ -29,20 +30,9 @@ from nmshallow.green_naghdi import (
 )
 from nmshallow.linear_ivp import IVPData, solve_linearized
 from nmshallow.reference import mol_solve
+from test_bathymetry_assembly import _ref_T_terms, _rel
 
 _dc, _gc, _dot = gn._div_c, gn._grad_c, gn._dot_g
-
-
-def _ref_T_terms(grid, hg, gbeta_g, Vg, Xg):
-    """Unprojected T[h, beta]V from grid samples of V and div V, term by
-    term with its own transforms."""
-    Yg = _dot(gbeta_g, Vg)
-    h2 = hg * hg
-    h3 = h2 * hg
-    out = -(1.0 / 3.0) * _gc(grid, grid.from_grid(h3 * Xg))
-    out += 0.5 * _gc(grid, grid.from_grid(h2 * Yg))
-    out += grid.from_grid((-0.5 * h2 * Xg + hg * Yg)[None] * gbeta_g)
-    return out
 
 
 def _ref_K_rows(coeffs_t, params, v):
@@ -112,10 +102,6 @@ def _ref_K_rows(coeffs_t, params, v):
     rhs += mu * _gc(grid, habar_z)
     rhs += -(mu / eps) * grid.project(T)
     return grid.project(rhs), h_c, flux_c, zV_c
-
-
-def _rel(got, want):
-    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
 def _case(dim, n, flat, substituted):

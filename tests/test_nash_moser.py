@@ -376,8 +376,9 @@ def test_smooth_trajectory_is_snapshotwise_cutoff(toy_grid, rng):
     for i in range(3):
         ref = smooth(SpectralField(toy_grid, snaps[i]), 5.0)
         assert np.array_equal(out.snapshots[i], ref.coefficients)
-    with pytest.raises(ValueError):
-        smooth_trajectory(traj, 0.5)
+    for theta in (0.5, math.nan):
+        with pytest.raises(ValueError):
+            smooth_trajectory(traj, theta)
 
 
 def test_smooth_trajectory_at_a_saturated_theta_keeps_every_mode(toy_grid, rng):

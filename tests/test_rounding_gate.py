@@ -101,14 +101,9 @@ def _x0_rel(params, got, want) -> float:
     return float(np.max(x_norm_packed(params, diff, 0.0) / x_norm_packed(params, ref, 0.0)))
 
 
-@pytest.mark.parametrize("name", ["flagship", "transit", "sweep", "bathy2d"])
-def test_workloads_agree_with_the_c2c_pair(name, tmp_path, monkeypatch):
-    new = _run(name, tmp_path / "new", monkeypatch)
-    with monkeypatch.context() as m:
-        m.setattr(GridSpec, "to_grid", _c2c_to_grid)
-        m.setattr(GridSpec, "from_grid", _c2c_from_grid)
-        old = _run(name, tmp_path / "old", monkeypatch)
-
+def _assert_runs_agree(name: str, new: dict, old: dict) -> None:
+    """Two `_run`s of workload `name` agree to X0_REL_MAX in every trajectory;
+    two flagship runs also in iteration count, stop reason and induction."""
     pairs = []
     for (params, got), (_, want) in zip(new["solves"], old["solves"], strict=True):
         pairs += [(params, g, w) for g, w in zip(got, want, strict=True)]
@@ -133,6 +128,16 @@ def test_workloads_agree_with_the_c2c_pair(name, tmp_path, monkeypatch):
         props = ("prop_i", "prop_ii", "prop_iii")
         got, want = check_induction(tn, sn), check_induction(to, so)
         assert [got[p] for p in props] == [want[p] for p in props]
+
+
+@pytest.mark.parametrize("name", ["flagship", "transit", "sweep", "bathy2d"])
+def test_workloads_agree_with_the_c2c_pair(name, tmp_path, monkeypatch):
+    new = _run(name, tmp_path / "new", monkeypatch)
+    with monkeypatch.context() as m:
+        m.setattr(GridSpec, "to_grid", _c2c_to_grid)
+        m.setattr(GridSpec, "from_grid", _c2c_from_grid)
+        old = _run(name, tmp_path / "old", monkeypatch)
+    _assert_runs_agree(name, new, old)
 
 
 @pytest.mark.parametrize("dim,n", [(2, 16), (2, 64), (1, 64)])

@@ -6,6 +6,13 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nmshallow"
 ENV_NAMES = {"environ", "environb", "getenv", "getenvb"}
 
 
+def _package_hits(rule, skip: str = "") -> list[str]:
+    """The hits of `rule(path)` over the package sources, but `skip`."""
+    sources = sorted(p for p in PACKAGE.glob("*.py") if p.name != skip)
+    assert sources, f"no sources under {PACKAGE}"
+    return [hit for path in sources for hit in rule(path)]
+
+
 def _env_reads(path: Path) -> list[str]:
     tree = ast.parse(path.read_text(), filename=str(path))
     hits = []
@@ -25,10 +32,7 @@ def _env_reads(path: Path) -> list[str]:
 
 def test_no_environment_variable_reaches_the_package():
     # behaviour, guards included, is set by arguments and configs only
-    sources = sorted(PACKAGE.glob("*.py"))
-    assert sources, f"no sources under {PACKAGE}"
-    hits = [hit for path in sources for hit in _env_reads(path)]
-    assert hits == []
+    assert _package_hits(_env_reads) == []
 
 
 # numpy.fft / scipy.fft names that build frequencies or reorder, not transform
@@ -69,10 +73,7 @@ def _fft_bypasses(path: Path) -> list[str]:
 def test_ffts_go_through_gridspec():
     # a transform that bypasses GridSpec.to_grid/from_grid drops out of the
     # benchmark's fourier_scale.fft_calls count
-    sources = sorted(PACKAGE.glob("*.py"))
-    assert sources, f"no sources under {PACKAGE}"
-    hits = [hit for path in sources for hit in _fft_bypasses(path)]
-    assert hits == []
+    assert _package_hits(_fft_bypasses) == []
 
 
 def _scipy_imports(path: Path) -> list[str]:
@@ -93,10 +94,7 @@ def _scipy_imports(path: Path) -> list[str]:
 def test_package_does_not_import_scipy():
     # scipy is a test-only dependency (the oracle of the in-package CG); the
     # package needs numpy and click only, which keeps its import fast and small
-    sources = sorted(PACKAGE.glob("*.py"))
-    assert sources, f"no sources under {PACKAGE}"
-    hits = [hit for path in sources for hit in _scipy_imports(path)]
-    assert hits == []
+    assert _package_hits(_scipy_imports) == []
 
 
 # modules that would let the package run its work on other threads or processes
@@ -126,10 +124,7 @@ def _concurrency_imports(path: Path) -> list[str]:
 def test_package_runs_in_one_thread():
     # the run's counters (green_naghdi.CG_STATS) are module globals: they
     # stay exact only while no worker thread or process shares them
-    sources = sorted(PACKAGE.glob("*.py"))
-    assert sources, f"no sources under {PACKAGE}"
-    hits = [hit for path in sources for hit in _concurrency_imports(path)]
-    assert hits == []
+    assert _package_hits(_concurrency_imports) == []
 
 
 def _private_caches(path: Path) -> list[str]:
@@ -156,10 +151,7 @@ def test_derived_arrays_are_cached_one_way():
     # an array derived from a grid or from the parameters is a
     # functools.cached_property of its owner (GridSpec, PhysicalParams), so
     # there is one place to find it and one way it is built
-    sources = sorted(PACKAGE.glob("*.py"))
-    assert sources, f"no sources under {PACKAGE}"
-    hits = [hit for path in sources for hit in _private_caches(path)]
-    assert hits == []
+    assert _package_hits(_private_caches) == []
 
 
 def _private_definitions(tree: ast.Module) -> dict[str, int]:
@@ -217,10 +209,7 @@ def _slope_reads(path: Path) -> list[str]:
 def test_only_green_naghdi_knows_whether_the_bottom_is_flat():
     # the bathymetry branches of the operators are chosen in green_naghdi
     # alone; other modules call its operators and never branch on the slope
-    sources = sorted(p for p in PACKAGE.glob("*.py") if p.name != "green_naghdi.py")
-    assert sources, f"no sources under {PACKAGE}"
-    hits = [hit for path in sources for hit in _slope_reads(path)]
-    assert hits == []
+    assert _package_hits(_slope_reads, skip="green_naghdi.py") == []
 
 
 def test_every_exported_name_resolves():
@@ -242,3 +231,15 @@ def test_every_exported_name_resolves():
         if not hasattr(module, name)
     ]
     assert missing == []
+
+
+def test_validate_and_the_criteria_share_one_body_per_invariant():
+    # both reach the operators they measure through `nmshallow.invariants`,
+    # so each invariant check has one body
+    measured = {"energy_E", "bigT_pairing", "evolve_packed", "manufactured_residual",
+                "nash_moser_solve"}
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    checks = next(n for n in tree.body if getattr(n, "name", None) == "_validation_checks")
+    criteria = ast.parse(Path(__file__).with_name("test_acceptance.py").read_text())
+    assert _referenced_names(checks) & measured == set()
+    assert _referenced_names(criteria) & measured == set()
