@@ -63,6 +63,7 @@ from .green_naghdi import (
     GNState,
     PhysicalParams,
     depth_check,
+    depth_grid,
     invert_bigT,
     x_norm_packed,
 )
@@ -666,7 +667,7 @@ def cmd_scaling(cfg: dict, out: Path) -> None:
             # depth so the slow-time residual is mu^2 * R up to O(eps)
             # state drift.
             TinvR1 = invert_bigT(
-                params, params._depth_field(u0.zeta), SpectralField(grid, R[:d]), tol=tol
+                params, depth_grid(params, u0.zeta), SpectralField(grid, R[:d]), tol=tol
             )
             f_packed = (mu**2 / eps) * np.concatenate([TinvR1.coefficients, R[d:]])
             u_app = mol_solve(params, u0, T, dt, forcing_fn=lambda t: f_packed, tol=tol)

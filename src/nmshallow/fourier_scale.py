@@ -645,9 +645,7 @@ def _paths(path: str | Path) -> tuple[Path, Path]:
     p = Path(path)
     if p.suffix == ".json":
         return p, p.with_suffix(".bin")
-    return p.with_suffix(p.suffix + ".json") if p.suffix else Path(str(p) + ".json"), (
-        p.with_suffix(p.suffix + ".bin") if p.suffix else Path(str(p) + ".bin")
-    )
+    return Path(str(p) + ".json"), Path(str(p) + ".bin")
 
 
 def _grid_header(grid: GridSpec) -> dict:
@@ -679,7 +677,7 @@ def _read_blob(path: Path, shape: tuple[int, ...]) -> np.ndarray:
     expected = 2 * int(np.prod(shape))
     if raw.size != expected:
         raise ValueError(f"binary payload has {raw.size} floats, expected {expected}")
-    return raw.astype(np.float64).view(np.complex128).reshape(shape).copy()
+    return raw.astype(np.float64).view(np.complex128).reshape(shape)
 
 
 def save_trajectory(u: TrajectoryField, path: str | Path) -> Path:

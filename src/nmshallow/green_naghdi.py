@@ -12,6 +12,9 @@ Conventions
 * State u = (V, zeta): velocity V (d components) and surface elevation zeta;
   depth h = 1 + eps*(zeta - b) with bathymetry b; admissibility means
   min h >= h0 on the grid.
+* The elliptic layer takes h as the grid samples hg that `depth_grid`
+  returns, (*shape) or (B, *shape) for a batch: the samples its floor check
+  tests. No operator transforms h on its way to a solve.
 * The evolution form integrated everywhere in this package is the rescaled
   system  d/dt u + (1/eps) L u + F[u] = 0  with L u = (grad zeta, div V).
   In unscaled time tau = t/eps this reads d/dtau u + L u + eps F[u] = 0, and
@@ -165,16 +168,16 @@ class PhysicalParams:
     eps in (0, 1] is accepted for experiments. The bathymetry enters the
     dispersive operators through beta = eps*b. Derived arrays are
     `cached_property`s; the water depth h = 1 + eps*(zeta - b) has one grid
-    formula (`_depth`), one spectral form (`_depth_field`) and one floor test
-    (`_min_depths`).
+    formula (`_depth`) and one floor test (`_min_depths`), and the elliptic
+    operators take it as those grid samples.
 
     Two floors: the checks of a state or trajectory (`depth_check`,
     `GNProblem.admissible`, `mol_solve`'s output check) are strict, h <= h0
     is inadmissible, so a run stops before its operators reach the floor.
     The operators (`nonlinear_F`, `invert_bigT`, `build_linearized_coeffs`)
-    reject only h < h0*(1 - 1e-12): bigT stays coercive at h0, and the depth
-    they test has been through a projection and a transform, which can move
-    a depth at the floor by rounding.
+    reject only h < h0*(1 - 1e-12): bigT stays coercive at h0, and the
+    samples they test are formed from transformed (and, in `apply_K`,
+    interpolated) fields, which can move a depth at the floor by rounding.
     """
 
     mu: float
@@ -220,13 +223,6 @@ class PhysicalParams:
         """Grid samples of h = 1 + eps*(zeta - b) from those of zeta, one
         field (*shape) or a stack (B, *shape)."""
         return 1.0 + self.eps * (zg - self.b_grid)
-
-    def _depth_field(self, zeta: SpectralField) -> SpectralField:
-        """h = 1 + eps*(zeta - b) from the coefficients of zeta."""
-        hc = np.zeros((1, *self.grid.shape), dtype=np.complex128)
-        hc[(0,) * (self.dimension + 1)] = 1.0
-        hc += self.eps * (zeta.coefficients - self.b.coefficients)
-        return SpectralField(self.grid, hc)
 
     def _min_depths(self, hg: np.ndarray, strict: bool) -> tuple[np.ndarray, np.ndarray]:
         """Lowest depth of each member of `hg` (B, *shape), or of one field,
@@ -437,33 +433,35 @@ def _apply_bigT_arrays(
     return out
 
 
-def apply_bigT(params: PhysicalParams, h: SpectralField, V: SpectralField) -> SpectralField:
-    """Elliptic momentum operator bigT V = h V + mu T[h, eps*b] V."""
-    if h.batch != V.batch:
-        raise ValueError(f"depth batch {h.batch} does not match velocity batch {V.batch}")
+def _depth_batch(hg: np.ndarray, V: SpectralField) -> np.ndarray:
+    """Depth samples `hg` as a batch (B, *shape); ValueError unless laid out
+    as `depth_grid` gives them for V: (*shape), or (B, *shape) for a batch."""
+    shape = V.grid.shape if V.batch is None else (V.batch, *V.grid.shape)
+    if np.shape(hg) != shape:
+        raise ValueError(f"depth samples {np.shape(hg)} do not match {shape}")
+    return hg if V.batch is not None else hg[None]
+
+
+def apply_bigT(params: PhysicalParams, hg: np.ndarray, V: SpectralField) -> SpectralField:
+    """Elliptic momentum operator bigT V = h V + mu T[h, eps*b] V at the
+    depth samples `hg` (see `_depth_batch`)."""
     grid = V.grid
-    out = _apply_bigT_batch(params, grid.to_grid(_batched(h)[0]), _batched(V))
+    gbeta_g = None if params._slope is None else params._slope[:, None]
+    out = _apply_bigT_arrays(grid, params.mu, _depth_batch(hg, V), gbeta_g, _batched(V))
     return SpectralField(grid, out if V.batch is not None else out[:, 0])
 
 
-def _apply_bigT_batch(params: PhysicalParams, hg: np.ndarray, Vc: np.ndarray) -> np.ndarray:
-    """bigT V on a batch Vc (d, B, *shape) at the depth samples hg (B, *shape)."""
-    slope = params._slope
-    gbeta_g = None if slope is None else slope[:, None]
-    return _apply_bigT_arrays(params.grid, params.mu, hg, gbeta_g, Vc)
-
-
-def energy_E(params: PhysicalParams, h: SpectralField, V: SpectralField) -> float:
+def energy_E(params: PhysicalParams, hg: np.ndarray, V: SpectralField) -> float:
     """Coercivity energy: the bigT quadratic form dominates E^2 pointwise.
 
     E^2 = h0 |V|^2_{L2} + mu h0 | h div V / sqrt(3) - (sqrt(3)/2) grad(beta).V |^2_{L2}
-          + (mu h0 / 4) | grad(beta).V |^2_{L2},   beta = eps*b.
+          + (mu h0 / 4) | grad(beta).V |^2_{L2},   beta = eps*b, h sampled by `hg`.
 
     On a flat bottom Y = grad(beta).V vanishes and is not formed.
     """
     V.require_single("energy_E")
+    _depth_batch(hg, V)
     grid = V.grid
-    hg = grid.to_grid(h.coefficients[0])
     Vg = grid.to_grid(V.coefficients)
     Xg = grid.to_grid(_div_c(grid, V.coefficients))
     sq = (Vg**2).sum(axis=0)
@@ -476,11 +474,11 @@ def energy_E(params: PhysicalParams, h: SpectralField, V: SpectralField) -> floa
     return math.sqrt(params.h0 * grid.cell_volume * float(np.sum(sq)))
 
 
-def bigT_pairing(params: PhysicalParams, h: SpectralField, V: SpectralField, W: SpectralField) -> float:
-    """L2 pairing (bigT V, W) evaluated by grid quadrature."""
+def bigT_pairing(params: PhysicalParams, hg: np.ndarray, V: SpectralField, W: SpectralField) -> float:
+    """L2 pairing (bigT V, W) at the depth samples `hg`, by grid quadrature."""
     V.require_single("bigT_pairing")
     grid = V.grid
-    out = apply_bigT(params, h, V)
+    out = apply_bigT(params, hg, V)
     og = grid.to_grid(out.coefficients)
     Wg = grid.to_grid(W.coefficients)
     return grid.cell_volume * float(np.sum(og * Wg))
@@ -488,7 +486,7 @@ def bigT_pairing(params: PhysicalParams, h: SpectralField, V: SpectralField, W: 
 
 def invert_bigT(
     params: PhysicalParams,
-    h: SpectralField,
+    hg: np.ndarray,
     V: SpectralField,
     tol: float = 1e-12,
     max_iter: int = 500,
@@ -496,7 +494,8 @@ def invert_bigT(
     return_info: bool = False,
 ):
     """Solve bigT W = V on the dealiased band, directly or by preconditioned
-    conjugate gradients.
+    conjugate gradients, at the depth samples `hg` (see `_depth_batch`),
+    the ones its floor check tests.
 
     The discrete operator is symmetric positive definite on the dealiased band
     (quadratic form bounded below by h0 |.|^2). On a flat bottom in 1D with a
@@ -510,10 +509,11 @@ def invert_bigT(
     1/hbar (see `_bigT_operators`). At a constant depth on a flat bottom one
     iteration solves the system. Both paths keep one contract: a member
     whose L2 residual is not below tol * |V|_{L2} (and |V| > 0) raises
-    ConvergenceError, which names it. `tol` must lie in (0, 1), else
-    ValueError.
+    ConvergenceError, which names it with its residual, |V| and the norm
+    of V off the retained band (which no solution on the band can meet).
+    `tol` must lie in (0, 1), else ValueError.
 
-    A batched V (with h batched alike) solves every member in one call, each
+    A batched V (with hg batched alike) solves every member in one call, each
     with its own matrix or preconditioner, stopping rule and result. `x0`
     has the shape of V's coefficients or is their flattening. With
     `return_info`, also returns {"iterations": batched sweeps, the maximum
@@ -521,11 +521,9 @@ def invert_bigT(
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must be a finite number in (0, 1), got {tol!r}")
-    if h.batch != V.batch:
-        raise ValueError(f"depth batch {h.batch} does not match right side batch {V.batch}")
+    hg = _depth_batch(hg, V)
     grid = V.grid
     Vc = _batched(V)
-    hg = grid.to_grid(_batched(h)[0])
     _require_admissible(params, hg, "invert_bigT")
     b = _rows(Vc)
     dense = 2 * grid.dealias_cutoff_index + 1 <= _DENSE_MODES  # the 1D band's size
@@ -547,10 +545,12 @@ def invert_bigT(
     CG_STATS["solves"] += b.shape[0]
     CG_STATS["iterations"] += int(iters.sum())
     if failed.size:
+        off_band = _row_norms(_rows(Vc[:, failed][..., ~grid.dealias_mask]))
         detail = "; ".join(
             ("" if V.batch is None else f"member {m}: ")
-            + f"residual {float(residuals[m]):.3e}, |rhs| {float(np.linalg.norm(b[m])):.3e}"
-            for m in failed
+            + f"residual {float(residuals[m]):.3e}, |rhs| {float(np.linalg.norm(b[m])):.3e}, "
+            f"off the band {float(off):.3e}"
+            for m, off in zip(failed, off_band)
         )
         raise ConvergenceError(f"bigT inversion did not reach tol={tol:g} {how} ({detail})")
     Wc = _fields(grid, x)
@@ -831,9 +831,8 @@ def nonlinear_F(params: PhysicalParams, u: GNState, tol: float = 1e-12) -> GNSta
     assembled and inverted (one batched elliptic solve) together.
     """
     grid = u.grid
-    rhs, h_c, flux_c = _tendency_rows(params, _batched(u.V), _batched(u.zeta)[0])
-    h_field = SpectralField(grid, grid.project(h_c)[None])
-    F1c = invert_bigT(params, h_field, SpectralField(grid, rhs), tol=tol).coefficients
+    rhs, hg, flux_c = _tendency_rows(params, _batched(u.V), _batched(u.zeta)[0])
+    F1c = invert_bigT(params, hg, SpectralField(grid, rhs), tol=tol).coefficients
     F2c = grid.project(_div_c(grid, flux_c))[None]
     if u.batch is None:
         F1c, F2c = F1c[:, 0], F2c[:, 0]
@@ -843,8 +842,9 @@ def nonlinear_F(params: PhysicalParams, u: GNState, tol: float = 1e-12) -> GNSta
 def _tendency_rows(
     params: PhysicalParams, Vc: np.ndarray, zc: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Projected bigT F1, and the coefficients of h and of (zeta - b) V, for
-    a batch of velocities Vc (d, B, *shape) and elevations zc (B, *shape).
+    """Projected bigT F1, the depth samples h (B, *shape) that its floor
+    check tested, and the coefficients of (zeta - b) V, for a batch of
+    velocities Vc (d, B, *shape) and elevations zc (B, *shape).
 
     A function of its own so that its temporaries are freed before the CG
     solve.
@@ -897,10 +897,10 @@ def _tendency_rows(
         h_advect += slope_terms[None] * gbeta_g
         h3_dv_x += 1.5 * h2 * sym2
         h3_lap_z -= 1.5 * h2 * Yg
-    h_c, flux_c, h_advect, h3_dv_x, h3_lap_z = _transform(
+    flux_c, h_advect, h3_dv_x, h3_lap_z = _transform(
         grid.from_grid,
         grid,
-        [hg, (zg - params.b_grid)[None] * Vg, h_advect, h3_dv_x, h3_lap_z],
+        [(zg - params.b_grid)[None] * Vg, h_advect, h3_dv_x, h3_lap_z],
         flat,
     )
 
@@ -910,7 +910,7 @@ def _tendency_rows(
     rhs = (-mu / eps) * grid.project(T)
     rhs += grid.project(h_advect)
     rhs += mu * (1.0 / 3.0) * grid.project(_grad_c(grid, h3_dv_x))
-    return rhs, h_c, flux_c
+    return rhs, hg, flux_c
 
 
 # ------------------------------------------------------ linearized operators
@@ -1116,16 +1116,16 @@ def apply_K(
     (hbar-1)/eps = zetabar - b pointwise; Q_bil is the symmetric bilinear
     form of Q). The coefficients are interpolated linearly in time between
     snapshots and the momentum row is assembled by `_K_rows`. One elliptic
-    solve per call; returns (K v, raw CG solution vector) so callers can
-    warm-start the next solve with the returned vector. A caller that
-    already holds `coeffs.at_time(t)` may pass it as `coeffs_t`.
+    solve per call, at the interpolated depth samples hbar; returns (K v,
+    raw CG solution vector) so callers can warm-start the next solve with
+    the returned vector. A caller that already holds `coeffs.at_time(t)`
+    may pass it as `coeffs_t`.
     """
     grid = v.grid
     if coeffs_t is None:
         coeffs_t = coeffs.at_time(float(t))
-    rhs, h_c, flux_c, zV_c = _K_rows(coeffs_t, params, v)
-    h_field = SpectralField(grid, grid.project(h_c))
-    K1 = invert_bigT(params, h_field, SpectralField(grid, rhs), tol=tol, x0=x0)
+    rhs, flux_c, zV_c = _K_rows(coeffs_t, params, v)
+    K1 = invert_bigT(params, coeffs_t["hbar"], SpectralField(grid, rhs), tol=tol, x0=x0)
 
     row2 = _div_c(grid, flux_c)
     row2 += _div_c(grid, zV_c)
@@ -1136,10 +1136,10 @@ def apply_K(
 
 def _K_rows(
     coeffs_t: dict[str, np.ndarray], params: PhysicalParams, v: GNState
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Projected bigTbar K1 v, and the coefficients of hbar, (zetabar - b) V
-    and zeta Vbar, at one time; a function of its own so that its
-    temporaries are freed before the CG solve.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Projected bigTbar K1 v, and the coefficients of (zetabar - b) V and
+    zeta Vbar, at one time; a function of its own so that its temporaries
+    are freed before the CG solve.
 
     The one assembly of the linearized momentum row
         N1 V + bbar zeta + mu grad(hbar abar zeta) - (mu/eps) Tbar grad zeta,
@@ -1212,11 +1212,10 @@ def _K_rows(
         h_adv += slope_terms[None] * gbeta_g
         h3_dsym2 += 3.0 * h2 * sym2
         h3_lap_z -= 1.5 * h2 * Yg
-    h_c, flux_c, zV_c, rhs, h3_dsym2, bbar_z, habar_z, h3_lap_z = _transform(
+    flux_c, zV_c, rhs, h3_dsym2, bbar_z, habar_z, h3_lap_z = _transform(
         grid.from_grid,
         grid,
         [
-            hbar,
             (coeffs_t["zetabar"] - params.b_grid)[None] * Vg,
             zg[None] * Vbar,
             h_adv,
@@ -1234,7 +1233,7 @@ def _K_rows(
     rhs += bbar_z
     rhs += mu * _grad_c(grid, habar_z)
     rhs += -(mu / eps) * grid.project(T)
-    return grid.project(rhs), h_c, flux_c, zV_c
+    return grid.project(rhs), flux_c, zV_c
 
 
 def frechet_F(

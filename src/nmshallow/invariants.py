@@ -22,7 +22,7 @@ from .fourier_scale import (
 )
 from .gn_problem import GNProblem
 from .green_naghdi import (
-    GNState, PhysicalParams, bigT_pairing, depth_check, energy_E, invert_bigT,
+    GNState, PhysicalParams, bigT_pairing, depth_check, depth_grid, energy_E, invert_bigT,
 )
 from .linear_ivp import conjugate_trajectory, evolve_packed
 from .nash_moser import compute_schedule, nash_moser_solve
@@ -59,7 +59,7 @@ def elliptic_bounds(
         if not depth_check(params, GNState(V=zero_field(grid, 1), zeta=zeta))[0]:
             continue
         n_ok += 1
-        h = params._depth_field(zeta)
+        h = depth_grid(params, zeta)
         V = random_field(grid, 1, rng, amplitude=1.0, decay=2.0)
         quad = bigT_pairing(params, h, V, V)
         worst_gap = min(worst_gap, (quad - energy_E(params, h, V) ** 2) / max(quad, 1e-300))

@@ -36,7 +36,7 @@ from .fourier_scale import (
     field_from_grid,
     time_derivative,
 )
-from .green_naghdi import GNState, PhysicalParams, depth_grid, nonlinear_F
+from .green_naghdi import GNState, PhysicalParams, apply_bigT, depth_grid, nonlinear_F
 from .linear_ivp import IVPData, _integrate_filtered
 
 __all__ = [
@@ -222,9 +222,9 @@ def manufactured_residual(
     f_V += (1.0 / eps) * gn._grad_c(grid, snaps[d])
     f_z = rates[d : d + 1] + F.zeta.coefficients
     f_z += (1.0 / eps) * gn._div_c(grid, snaps[:d])[None]
-    r1 = gn._apply_bigT_batch(params, depth_grid(params, snaps[d]), eps * f_V)
+    r1 = apply_bigT(params, depth_grid(params, snaps[d]), SpectralField(grid, eps * f_V))
     times = u_app.times
     return (
-        TrajectoryField(grid, times, np.ascontiguousarray(r1.swapaxes(0, 1))),
+        TrajectoryField(grid, times, np.ascontiguousarray(r1.coefficients.swapaxes(0, 1))),
         TrajectoryField(grid, times, np.ascontiguousarray((eps * f_z).swapaxes(0, 1))),
     )

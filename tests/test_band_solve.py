@@ -16,14 +16,15 @@ from test_rounding_gate import _assert_runs_agree, _run
 from nmshallow import green_naghdi as gn
 from nmshallow.errors import ConvergenceError
 from nmshallow.fourier_scale import GridSpec, SpectralField, random_field, zero_field
-from nmshallow.green_naghdi import PhysicalParams, invert_bigT
+from nmshallow.green_naghdi import PhysicalParams, depth_grid, invert_bigT
 
 TOL = 1e-12
 
 
 def _system(n, fraction, members, depth_amplitude, zero_side=None, seed=3):
-    """Flat-bottom params and `members` right sides and depths on an n-point
-    1D grid: depths 1 + eps zeta with random zeta of the given amplitude."""
+    """Flat-bottom params, the depth samples (members, n) and `members`
+    right sides on an n-point 1D grid: depths 1 + eps zeta with random zeta
+    of the given amplitude."""
     grid = GridSpec(dimension=1, nodes_per_axis=n, domain_length=2 * math.pi,
                     dealias_fraction=fraction)
     params = PhysicalParams(mu=0.1, eps=math.sqrt(0.1), b=zero_field(grid))
@@ -34,9 +35,7 @@ def _system(n, fraction, members, depth_amplitude, zero_side=None, seed=3):
                   for _ in range(members)], axis=1)
     if zero_side is not None:
         V[:, zero_side] = 0.0
-    h = np.concatenate([params._depth_field(SpectralField(grid, zeta[:, m])).coefficients[:, None]
-                        for m in range(members)], axis=1)
-    return params, SpectralField(grid, h), SpectralField(grid, V)
+    return params, depth_grid(params, zeta[0]), SpectralField(grid, V)
 
 
 CASES = {
@@ -61,13 +60,12 @@ def test_direct_solve_matches_pcg(case):
     assert 2 * grid.dealias_cutoff_index + 1 <= gn._DENSE_MODES
     lone = members == 1
     if lone:
-        h, V = SpectralField(grid, h.coefficients[:, 0]), SpectralField(grid, V.coefficients[:, 0])
-    W, info = invert_bigT(params, h, V, tol=TOL, return_info=True)
+        V = SpectralField(grid, V.coefficients[:, 0])
+    W, info = invert_bigT(params, h[0] if lone else h, V, tol=TOL, return_info=True)
     assert info == {"iterations": 0}
 
-    hg = grid.to_grid(gn._batched(h)[0])
     b = gn._rows(gn._batched(V))
-    x, iters, failed = gn._pcg(gn._bigT_operators(params, hg), b, None, TOL, 500)
+    x, iters, failed = gn._pcg(gn._bigT_operators(params, h), b, None, TOL, 500)
     assert failed.size == 0 and iters.max() > 0
     got = gn._rows(gn._batched(W))
     for m in range(members):
@@ -121,11 +119,14 @@ def test_right_side_off_the_band_fails_both_paths(monkeypatch):
     with pytest.raises(ConvergenceError, match="by a direct solve") as exc:
         invert_bigT(params, h, V, tol=TOL)
     assert "member 1: residual 1.414e-06" in str(exc.value)
+    assert "off the band 1.414e-06" in str(exc.value)
     assert "member 0" not in str(exc.value)
     monkeypatch.setattr(gn, "_DENSE_MODES", 0)
     with pytest.raises(ConvergenceError, match="in 50 iterations") as exc:
         invert_bigT(params, h, V, tol=TOL, max_iter=50)
     assert "member 1: residual" in str(exc.value)
+    # PCG diverges on the off-band part; the detail names its size
+    assert "off the band 1.414e-06" in str(exc.value)
     assert "member 0" not in str(exc.value)
 
 

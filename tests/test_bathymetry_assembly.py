@@ -92,7 +92,6 @@ def _ref_tendency_rows(params, Vc, zc):
     mu_Q = mu * _ref_Q_bilinear(grid, hg, gbeta_g, Vc, Vc)
     advect = np.stack([_dot(Vg, grad_V_g[i]) for i in range(d)])
     dv_x = -_dot(Vg, grad_X_g) + Xg * Xg
-    h_c = grid.from_grid(hg)
     flux_c = grid.from_grid((zg - params.b_grid)[None] * Vg)
     h_advect = grid.from_grid(hg[None] * advect)
     h3_dv_x = grid.from_grid(hg**3 * dv_x)
@@ -101,7 +100,7 @@ def _ref_tendency_rows(params, Vc, zc):
     rhs += grid.project(h_advect)
     rhs += mu * (1.0 / 3.0) * grid.project(_gc(grid, h3_dv_x))
     rhs += mu_Q
-    return rhs, h_c, flux_c
+    return rhs, hg, flux_c
 
 
 def _case(dim, n, members=None):

@@ -33,12 +33,13 @@ from nmshallow.green_naghdi import (
 )
 
 
-def _depth_field(params, zeta):
+def _depth_samples(params, zeta):
+    """Grid samples of h = 1 + eps (zeta - b), formed from its coefficients."""
     grid = zeta.grid
-    hc = np.zeros((1, *grid.shape), dtype=np.complex128)
-    hc[(0,) + (0,) * grid.dimension] = 1.0
-    hc += params.eps * (zeta.coefficients - params.b.coefficients)
-    return SpectralField(grid, hc)
+    hc = np.zeros(grid.shape, dtype=np.complex128)
+    hc[(0,) * grid.dimension] = 1.0
+    hc += params.eps * (zeta.coefficients[0] - params.b.coefficients[0])
+    return grid.to_grid(hc)
 
 
 # ------------------------------------------------------------------ params
@@ -115,7 +116,7 @@ def test_state_packing(grid2d, rng):
 
 def test_bigT_symmetric_positive(params1d, grid1d, rng):
     zeta = random_field(grid1d, 1, rng, amplitude=0.2, decay=3.0)
-    h = _depth_field(params1d, zeta)
+    h = _depth_samples(params1d, zeta)
     V = random_field(grid1d, 1, rng, amplitude=1.0, decay=2.0)
     W = random_field(grid1d, 1, rng, amplitude=1.0, decay=2.0)
     vw = bigT_pairing(params1d, h, V, W)
@@ -131,7 +132,7 @@ def test_energy_coercivity_and_inverse_bound(params1d, grid1d, rng):
         state = GNState(V=zero_field(grid1d, 1), zeta=zeta)
         if not depth_check(params1d, state)[0]:
             continue
-        h = _depth_field(params1d, zeta)
+        h = _depth_samples(params1d, zeta)
         V = random_field(grid1d, 1, rng, amplitude=1.0, decay=2.0)
         quad = bigT_pairing(params1d, h, V, V)
         en = energy_E(params1d, h, V)
@@ -141,9 +142,64 @@ def test_energy_coercivity_and_inverse_bound(params1d, grid1d, rng):
         assert sobolev_norm(W, 0.0) <= (1 + 1e-8) / params1d.h0 * sobolev_norm(V, 0.0)
 
 
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 16)], ids=["1d", "2d"])
+def test_flat_energy_gap_is_the_depth_excess(dim, n):
+    # on a flat bottom <bigT V, V> - E(V)^2 is the grid sum of
+    # (h - h0)(|V|^2 + (mu/3) h^2 (div V)^2): a small error in E (1% of E
+    # moves it by about 1e-2 relative) shows, unlike in the coercivity bound
+    grid = GridSpec(dimension=dim, nodes_per_axis=n, domain_length=2 * math.pi)
+    rng = np.random.default_rng(20 + dim)
+    checked = 0
+    for _ in range(20):
+        params = PhysicalParams(
+            mu=float(rng.uniform(0.05, 0.9)), eps=float(rng.uniform(0.1, 1.0)),
+            b=zero_field(grid),
+        )
+        zeta = random_field(grid, 1, rng, amplitude=0.3, decay=3.0)
+        V = random_field(grid, dim, rng, amplitude=1.0, decay=2.0)
+        if not depth_check(params, GNState(V=zero_field(grid, dim), zeta=zeta))[0]:
+            continue
+        checked += 1
+        hg = _depth_samples(params, zeta)
+        gap = bigT_pairing(params, hg, V, V) - energy_E(params, hg, V) ** 2
+        Vg = grid.to_grid(V.coefficients)
+        Xg = grid.to_grid(_ref_div_c(grid, V.coefficients))
+        excess = (hg - params.h0) * ((Vg**2).sum(axis=0) + params.mu / 3.0 * hg**2 * Xg**2)
+        want = grid.cell_volume * float(np.sum(excess))
+        assert abs(gap - want) <= 1e-12 * want, (gap, want)
+    assert checked >= 10
+
+
+def test_elliptic_layer_takes_depth_samples_in_the_velocity_layout(params1d, grid1d, rng):
+    # (*shape) for a single field, (B, *shape) for a batch of B; any other
+    # layout, or the depth as a field of coefficients, is refused
+    zeta = random_field(grid1d, 1, rng, amplitude=0.2, decay=3.0)
+    hg = _depth_samples(params1d, zeta)
+    V = random_field(grid1d, 1, rng, amplitude=1.0, decay=2.0)
+    batch = SpectralField(grid1d, np.stack([V.coefficients] * 3, axis=1))
+    h_field = SpectralField(grid1d, grid1d.from_grid(hg)[None])
+    single_calls = [
+        lambda h: apply_bigT(params1d, h, V),
+        lambda h: invert_bigT(params1d, h, V),
+        lambda h: energy_E(params1d, h, V),
+        lambda h: bigT_pairing(params1d, h, V, V),
+    ]
+    for call in single_calls:
+        call(hg)
+        for wrong in (hg[None], hg[:-1], h_field):
+            with pytest.raises(ValueError, match="depth samples"):
+                call(wrong)
+    stacked = np.stack([hg] * 3)
+    for call in (lambda h: apply_bigT(params1d, h, batch), lambda h: invert_bigT(params1d, h, batch)):
+        call(stacked)
+        for wrong in (hg, stacked[:2]):
+            with pytest.raises(ValueError, match="depth samples"):
+                call(wrong)
+
+
 def test_invert_bigT_roundtrip(params1d, grid1d, rng):
     zeta = random_field(grid1d, 1, rng, amplitude=0.2, decay=3.0)
-    h = _depth_field(params1d, zeta)
+    h = _depth_samples(params1d, zeta)
     V = random_field(grid1d, 1, rng, amplitude=1.0, decay=2.0)
     W = invert_bigT(params1d, h, V, tol=1e-13)
     back = apply_bigT(params1d, h, W)
@@ -155,7 +211,7 @@ def test_invert_bigT_roundtrip(params1d, grid1d, rng):
 
 def test_invert_bigT_warm_start_and_info(params1d, grid1d, rng):
     zeta = random_field(grid1d, 1, rng, amplitude=0.2, decay=3.0)
-    h = _depth_field(params1d, zeta)
+    h = _depth_samples(params1d, zeta)
     V = random_field(grid1d, 1, rng, amplitude=1.0, decay=2.0)
     W, info_cold = invert_bigT(params1d, h, V, tol=1e-12, return_info=True)
     W2, info_warm = invert_bigT(
@@ -168,7 +224,7 @@ def test_invert_bigT_warm_start_and_info(params1d, grid1d, rng):
 
 def test_invert_bigT_failure_raises(params1d, grid1d, rng):
     zeta = random_field(grid1d, 1, rng, amplitude=0.2, decay=3.0)
-    h = _depth_field(params1d, zeta)
+    h = _depth_samples(params1d, zeta)
     V = random_field(grid1d, 1, rng, amplitude=1.0, decay=2.0)
     with pytest.raises(ConvergenceError):
         invert_bigT(params1d, h, V, tol=1e-14, max_iter=1)
@@ -301,7 +357,7 @@ def test_flat_energy_forms_no_slope(monkeypatch, dim, n):
     # the all-zero slope; the general formula gives the same bits
     _, u, v, _ = _flat_case(dim, n)
     params = PhysicalParams(mu=0.3, eps=0.5, b=zero_field(u.V.grid))
-    h = _depth_field(params, u.zeta)
+    h = _depth_samples(params, u.zeta)
     flat = energy_E(params, h, v.V)
     assert "grad_beta_grid" not in vars(params)
     monkeypatch.setattr(PhysicalParams, "_slope", property(lambda p: p.grad_beta_grid))
@@ -406,9 +462,10 @@ def test_nonflat_bathymetry_takes_general_branch(params1d):
 
 
 def test_flat_transform_count(monkeypatch):
-    # one stacked to_grid and one stacked from_grid per assembly, one
-    # to_grid of h inside invert_bigT, and one pair per CG iteration (the
-    # PCG path; this band would otherwise be solved directly)
+    # one stacked to_grid and one stacked from_grid per assembly, no
+    # transform of h (the solve takes its grid samples), and one pair per
+    # CG iteration (the PCG path; this band would otherwise be solved
+    # directly)
     monkeypatch.setattr(gn, "_DENSE_MODES", 0)
     params, u, v, coeffs = _flat_case(1, 64)
     calls = {"n": 0}
@@ -424,7 +481,7 @@ def test_flat_transform_count(monkeypatch):
         evaluate()
         iters = gn.CG_STATS["iterations"] - iters0
         assert iters > 0
-        assert calls["n"] <= 4 + 2 * iters
+        assert calls["n"] <= 2 + 2 * iters
 
 
 # --------------------------------------------------------------------- norms

@@ -70,7 +70,6 @@ def _ref_K_rows(coeffs_t, params, v):
     adv = _dot(Vbar, grad_V_g.swapaxes(0, 1)) + _dot(Vg, gradVbar.swapaxes(0, 1))
     dsym2 = -_dot(Vbar, grad_X_g) + divVbar * Xg - _dot(Vg, graddivVbar) + Xg * divVbar
     products = [
-        hbar,
         (coeffs_t["zetabar"] - params.b_grid)[None] * Vg,
         zg[None] * Vbar,
         hbar[None] * adv,
@@ -88,7 +87,7 @@ def _ref_K_rows(coeffs_t, params, v):
             hbar**2 * sym2,
             (hbar * (0.5 * hbar * dsym2 + 2.0 * sym2))[None] * gbeta_g,
         ]
-    h_c, flux_c, zV_c, rhs, h3_dsym2, bbar_z, habar_z, *rest = gn._transform(
+    flux_c, zV_c, rhs, h3_dsym2, bbar_z, habar_z, *rest = gn._transform(
         grid.from_grid, grid, products, flat
     )
 
@@ -101,7 +100,7 @@ def _ref_K_rows(coeffs_t, params, v):
     rhs += bbar_z
     rhs += mu * _gc(grid, habar_z)
     rhs += -(mu / eps) * grid.project(T)
-    return grid.project(rhs), h_c, flux_c, zV_c
+    return grid.project(rhs), flux_c, zV_c
 
 
 def _case(dim, n, flat, substituted):

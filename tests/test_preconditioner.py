@@ -78,12 +78,11 @@ def test_constant_depth_flat_bottom_solves_in_one_iteration(dim, n, members, mon
     params, rng = _params(dim, n, flat=True)
     grid = params.grid
     depths = [1.3] if members is None else [1.3, 0.8, 1.05]
-    hc = np.zeros((1, len(depths), *grid.shape), dtype=np.complex128)
-    hc[(0, slice(None), *(0,) * dim)] = depths
+    h = np.multiply.outer(depths, np.ones(grid.shape))
     Vc = _random_batch(grid, dim, rng, len(depths), amplitude=1.0, decay=2.0)
     if members is None:
-        hc, Vc = hc[:, 0], Vc[:, 0]
-    h, V = SpectralField(grid, hc), SpectralField(grid, Vc)
+        h, Vc = h[0], Vc[:, 0]
+    V = SpectralField(grid, Vc)
     W, info = invert_bigT(params, h, V, return_info=True)
     assert info["iterations"] == 1
     # the one sweep met the stopping rule of every member
@@ -105,11 +104,11 @@ def test_invert_bigT_matches_mean_depth_symbol(n, members, monkeypatch):
     grid = params.grid
     count = 1 if members is None else members
     zetas = [random_field(grid, 1, rng, amplitude=0.2, decay=3.0) for _ in range(count)]
-    hc = np.stack([params._depth_field(z).coefficients for z in zetas], axis=1)
+    h = np.stack([depth_grid(params, z) for z in zetas])
     Vc = _random_batch(grid, 2, rng, count, amplitude=1.0, decay=2.0)
     if members is None:
-        hc, Vc = hc[:, 0], Vc[:, 0]
-    h, V = SpectralField(grid, hc), SpectralField(grid, Vc)
+        h, Vc = h[0], Vc[:, 0]
+    V = SpectralField(grid, Vc)
 
     split, info_split = invert_bigT(params, h, V, tol=tol, return_info=True)
     monkeypatch.setattr(gn, "_bigT_operators", _mean_depth_operators)

@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nmshallow.fourier_scale import GridSpec, SpectralField, random_field, zero_field
-from nmshallow.green_naghdi import GNState, PhysicalParams, apply_bigT, invert_bigT, nonlinear_F
+from nmshallow.green_naghdi import (
+    GNState, PhysicalParams, apply_bigT, depth_grid, invert_bigT, nonlinear_F,
+)
 from nmshallow.linear_ivp import evolve_packed
 
 GRIDS = {
@@ -51,7 +53,7 @@ def test_operators_keep_hermitian_symmetry(dim, flat, t, seed):
         V=random_field(grid, dim, rng, amplitude=0.1, decay=3.0),
         zeta=random_field(grid, 1, rng, amplitude=0.1, decay=3.0),
     )
-    h = params._depth_field(u.zeta)
+    h = depth_grid(params, u.zeta)
     W = random_field(grid, dim, rng, amplitude=1.0, decay=2.0)
     outputs = {
         "evolve_packed": evolve_packed(grid, params.eps, t, u.packed().coefficients),
