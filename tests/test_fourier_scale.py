@@ -346,16 +346,15 @@ def test_trajectory_roundtrip(tmp_path, grid1d, rng):
     assert np.allclose(back.times, traj.times)
 
 
-@pytest.mark.parametrize("stem", ["run.v2", "run.nmtrj"])
-def test_trajectory_roundtrip_keeps_a_suffixed_stem(tmp_path, grid1d, rng, stem):
-    # a stem's own suffix stays: the files are <stem>.json and <stem>.bin,
+def test_trajectory_roundtrip_keeps_a_suffixed_stem(tmp_path, grid1d, rng):
+    # a stem's own suffix stays: the files are run.v2.json and run.v2.bin,
     # and the stem or the header path loads them back
     snaps = np.stack([random_field(grid1d, 2, rng).coefficients for _ in range(4)])
     traj = TrajectoryField(grid1d, np.linspace(0.0, 0.3, 4), snaps)
-    header = save_trajectory(traj, tmp_path / stem)
-    assert header == tmp_path / f"{stem}.json"
-    assert sorted(p.name for p in tmp_path.iterdir()) == [f"{stem}.bin", f"{stem}.json"]
-    for path in (tmp_path / stem, header):
+    header = save_trajectory(traj, tmp_path / "run.v2")
+    assert header == tmp_path / "run.v2.json"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.v2.bin", "run.v2.json"]
+    for path in (tmp_path / "run.v2", header):
         back = load_trajectory(path)
         assert back.snapshots.tobytes() == traj.snapshots.tobytes()
         assert back.snapshots.flags.writeable
