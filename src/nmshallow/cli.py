@@ -720,7 +720,7 @@ def _validation_checks() -> list[tuple[str, bool, str]]:
 
     # 2. smoothing laws with constant 1 + projection idempotence.
     g = GridSpec(dimension=1, nodes_per_axis=64, domain_length=2 * math.pi)
-    worst = 0.0
+    worst = -math.inf
     ok = True
     for _ in range(200):
         f = random_field(g, 1, rng, amplitude=1.0, decay=1.5)
@@ -737,7 +737,7 @@ def _validation_checks() -> list[tuple[str, bool, str]]:
 
     # 3. interpolation inequality with constant 1.
     ok = True
-    worst = 0.0
+    worst = -math.inf
     for _ in range(200):
         f = random_field(g, 1, rng, amplitude=1.0, decay=1.0)
         s1 = float(rng.uniform(-1, 2))

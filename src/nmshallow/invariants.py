@@ -45,10 +45,10 @@ def elliptic_bounds(
 ) -> tuple[int, float, float]:
     """Energy identity and inverse bound of h + mu*T: draws a bathymetry, mu,
     eps and an elevation, and V if `depth_check` admits them, until `accepted`
-    draws pass or `attempts` are made. Returns (admissible draws, the least of
-    0 and (<TV, V> - E(V)^2) / <TV, V>, the largest h0 |T^-1 V|_0 / |V|_0)."""
+    draws pass or `attempts` are made. Returns (admissible draws, the least
+    (<TV, V> - E(V)^2) / <TV, V> (inf if none), the largest h0 |T^-1 V|_0 / |V|_0)."""
     n_ok = n = 0
-    worst_gap = worst_ratio = 0.0
+    worst_gap, worst_ratio = math.inf, 0.0
     while n_ok < accepted and n < attempts:
         n += 1
         b = random_field(grid, 1, rng, amplitude=0.1, decay=3.0)

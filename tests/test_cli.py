@@ -406,6 +406,11 @@ def test_validate_runs_every_check(runner, tmp_path):
     assert len(rep["results"]) == 13
     assert all(row["passed"] for row in rep["results"]), rep["results"]
     assert "all 13 checks passed" in res.output
+    # the extremes start at -inf / inf, so a detail shows the measured one
+    # (a start at 0.0 could only print 0.00e+00 for these three)
+    details = {row["name"]: row["detail"] for row in rep["results"]}
+    for name in ("smoothing_laws", "interpolation", "energy_identity"):
+        assert "0.00e+00" not in details[name], details[name]
 
 
 def test_solve_both_writes_the_convergence_trace(runner, tmp_path):
