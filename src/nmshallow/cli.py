@@ -445,28 +445,23 @@ def cmd_schedule(cfg: dict, out: Path) -> None:
 # --------------------------------------------------------------------- solve
 
 
-def _run_nash_moser(
-    cfg: dict, params: PhysicalParams, u0: GNState, out: Path, induction: bool = False
-):
+def _run_nash_moser(cfg: dict, params: PhysicalParams, u0: GNState, out: Path):
     """Run the iterative scheme on the config's problem.
 
-    Writes `trace.csv` and, with `induction`, `induction.json`, for a diverged
-    run or one whose iterate left the admissible set (before its
-    DivergenceError or DomainError propagates) as for a finished one.
-    Returns the filtered solution, the trace and the induction report (None
-    without `induction`).
+    Writes `trace.csv` and `induction.json` for a diverged run or one whose
+    iterate left the admissible set (before its DivergenceError or
+    DomainError propagates) as for a finished one. Returns the filtered
+    solution, the trace and the induction report.
     """
     rc = cfg["run"]
     sched = _schedule_from_cfg(cfg)
     problem = GNProblem(params, u0, tol=_cg_tol(cfg))
 
-    def record(trace) -> dict | None:
+    def record(trace) -> dict:
         header = "\n".join(
             _csv_header(_config_hash(cfg), "all columns nondimensional; props are 0/1 booleans")
         )
         trace.to_csv(out / "trace.csv", header_comment=header)
-        if not induction:
-            return None
         report = check_induction(trace, sched)
         _write_json(out / "induction.json", {
             "config_hash": _config_hash(cfg),
@@ -510,7 +505,7 @@ def cmd_solve(cfg: dict, out: Path) -> None:
     report: dict = {"config_hash": _config_hash(cfg), "solver": solver}
     traj_nm = traj_mol = None
     if solver in ("nash_moser", "both"):
-        u_tilde, trace, _ = _run_nash_moser(cfg, params, u0, out)
+        u_tilde, trace, induction = _run_nash_moser(cfg, params, u0, out)
         traj_nm = conjugate_trajectory(params, u_tilde, +1)
         save_trajectory(traj_nm, out / "solution_nash_moser.nmtrj")
         report["nash_moser"] = {
@@ -524,6 +519,7 @@ def cmd_solve(cfg: dict, out: Path) -> None:
             f"nash-moser stop: {trace.stop_reason} after {len(trace.theta)} iterations, "
             f"final residual {trace.residual_F[-1]:.6e}"
         )
+        click.echo(f"induction first failures: {induction['first_failure']}")
     if solver in ("mol", "both"):
         traj_mol = mol_solve(
             params, u0, float(rc["T"]), float(rc["dt"]), tol=tol
@@ -546,7 +542,7 @@ def cmd_convergence(cfg: dict, out: Path) -> None:
     _cg_tol(cfg)
     params = _params_from_cfg(cfg)
     u0 = _initial_state(params, cfg["data"])
-    _, trace, report = _run_nash_moser(cfg, params, u0, out, induction=True)
+    _, trace, report = _run_nash_moser(cfg, params, u0, out)
     click.echo(
         f"stop: {trace.stop_reason} after {len(trace.theta)} iterations; "
         f"first failures: {report['first_failure']}"

@@ -96,7 +96,6 @@ class GNProblem(ProblemInterface):
             forcing=forcing_phys,
         )
         sol = solve_linearized(self.params, coeffs, ivp, tol=self.tol)
-        assert isinstance(sol, TrajectoryField)
         # the physical forcing is not needed any more: free it before the
         # conjugation back allocates the filtered solution
         del ivp, forcing_phys

@@ -120,6 +120,8 @@ took 1.19x as long (median of 60 interleaved rounds, quartiles
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
@@ -136,6 +138,7 @@ __all__ = [
     "apply_bigT",
     "energy_E",
     "invert_bigT",
+    "counting",
     "nonlinear_F",
     "build_linearized_coeffs",
     "apply_K",
@@ -145,10 +148,26 @@ __all__ = [
     "depth_grid",
 ]
 
-#: Running counters for the elliptic mass-matrix solves, one solve per member
-#: of a batch. Callers that report solver statistics snapshot these
-#: before/after a run; they are never reset here.
-CG_STATS = {"solves": 0, "iterations": 0}
+#: The dict of the innermost open `counting()` block; None outside one.
+_COUNTS: ContextVar[dict | None] = ContextVar("nmshallow_counts", default=None)
+
+
+@contextmanager
+def counting():
+    """Count this block's work into the dict it yields: `solves` (one per
+    batch member), summed `cg_iterations` and IF-RK4 `rk_substeps`. Only
+    the innermost open block counts; nothing is counted outside one."""
+    token = _COUNTS.set({"solves": 0, "cg_iterations": 0, "rk_substeps": 0})
+    try:
+        yield _COUNTS.get()
+    finally:
+        _COUNTS.reset(token)
+
+
+def _count(**increments: int) -> None:
+    if (counts := _COUNTS.get()) is not None:
+        for key, n in increments.items():
+            counts[key] += n
 
 #: Largest retained band, in modes, of a flat 1D grid whose elliptic systems
 #: `invert_bigT` solves directly (`_band_solve`) rather than by PCG. Per
@@ -517,7 +536,7 @@ def invert_bigT(
     with its own matrix or preconditioner, stopping rule and result. `x0`
     has the shape of V's coefficients or is their flattening. With
     `return_info`, also returns {"iterations": batched sweeps, the maximum
-    over members}; `CG_STATS` counts each member's solve and iterations.
+    over members}, read by `perfbench/spans.py`; `counting()` sums them.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must be a finite number in (0, 1), got {tol!r}")
@@ -542,8 +561,7 @@ def invert_bigT(
             residuals = np.zeros(b.shape[0])
             residuals[failed] = [np.linalg.norm(r) for r in res]
         how = f"in {max_iter} iterations"
-    CG_STATS["solves"] += b.shape[0]
-    CG_STATS["iterations"] += int(iters.sum())
+    _count(solves=b.shape[0], cg_iterations=int(iters.sum()))
     if failed.size:
         off_band = _row_norms(_rows(Vc[:, failed][..., ~grid.dealias_mask]))
         detail = "; ".join(

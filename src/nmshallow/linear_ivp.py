@@ -18,15 +18,16 @@ output time grid.
 Both integrators of the package run on one private IF-RK4 driver,
 `_integrate_filtered`: `solve_linearized` hands it the linearized operator
 K(t) and `reference.mol_solve` the nonlinear tendency F. The driver owns the
-output grid, the sub-step split, forcing sampling, the four RK4 stages, the
-growth guard and the run statistics. It also carries the batch axis of
-`GNState`: a batched initial state (an ensemble on one grid, horizon and
-dt) advances all members through the same stages, with one batched
-tendency call per stage, the growth guard and its floor applied per
-member, and one trajectory returned per member; a single state is a batch
-of one. `evolve_packed` takes a packed array with or without the batch
-axis, and for a batch one time per member (a chunk of a trajectory's
-snapshots conjugated in one call).
+output grid, the sub-step split, forcing sampling, the four RK4 stages and
+the growth guard, and returns trajectories only (`green_naghdi.counting()`
+counts the work). It also carries the batch axis of `GNState`: a batched
+initial state (an ensemble on one grid, horizon and dt) advances all
+members through the same stages, with one batched tendency call per stage,
+the growth guard and its floor applied per member, and one trajectory
+returned per member; a single state is a batch of one. `evolve_packed`
+takes a packed array with or without the batch axis, and for a batch one
+time per member (a chunk of a trajectory's snapshots conjugated in one
+call).
 
 Per-mode rotation, derived once
 -------------------------------
@@ -55,10 +56,9 @@ from typing import Callable
 
 import numpy as np
 
-from . import green_naghdi as gn
 from .errors import DomainError, StepSizeError
 from .fourier_scale import GridSpec, SpectralField, TrajectoryField, _chunks, _uniform_steps
-from .green_naghdi import GNState, LinearizedCoeffs, PhysicalParams, apply_K
+from .green_naghdi import GNState, LinearizedCoeffs, PhysicalParams, _count, apply_K
 
 __all__ = [
     "IVPData",
@@ -263,7 +263,7 @@ def _integrate_filtered(
     ivp: IVPData,
     tendency: Callable[[float, GNState], GNState],
     on_output: Callable[[float, np.ndarray], None] | None = None,
-) -> tuple[TrajectoryField | list[TrajectoryField], dict]:
+) -> TrajectoryField | list[TrajectoryField]:
     """IF-RK4 driver shared by `solve_linearized` and `reference.mol_solve`.
 
     Integrates d/dt v + (1/eps) L v + G(t, v) = f on [0, T], where G is
@@ -283,13 +283,13 @@ def _integrate_filtered(
     one whose tendency sees single states, since `solve_linearized`'s
     tendency `apply_K` is single-field.
 
-    Returns the physical trajectory (a list of one trajectory per member,
-    in member order, for a batch) and the run statistics, which total over
-    the members. Raises StepSizeError when a step produces non-finite values
-    or takes a member's solution norm above 10 (norm_prev + dt * max|f|):
-    ten times its previous norm plus what the forcing alone can add over one
-    output step. A member below a floor set by its data and the forcing size
-    is exempt from the growth test.
+    Returns the physical trajectory only (a list of one trajectory per
+    member, in member order, for a batch); `counting()` counts its sub-steps.
+    Raises StepSizeError when a step produces non-finite values or takes a
+    member's solution norm above 10 (norm_prev + dt * max|f|): ten times its
+    previous norm plus what the forcing alone can add over one output step.
+    A member below a floor set by its data and the forcing size is exempt
+    from the growth test.
     """
     grid = ivp.initial.grid
     d = grid.dimension
@@ -301,9 +301,6 @@ def _integrate_filtered(
     cap = dispersive_dt_cap(params, grid)
     n_sub = max(1, int(math.ceil(dt_out / cap - 1e-12)))
     h = dt_out / n_sub
-
-    solves0 = gn.CG_STATS["solves"]
-    iters0 = gn.CG_STATS["iterations"]
 
     single = ivp.initial.batch is None
     w = grid.project(ivp.initial.packed().coefficients)
@@ -351,6 +348,7 @@ def _integrate_filtered(
             k3 = rhs(t0 + 0.5 * h, w + (0.5 * h) * k2)
             k4 = rhs(t0 + h, w + h * k3)
             w = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        _count(rk_substeps=n_sub)
         t_next = (n + 1) * dt_out
         for m in range(members):
             norm_now = float(np.linalg.norm(w[:, m]))
@@ -375,15 +373,7 @@ def _integrate_filtered(
 
     times = np.linspace(0.0, ivp.horizon, n_steps + 1)
     trajectories = [TrajectoryField(grid, times.copy(), snaps) for snaps in out]
-    stats = {
-        "steps": n_steps,
-        "substeps_per_step": n_sub,
-        "dt_output": dt_out,
-        "dt_internal": h,
-        "mass_solves": gn.CG_STATS["solves"] - solves0,
-        "mass_solve_iterations": gn.CG_STATS["iterations"] - iters0,
-    }
-    return (trajectories[0] if single else trajectories), stats
+    return trajectories[0] if single else trajectories
 
 
 def solve_linearized(
@@ -391,8 +381,7 @@ def solve_linearized(
     coeffs: LinearizedCoeffs,
     ivp: IVPData,
     tol: float = 1e-12,
-    return_stats: bool = False,
-) -> TrajectoryField | tuple[TrajectoryField, dict]:
+) -> TrajectoryField:
     """Integrate the linearized system on [0, T] and return v on the grid.
 
     Runs the shared IF-RK4 driver `_integrate_filtered` with G = K(t), so
@@ -402,9 +391,9 @@ def solve_linearized(
     linearly between their snapshots; a stage at the same time as the one
     before it (RK4's k3 after k2) reuses that stage's interpolation.
 
-    Raises StepSizeError when a step produces non-finite values or takes
-    the solution norm above 10 (norm_prev + dt * max|f|); see
-    `_integrate_filtered`.
+    Returns the trajectory only. Raises StepSizeError when a step produces
+    non-finite values or takes the solution norm above
+    10 (norm_prev + dt * max|f|); see `_integrate_filtered`.
     """
     warm: np.ndarray | None = None
     memo_t: float | None = None
@@ -417,5 +406,4 @@ def solve_linearized(
         Kv, warm = apply_K(coeffs, params, t, v, tol=tol, x0=warm, coeffs_t=memo)
         return Kv
 
-    solution, stats = _integrate_filtered(params, ivp, tendency)
-    return (solution, stats) if return_stats else solution
+    return _integrate_filtered(params, ivp, tendency)

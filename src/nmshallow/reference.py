@@ -57,8 +57,7 @@ def mol_solve(
     forcing: TrajectoryField | None = None,
     forcing_fn=None,
     tol: float = 1e-12,
-    return_stats: bool = False,
-) -> TrajectoryField | list[TrajectoryField] | tuple:
+) -> TrajectoryField | list[TrajectoryField]:
     """Direct nonlinear solve of d/dt u + (1/eps) L u + F[u] = f on [0, T].
 
     Runs the shared IF-RK4 driver `linear_ivp._integrate_filtered` with
@@ -80,7 +79,8 @@ def mol_solve(
     A batched `u0` (an ensemble on one grid, horizon and dt, sharing the
     forcing) is integrated as one batch and returns one trajectory per
     member, in member order; each member's trajectory is the one its own
-    call would return. The statistics total over the members.
+    call would return. It returns trajectories only; `counting()` sums
+    their work over the members.
     """
     ivp = IVPData(initial=u0, horizon=T, dt=dt, forcing=forcing, forcing_fn=forcing_fn)
     d = u0.grid.dimension
@@ -102,8 +102,7 @@ def mol_solve(
         except DomainError as exc:
             raise DomainError(f"{exc} (while evaluating the tendency at t={t:g})") from exc
 
-    solution, stats = _integrate_filtered(params, ivp, tendency, on_output=check_depth)
-    return (solution, stats) if return_stats else solution
+    return _integrate_filtered(params, ivp, tendency, on_output=check_depth)
 
 
 # ------------------------------------------------------- solitary reference

@@ -83,15 +83,15 @@ def test_direct_solve_matches_pcg(case):
 
 def test_direct_solve_counts_solves_without_iterations():
     params, h, V = _system(64, 2.0 / 3.0, 3, 0.3)
-    solves, iterations = gn.CG_STATS["solves"], gn.CG_STATS["iterations"]
-    cold = invert_bigT(params, h, V, tol=TOL)
-    # x0 and max_iter do not apply to the direct solve
-    warm, info = invert_bigT(params, h, V, tol=TOL, max_iter=1, x0=np.ones(V.coefficients.size),
-                             return_info=True)
+    with gn.counting() as counts:
+        cold = invert_bigT(params, h, V, tol=TOL)
+        # x0 and max_iter do not apply to the direct solve
+        warm, info = invert_bigT(params, h, V, tol=TOL, max_iter=1,
+                                 x0=np.ones(V.coefficients.size), return_info=True)
     assert warm.coefficients.tobytes() == cold.coefficients.tobytes()
     assert info == {"iterations": 0}
-    assert gn.CG_STATS["solves"] - solves == 6
-    assert gn.CG_STATS["iterations"] == iterations
+    assert counts["solves"] == 6
+    assert counts["cg_iterations"] == 0
 
 
 def test_direct_solve_matrix_is_the_operator_on_the_band():
@@ -144,11 +144,11 @@ def test_tolerance_outside_the_unit_interval_is_refused(flat, tol):
 
 @pytest.mark.parametrize("name", ["flagship", "sweep"])
 def test_workloads_agree_with_pcg(name, tmp_path, monkeypatch):
-    iterations = gn.CG_STATS["iterations"]
-    new = _run(name, tmp_path / "direct", monkeypatch)
-    assert gn.CG_STATS["iterations"] == iterations  # every solve was direct
-    with monkeypatch.context() as m:
+    with gn.counting() as direct:
+        new = _run(name, tmp_path / "direct", monkeypatch)
+    assert direct["cg_iterations"] == 0  # every solve was direct
+    with monkeypatch.context() as m, gn.counting() as pcg:
         m.setattr(gn, "_DENSE_MODES", 0)
         old = _run(name, tmp_path / "pcg", monkeypatch)
-    assert gn.CG_STATS["iterations"] > iterations
+    assert pcg["cg_iterations"] > 0
     _assert_runs_agree(name, new, old)

@@ -289,17 +289,19 @@ def test_batched_operators_match_looped(dim, n, flat):
 @pytest.mark.parametrize("dim,n,flat", CASES, ids=CASE_IDS)
 def test_batched_mol_solve_matches_looped(dim, n, flat):
     params, states = _case(dim, n, flat)
-    sols, stats = mol_solve(params, _stack_states(states), 0.04, 0.02, return_stats=True)
+    with gn.counting() as batched:
+        sols = mol_solve(params, _stack_states(states), 0.04, 0.02)
     assert len(sols) == MEMBERS
     solves = iterations = 0
     for sol, u in zip(sols, states):
-        want, st = mol_solve(params, u, 0.04, 0.02, return_stats=True)
+        with gn.counting() as looped:
+            want = mol_solve(params, u, 0.04, 0.02)
         assert sol.snapshots.tobytes() == want.snapshots.tobytes()
         assert sol.times.tobytes() == want.times.tobytes()
-        solves += st["mass_solves"]
-        iterations += st["mass_solve_iterations"]
-    assert stats["mass_solves"] == solves
-    assert stats["mass_solve_iterations"] == iterations
+        solves += looped["solves"]
+        iterations += looped["cg_iterations"]
+    assert batched["solves"] == solves
+    assert batched["cg_iterations"] == iterations
 
 
 @pytest.mark.parametrize("dim,n,flat", CASES, ids=CASE_IDS)

@@ -476,8 +476,9 @@ def test_diverged_run_exits_3_and_keeps_its_trace(runner, tmp_path, monkeypatch)
         assert rows[0].split(",")[0] == "k" and len(rows) == 2
         assert rows[1].split(",")[:2] == ["0", "20.0"]
     assert not (tmp_path / "solve" / "solve_report.json").exists()
-    ind = json.loads((tmp_path / "convergence" / "induction.json").read_text())
-    assert ind["converged"] is False and ind["stop_reason"] == "diverged"
+    for name in ("solve", "convergence"):
+        ind = json.loads((tmp_path / name / "induction.json").read_text())
+        assert ind["converged"] is False and ind["stop_reason"] == "diverged"
 
 
 def test_inadmissible_iterate_exits_4_and_keeps_its_trace(runner, tmp_path, monkeypatch):
@@ -504,8 +505,9 @@ def test_inadmissible_iterate_exits_4_and_keeps_its_trace(runner, tmp_path, monk
         assert rows[0].split(",")[0] == "k" and len(rows) == 2
         assert rows[1].split(",")[:2] == ["0", "10.0"]
     assert not (tmp_path / "solve" / "solve_report.json").exists()
-    ind = json.loads((tmp_path / "convergence" / "induction.json").read_text())
-    assert ind["converged"] is False and ind["stop_reason"] == "inadmissible"
+    for name in ("solve", "convergence"):
+        ind = json.loads((tmp_path / name / "induction.json").read_text())
+        assert ind["converged"] is False and ind["stop_reason"] == "inadmissible"
 
 
 # ------------------------------------------------------------- 2D end to end
@@ -558,6 +560,11 @@ def test_solve_2d_over_random_bathymetry(runner, tmp_path):
         assert rep["nash_moser"]["stop_reason"] == "converged"
         assert rep["nash_moser"]["final_residual"] <= 1e-8
         assert rep["agreement_sup_x0"] <= 1e-6
+        # the flagship schedule fails induction property (i) at k = 0 here;
+        # the run converges all the same, and solve reports the failure
+        first = json.loads((out / "induction.json").read_text())["report"]["first_failure"]
+        assert first == {"prop_i": 0, "prop_ii": None, "prop_iii": None}
+        assert f"induction first failures: {first}" in res.output.splitlines()
         for name in ("solution_mol.nmtrj", "solution_nash_moser.nmtrj"):
             traj = load_trajectory(out / name)
             assert traj.grid.dimension == 2

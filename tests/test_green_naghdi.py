@@ -477,9 +477,9 @@ def test_flat_transform_count(monkeypatch):
         monkeypatch.setattr(GridSpec, name, counted)
     for evaluate in (lambda: nonlinear_F(params, u), lambda: apply_K(coeffs, params, 0.3, v)):
         calls["n"] = 0
-        iters0 = gn.CG_STATS["iterations"]
-        evaluate()
-        iters = gn.CG_STATS["iterations"] - iters0
+        with gn.counting() as counts:
+            evaluate()
+        iters = counts["cg_iterations"]
         assert iters > 0
         assert calls["n"] <= 2 + 2 * iters
 

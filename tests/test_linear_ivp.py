@@ -16,7 +16,7 @@ from nmshallow.fourier_scale import (
     zero_field,
 )
 from nmshallow.gn_problem import GNProblem
-from nmshallow.green_naghdi import GNState, PhysicalParams, build_linearized_coeffs
+from nmshallow.green_naghdi import GNState, PhysicalParams, build_linearized_coeffs, counting
 from nmshallow.linear_ivp import (
     IVPData,
     conjugate_trajectory,
@@ -284,12 +284,11 @@ def test_solver_stats(grid1d, params1d, state1d, rng):
         V=random_field(grid1d, 1, rng, amplitude=0.05, decay=4.0),
         zeta=random_field(grid1d, 1, rng, amplitude=0.05, decay=4.0),
     )
-    sol, stats = solve_linearized(
-        params1d, coeffs, IVPData(initial=v0, horizon=0.2, dt=0.02), return_stats=True
-    )
+    with counting() as counts:
+        sol = solve_linearized(params1d, coeffs, IVPData(initial=v0, horizon=0.2, dt=0.02))
     assert sol.n_times == 11
-    assert stats["steps"] == 10
-    assert stats["substeps_per_step"] >= 1
+    cap = dispersive_dt_cap(params1d, grid1d)
+    assert counts["rk_substeps"] == 10 * math.ceil(0.02 / cap)
 
 
 @pytest.mark.parametrize("debug_env", [False, True])

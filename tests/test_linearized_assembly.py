@@ -161,10 +161,12 @@ def test_solve_linearized_over_bathymetry_matches_pre_fold(monkeypatch, n):
 
     coeffs = build_linearized_coeffs(params, mol_solve(params, draw(0.1), 0.02, 0.005))
     ivp = IVPData(initial=draw(1.0), horizon=0.02, dt=0.005)
-    got, got_stats = solve_linearized(params, coeffs, ivp, return_stats=True)
+    with gn.counting() as got_counts:
+        got = solve_linearized(params, coeffs, ivp)
     monkeypatch.setattr(gn, "_K_rows", _ref_K_rows)
-    want, want_stats = solve_linearized(params, coeffs, ivp, return_stats=True)
-    assert got_stats["mass_solve_iterations"] == want_stats["mass_solve_iterations"]
+    with gn.counting() as want_counts:
+        want = solve_linearized(params, coeffs, ivp)
+    assert got_counts["cg_iterations"] == want_counts["cg_iterations"]
     diff = SpectralField(grid, (got.snapshots - want.snapshots).swapaxes(0, 1))
     size = SpectralField(grid, want.snapshots.swapaxes(0, 1))
     rel = x_norm_packed(params, diff, 0.0) / x_norm_packed(params, size, 0.0)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from nmshallow import linear_ivp
+from nmshallow import green_naghdi, linear_ivp
 from nmshallow.errors import DomainError, StepSizeError
 from nmshallow.fourier_scale import (
     GridSpec,
@@ -15,7 +15,7 @@ from nmshallow.fourier_scale import (
     sobolev_norm,
     zero_field,
 )
-from nmshallow.green_naghdi import GNState, PhysicalParams
+from nmshallow.green_naghdi import GNState, PhysicalParams, counting
 from nmshallow.reference import manufactured_residual, mol_solve, serre_solitary_wave
 
 MU = 0.1
@@ -136,14 +136,16 @@ def test_mol_rest_state_stays_zero(grid1d, params1d):
 
 
 def test_mol_conserves_mean_elevation(grid1d, params1d, state1d):
-    sol, stats = mol_solve(params1d, state1d, 0.4, 0.02, return_stats=True)
+    with counting() as counts:
+        sol = mol_solve(params1d, state1d, 0.4, 0.02)
     d = grid1d.dimension
     mean0 = sol.snapshots[0][d].flat[0]
     for i in range(sol.n_times):
         assert abs(sol.snapshots[i][d].flat[0] - mean0) < 1e-14
-    assert stats["steps"] == 20
-    assert stats["substeps_per_step"] >= 1
-    assert stats["mass_solves"] > 0
+    assert sol.n_times == 21
+    cap = linear_ivp.dispersive_dt_cap(params1d, grid1d)
+    assert counts["rk_substeps"] == 20 * math.ceil(0.02 / cap)
+    assert counts["solves"] > 0
 
 
 def test_mol_rejects_non_divisor_dt(grid1d, params1d, state1d):
@@ -220,3 +222,54 @@ def test_mol_step_size_guard_raises(grid1d, params1d, rng, monkeypatch, debug_en
     )
     with pytest.raises(StepSizeError, match="unstable"):
         mol_solve(params1d, data, 2.0, 0.5)
+
+
+# ---------------------------------------------------------------- counting
+
+ZERO_COUNTS = {"solves": 0, "cg_iterations": 0, "rk_substeps": 0}
+
+
+def test_counting_fills_the_innermost_block_only(params1d, state1d):
+    with counting() as outer:
+        mol_solve(params1d, state1d, 0.1, 0.02)
+        before = dict(outer)
+        with counting() as inner:
+            mol_solve(params1d, state1d, 0.1, 0.02)
+        assert outer == before
+    # the same call counts the same, whichever block holds it; over this
+    # bathymetry every solve runs PCG
+    assert inner == before
+    assert inner["solves"] > 0 and inner["cg_iterations"] > 0
+
+
+def test_counting_block_left_by_an_error_restores_the_outer_one(params1d, state1d):
+    drain = np.zeros((2, *params1d.grid.shape), dtype=np.complex128)
+    drain[1, 0] = -20.0  # lowers the mean elevation until the depth floor fails
+    with counting() as outer:
+        with pytest.raises(DomainError, match="below floor"):
+            with counting() as failed:
+                mol_solve(params1d, state1d, 0.4, 0.02, forcing_fn=lambda t: drain)
+        assert outer == ZERO_COUNTS
+        mol_solve(params1d, state1d, 0.1, 0.02)
+    with counting() as alone:
+        mol_solve(params1d, state1d, 0.1, 0.02)
+    assert failed["solves"] > 0
+    assert outer == alone
+
+
+def test_calls_outside_a_block_count_nothing(params1d, state1d):
+    with counting() as closed:
+        pass
+    mol_solve(params1d, state1d, 0.1, 0.02)
+    assert closed == ZERO_COUNTS
+    assert green_naghdi._COUNTS.get() is None
+
+
+def test_identical_runs_count_alike(params1d, state1d):
+    runs = []
+    for _ in range(2):
+        with counting() as counts:
+            mol_solve(params1d, state1d, 0.1, 0.02)
+        runs.append(counts)
+    assert runs[0] == runs[1]
+    assert runs[0]["cg_iterations"] > 0

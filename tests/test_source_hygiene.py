@@ -122,9 +122,66 @@ def _concurrency_imports(path: Path) -> list[str]:
 
 
 def test_package_runs_in_one_thread():
-    # the run's counters (green_naghdi.CG_STATS) are module globals: they
-    # stay exact only while no worker thread or process shares them
+    # a run's counts (`green_naghdi.counting()`) live in the context of the
+    # thread that opened the block: work on another thread or process
+    # would go uncounted
     assert _package_hits(_concurrency_imports) == []
+
+
+def _module_level_names(tree: ast.Module) -> set[str]:
+    """Names a module binds at its top level: assignments, imports,
+    functions and classes."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+def _module_object_writes(path: Path) -> list[str]:
+    """`global` statements, and subscript or attribute assignments (plain
+    or augmented) inside a function whose base is a module-level name that
+    the function does not rebind locally."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    module_names = _module_level_names(tree)
+    hits = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        local = {a.arg for a in ast.walk(func.args) if isinstance(a, ast.arg)} | {
+            n.id for n in ast.walk(func) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+        }
+        for node in ast.walk(func):
+            if isinstance(node, ast.Global):
+                hits.append(f"{path.name}:{node.lineno} global")
+                continue
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                if not isinstance(target, (ast.Subscript, ast.Attribute)):
+                    continue
+                base = target
+                while isinstance(base, (ast.Subscript, ast.Attribute)):
+                    base = base.value
+                if isinstance(base, ast.Name) and base.id in module_names - local:
+                    hits.append(f"{path.name}:{node.lineno} {base.id}")
+    return sorted(set(hits))
+
+
+def test_no_function_writes_into_a_module_level_object():
+    # state that a call leaves behind belongs to its caller or to the run
+    # (`green_naghdi.counting()`), not to a module: a module-level object
+    # written by a function is shared by every run in the process
+    assert _package_hits(_module_object_writes) == []
 
 
 def _private_caches(path: Path) -> list[str]:
