@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,6 +59,28 @@ FORMAT_VERSION = 1
 #: ran within each other's quartiles, while 32 raised the residual's peak
 #: traced memory by 1 MB over the per-snapshot loop and 16 by 0.01 MB.
 _CHUNK = 16
+
+
+class _BandLayout(NamedTuple):
+    """The retained band of a grid as a dense block, read-only.
+
+    The band layout lists the retained modes in C order over the grid,
+    which is per axis the modes 0..K, then -K..-1: a block of `shape`
+    (2K+1,)*d. `index` and `off` are the flat positions (over the grid's
+    `shape`) of the retained and of the dropped modes; `blocks` are the
+    2^d rectangular pieces of the band, pairs of indices (Ellipsis, then a
+    slice per axis) into the full coefficient array and into the block,
+    whose copies are strided slices, cheaper than a gather by index; `i_xi`
+    (d, n_band) and `xi_sq` (n_band,) are the grid's 1j*xi and |xi|^2 on
+    the band.
+    """
+
+    index: np.ndarray
+    off: np.ndarray
+    shape: tuple[int, ...]
+    blocks: tuple[tuple[tuple, tuple], ...]
+    i_xi: np.ndarray
+    xi_sq: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -221,6 +243,23 @@ class GridSpec:
         out = self.dealias_mask.astype(np.complex128)
         out.flags.writeable = False
         return out
+
+    @cached_property
+    def _band(self) -> "_BandLayout":
+        """The band layout of the elliptic solver (see `_BandLayout`)."""
+        flat = self.dealias_mask.reshape(-1)
+        index, off = np.flatnonzero(flat), np.flatnonzero(~flat)
+        cut = self.dealias_cutoff_index
+        n = self.nodes_per_axis
+        halves = ((slice(0, cut + 1), slice(0, cut + 1)), (slice(n - cut, n), slice(cut + 1, None)))
+        blocks = [((...,), (...,))]
+        for _ in range(self.dimension):
+            blocks = [(f + (h[0],), b + (h[1],)) for f, b in blocks for h in halves]
+        i_xi = self.i_xi.reshape(self.dimension, -1)[:, index]
+        xi_sq = self.xi_sq.reshape(-1)[index]
+        for table in (index, off, i_xi, xi_sq):
+            table.flags.writeable = False
+        return _BandLayout(index, off, (2 * cut + 1,) * self.dimension, tuple(blocks), i_xi, xi_sq)
 
     @cached_property
     def _band_galerkin(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

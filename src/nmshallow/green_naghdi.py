@@ -41,8 +41,8 @@ Operators (beta denotes eps*b wherever the model equations use it):
 
 Assembly
 --------
-`nonlinear_F`, `apply_K` and the CG matvec are each assembled once
-(`_tendency_rows`, `_K_rows`, `_apply_bigT_arrays`): list the grid samples
+`nonlinear_F`, `apply_K` and bigT (`apply_bigT` and the CG matvec) are
+each assembled once (`_tendency_rows`, `_K_rows`, `_bigT_products`): list the grid samples
 needed, transform them, list the grid products, transform them back,
 combine the coefficients. The terms carrying grad(beta) (Q, its bilinear
 form in N1, the slope terms of T) are formed only when b has a nonzero
@@ -94,7 +94,14 @@ ConvergenceError; the solutions differ by rounding (at most 3.6e-15
 relative per snapshot on the flagship's trajectories).
 Every other batch of elliptic solves runs in one `_pcg` call, a numpy PCG that
 repeats, member by member, the arithmetic of `scipy.sparse.linalg.cg`
-(tests compare them byte for byte): per-member norms and inner products,
+(tests compare them byte for byte) on the retained band: its vectors hold
+the band's d * (2K+1)^d coefficients only, gathered and scattered through
+the grid's cached band layout (`GridSpec._band`), and its matvec shares
+bigT's grid products with `apply_bigT` (`_bigT_products`). On the band
+it runs the arithmetic of the full-array PCG it replaced, whose iterates
+stayed zero off the band, to the order of its sums: at most 1e-14
+relative and the same iteration counts (a test keeps the full-array
+operators). Per-member norms and inner products,
 the stopping rule norm(r) < tol * norm(b), a zero right side returned as it
 is, and a preconditioner from each member's own mean depth hbar. Members
 that have converged leave the batch, and a ConvergenceError names the
@@ -111,11 +118,9 @@ the batch (`np.vecdot`, `_row_norms`) with the bits of the per-row calls
 The one exception to the batched layout is inside the solver: a batch of
 one runs `_cg`, the same arithmetic with scalars on the unbatched layout,
 because its matvecs are the hottest loop of a single trajectory. On the
-per-axis transform kernel, one N = 512 solve through the vectorised loop
-took 1.19x as long (median of 60 interleaved rounds, quartiles
-1.15-1.24x), and the transit workload ran 2.11 s [1.97, 2.20] against
-1.92 s [1.85, 1.97] with `_cg` (10 alternating in-process pairs, 8 won by
-`_cg`; 2-core x86 host, numpy 2.4).
+band layout, one N = 512 solve through the vectorised loop took 1.23x as
+long, and 32 transit steps of `mol_solve` 1.20x (`_cg`'s docstring has
+the quartiles).
 """
 from __future__ import annotations
 
@@ -430,19 +435,7 @@ def _apply_bigT_arrays(
     rows = np.empty((d + 1, *Vc.shape[1:]), dtype=np.complex128)
     rows[:d] = Vc
     _div_c(grid, Vc, out=rows[d])
-    g = grid.to_grid(rows)
-    if gbeta_g is not None:
-        if h2 is None:
-            h2 = hg * hg
-        Yg = _dot_g(gbeta_g, g[:d])
-        slope_V = (mu * (-0.5 * h2 * g[d] + hg * Yg))[None] * gbeta_g
-        slope_X = 1.5 * h2 * Yg
-    np.multiply(hg, g[:d], out=g[:d])
-    np.multiply(h3, g[d], out=g[d])
-    if gbeta_g is not None:
-        g[:d] += slope_V
-        g[d] -= slope_X
-    c = grid.from_grid(g)
+    c = _bigT_products(grid, mu, hg, gbeta_g, rows, np.stack([*(hg,) * d, h3]), h2)
     out = c[:d]
     grad_X = _grad_c(grid, c[d])
     grad_X *= -(1.0 / 3.0)
@@ -450,6 +443,36 @@ def _apply_bigT_arrays(
     out += grad_X
     out *= grid.dealias_factor  # grid.project, in place
     return out
+
+
+def _bigT_products(
+    grid: GridSpec,
+    mu: float,
+    hg: np.ndarray,
+    gbeta_g: np.ndarray | None,
+    rows: np.ndarray,
+    powers: np.ndarray,
+    h2: np.ndarray | None = None,
+) -> np.ndarray:
+    """The coefficients (c_V, c_X) of bigT's grid products (see
+    `_apply_bigT_arrays`) from the coefficients of V and div V stacked in
+    `rows` (d+1, ..., *shape), which are left as they are: the one
+    transform pair of `apply_bigT` and of the CG matvec. `powers` stacks
+    the depth factors of the rows alike, d times h then h^3, so that one
+    product scales them all."""
+    d = rows.shape[0] - 1
+    g = grid.to_grid(rows)
+    if gbeta_g is not None:
+        if h2 is None:
+            h2 = hg * hg
+        Yg = _dot_g(gbeta_g, g[:d])
+        slope_V = (mu * (-0.5 * h2 * g[d] + hg * Yg))[None] * gbeta_g
+        slope_X = 1.5 * h2 * Yg
+    np.multiply(g, powers, out=g)
+    if gbeta_g is not None:
+        g[:d] += slope_V
+        g[d] -= slope_X
+    return grid.from_grid(g)
 
 
 def _depth_batch(hg: np.ndarray, V: SpectralField) -> np.ndarray:
@@ -521,7 +544,9 @@ def invert_bigT(
     band of at most `_DENSE_MODES` modes, each member is one dense solve of
     its Fourier-Galerkin matrix (`_band_solve`); `x0` and `max_iter` do not
     apply there, and the solve counts 0 iterations. Every other system (2D,
-    bathymetry, wider bands) runs PCG. Its preconditioner is the exact
+    bathymetry, wider bands) runs PCG on the retained band: its vectors hold
+    the band's coefficients only (`_bigT_operators`), and the solution is
+    zero off the band, as the direct one is. Its preconditioner is the exact
     inverse of the flat operator at the mean depth hbar, whose symbol is
     hbar I + (mu hbar^3/3) xi xi^T: the longitudinal part of the residual
     takes (hbar + mu |xi|^2 hbar^3/3)^{-1} and, in 2D, the transverse part
@@ -534,9 +559,11 @@ def invert_bigT(
 
     A batched V (with hg batched alike) solves every member in one call, each
     with its own matrix or preconditioner, stopping rule and result. `x0`
-    has the shape of V's coefficients or is their flattening. With
-    `return_info`, also returns {"iterations": batched sweeps, the maximum
-    over members}, read by `perfbench/spans.py`; `counting()` sums them.
+    has the shape of V's coefficients or is their flattening; PCG starts
+    from its part on the band and drops the rest, which no unknown holds.
+    With `return_info`, also returns {"iterations": batched sweeps, the
+    maximum over members}, read by `perfbench/spans.py`; `counting()` sums
+    them.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must be a finite number in (0, 1), got {tol!r}")
@@ -544,34 +571,46 @@ def invert_bigT(
     grid = V.grid
     Vc = _batched(V)
     _require_admissible(params, hg, "invert_bigT")
-    b = _rows(Vc)
     dense = 2 * grid.dealias_cutoff_index + 1 <= _DENSE_MODES  # the 1D band's size
     if grid.dimension == 1 and params._slope is None and dense:
+        b = _rows(Vc)
         x, residuals = _band_solve(params, hg, b)
         bnorms = _row_norms(b)
         failed = np.flatnonzero(~(residuals < tol * bnorms) & (bnorms != 0))
         iters = np.zeros(b.shape[0], dtype=np.int64)
         how = "by a direct solve"
+        Wc = _fields(grid, x)
     else:
+        band = grid._band
+        b = _band_rows(Vc, band.index)
         restrict = _bigT_operators(params, hg)
-        start = None if x0 is None else _rows(np.reshape(x0, Vc.shape))
+        start = None if x0 is None else _band_rows(np.reshape(x0, Vc.shape), band.index)
         x, iters, failed = _pcg(restrict, b, start, tol, max_iter)
-        if failed.size:
-            res = b[failed] - restrict(failed)[0](x[failed])
+        # V's modes off the band add to every residual and no solution on
+        # the band meets them: a member that has any is held to the
+        # contract with them counted
+        off_part = _band_rows(Vc, band.off)
+        if failed.size or off_part.any():
+            off = _row_norms(off_part)
+            check = np.union1d(failed, np.flatnonzero(off))
+            res = b[check] - restrict(check)[0](x[check])
             residuals = np.zeros(b.shape[0])
-            residuals[failed] = [np.linalg.norm(r) for r in res]
+            residuals[check] = np.sqrt(_row_norms(res) ** 2 + off[check] ** 2)
+            bnorms = np.sqrt(_row_norms(b[check]) ** 2 + off[check] ** 2)
+            failed = np.union1d(failed, check[~(residuals[check] < tol * bnorms)])
         how = f"in {max_iter} iterations"
+        Wc = _band_fields(grid, x)
     _count(solves=b.shape[0], cg_iterations=int(iters.sum()))
     if failed.size:
-        off_band = _row_norms(_rows(Vc[:, failed][..., ~grid.dealias_mask]))
+        rhs_norms = _row_norms(_rows(Vc))
+        off_band = _row_norms(_band_rows(Vc[:, failed], grid._band.off))
         detail = "; ".join(
             ("" if V.batch is None else f"member {m}: ")
-            + f"residual {float(residuals[m]):.3e}, |rhs| {float(np.linalg.norm(b[m])):.3e}, "
+            + f"residual {float(residuals[m]):.3e}, |rhs| {float(rhs_norms[m]):.3e}, "
             f"off the band {float(off):.3e}"
             for m, off in zip(failed, off_band)
         )
         raise ConvergenceError(f"bigT inversion did not reach tol={tol:g} {how} ({detail})")
-    Wc = _fields(grid, x)
     W = SpectralField(grid, Wc if V.batch is not None else Wc[:, 0])
     if return_info:
         return W, {"iterations": int(iters.max())}
@@ -633,21 +672,44 @@ def _rows(c: np.ndarray) -> np.ndarray:
     return c.swapaxes(0, 1).reshape(c.shape[1], -1)
 
 
-def _fields(grid: GridSpec, x: np.ndarray, lone: bool = False) -> np.ndarray:
-    """Inverse of `_rows`: rows (B, d * n_modes) -> a batch (d, B, *shape),
-    or one row -> (d, *shape) if `lone`."""
-    if lone:
-        return x.reshape(grid.dimension, *grid.shape)
+def _fields(grid: GridSpec, x: np.ndarray) -> np.ndarray:
+    """Inverse of `_rows`: rows (B, d * n_modes) -> a batch (d, B, *shape)."""
     return x.reshape(-1, grid.dimension, *grid.shape).swapaxes(0, 1)
 
 
+def _band_rows(c: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """A batch of coefficients (d, B, *shape) at the flat mode positions
+    `index` (of `GridSpec._band`), one row per member:
+    (B, d * index.size)."""
+    d, members = c.shape[:2]
+    return c.reshape(d, members, -1).take(index, axis=-1).swapaxes(0, 1).reshape(members, -1)
+
+
+def _band_fields(grid: GridSpec, x: np.ndarray) -> np.ndarray:
+    """Inverse of `_band_rows` on the retained band: rows (B, d * n_band)
+    -> a batch (d, B, *shape), zero off the band."""
+    d = grid.dimension
+    band = grid._band
+    on_band = x.reshape(x.shape[0], d, *band.shape).swapaxes(0, 1)
+    out = np.zeros((d, x.shape[0], *grid.shape), dtype=np.complex128)
+    for full, part in band.blocks:
+        out[full] = on_band[part]
+    return out
+
+
 def _bigT_operators(params: PhysicalParams, hg: np.ndarray):
-    """The operators of `_pcg` for bigT at the depth samples hg (B, *shape).
+    """The operators of `_pcg` for bigT at the depth samples hg (B, *shape),
+    on the band layout: a row holds a member's coefficients on the retained
+    band only (`_band_rows`), d * n_band entries.
 
     Returns `restrict(which)`, which gives (matvec, psolve) on the rows of
-    the members in the index array `which`. A lone member runs on the
-    unbatched layout (d, *shape), cheaper per matvec than a batch axis of
-    size one (see `_cg`).
+    the members in the index array `which`. The matvec scatters the band,
+    both halves of it, and its divergence into a zero array that it reuses
+    (the modes off the band stay zero), forms bigT's grid products through
+    `_bigT_products`, as `apply_bigT` does, and gathers the band from
+    `from_grid`'s output: the projection is the gather. A lone member runs
+    on the unbatched layout (d+1, *shape), cheaper per matvec than a batch
+    axis of size one (see `_cg`).
 
     The preconditioner of member m is the exact inverse of the flat
     operator at its own mean depth hbar (formed from that mean as a Python
@@ -671,16 +733,19 @@ def _bigT_operators(params: PhysicalParams, hg: np.ndarray):
     grid = params.grid
     d = grid.dimension
     mu = params.mu
+    band = grid._band
+    n_band = band.index.size
+    i_xi = band.i_xi
     # psolve's factors, stored complex (zero imaginary part) so that its
     # products skip the cast of a real factor: the same bits. In 2D
     # `inv_symbol` holds (mu hbar^2/3) inv_long (see the docstring).
-    inv_symbol = np.empty(hg.shape, dtype=np.complex128)
+    inv_symbol = np.empty((hg.shape[0], n_band), dtype=np.complex128)
     inv_depth = None
     if d > 1:
-        inv_depth = np.empty((hg.shape[0], *(1,) * (d + 1)), dtype=np.complex128)
+        inv_depth = np.empty((hg.shape[0], 1, 1), dtype=np.complex128)
     for m in range(hg.shape[0]):
         hbar = float(np.add.reduce(hg[m], axis=None) / grid.n_modes)  # np.mean's sum
-        inv_symbol[m] = 1.0 / (hbar + mu * grid.xi_sq * hbar**3 / 3.0)
+        inv_symbol[m] = 1.0 / (hbar + mu * band.xi_sq * hbar**3 / 3.0)
         if d > 1:
             inv_depth[m] = 1.0 / hbar
             inv_symbol[m] *= mu * hbar**2 / 3.0
@@ -698,20 +763,39 @@ def _bigT_operators(params: PhysicalParams, hg: np.ndarray):
             inv_w, trans_w = inv_symbol[which], inv_depth[which]
         # the depth powers of the matvec, formed once per solve
         h2 = hg_w * hg_w
-        h3 = h2 * hg_w
+        powers = np.empty((d + 1, *hg_w.shape))
+        powers[:d] = hg_w
+        np.multiply(h2, hg_w, out=powers[d])
+        rows = np.zeros((d + 1, *hg_w.shape), dtype=np.complex128)
+        V_rows = rows[:d]
+        shape = (d, *band.shape) if lone else (-1, d, *band.shape)
 
         def matvec(x: np.ndarray) -> np.ndarray:
-            out = _apply_bigT_arrays(grid, mu, hg_w, gbeta_g, _fields(grid, x, lone), h3, h2)
-            return out.reshape(1, -1) if lone else _rows(out)
+            xb = x.reshape(shape)
+            if not lone:
+                xb = xb.swapaxes(0, 1)
+            for full, part in band.blocks:
+                V_rows[full] = xb[part]
+            _div_c(grid, V_rows, out=rows[d])
+            c = _bigT_products(grid, mu, hg_w, gbeta_g, rows, powers, h2)
+            cb = c.reshape(d + 1, -1, grid.n_modes).take(band.index, axis=-1)
+            out = cb[:d]
+            grad_X = i_xi[:, None] * cb[d]
+            grad_X *= -(1.0 / 3.0)
+            grad_X *= mu
+            out += grad_X
+            return out.swapaxes(0, 1).reshape(x.shape)
 
         def psolve(r: np.ndarray) -> np.ndarray:
-            z = r.reshape(-1, d, *grid.shape)
+            z = r.reshape(-1, d, n_band)
             if inv_depth is None:
                 return (z * inv_w).reshape(r.shape)
-            dot = _div_c(grid, z.swapaxes(0, 1))  # (i xi) . r
+            dot = i_xi[0] * z[:, 0]  # (i xi) . r
+            for ax in range(1, d):
+                dot += i_xi[ax] * z[:, ax]
             dot *= inv_w
             out = z * trans_w
-            out += grid.i_xi * dot[:, None]
+            out += i_xi * dot[:, None]
             return out.reshape(r.shape)
 
         return matvec, psolve
@@ -722,13 +806,14 @@ def _bigT_operators(params: PhysicalParams, hg: np.ndarray):
 def _cg(restrict, b: np.ndarray, x0: np.ndarray | None, tol: float, max_iter: int):
     """`_pcg` for a batch of one member: the same arithmetic with scalar
     norms (`_norm`, the bits of `np.linalg.norm`) and inner products and
-    the unbatched layout. With the per-axis transforms and the in-place
-    flat matvec, a batch of one through the vectorised `_pcg` loop
-    (batched layout) took 1.19x as long per N = 512 solve (median of 60
-    interleaved in-process rounds, quartiles 1.15-1.24x; 1.09x before that
-    kernel), and the transit workload ran 2.11 s against 1.92 s with this
-    loop (medians of 10 alternating in-process pairs, 8 won by this loop;
-    2-core x86 host, numpy 2.4)."""
+    the unbatched layout. On the band layout, a batch of one through the
+    vectorised `_pcg` loop took 1.23x as long per lone N = 512 solve of
+    the transit wave's velocity (median of 30 interleaved in-process
+    rounds of 20 solves, quartiles 1.02-1.33x, 23 won by this loop) and
+    1.20x on 32 transit steps of `mol_solve` (20 rounds, quartiles
+    1.17-1.25x, all 20 won by this loop), by `scripts/inprocess_ab.py`
+    against a copy whose `_pcg` does not hand a lone member here (2-core
+    x86 host, numpy 2.4)."""
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=b.dtype)
     bnrm2 = _norm(b)
     if bnrm2 == 0:
@@ -836,7 +921,9 @@ def _pcg(restrict, b: np.ndarray, x0: np.ndarray | None, tol: float, max_iter: i
 
 # --------------------------------------------------------- nonlinear tendency
 
-def nonlinear_F(params: PhysicalParams, u: GNState, tol: float = 1e-12) -> GNState:
+def nonlinear_F(
+    params: PhysicalParams, u: GNState, tol: float = 1e-12, x0: np.ndarray | None = None
+) -> GNState:
     """Nonstiff tendency F[u] of the rescaled system d/dt u + (1/eps)Lu + F[u] = 0.
 
     Velocity row (single elliptic solve, cancellation-free):
@@ -846,11 +933,13 @@ def nonlinear_F(params: PhysicalParams, u: GNState, tol: float = 1e-12) -> GNSta
         F2 = div( (zeta - b) V )
 
     A batched `u` gives the batched tendency, one member per member of `u`,
-    assembled and inverted (one batched elliptic solve) together.
+    assembled and inverted (one batched elliptic solve) together. F1 is the
+    elliptic solution itself; `x0`, shaped like u.V's coefficients, starts
+    its solve (see `invert_bigT`), e.g. from a nearby stage's F1.
     """
     grid = u.grid
     rhs, hg, flux_c = _tendency_rows(params, _batched(u.V), _batched(u.zeta)[0])
-    F1c = invert_bigT(params, hg, SpectralField(grid, rhs), tol=tol).coefficients
+    F1c = invert_bigT(params, hg, SpectralField(grid, rhs), tol=tol, x0=x0).coefficients
     F2c = grid.project(_div_c(grid, flux_c))[None]
     if u.batch is None:
         F1c, F2c = F1c[:, 0], F2c[:, 0]

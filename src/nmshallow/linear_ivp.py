@@ -10,24 +10,27 @@ Second, an integrating-factor solver for the full linearized Cauchy
 problem d/dt v + (1/eps) L v + K(t) v = f: substituting w(t) = U(-t) v(t)
 removes the stiff 1/eps wave operator exactly, and the remaining bounded,
 time-dependent operator is advanced with the classical 4-stage explicit
-Runge-Kutta scheme. The only residual stiffness is the dispersive
-correction frequency, which stays bounded by the band cutoff; an internal
-sub-step cap keeps RK4 inside its stability interval without changing the
-output time grid.
+Runge-Kutta scheme. Its stages are written in the physical variable v
+(the Lawson form of the same scheme), so that a sub-step applies the wave
+group twice, each time to a pair of arrays stacked along the batch axis,
+and the output needs no conjugation. The only residual stiffness is the
+dispersive correction frequency, which stays bounded by the band cutoff;
+an internal sub-step cap keeps RK4 inside its stability interval without
+changing the output time grid.
 
 Both integrators of the package run on one private IF-RK4 driver,
 `_integrate_filtered`: `solve_linearized` hands it the linearized operator
 K(t) and `reference.mol_solve` the nonlinear tendency F. The driver owns the
-output grid, the sub-step split, forcing sampling, the four RK4 stages and
-the growth guard, and returns trajectories only (`green_naghdi.counting()`
-counts the work). It also carries the batch axis of `GNState`: a batched
-initial state (an ensemble on one grid, horizon and dt) advances all
-members through the same stages, with one batched tendency call per stage,
-the growth guard and its floor applied per member, and one trajectory
-returned per member; a single state is a batch of one. `evolve_packed`
-takes a packed array with or without the batch axis, and for a batch one
-time per member (a chunk of a trajectory's snapshots conjugated in one
-call).
+output grid, the sub-step split, forcing sampling, the four RK4 stages, the
+predicted starts of the stages' elliptic solves and the growth guard, and
+returns trajectories only (`green_naghdi.counting()` counts the work). It
+also carries the batch axis of `GNState`: a batched initial state (an
+ensemble on one grid, horizon and dt) advances all members through the
+same stages, with one batched tendency call per stage, the growth guard
+and its floor applied per member, and one trajectory returned per member;
+a single state is a batch of one. `evolve_packed` takes a packed array
+with or without the batch axis, and for a batch one time per member (a
+chunk of a trajectory's snapshots conjugated in one call).
 
 Per-mode rotation, derived once
 -------------------------------
@@ -261,21 +264,40 @@ def _forcing_sampler(
 def _integrate_filtered(
     params: PhysicalParams,
     ivp: IVPData,
-    tendency: Callable[[float, GNState], GNState],
+    tendency: Callable[[float, GNState, np.ndarray | None], GNState],
     on_output: Callable[[float, np.ndarray], None] | None = None,
 ) -> TrajectoryField | list[TrajectoryField]:
     """IF-RK4 driver shared by `solve_linearized` and `reference.mol_solve`.
 
     Integrates d/dt v + (1/eps) L v + G(t, v) = f on [0, T], where G is
-    `tendency(t, state)`, through the filtered unknown w(t) = U(-t) v(t):
+    `tendency(t, state, x0)`: classical RK4 applied to the filtered unknown
+    w(t) = U(-t) v(t),
 
         d/dt w = U(-t) [ f(t) - G(t, U(t) w) ],   v(t) = U(t) w(t),
 
-    advanced by classical RK4. If the requested dt exceeds the dispersive
-    stability cap the step is split into equal sub-steps internally; the
-    output grid is unchanged. `on_output(t, v)` sees every output snapshot
-    (physical variables, shape (d+1, B, *shape)), the initial one included,
-    and may raise.
+    with its stages written in the physical variable v (the Lawson form;
+    Lawson, SIAM J. Numer. Anal. 4 (1967) 372-380). With E = U(h/2) and
+    k = f - G, a sub-step from v is
+
+        (Ev, Ek1) = E [v, k1],                      k1 = k(t, v),
+        k2 = k(t + h/2, Ev + (h/2) Ek1),  k3 = k(t + h/2, Ev + (h/2) k2),
+        (U4, P) = E [Ev + h k3, Ev + (h/6)(Ek1 + 2 k2 + 2 k3)],
+        k4 = k(t + h, U4),   v+ = P + (h/6) k4,
+
+    which is the w-form RK4 step conjugated back: the same scheme, the same
+    stages, to rounding. Each sub-step makes two `evolve_packed` calls, on
+    pairs stacked along the batch axis, and the output snapshots need no
+    conjugation. If the requested dt exceeds the dispersive stability cap
+    the step is split into equal sub-steps internally; the output grid is
+    unchanged. `on_output(t, v)` sees every output snapshot (physical
+    variables, shape (d+1, B, *shape)), the initial one included, and may
+    raise.
+
+    The tendency's velocity row is the solution X of its elliptic solve,
+    and `x0` predicts it (None: a cold start): k1 starts from the previous
+    sub-step's X4, k2 from 1.5 X1 - 0.5 X1 of the previous sub-step (X1 on
+    the first), k3 from X2, and k4 from 2 X3 - X1, linear extrapolations
+    in time. A direct solve ignores the start.
 
     A batched initial state (`GNState.batch`) advances all its members in
     the same stages: `tendency` receives and returns batched states and the
@@ -303,15 +325,16 @@ def _integrate_filtered(
     h = dt_out / n_sub
 
     single = ivp.initial.batch is None
-    w = grid.project(ivp.initial.packed().coefficients)
+    v = grid.project(ivp.initial.packed().coefficients)
     if single:
-        w = w[:, None]
-    members = w.shape[1]
-    state_shape = (d + 1, *grid.shape) if single else w.shape
+        v = v[:, None]
+    members = v.shape[1]
+    packed_shape = v.shape
+    state_shape = (d + 1, *grid.shape) if single else packed_shape
     out = np.empty((members, n_steps + 1, d + 1, *grid.shape), dtype=np.complex128)
-    out[:, 0] = w.swapaxes(0, 1)
+    out[:, 0] = v.swapaxes(0, 1)
     if on_output is not None:
-        on_output(0.0, w)
+        on_output(0.0, v)
 
     # max|f| of the growth test: a forcing trajectory's largest snapshot, or
     # a forcing_fn's largest stage sample so far
@@ -319,39 +342,58 @@ def _integrate_filtered(
     if ivp.forcing is not None:
         flat = ivp.forcing.snapshots.reshape(ivp.forcing.n_times, -1)
         forcing_scale = float(np.max(np.linalg.norm(flat, axis=1)))
-    norm_prev = [float(np.linalg.norm(w[:, m])) for m in range(members)]
+    norm_prev = [float(np.linalg.norm(v[:, m])) for m in range(members)]
     norm_floor = [1e-13 * (1.0 + norm + forcing_scale) for norm in norm_prev]
 
-    def rhs(t: float, w_arr: np.ndarray) -> np.ndarray:
+    def rhs(t: float, v_arr: np.ndarray, x0: np.ndarray | None):
+        """k = f - G at (t, v_arr), and the tendency's elliptic solution."""
         nonlocal forcing_scale
-        v_arr = evolve_packed(grid, eps, t, w_arr).reshape(state_shape)
+        v_arr = v_arr.reshape(state_shape)
         state = GNState(
             V=SpectralField(grid, v_arr[:d]),
             zeta=SpectralField(grid, v_arr[d : d + 1]),
             t=t,
         )
-        G = tendency(t, state)
-        phys = -np.concatenate([G.V.coefficients, G.zeta.coefficients]).reshape(w_arr.shape)
+        G = tendency(t, state, x0)
+        k = -np.concatenate([G.V.coefficients, G.zeta.coefficients]).reshape(packed_shape)
         f_val = sample_f(t)
         if f_val is not None:
-            phys += f_val[:, None]
+            k += f_val[:, None]
             if ivp.forcing_fn is not None:
                 forcing_scale = max(forcing_scale, float(np.linalg.norm(f_val)))
-        return evolve_packed(grid, eps, -t, phys)
+        return k, G.V.coefficients
 
+    # the pairs that E = U(h/2) moves in one call, stacked along the batch axis
+    pair = np.empty((d + 1, 2 * members, *grid.shape), dtype=np.complex128)
+    first, second = pair[:, :members], pair[:, members:]
+    X4 = X1_prev = None
     for n in range(n_steps):
         t_n = n * dt_out
         for j in range(n_sub):
             t0 = t_n + j * h
-            k1 = rhs(t0, w)
-            k2 = rhs(t0 + 0.5 * h, w + (0.5 * h) * k1)
-            k3 = rhs(t0 + 0.5 * h, w + (0.5 * h) * k2)
-            k4 = rhs(t0 + h, w + h * k3)
-            w = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k1, X1 = rhs(t0, v, X4)
+            first[...] = v
+            second[...] = k1
+            moved = evolve_packed(grid, eps, 0.5 * h, pair)
+            Ev, Ek1 = moved[:, :members], moved[:, members:]
+            start = X1 if X1_prev is None else 1.5 * X1 - 0.5 * X1_prev
+            # a stage array is freed once no later stage reads it, so that a
+            # sub-step holds about as much memory as the w-form's did
+            del v, k1, X4, X1_prev
+            k2, X2 = rhs(t0 + 0.5 * h, Ev + (0.5 * h) * Ek1, start)
+            del start
+            k3, X3 = rhs(t0 + 0.5 * h, Ev + (0.5 * h) * k2, X2)
+            np.add(Ev, h * k3, out=first)
+            np.add(Ev, (h / 6.0) * (Ek1 + 2.0 * k2 + 2.0 * k3), out=second)
+            del moved, Ev, Ek1, k2, k3, X2
+            moved = evolve_packed(grid, eps, 0.5 * h, pair)
+            k4, X4 = rhs(t0 + h, moved[:, :members], 2.0 * X3 - X1)
+            v = moved[:, members:] + (h / 6.0) * k4
+            X1_prev = X1
         _count(rk_substeps=n_sub)
         t_next = (n + 1) * dt_out
         for m in range(members):
-            norm_now = float(np.linalg.norm(w[:, m]))
+            norm_now = float(np.linalg.norm(v[:, m]))
             who = "" if single else f" of member {m}"
             if not math.isfinite(norm_now):
                 raise StepSizeError(
@@ -366,7 +408,6 @@ def _integrate_filtered(
                     f"at t={t_next:g}; the step size dt={dt_out:g} is unstable"
                 )
             norm_prev[m] = norm_now
-        v = evolve_packed(grid, eps, t_next, w)
         out[:, n + 1] = v.swapaxes(0, 1)
         if on_output is not None:
             on_output(t_next, v)
@@ -384,26 +425,24 @@ def solve_linearized(
 ) -> TrajectoryField:
     """Integrate the linearized system on [0, T] and return v on the grid.
 
-    Runs the shared IF-RK4 driver `_integrate_filtered` with G = K(t), so
-    the bounded conjugated operator is applied as U(-t) o K(t) o U(t) each
-    stage (one elliptic solve per stage, warm-started from the previous
-    stage's solution). Time-dependent coefficients are interpolated
-    linearly between their snapshots; a stage at the same time as the one
-    before it (RK4's k3 after k2) reuses that stage's interpolation.
+    Runs the shared IF-RK4 driver `_integrate_filtered` with G = K(t):
+    one elliptic solve per stage, started from the driver's prediction of
+    its solution (see `_integrate_filtered`). Time-dependent coefficients
+    are interpolated linearly between their snapshots; a stage at the same
+    time as the one before it (RK4's k3 after k2) reuses that stage's
+    interpolation.
 
     Returns the trajectory only. Raises StepSizeError when a step produces
     non-finite values or takes the solution norm above
     10 (norm_prev + dt * max|f|); see `_integrate_filtered`.
     """
-    warm: np.ndarray | None = None
     memo_t: float | None = None
     memo: dict[str, np.ndarray] = {}
 
-    def tendency(t: float, v: GNState) -> GNState:
-        nonlocal warm, memo_t, memo
+    def tendency(t: float, v: GNState, x0: np.ndarray | None) -> GNState:
+        nonlocal memo_t, memo
         if t != memo_t:
             memo_t, memo = t, coeffs.at_time(float(t))
-        Kv, warm = apply_K(coeffs, params, t, v, tol=tol, x0=warm, coeffs_t=memo)
-        return Kv
+        return apply_K(coeffs, params, t, v, tol=tol, x0=x0, coeffs_t=memo)[0]
 
     return _integrate_filtered(params, ivp, tendency)

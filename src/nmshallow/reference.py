@@ -67,10 +67,12 @@ def mol_solve(
         d/dt w = U(-t) [ f(t) - F[U(t) w] ],
 
     by classical RK4 with the dispersive sub-step cap of the linear
-    solver.  ``forcing`` is a trajectory aligned with the output grid
-    (linearly interpolated at stages); ``forcing_fn`` is a callable
-    t -> packed coefficient array evaluated exactly at each stage and
-    takes precedence.  Output snapshots are in physical variables.
+    solver, its stages written in physical variables; each stage's
+    elliptic solve starts from the driver's prediction of its solution.
+    ``forcing`` is a trajectory aligned with the output grid (linearly
+    interpolated at stages); ``forcing_fn`` is a callable t -> packed
+    coefficient array evaluated exactly at each stage and takes
+    precedence.  Output snapshots are in physical variables.
 
     The water depth is checked at every output step (and inside every
     elliptic solve); dropping to the admissibility floor aborts with a
@@ -96,9 +98,9 @@ def mol_solve(
                 f"floor h0={params.h0:g}; the solution left the admissible set"
             )
 
-    def tendency(t: float, u: GNState) -> GNState:
+    def tendency(t: float, u: GNState, x0: np.ndarray | None) -> GNState:
         try:
-            return nonlinear_F(params, u, tol=tol)
+            return nonlinear_F(params, u, tol=tol, x0=x0)
         except DomainError as exc:
             raise DomainError(f"{exc} (while evaluating the tendency at t={t:g})") from exc
 

@@ -64,9 +64,10 @@ def test_direct_solve_matches_pcg(case):
     W, info = invert_bigT(params, h[0] if lone else h, V, tol=TOL, return_info=True)
     assert info == {"iterations": 0}
 
-    b = gn._rows(gn._batched(V))
+    b = gn._band_rows(gn._batched(V), grid._band.index)
     x, iters, failed = gn._pcg(gn._bigT_operators(params, h), b, None, TOL, 500)
     assert failed.size == 0 and iters.max() > 0
+    x = gn._rows(gn._band_fields(grid, x))
     got = gn._rows(gn._batched(W))
     for m in range(members):
         if m == zero_side:

@@ -78,28 +78,41 @@ def _depth(params, zeta):
 # ---------------------------------------------------------- PCG against scipy
 
 
+def _band(grid, c):
+    """Coefficients (d, B, *shape) on the retained band, one row per member:
+    the rows of `_pcg`."""
+    return gn._band_rows(c, grid._band.index)
+
+
 def _scipy_cg(params, hg, b, x0, tol, max_iter):
-    """The oracle: scipy's cg on one member, with the single-field bigT
-    matvec and the inverse of the flat operator at the mean depth hbar. In
-    1D that is the product with inv_long = 1/(hbar + mu |xi|^2 hbar^3/3); in
-    2D the longitudinal part P_L r = xi_unit (xi_unit . r) takes inv_long
-    and the transverse part r - P_L r takes 1/hbar, formed in the package's
-    order as r/hbar + (mu hbar^2/3) inv_long (i xi) ((i xi) . r)."""
+    """The oracle: scipy's cg on one member's band row, with the single-field
+    bigT matvec restricted to the band (the row scattered into a zero array,
+    `_apply_bigT_arrays`, the band gathered) and the inverse of the flat
+    operator at the mean depth hbar. In 1D that is the product with
+    inv_long = 1/(hbar + mu |xi|^2 hbar^3/3); in 2D the longitudinal part
+    P_L r = xi_unit (xi_unit . r) takes inv_long and the transverse part
+    r - P_L r takes 1/hbar, formed in the package's order as
+    r/hbar + (mu hbar^2/3) inv_long (i xi) ((i xi) . r)."""
     sla = pytest.importorskip("scipy.sparse.linalg")
     grid = params.grid
-    shape = (grid.dimension, *grid.shape)
+    d = grid.dimension
+    band = grid._band
     n = b.size
     hbar = float(np.mean(hg))
-    inv_symbol = 1.0 / (hbar + params.mu * grid.xi_sq * hbar**3 / 3.0)
+    inv_symbol = 1.0 / (hbar + params.mu * band.xi_sq * hbar**3 / 3.0)
 
     def matvec(x):
-        return gn._apply_bigT_arrays(grid, params.mu, hg, params._slope, x.reshape(shape)).reshape(-1)
+        full = np.zeros((d, grid.n_modes), dtype=np.complex128)
+        full[:, band.index] = x.reshape(d, -1)
+        V = full.reshape(d, *grid.shape)
+        out = gn._apply_bigT_arrays(grid, params.mu, hg, params._slope, V)
+        return out.reshape(d, -1)[:, band.index].reshape(-1)
 
     def precondition(x):
-        z = x.reshape(shape)
-        if grid.dimension == 1:
+        z = x.reshape(d, -1)
+        if d == 1:
             return (z * inv_symbol).reshape(-1)
-        i_xi = grid.i_xi
+        i_xi = band.i_xi
         dot = (i_xi[0] * z[0] + i_xi[1] * z[1]) * (inv_symbol * (params.mu * hbar**2 / 3.0))
         return (z * (1.0 / hbar) + i_xi * dot).reshape(-1)
 
@@ -115,16 +128,15 @@ def _scipy_cg(params, hg, b, x0, tol, max_iter):
 
 
 def _pcg_systems(dim, n, flat, members):
-    """Depth samples (B, *shape) and right sides (B, n) of `members`
-    systems; in a batch, the last member's right side is zero with signed
-    zeros."""
+    """Depth samples (B, *shape) and band rows of the right sides (B, d *
+    n_band) of `members` systems; in a batch, the last member's right side
+    is zero with signed zeros."""
     params, states = _case(dim, n, flat, members=members)
     grid = params.grid
     rng = np.random.default_rng(7)
     hg = np.stack([depth_grid(params, 4.0 * u.zeta) for u in states])
-    rhs = np.stack(
-        [random_field(grid, dim, rng, amplitude=1.0, decay=2.0).coefficients.reshape(-1) for _ in states]
-    )
+    fields = [random_field(grid, dim, rng, amplitude=1.0, decay=2.0).coefficients for _ in states]
+    rhs = _band(grid, np.stack(fields, axis=1))
     if members > 1:
         rhs[-1] = complex(-0.0, -0.0)
     return params, hg, rhs
@@ -255,9 +267,117 @@ def test_pcg_failure_matches_scipy_cg(dim, n, flat, members, monkeypatch):
     if members == 1:
         return
     grid = params.grid
-    V = SpectralField(grid, gn._fields(grid, rhs))
+    V = SpectralField(grid, gn._band_fields(grid, rhs))
     with pytest.raises(ConvergenceError, match="member 0: .*; member 2: "):
         invert_bigT(params, hg, V, tol=1e-12, max_iter=1)
+
+
+# ------------------------------------------- band layout against full arrays
+
+
+def _full_bigT_operators(params, hg):
+    """`green_naghdi._bigT_operators` as it was on full coefficient rows
+    (B, d * n_modes): the matvec applies `_apply_bigT_arrays`, projection
+    included, and psolve multiplies every mode. The slow path of the band
+    layout's differential test."""
+    grid = params.grid
+    d = grid.dimension
+    mu = params.mu
+    inv_symbol = np.empty(hg.shape, dtype=np.complex128)
+    inv_depth = None
+    if d > 1:
+        inv_depth = np.empty((hg.shape[0], *(1,) * (d + 1)), dtype=np.complex128)
+    for m in range(hg.shape[0]):
+        hbar = float(np.add.reduce(hg[m], axis=None) / grid.n_modes)
+        inv_symbol[m] = 1.0 / (hbar + mu * grid.xi_sq * hbar**3 / 3.0)
+        if d > 1:
+            inv_depth[m] = 1.0 / hbar
+            inv_symbol[m] *= mu * hbar**2 / 3.0
+    slope = params._slope
+
+    def restrict(which):
+        lone = which.size == 1
+        if lone:
+            hg_w, inv_w, gbeta_g = hg[which[0]], inv_symbol[which[0]], slope
+        else:
+            hg_w, inv_w = hg[which], inv_symbol[which][:, None]
+            gbeta_g = None if slope is None else slope[:, None]
+        if inv_depth is not None:
+            inv_w, trans_w = inv_symbol[which], inv_depth[which]
+        h2 = hg_w * hg_w
+        h3 = h2 * hg_w
+
+        def matvec(x):
+            V = x.reshape(d, *grid.shape) if lone else gn._fields(grid, x)
+            out = gn._apply_bigT_arrays(grid, mu, hg_w, gbeta_g, V, h3, h2)
+            return out.reshape(1, -1) if lone else gn._rows(out)
+
+        def psolve(r):
+            z = r.reshape(-1, d, *grid.shape)
+            if inv_depth is None:
+                return (z * inv_w).reshape(r.shape)
+            dot = gn._div_c(grid, z.swapaxes(0, 1))
+            dot *= inv_w
+            out = z * trans_w
+            out += grid.i_xi * dot[:, None]
+            return out.reshape(r.shape)
+
+        return matvec, psolve
+
+    return restrict
+
+
+BAND_CASES = [(1, 64, True), (1, 64, False), (2, 16, True), (2, 16, False)]
+BAND_IDS = ["1d-flat", "1d-bathymetry", "2d-flat", "2d-bathymetry"]
+
+
+@SIZES
+@pytest.mark.parametrize("dim,n,flat", BAND_CASES, ids=BAND_IDS)
+@pytest.mark.parametrize("start", ["cold", "x0"])
+def test_band_pcg_matches_the_full_array_pcg(dim, n, flat, start, members):
+    # the same systems on band rows and on full rows: a band-limited right
+    # side and start keep the full-array iterates zero off the band, so the
+    # two loops run the same arithmetic up to the order of their sums
+    params, hg, rhs = _pcg_systems(dim, n, flat, members)
+    grid = params.grid
+    x0 = None
+    if start == "x0":
+        x0 = 0.1 * np.random.default_rng(11).standard_normal(rhs.shape) * (1.0 + 0.0j)
+    full = lambda rows: gn._rows(gn._band_fields(grid, rows))  # noqa: E731
+    x, iters, failed = gn._pcg(gn._bigT_operators(params, hg), rhs, x0, 1e-12, 500)
+    want, want_iters, want_failed = gn._pcg(
+        _full_bigT_operators(params, hg), full(rhs), None if x0 is None else full(x0), 1e-12, 500
+    )
+    assert failed.size == want_failed.size == 0
+    assert list(iters) == list(want_iters)
+    assert iters.max() > 1
+    wanted = gn._fields(grid, want)
+    assert not np.any(wanted[..., ~grid.dealias_mask])  # nothing off the band
+    want_band = _band(grid, wanted)
+    for m in range(members):
+        scale = np.linalg.norm(want_band[m]) or 1.0
+        assert np.linalg.norm(x[m] - want_band[m]) <= 1e-14 * scale, f"member {m}"
+
+
+@pytest.mark.parametrize("dim,n,flat", [(1, 512, True), (2, 16, True), (2, 16, False)],
+                         ids=["1d-512-flat", "2d-16-flat", "2d-16-bathymetry"])
+def test_start_off_the_band_leaves_no_trace(dim, n, flat):
+    # the band layout holds no unknown off the band: a start's content
+    # there is dropped, and the solution is zero off the band as a cold
+    # solve's is
+    params, states = _case(dim, n, flat, members=1)
+    grid = params.grid
+    u = states[0]
+    hg = depth_grid(params, u.zeta)
+    cold = invert_bigT(params, hg, u.V)
+    x0 = cold.coefficients.copy()
+    off_mode = (0, *(n // 2 - 1,) * dim)  # a mode above the 2/3 cutoff
+    assert not grid.dealias_mask[off_mode[1:]]
+    x0[off_mode] = 1e-3
+    warm = invert_bigT(params, hg, u.V, x0=x0)
+    assert not np.any(warm.coefficients[:, ~grid.dealias_mask])
+    diff = np.linalg.norm(warm.coefficients - cold.coefficients)
+    assert diff <= 2e-12 * np.linalg.norm(u.V.coefficients) / params.h0
 
 
 # ---------------------------------------------------- batched against looped

@@ -48,6 +48,22 @@ def _ref_bigT(grid, mu, hg, gbeta_g, Vc, h3=None, h2=None):
     return grid.project(out)
 
 
+def _ref_bigT_products(grid, mu, hg, gbeta_g, rows, powers, h2=None):
+    """The coefficients (c_V, c_X) of `_bigT_products`, whose combination
+    c_V - (mu/3) grad c_X is bigT V, each slope term with its own
+    transforms; the depth powers passed are not used."""
+    assert gbeta_g is not None
+    d = rows.shape[0] - 1
+    Vg = grid.to_grid(rows[:d])
+    Xg = grid.to_grid(rows[d])
+    Yg = _dot(gbeta_g, Vg)
+    h2 = hg * hg
+    c_V = grid.from_grid(hg[None] * Vg)
+    c_V += mu * grid.from_grid((-0.5 * h2 * Xg + hg * Yg)[None] * gbeta_g)
+    c_X = grid.from_grid(h2 * hg * Xg) - 1.5 * grid.from_grid(h2 * Yg)
+    return np.concatenate([c_V, c_X[None]])
+
+
 def _ref_Q_bilinear(grid, hg, gbeta_g, Vc, Wc):
     """The symmetric bilinear form of Q[h, beta]."""
     Vg = grid.to_grid(Vc)
@@ -121,6 +137,7 @@ def _case(dim, n, members=None):
 
 def _use_reference(monkeypatch):
     monkeypatch.setattr(gn, "_apply_bigT_arrays", _ref_bigT)
+    monkeypatch.setattr(gn, "_bigT_products", _ref_bigT_products)  # the CG matvec's
     monkeypatch.setattr(gn, "_tendency_rows", _ref_tendency_rows)
 
 
@@ -138,16 +155,18 @@ def test_matvec_matches_term_by_term(dim, n, members):
     gbeta_g = params._slope[:, None]
     want = _ref_bigT(grid, params.mu, hg, gbeta_g, Vc)
     assert _rel(gn._apply_bigT_arrays(grid, params.mu, hg, gbeta_g, Vc), want) < 1e-13
-    # the CG operators, with the depth powers formed once per solve: every
-    # member alone (unbatched layout) and, for a batch, all of them
+    # the CG operators, with the depth powers formed once per solve, on the
+    # band rows: every member alone (unbatched layout) and, for a batch,
+    # all of them
     restrict = gn._bigT_operators(params, hg)
+    band = grid._band.index
     for m in range(Vc.shape[1]):
         matvec = restrict(np.array([m]))[0]
-        got = matvec(Vc[:, m].reshape(1, -1)).reshape(want[:, m].shape)
-        assert _rel(got, want[:, m]) < 1e-13
+        got = gn._band_fields(grid, matvec(gn._band_rows(Vc[:, m : m + 1], band)))
+        assert _rel(got[:, 0], want[:, m]) < 1e-13
     if members is not None:
         matvec = restrict(np.arange(members))[0]
-        got = gn._fields(grid, matvec(gn._rows(Vc)))
+        got = gn._band_fields(grid, matvec(gn._band_rows(Vc, band)))
         assert _rel(got, want) < 1e-13
 
 

@@ -445,15 +445,16 @@ def test_flat_matvec_keeps_the_bits_of_the_unhoisted_form(dim, n):
         assert gn._apply_bigT_arrays(grid, params.mu, h, None, Vc).tobytes() == want
         h3 = h * h * h
         assert gn._apply_bigT_arrays(grid, params.mu, h, None, Vc, h3).tobytes() == want
-    # the CG operators form the cube once per solve: a lone member on the
-    # unbatched layout, and a batch
+    # the CG operators form the cube once per solve and act on the band
+    # rows: a lone member on the unbatched layout, and a batch
+    band = grid._band.index
     restrict = gn._bigT_operators(params, hg)
     matvec = restrict(np.array([1]))[0]
-    want = _ref_flat_bigT(grid, params.mu, hg[1], V[:, 1]).reshape(1, -1)
-    assert matvec(V[:, 1].reshape(1, -1)).tobytes() == want.tobytes()
+    want = gn._band_rows(_ref_flat_bigT(grid, params.mu, hg[1], V[:, 1])[:, None], band)
+    assert matvec(gn._band_rows(V[:, 1:2], band)).tobytes() == want.tobytes()
     matvec = restrict(np.array([0, 2]))[0]
-    rows = gn._rows(V[:, [0, 2]])
-    want = gn._rows(_ref_flat_bigT(grid, params.mu, hg[[0, 2]], V[:, [0, 2]]))
+    rows = gn._band_rows(V[:, [0, 2]], band)
+    want = gn._band_rows(_ref_flat_bigT(grid, params.mu, hg[[0, 2]], V[:, [0, 2]]), band)
     assert matvec(rows).tobytes() == want.tobytes()
 
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from nmshallow import green_naghdi as gn
 from nmshallow import linear_ivp
 from nmshallow.errors import DomainError, StepSizeError
 from nmshallow.fourier_scale import (
@@ -16,7 +17,14 @@ from nmshallow.fourier_scale import (
     zero_field,
 )
 from nmshallow.gn_problem import GNProblem
-from nmshallow.green_naghdi import GNState, PhysicalParams, build_linearized_coeffs, counting
+from nmshallow.green_naghdi import (
+    GNState,
+    PhysicalParams,
+    apply_K,
+    build_linearized_coeffs,
+    counting,
+    nonlinear_F,
+)
 from nmshallow.linear_ivp import (
     IVPData,
     conjugate_trajectory,
@@ -25,7 +33,7 @@ from nmshallow.linear_ivp import (
     solve_linearized,
 )
 from nmshallow.nash_moser import initial_iterate
-from nmshallow.reference import mol_solve
+from nmshallow.reference import mol_solve, serre_solitary_wave
 
 
 def _packed(grid, rng, amplitude=0.5, decay=2.0):
@@ -345,3 +353,217 @@ def test_forced_run_from_zero_data_still_trips_the_guard(grid1d, params1d, rng, 
     ivp = IVPData(initial=data, horizon=2.0, dt=0.5, forcing_fn=lambda t: f0)
     with pytest.raises(StepSizeError, match="grew"):
         solve_linearized(params1d, _rest_coeffs(params1d), ivp)
+
+
+# ------------------------------------------ Lawson stages against the w-form
+
+
+def _w_form_integrate(params, ivp, tendency):
+    """`linear_ivp._integrate_filtered` as it was before its stages moved to
+    the physical variable: classical RK4 on the filtered unknown
+    w = U(-t) v, each stage conjugated into physical variables and back (nine
+    `evolve_packed` calls per sub-step), with the same sub-step split,
+    forcing sampling and growth guard. `tendency(t, state)` solves cold.
+    The slow path of the Lawson driver's differential test."""
+    grid = ivp.initial.grid
+    d = grid.dimension
+    eps = params.eps
+    n_steps = _uniform_steps(ivp.horizon, ivp.dt)
+    dt_out = ivp.horizon / n_steps
+    sample_f = linear_ivp._forcing_sampler(ivp, grid, n_steps)
+    cap = linear_ivp.dispersive_dt_cap(params, grid)
+    n_sub = max(1, int(math.ceil(dt_out / cap - 1e-12)))
+    h = dt_out / n_sub
+    single = ivp.initial.batch is None
+    w = grid.project(ivp.initial.packed().coefficients)
+    if single:
+        w = w[:, None]
+    members = w.shape[1]
+    state_shape = (d + 1, *grid.shape) if single else w.shape
+    out = np.empty((members, n_steps + 1, d + 1, *grid.shape), dtype=np.complex128)
+    out[:, 0] = w.swapaxes(0, 1)
+    forcing_scale = 0.0
+    if ivp.forcing is not None:
+        flat = ivp.forcing.snapshots.reshape(ivp.forcing.n_times, -1)
+        forcing_scale = float(np.max(np.linalg.norm(flat, axis=1)))
+    norm_prev = [float(np.linalg.norm(w[:, m])) for m in range(members)]
+    norm_floor = [1e-13 * (1.0 + norm + forcing_scale) for norm in norm_prev]
+
+    def rhs(t, w_arr):
+        nonlocal forcing_scale
+        v_arr = evolve_packed(grid, eps, t, w_arr).reshape(state_shape)
+        state = GNState(
+            V=SpectralField(grid, v_arr[:d]), zeta=SpectralField(grid, v_arr[d : d + 1]), t=t
+        )
+        G = tendency(t, state)
+        phys = -np.concatenate([G.V.coefficients, G.zeta.coefficients]).reshape(w_arr.shape)
+        f_val = sample_f(t)
+        if f_val is not None:
+            phys += f_val[:, None]
+            if ivp.forcing_fn is not None:
+                forcing_scale = max(forcing_scale, float(np.linalg.norm(f_val)))
+        return evolve_packed(grid, eps, -t, phys)
+
+    for n in range(n_steps):
+        t_n = n * dt_out
+        for j in range(n_sub):
+            t0 = t_n + j * h
+            k1 = rhs(t0, w)
+            k2 = rhs(t0 + 0.5 * h, w + (0.5 * h) * k1)
+            k3 = rhs(t0 + 0.5 * h, w + (0.5 * h) * k2)
+            k4 = rhs(t0 + h, w + h * k3)
+            w = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t_next = (n + 1) * dt_out
+        for m in range(members):
+            norm_now = float(np.linalg.norm(w[:, m]))
+            who = "" if single else f" of member {m}"
+            if not math.isfinite(norm_now):
+                raise StepSizeError(
+                    f"non-finite solution{who} after step {n + 1} (t={t_next:g}); "
+                    f"reduce dt (current {dt_out:g}, {n_sub} internal sub-steps)"
+                )
+            bound = 10.0 * (norm_prev[m] + dt_out * forcing_scale)
+            if norm_prev[m] > norm_floor[m] and norm_now > bound:
+                raise StepSizeError(
+                    f"solution norm{who} grew {norm_now / norm_prev[m]:.2f}x in one step "
+                    f"at t={t_next:g}; the step size dt={dt_out:g} is unstable"
+                )
+            norm_prev[m] = norm_now
+        out[:, n + 1] = evolve_packed(grid, eps, t_next, w).swapaxes(0, 1)
+    times = np.linspace(0.0, ivp.horizon, n_steps + 1)
+    trajectories = [TrajectoryField(grid, times.copy(), snaps) for snaps in out]
+    return trajectories[0] if single else trajectories
+
+
+def _lawson_case(name):
+    """(params, ivp, tendency) of one differential case; the tendency takes
+    the driver's start and ignores it, so that both drivers solve cold."""
+    dim, n, flat, members, T, dt = {
+        "flat-1d-64": (1, 64, True, None, 0.1, 0.01),
+        "flat-1d-512": (1, 512, True, None, 0.01, 0.001),
+        "bathymetry-1d-64": (1, 64, False, None, 0.1, 0.01),
+        "bathymetry-2d-16": (2, 16, False, None, 0.1, 0.02),
+        "batch-of-3": (1, 64, False, 3, 0.1, 0.01),
+        "sub-steps": (1, 64, False, None, 0.2, 0.05),
+        "forcing-trajectory": (1, 64, False, None, 0.1, 0.01),
+        "forcing-fn": (1, 64, False, None, 0.1, 0.01),
+        "linearized": (1, 64, False, None, 0.1, 0.01),
+    }[name]
+    grid = GridSpec(dimension=dim, nodes_per_axis=n, domain_length=2 * math.pi)
+    rng = np.random.default_rng(31)
+    b = zero_field(grid) if flat else random_field(grid, 1, rng, amplitude=0.05, decay=5.0)
+    params = PhysicalParams(mu=0.3, eps=0.5, b=b)
+    count = members or 1
+    packed = np.stack([_packed(grid, rng, amplitude=0.1, decay=4.0) for _ in range(count)], axis=1)
+    if members is None:
+        packed = packed[:, 0]
+    u0 = GNState.from_packed(SpectralField(grid, packed))
+    forcing = forcing_fn = None
+    base = _packed(grid, rng, amplitude=0.05, decay=4.0)
+    if name == "forcing-trajectory":
+        times = np.linspace(0.0, T, _uniform_steps(T, dt) + 1)
+        forcing = TrajectoryField(grid, times, np.stack([math.sin(3.0 * t) * base for t in times]))
+    elif name == "forcing-fn":
+        forcing_fn = lambda t: math.cos(2.0 * t) * base  # noqa: E731
+    ivp = IVPData(initial=u0, horizon=T, dt=dt, forcing=forcing, forcing_fn=forcing_fn)
+    if name == "linearized":
+        coeffs = build_linearized_coeffs(params, mol_solve(params, u0, T, dt))
+        small = GNState.from_packed(SpectralField(grid, 0.1 * _packed(grid, rng, 0.1, 4.0)))
+        ivp = IVPData(initial=small, horizon=T, dt=dt)
+        return params, ivp, lambda t, v, x0=None: apply_K(coeffs, params, t, v)[0]
+    return params, ivp, lambda t, u, x0=None: nonlinear_F(params, u)
+
+
+LAWSON_CASES = [
+    "flat-1d-64", "flat-1d-512", "bathymetry-1d-64", "bathymetry-2d-16", "batch-of-3",
+    "sub-steps", "forcing-trajectory", "forcing-fn", "linearized",
+]
+
+
+@pytest.mark.parametrize("name", LAWSON_CASES)
+def test_lawson_stages_match_the_w_form(name):
+    # the same RK4 scheme in both variables: every snapshot agrees to
+    # rounding, and the driver conjugates two stacked pairs per sub-step
+    params, ivp, tendency = _lawson_case(name)
+    grid = ivp.initial.grid
+    calls = []
+    inner = linear_ivp.evolve_packed
+
+    def counted(*args):
+        calls.append(args[-1].shape[1])
+        return inner(*args)
+
+    with pytest.MonkeyPatch.context() as m, counting() as counts:
+        m.setattr(linear_ivp, "evolve_packed", counted)
+        got = linear_ivp._integrate_filtered(params, ivp, tendency)
+    want = _w_form_integrate(params, ivp, lambda t, u: tendency(t, u, None))
+    n_sub = counts["rk_substeps"] // _uniform_steps(ivp.horizon, ivp.dt)
+    assert n_sub > 1 if name == "sub-steps" else n_sub == 1
+    members = ivp.initial.batch or 1
+    assert calls == [2 * members] * (2 * counts["rk_substeps"])
+    pairs = zip(got, want) if ivp.initial.batch else [(got, want)]
+    worst = 0.0
+    for a, b in pairs:
+        assert a.times.tobytes() == b.times.tobytes()
+        for x, y in zip(a.snapshots, b.snapshots):
+            scale = np.linalg.norm(y)
+            assert scale > 0.0
+            worst = max(worst, float(np.linalg.norm(x - y) / scale))
+    assert worst <= 1e-13, f"{name}: {worst:.2e}"
+
+
+def test_lawson_stages_fail_at_the_w_form_step(grid1d, params1d, rng, monkeypatch):
+    # with the sub-step cap disabled, dt = 0.5 is unstable at N = 64: both
+    # drivers stop at the same step with the same message
+    monkeypatch.setattr(linear_ivp, "dispersive_dt_cap", lambda *args, **kwargs: math.inf)
+    data = GNState(
+        V=random_field(grid1d, 1, rng, amplitude=0.01, decay=0.5),
+        zeta=random_field(grid1d, 1, rng, amplitude=0.01, decay=0.5),
+    )
+    coeffs = _rest_coeffs(params1d)
+    ivp = IVPData(initial=data, horizon=2.0, dt=0.5)
+
+    def tendency(t, v, x0=None):
+        return apply_K(coeffs, params1d, t, v)[0]
+
+    with pytest.raises(StepSizeError, match="unstable") as got:
+        linear_ivp._integrate_filtered(params1d, ivp, tendency)
+    with pytest.raises(StepSizeError, match="unstable") as want:
+        _w_form_integrate(params1d, ivp, tendency)
+    assert str(got.value) == str(want.value)
+
+
+def test_predicted_starts_cut_cg_iterations(monkeypatch):
+    # the transit toy (criterion 9's solitary wave, N = 256, 16 steps of
+    # period/2048), whose solves run PCG: the predicted starts make the same
+    # solves and sub-steps as cold ones in fewer CG iterations, to the same
+    # solution within the CG tolerance, in mol_solve and solve_linearized
+    grid = GridSpec(dimension=1, nodes_per_axis=256, domain_length=40.0)
+    params = PhysicalParams(mu=0.1, eps=math.sqrt(0.1), b=zero_field(grid))
+    wave = serre_solitary_wave(params, 0.2)
+    dt = 40.0 / (math.sqrt(1.0 + params.eps * 0.2) / params.eps) / 2048
+    T = 16 * dt
+    with counting() as warm_mol:
+        warm = mol_solve(params, wave, T, dt)
+    coeffs = build_linearized_coeffs(params, warm)
+    ivp = IVPData(initial=GNState.from_packed(wave.packed() * 1e-3), horizon=T, dt=dt)
+    with counting() as warm_lin:
+        warm_v = solve_linearized(params, coeffs, ivp)
+
+    inner = gn.invert_bigT
+
+    def cold_start(*args, x0=None, **kwargs):
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(gn, "invert_bigT", cold_start)
+    with counting() as cold_mol:
+        cold = mol_solve(params, wave, T, dt)
+    with counting() as cold_lin:
+        cold_v = solve_linearized(params, coeffs, ivp)
+    runs = ((warm_mol, cold_mol, warm, cold), (warm_lin, cold_lin, warm_v, cold_v))
+    for w_counts, c_counts, a, b in runs:
+        assert w_counts["solves"] == c_counts["solves"] == 4 * 16
+        assert w_counts["rk_substeps"] == c_counts["rk_substeps"] == 16
+        assert w_counts["cg_iterations"] < 0.8 * c_counts["cg_iterations"]
+        for x, y in zip(a.snapshots, b.snapshots):
+            assert np.linalg.norm(x - y) <= 1e-11 * np.linalg.norm(y)

@@ -24,21 +24,22 @@ _split_operators = gn._bigT_operators
 
 def _mean_depth_operators(params, hg):
     """`_bigT_operators` with the preconditioner it replaced: every velocity
-    component times inv_long at the member's mean depth."""
+    component times inv_long at the member's mean depth, on the band rows."""
     grid = params.grid
     d = grid.dimension
     restrict_split = _split_operators(params, hg)
-    inv_long = np.empty(hg.shape)
+    xi_sq = grid._band.xi_sq
+    inv_long = np.empty((hg.shape[0], xi_sq.size))
     for m in range(hg.shape[0]):
         hbar = float(np.mean(hg[m]))
-        inv_long[m] = 1.0 / (hbar + params.mu * grid.xi_sq * hbar**3 / 3.0)
+        inv_long[m] = 1.0 / (hbar + params.mu * xi_sq * hbar**3 / 3.0)
 
     def restrict(which):
         matvec, _ = restrict_split(which)
         inv_w = inv_long[which][:, None]
 
         def psolve(r):
-            return (r.reshape(-1, d, *grid.shape) * inv_w).reshape(r.shape)
+            return (r.reshape(-1, d, xi_sq.size) * inv_w).reshape(r.shape)
 
         return matvec, psolve
 
