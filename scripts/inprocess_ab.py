@@ -17,8 +17,7 @@ mu = 0.1, eps = sqrt(mu), amplitude 0.2, the internal step period/2048):
 * `mol_solve` -- `--steps` output steps (default 16) of the direct solve;
 * `nonlinear_F` -- `--calls` (default 20) tendency evaluations on the wave;
 * `invert_bigT` -- `--calls` elliptic solves (PCG at this band) of the
-  wave's velocity at its depth, for a batch of `--members` copies
-  (default 1, a lone member);
+  wave's velocity at its depth, a lone member;
 * `solve_linearized` -- the linearized system along the first `--steps`
   steps of the wave's own `mol_solve` trajectory, from a perturbation of
   size 1e-3 of the wave.
@@ -45,8 +44,6 @@ import statistics  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
-
-import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 LAYERS = ("mol_solve", "nonlinear_F", "invert_bigT", "solve_linearized")
@@ -92,14 +89,10 @@ def build(name: str, layer: str, args: argparse.Namespace):
         return tendency
     if layer == "invert_bigT":
         hg = gn.depth_grid(params, wave.zeta)
-        V = wave.V
-        if args.members > 1:
-            hg = np.stack([hg] * args.members)
-            V = fs.SpectralField(grid, np.stack([V.coefficients] * args.members, axis=1))
 
         def solves():
             for _ in range(args.calls):
-                gn.invert_bigT(params, hg, V)
+                gn.invert_bigT(params, hg, wave.V)
         return solves
     # solve_linearized
     uref = ref.mol_solve(params, wave, T, dt)
@@ -130,10 +123,9 @@ def main(argv: list[str] | None = None) -> int:
                     help="output steps (mol_solve, solve_linearized)")
     ap.add_argument("--calls", type=int, default=20,
                     help="calls per round (nonlinear_F, invert_bigT)")
-    ap.add_argument("--members", type=int, default=1, help="batch size (invert_bigT)")
     args = ap.parse_args(argv)
-    if args.rounds < 2 or args.steps < 1 or args.calls < 1 or args.members < 1:
-        ap.error("--rounds must be at least 2; --steps, --calls and --members at least 1")
+    if args.rounds < 2 or args.steps < 1 or args.calls < 1:
+        ap.error("--rounds must be at least 2; --steps and --calls at least 1")
 
     sides = {}
     for label, name, src in (

@@ -409,16 +409,11 @@ def _apply_bigT_arrays(
     hg: np.ndarray,
     gbeta_g: np.ndarray | None,
     Vc: np.ndarray,
-    h3: np.ndarray | None = None,
-    h2: np.ndarray | None = None,
 ) -> np.ndarray:
     """(h + mu T[h, beta]) V on coefficient arrays; gbeta_g None means flat.
 
     `Vc` is (d, *shape) with `hg` (*shape), or a batch (d, B, *shape) with
-    `hg` (B, *shape) and, with bathymetry, the slope (d, 1, *shape). `h3`
-    and `h2`, if given, are `hg * hg * hg` and `hg * hg`, formed once by a
-    caller that applies the operator at one depth many times (the CG
-    matvec); `h2` is read only with bathymetry.
+    `hg` (B, *shape) and, with bathymetry, the slope (d, 1, *shape).
 
     V and div V go through one stacked transform pair, (d+1, ..., *shape),
     whose rows are filled and multiplied in place. With Y = grad(beta).V
@@ -429,13 +424,11 @@ def _apply_bigT_arrays(
     the coefficients of the two rows; on a flat bottom Y = 0 and the slope
     terms are not formed.
     """
-    if h3 is None:
-        h3 = hg * hg * hg
     d = Vc.shape[0]
     rows = np.empty((d + 1, *Vc.shape[1:]), dtype=np.complex128)
     rows[:d] = Vc
     _div_c(grid, Vc, out=rows[d])
-    c = _bigT_products(grid, mu, hg, gbeta_g, rows, np.stack([*(hg,) * d, h3]), h2)
+    c = _bigT_products(grid, mu, hg, gbeta_g, rows, np.stack([*(hg,) * d, hg * hg * hg]))
     out = c[:d]
     grad_X = _grad_c(grid, c[d])
     grad_X *= -(1.0 / 3.0)
@@ -459,7 +452,8 @@ def _bigT_products(
     `rows` (d+1, ..., *shape), which are left as they are: the one
     transform pair of `apply_bigT` and of the CG matvec. `powers` stacks
     the depth factors of the rows alike, d times h then h^3, so that one
-    product scales them all."""
+    product scales them all; `h2`, if given, is `hg * hg`, formed once by
+    the CG matvec and read only with bathymetry."""
     d = rows.shape[0] - 1
     g = grid.to_grid(rows)
     if gbeta_g is not None:
@@ -555,6 +549,9 @@ def invert_bigT(
     whose L2 residual is not below tol * |V|_{L2} (and |V| > 0) raises
     ConvergenceError, which names it with its residual, |V| and the norm
     of V off the retained band (which no solution on the band can meet).
+    So PCG solves the band part V_b of a member with modes V_o off the band
+    to the tolerance sqrt(tol^2 |V|^2 - |V_o|^2) / |V_b| that leaves room
+    for them, and fails it unsolved if |V_o| alone reaches tol * |V|.
     `tol` must lie in (0, 1), else ValueError.
 
     A batched V (with hg batched alike) solves every member in one call, each
@@ -585,19 +582,37 @@ def invert_bigT(
         b = _band_rows(Vc, band.index)
         restrict = _bigT_operators(params, hg)
         start = None if x0 is None else _band_rows(np.reshape(x0, Vc.shape), band.index)
-        x, iters, failed = _pcg(restrict, b, start, tol, max_iter)
-        # V's modes off the band add to every residual and no solution on
-        # the band meets them: a member that has any is held to the
-        # contract with them counted
-        off_part = _band_rows(Vc, band.off)
-        if failed.size or off_part.any():
-            off = _row_norms(off_part)
-            check = np.union1d(failed, np.flatnonzero(off))
-            res = b[check] - restrict(check)[0](x[check])
+        # V's modes off the band add to a member's residual, and no solution
+        # on the band meets them: a member that has some solves its band
+        # part to the tolerance that leaves room for them, or fails unsolved
+        # if they alone use up tol * |V|
+        off = _row_norms(_band_rows(Vc, band.off))
+        if not off.any():
+            x, iters, failed = _pcg(restrict, b, start, tol, max_iter)
+        else:
+            x = np.zeros_like(b) if start is None else start.copy()
+            iters = np.zeros(b.shape[0], dtype=np.int64)
+            room = tol**2 * (_row_norms(b) ** 2 + off**2) - off**2
+            groups = [(np.flatnonzero(off == 0), tol)] + [
+                (np.array([m]), math.sqrt(room[m]) / float(np.linalg.norm(b[m])))
+                for m in np.flatnonzero((off != 0) & (room > 0))
+            ]
+            failed = [np.flatnonzero((off != 0) & (room <= 0))]
+            for which, band_tol in groups:
+                if which.size:
+                    x[which], iters[which], lost = _pcg(
+                        lambda w, which=which: restrict(which[w]),
+                        b[which],
+                        None if start is None else start[which],
+                        band_tol,
+                        max_iter,
+                    )
+                    failed.append(which[lost])
+            failed = np.sort(np.concatenate(failed))
+        if failed.size:
+            res = b[failed] - restrict(failed)[0](x[failed])
             residuals = np.zeros(b.shape[0])
-            residuals[check] = np.sqrt(_row_norms(res) ** 2 + off[check] ** 2)
-            bnorms = np.sqrt(_row_norms(b[check]) ** 2 + off[check] ** 2)
-            failed = np.union1d(failed, check[~(residuals[check] < tol * bnorms)])
+            residuals[failed] = np.hypot(_row_norms(res), off[failed])
         how = f"in {max_iter} iterations"
         Wc = _band_fields(grid, x)
     _count(solves=b.shape[0], cg_iterations=int(iters.sum()))
@@ -608,6 +623,8 @@ def invert_bigT(
             ("" if V.batch is None else f"member {m}: ")
             + f"residual {float(residuals[m]):.3e}, |rhs| {float(rhs_norms[m]):.3e}, "
             f"off the band {float(off):.3e}"
+            + (", at least tol*|rhs| alone: no solution on the band meets tol"
+               if off >= tol * rhs_norms[m] and off > 0 else "")
             for m, off in zip(failed, off_band)
         )
         raise ConvergenceError(f"bigT inversion did not reach tol={tol:g} {how} ({detail})")
@@ -1208,7 +1225,7 @@ def apply_K(
     tol: float = 1e-12,
     x0: np.ndarray | None = None,
     coeffs_t: dict[str, np.ndarray] | None = None,
-) -> tuple[GNState, np.ndarray]:
+) -> GNState:
     """Nonstiff part K(t) v of the linearized system, cancellation-free.
 
     The linearized system is equivalent to d/dt v + (1/eps) L v + K(t) v = f
@@ -1223,10 +1240,9 @@ def apply_K(
     (hbar-1)/eps = zetabar - b pointwise; Q_bil is the symmetric bilinear
     form of Q). The coefficients are interpolated linearly in time between
     snapshots and the momentum row is assembled by `_K_rows`. One elliptic
-    solve per call, at the interpolated depth samples hbar; returns (K v,
-    raw CG solution vector) so callers can warm-start the next solve with
-    the returned vector. A caller that already holds `coeffs.at_time(t)`
-    may pass it as `coeffs_t`.
+    solve per call, at the interpolated depth samples hbar, started from
+    `x0` if given (see `invert_bigT`); K1 v is its solution. A caller that
+    already holds `coeffs.at_time(t)` may pass it as `coeffs_t`.
     """
     grid = v.grid
     if coeffs_t is None:
@@ -1237,8 +1253,7 @@ def apply_K(
     row2 = _div_c(grid, flux_c)
     row2 += _div_c(grid, zV_c)
     row2 = grid.project(row2)
-    out = GNState(V=K1, zeta=SpectralField(grid, row2[None]), t=v.t)
-    return out, K1.coefficients.reshape(-1)
+    return GNState(V=K1, zeta=SpectralField(grid, row2[None]), t=v.t)
 
 
 def _K_rows(
@@ -1361,8 +1376,7 @@ def frechet_F(
         raise ValueError(
             "frechet_F needs the exact coefficients: build_linearized_coeffs(substituted=False)"
         )
-    out, _ = apply_K(coeffs, params, float(coeffs.times[t]), v, tol=tol)
-    return out
+    return apply_K(coeffs, params, float(coeffs.times[t]), v, tol=tol)
 
 
 # ------------------------------------------------------------------- norms

@@ -443,6 +443,6 @@ def solve_linearized(
         nonlocal memo_t, memo
         if t != memo_t:
             memo_t, memo = t, coeffs.at_time(float(t))
-        return apply_K(coeffs, params, t, v, tol=tol, x0=x0, coeffs_t=memo)[0]
+        return apply_K(coeffs, params, t, v, tol=tol, x0=x0, coeffs_t=memo)
 
     return _integrate_filtered(params, ivp, tendency)

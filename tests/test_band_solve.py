@@ -131,6 +131,30 @@ def test_right_side_off_the_band_fails_both_paths(monkeypatch):
     assert "member 0" not in str(exc.value)
 
 
+@pytest.mark.parametrize("dense", [64, 0], ids=["direct", "pcg"])
+def test_right_side_slightly_off_the_band_is_solved(monkeypatch, dense):
+    # modes off the band below tol * |V| leave room for the residual on the
+    # band: the member meets the contract with them counted; modes that
+    # alone reach tol * |V| fail it, and the message says so
+    monkeypatch.setattr(gn, "_DENSE_MODES", dense)
+    params, h, V = _system(64, 2.0 / 3.0, 2, 0.3)
+    grid = params.grid
+    clean = invert_bigT(params, h, V, tol=TOL)
+    size = 0.9 / math.sqrt(2.0) * TOL * np.linalg.norm(V.coefficients[:, 1])  # 0.9 tol |V| off
+    V.coefficients[0, 1, 30] = V.coefficients[0, 1, 34] = size
+    W = invert_bigT(params, h, V, tol=TOL)
+    assert not np.any(W.coefficients[..., ~grid.dealias_mask])
+    res = grid.project(V.coefficients) - gn._apply_bigT_arrays(grid, params.mu, h, None, W.coefficients)
+    for m in range(2):
+        off = math.sqrt(2.0) * size if m == 1 else 0.0
+        assert math.hypot(np.linalg.norm(res[:, m]), off) < TOL * np.linalg.norm(V.coefficients[:, m])
+    scale = np.linalg.norm(clean.coefficients)
+    assert np.linalg.norm(W.coefficients - clean.coefficients) <= 1e-10 * scale
+    V.coefficients[0, 1, 30] = V.coefficients[0, 1, 34] = 1e-6
+    with pytest.raises(ConvergenceError, match=r"off the band 1\.414e-06, at least tol\*\|rhs\| alone"):
+        invert_bigT(params, h, V, tol=TOL, max_iter=50)
+
+
 @pytest.mark.parametrize("flat", [True, False], ids=["direct", "pcg"])
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 1.0, 0.0, -1e-12])
 def test_tolerance_outside_the_unit_interval_is_refused(flat, tol):

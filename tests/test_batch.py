@@ -304,12 +304,10 @@ def _full_bigT_operators(params, hg):
             gbeta_g = None if slope is None else slope[:, None]
         if inv_depth is not None:
             inv_w, trans_w = inv_symbol[which], inv_depth[which]
-        h2 = hg_w * hg_w
-        h3 = h2 * hg_w
 
         def matvec(x):
             V = x.reshape(d, *grid.shape) if lone else gn._fields(grid, x)
-            out = gn._apply_bigT_arrays(grid, mu, hg_w, gbeta_g, V, h3, h2)
+            out = gn._apply_bigT_arrays(grid, mu, hg_w, gbeta_g, V)
             return out.reshape(1, -1) if lone else gn._rows(out)
 
         def psolve(r):

@@ -37,9 +37,8 @@ def _ref_T_terms(grid, hg, gbeta_g, Vg, Xg):
     return out
 
 
-def _ref_bigT(grid, mu, hg, gbeta_g, Vc, h3=None, h2=None):
-    """(h + mu T[h, beta]) V, each term with its own transforms; the depth
-    powers that the CG operators pass are not used."""
+def _ref_bigT(grid, mu, hg, gbeta_g, Vc):
+    """(h + mu T[h, beta]) V, each term with its own transforms."""
     assert gbeta_g is not None
     Vg = grid.to_grid(Vc)
     Xg = grid.to_grid(_dc(grid, Vc))

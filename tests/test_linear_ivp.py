@@ -470,7 +470,7 @@ def _lawson_case(name):
         coeffs = build_linearized_coeffs(params, mol_solve(params, u0, T, dt))
         small = GNState.from_packed(SpectralField(grid, 0.1 * _packed(grid, rng, 0.1, 4.0)))
         ivp = IVPData(initial=small, horizon=T, dt=dt)
-        return params, ivp, lambda t, v, x0=None: apply_K(coeffs, params, t, v)[0]
+        return params, ivp, lambda t, v, x0=None: apply_K(coeffs, params, t, v)
     return params, ivp, lambda t, u, x0=None: nonlinear_F(params, u)
 
 
@@ -524,7 +524,7 @@ def test_lawson_stages_fail_at_the_w_form_step(grid1d, params1d, rng, monkeypatc
     ivp = IVPData(initial=data, horizon=2.0, dt=0.5)
 
     def tendency(t, v, x0=None):
-        return apply_K(coeffs, params1d, t, v)[0]
+        return apply_K(coeffs, params1d, t, v)
 
     with pytest.raises(StepSizeError, match="unstable") as got:
         linear_ivp._integrate_filtered(params1d, ivp, tendency)
