@@ -18,6 +18,10 @@ mu = 0.1, eps = sqrt(mu), amplitude 0.2, the internal step period/2048):
 * `nonlinear_F` -- `--calls` (default 20) tendency evaluations on the wave;
 * `invert_bigT` -- `--calls` elliptic solves (PCG at this band) of the
   wave's velocity at its depth, a lone member;
+* `direct_solve` -- `--calls` lone elliptic solves on the flagship's band
+  instead (N = 128, dealias fraction 0.0625: 9 modes, flat, solved
+  directly), of a random velocity at the depth of a random elevation of
+  size 0.1 (seed 0);
 * `solve_linearized` -- the linearized system along the first `--steps`
   steps of the wave's own `mol_solve` trajectory, from a perturbation of
   size 1e-3 of the wave.
@@ -45,8 +49,10 @@ import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
+import numpy as np  # noqa: E402
+
 ROOT = Path(__file__).resolve().parent.parent
-LAYERS = ("mol_solve", "nonlinear_F", "invert_bigT", "solve_linearized")
+LAYERS = ("mol_solve", "nonlinear_F", "invert_bigT", "direct_solve", "solve_linearized")
 TRANSIT_NODES = 512
 TRANSIT_LENGTH = 40.0
 TRANSIT_AMPLITUDE = 0.2
@@ -94,6 +100,18 @@ def build(name: str, layer: str, args: argparse.Namespace):
             for _ in range(args.calls):
                 gn.invert_bigT(params, hg, wave.V)
         return solves
+    if layer == "direct_solve":
+        flagship = fs.GridSpec(dimension=1, nodes_per_axis=128, domain_length=2 * math.pi,
+                               dealias_fraction=0.0625)
+        flat = gn.PhysicalParams(mu=0.1, eps=math.sqrt(0.1), b=fs.zero_field(flagship))
+        rng = np.random.default_rng(0)
+        hg = gn.depth_grid(flat, fs.random_field(flagship, 1, rng, amplitude=0.1, decay=2.0))
+        V = fs.random_field(flagship, 1, rng, amplitude=1.0, decay=1.0)
+
+        def direct():
+            for _ in range(args.calls):
+                gn.invert_bigT(flat, hg, V)
+        return direct
     # solve_linearized
     uref = ref.mol_solve(params, wave, T, dt)
     coeffs = gn.build_linearized_coeffs(params, uref)
@@ -122,7 +140,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--steps", type=int, default=16,
                     help="output steps (mol_solve, solve_linearized)")
     ap.add_argument("--calls", type=int, default=20,
-                    help="calls per round (nonlinear_F, invert_bigT)")
+                    help="calls per round (nonlinear_F, invert_bigT, direct_solve)")
     args = ap.parse_args(argv)
     if args.rounds < 2 or args.steps < 1 or args.calls < 1:
         ap.error("--rounds must be at least 2; --steps and --calls at least 1")

@@ -262,23 +262,21 @@ class GridSpec:
         return _BandLayout(index, off, (2 * cut + 1,) * self.dimension, tuple(blocks), i_xi, xi_sq)
 
     @cached_property
-    def _band_galerkin(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _band_galerkin(self) -> tuple[np.ndarray, np.ndarray]:
         """Tables of the Fourier-Galerkin matrices on the retained band of a
-        1D grid, whose 2K+1 modes k_j are taken in FFT order (0..K, then
-        -K..-1), read-only: the position k_j mod N of each mode in the
-        coefficient array; the index (k_j - k_l) mod N of the coefficient of
-        a grid function g that the projected product P(g v) carries from
-        mode k_l to mode k_j; and the factor xi_j xi_l."""
+        1D grid, whose 2K+1 modes k_j are taken in the band layout's order
+        (`_band`: 0..K, then -K..-1), read-only: the index (k_j - k_l) mod N
+        of the coefficient of a grid function g that the projected product
+        P(g v) carries from mode k_l to mode k_j, and the factor xi_j xi_l."""
         cut = self.dealias_cutoff_index
         n = self.nodes_per_axis
         k = np.concatenate([self.mode_indices[: cut + 1], self.mode_indices[n - cut :]])
-        modes = k % n
         gather = (k[:, None] - k[None, :]) % n
         xi = k * (2.0 * np.pi / self.domain_length)
         xixi = xi[:, None] * xi[None, :]
-        for table in (modes, gather, xixi):
+        for table in (gather, xixi):
             table.flags.writeable = False
-        return modes, gather, xixi
+        return gather, xixi
 
     # --------------------------------------------------------- fft helpers
     def to_grid(self, coeffs: np.ndarray) -> np.ndarray:

@@ -54,9 +54,10 @@ all three fold each slope term into a product that the flat assembly
 already transforms (a multiple of grad(beta) in a vector row, or a term of
 a scalar row whose gradient is taken): one product list and one
 combination for both branches. The tendency and `_K_rows` add one
-transform pair, for the sym2 of Q, and keep one call per entry, since
-stacking the tendency's lists measured slower on 64^2 (3.6 against 2.7 ms
-per call; 2-core x86 host, numpy 2.4). With a zero slope the folded
+transform pair, for the sym2 of Q, and keep one call per entry: stacking
+the tendency's lists took 1.85 ms per 64^2 call either way on the real
+transforms, and raised bathy2d's peak RSS by 0.7 MB (2-core x86 host,
+numpy 2.4; ROADMAP, Parked). With a zero slope the folded
 products equal the flat ones, and a stacked transform equals the per-row
 ones, so both branches give the same output on b = 0 (tests compare them).
 The matvec fills its stacked rows in place, and `_bigT_operators` forms the
@@ -83,29 +84,32 @@ one norm per member. `build_linearized_coeffs` assembles a trajectory in
 chunks of snapshots, each chunk a batch. The linearized operator
 `apply_K` stays single-field.
 
-Elliptic solves take one of two paths. On a flat bottom in 1D with a
-retained band of at most `_DENSE_MODES` modes, `_band_solve` solves each
-member directly: there bigT is the Fourier-Galerkin matrix
-A[j, l] = h^(k_j - k_l) + (mu/3) xi_j xi_l (h^3)^(k_j - k_l) (indices mod
-N) on the band, a few dozen modes at most, which one batched LU solves in
-less time than the per-call overhead of a few PCG sweeps. Both paths keep
-one stopping contract, |b - A x| < tol |b| per member, and raise the same
-ConvergenceError; the solutions differ by rounding (at most 3.6e-15
-relative per snapshot on the flagship's trajectories).
+Elliptic solves take one of two paths, on one layout: a member is a row
+of its coefficients on the retained band only, the band's d * (2K+1)^d
+modes in C order over the grid (per axis 0..K, then -K..-1), gathered and
+scattered through the grid's cached band layout (`GridSpec._band`). On a
+flat bottom in 1D with a band of at most `_DENSE_MODES` modes,
+`_band_solve` solves each member directly: there bigT is the
+Fourier-Galerkin matrix A[j, l] = h^(k_j - k_l) + (mu/3) xi_j xi_l
+(h^3)^(k_j - k_l) (indices mod N) on the band, a few dozen modes at most,
+which one batched LU solves in less time than the per-call overhead of a
+few PCG sweeps. `invert_bigT` holds the one stopping contract of both,
+|b - A x| < tol |b| per member with V's modes off the band counted in
+both norms, and raises one ConvergenceError; the solutions differ by
+rounding (at most 3.6e-15 relative per snapshot on the flagship's
+trajectories).
 Every other batch of elliptic solves runs in one `_pcg` call, a numpy PCG that
 repeats, member by member, the arithmetic of `scipy.sparse.linalg.cg`
-(tests compare them byte for byte) on the retained band: its vectors hold
-the band's d * (2K+1)^d coefficients only, gathered and scattered through
-the grid's cached band layout (`GridSpec._band`), and its matvec shares
-bigT's grid products with `apply_bigT` (`_bigT_products`). On the band
+(tests compare them byte for byte) on the band rows, and whose matvec
+shares bigT's grid products with `apply_bigT` (`_bigT_products`). On the band
 it runs the arithmetic of the full-array PCG it replaced, whose iterates
 stayed zero off the band, to the order of its sums: at most 1e-14
 relative and the same iteration counts (a test keeps the full-array
 operators). Per-member norms and inner products,
-the stopping rule norm(r) < tol * norm(b), a zero right side returned as it
-is, and a preconditioner from each member's own mean depth hbar. Members
-that have converged leave the batch, and a ConvergenceError names the
-members that did not converge. The preconditioner is the exact inverse of
+the stopping rule norm(r) < tol * norm(b) with a tol per member if need
+be, a zero right side returned as it is, and a preconditioner from each
+member's own mean depth hbar. Members that have converged leave the
+batch. The preconditioner is the exact inverse of
 the flat operator at depth hbar: the longitudinal part of V (along xi)
 takes the dispersive symbol 1/(hbar + mu |xi|^2 hbar^3/3) and, in 2D, the
 transverse (divergence-free) part takes 1/hbar, since at constant depth
@@ -534,25 +538,31 @@ def invert_bigT(
     the ones its floor check tests.
 
     The discrete operator is symmetric positive definite on the dealiased band
-    (quadratic form bounded below by h0 |.|^2). On a flat bottom in 1D with a
-    band of at most `_DENSE_MODES` modes, each member is one dense solve of
-    its Fourier-Galerkin matrix (`_band_solve`); `x0` and `max_iter` do not
+    (quadratic form bounded below by h0 |.|^2). Both paths take and return
+    rows in one layout, a member's coefficients on the retained band only
+    (`GridSpec._band`, gathered by `_band_rows`), and the solution is zero
+    off the band. On a flat bottom in 1D with a band of at most
+    `_DENSE_MODES` modes, each member is one dense solve of its
+    Fourier-Galerkin matrix (`_band_solve`); `x0` and `max_iter` do not
     apply there, and the solve counts 0 iterations. Every other system (2D,
-    bathymetry, wider bands) runs PCG on the retained band: its vectors hold
-    the band's coefficients only (`_bigT_operators`), and the solution is
-    zero off the band, as the direct one is. Its preconditioner is the exact
-    inverse of the flat operator at the mean depth hbar, whose symbol is
-    hbar I + (mu hbar^3/3) xi xi^T: the longitudinal part of the residual
-    takes (hbar + mu |xi|^2 hbar^3/3)^{-1} and, in 2D, the transverse part
-    1/hbar (see `_bigT_operators`). At a constant depth on a flat bottom one
-    iteration solves the system. Both paths keep one contract: a member
-    whose L2 residual is not below tol * |V|_{L2} (and |V| > 0) raises
-    ConvergenceError, which names it with its residual, |V| and the norm
-    of V off the retained band (which no solution on the band can meet).
-    So PCG solves the band part V_b of a member with modes V_o off the band
-    to the tolerance sqrt(tol^2 |V|^2 - |V_o|^2) / |V_b| that leaves room
-    for them, and fails it unsolved if |V_o| alone reaches tol * |V|.
-    `tol` must lie in (0, 1), else ValueError.
+    bathymetry, wider bands) runs PCG (`_pcg`, `_bigT_operators`). Its
+    preconditioner is the exact inverse of the flat operator at the mean
+    depth hbar, whose symbol is hbar I + (mu hbar^3/3) xi xi^T: the
+    longitudinal part of the residual takes (hbar + mu |xi|^2 hbar^3/3)^{-1}
+    and, in 2D, the transverse part 1/hbar (see `_bigT_operators`). At a
+    constant depth on a flat bottom one iteration solves the system.
+
+    Both paths keep one contract, checked here once: a member whose L2
+    residual is not below tol * |V|_{L2} (and |V| > 0) raises
+    ConvergenceError, which names it with its residual, |V|, the norm of V
+    off the retained band (which no solution on the band can meet) and its
+    cause: "by a direct solve", "after {max_iter} PCG iterations", or
+    "unsolved" when the modes V_o off the band alone reach tol * |V|.
+    Each path stops on the band alone: a member with nothing off the band
+    (every caller in the package) at tol, one with some at the tolerance
+    sqrt(tol^2 |V|^2 - |V_o|^2) / |V_b| of its band part V_b that leaves
+    room for them. An unsolved member spends no CG sweep. `tol` must lie in
+    (0, 1), else ValueError.
 
     A batched V (with hg batched alike) solves every member in one call, each
     with its own matrix or preconditioner, stopping rule and result. `x0`
@@ -566,68 +576,59 @@ def invert_bigT(
         raise ValueError(f"tol must be a finite number in (0, 1), got {tol!r}")
     hg = _depth_batch(hg, V)
     grid = V.grid
+    band = grid._band
     Vc = _batched(V)
     _require_admissible(params, hg, "invert_bigT")
-    dense = 2 * grid.dealias_cutoff_index + 1 <= _DENSE_MODES  # the 1D band's size
-    if grid.dimension == 1 and params._slope is None and dense:
-        b = _rows(Vc)
-        x, residuals = _band_solve(params, hg, b)
-        bnorms = _row_norms(b)
-        failed = np.flatnonzero(~(residuals < tol * bnorms) & (bnorms != 0))
-        iters = np.zeros(b.shape[0], dtype=np.int64)
-        how = "by a direct solve"
-        Wc = _fields(grid, x)
-    else:
-        band = grid._band
-        b = _band_rows(Vc, band.index)
-        restrict = _bigT_operators(params, hg)
-        start = None if x0 is None else _band_rows(np.reshape(x0, Vc.shape), band.index)
+    b = _band_rows(Vc, band.index)
+    outside = _band_rows(Vc, band.off)
+    band_tol, unsolved = tol, None
+    if outside.any():
         # V's modes off the band add to a member's residual, and no solution
         # on the band meets them: a member that has some solves its band
         # part to the tolerance that leaves room for them, or fails unsolved
         # if they alone use up tol * |V|
-        off = _row_norms(_band_rows(Vc, band.off))
-        if not off.any():
-            x, iters, failed = _pcg(restrict, b, start, tol, max_iter)
-        else:
-            x = np.zeros_like(b) if start is None else start.copy()
-            iters = np.zeros(b.shape[0], dtype=np.int64)
-            room = tol**2 * (_row_norms(b) ** 2 + off**2) - off**2
-            groups = [(np.flatnonzero(off == 0), tol)] + [
-                (np.array([m]), math.sqrt(room[m]) / float(np.linalg.norm(b[m])))
-                for m in np.flatnonzero((off != 0) & (room > 0))
-            ]
-            failed = [np.flatnonzero((off != 0) & (room <= 0))]
-            for which, band_tol in groups:
-                if which.size:
-                    x[which], iters[which], lost = _pcg(
-                        lambda w, which=which: restrict(which[w]),
-                        b[which],
-                        None if start is None else start[which],
-                        band_tol,
-                        max_iter,
-                    )
-                    failed.append(which[lost])
-            failed = np.sort(np.concatenate(failed))
-        if failed.size:
-            res = b[failed] - restrict(failed)[0](x[failed])
-            residuals = np.zeros(b.shape[0])
-            residuals[failed] = np.hypot(_row_norms(res), off[failed])
-        how = f"in {max_iter} iterations"
-        Wc = _band_fields(grid, x)
+        off = _row_norms(outside)
+        bnorms = _row_norms(b)
+        room = tol**2 * (bnorms**2 + off**2) - off**2
+        unsolved = (off != 0) & (room <= 0)
+        some = (off != 0) & (room > 0)
+        band_tol = np.full(b.shape[0], tol)
+        band_tol[some] = np.sqrt(room[some]) / bnorms[some]
+    dense = 2 * grid.dealias_cutoff_index + 1 <= _DENSE_MODES  # the 1D band's size
+    if grid.dimension == 1 and params._slope is None and dense:
+        x, residuals = _band_solve(params, hg, b)
+        bnorms = _row_norms(b)
+        failed = np.flatnonzero(~(residuals < band_tol * bnorms) & (bnorms != 0))
+        iters = np.zeros(b.shape[0], dtype=np.int64)
+        how = "by a direct solve"
+    else:
+        restrict = _bigT_operators(params, hg)
+        start = None if x0 is None else _band_rows(np.reshape(x0, Vc.shape), band.index)
+        # an unsolved member goes in as a zero right side, which `_pcg`
+        # returns at once: no sweep is spent on it
+        rhs = b if unsolved is None else np.where(unsolved[:, None], 0.0, b)
+        x, iters, failed = _pcg(restrict, rhs, start, band_tol, max_iter)
+        residuals = None
+        how = f"after {max_iter} PCG iterations"
     _count(solves=b.shape[0], cg_iterations=int(iters.sum()))
+    if unsolved is not None:
+        failed = np.union1d(failed, np.flatnonzero(unsolved))
     if failed.size:
-        rhs_norms = _row_norms(_rows(Vc))
-        off_band = _row_norms(_band_rows(Vc[:, failed], grid._band.off))
+        if residuals is None:
+            residuals = np.zeros(b.shape[0])
+            residuals[failed] = _row_norms(b[failed] - restrict(failed)[0](x[failed]))
+        off = _row_norms(outside)
+        rhs_norms = np.hypot(_row_norms(b), off)
         detail = "; ".join(
             ("" if V.batch is None else f"member {m}: ")
-            + f"residual {float(residuals[m]):.3e}, |rhs| {float(rhs_norms[m]):.3e}, "
-            f"off the band {float(off):.3e}"
-            + (", at least tol*|rhs| alone: no solution on the band meets tol"
-               if off >= tol * rhs_norms[m] and off > 0 else "")
-            for m, off in zip(failed, off_band)
+            + f"residual {float(np.hypot(residuals[m], off[m])):.3e}, "
+            f"|rhs| {float(rhs_norms[m]):.3e}, off the band {float(off[m]):.3e}, "
+            + ("unsolved: its modes off the band alone reach tol*|rhs|"
+               if unsolved is not None and unsolved[m] else how)
+            for m in failed
         )
-        raise ConvergenceError(f"bigT inversion did not reach tol={tol:g} {how} ({detail})")
+        raise ConvergenceError(f"bigT inversion did not reach tol={tol:g} ({detail})")
+    Wc = _band_fields(grid, x)
     W = SpectralField(grid, Wc if V.batch is not None else Wc[:, 0])
     if return_info:
         return W, {"iterations": int(iters.max())}
@@ -650,48 +651,36 @@ def _band_solve(params: PhysicalParams, hg: np.ndarray, b: np.ndarray):
     solved `_CHUNK` at a time by one batched `np.linalg.solve`, so that the
     matrices of a long batch are never all held at once.
 
-    Rows of `b` (B, N) are the right sides. Returns (x, residuals): the
-    solutions, zero off the band, with the negative modes written as the
-    conjugate mirror of the positive ones and a real zero mode (as
-    `GridSpec.from_grid` writes them), and each member's L2 residual
-    |b - bigT x|, the part of b off the band included.
+    Rows of `b` (B, 2K+1) are the right sides in the band layout of
+    `GridSpec._band` (the modes 0..K, then -K..-1), as `_pcg` takes them.
+    Returns (x, residuals): the solution rows in the same layout, with the
+    negative modes written as the conjugate mirror of the positive ones and
+    a real zero mode (as `GridSpec.from_grid` writes them), and each
+    member's L2 residual |b - bigT x| on the band.
     """
     grid = params.grid
-    modes, gather, xixi = grid._band_galerkin
+    gather, xixi = grid._band_galerkin
     cut = grid.dealias_cutoff_index
     powers = np.empty((2, *hg.shape))
     powers[0] = hg
     np.multiply(hg * hg, hg, out=powers[1])
     c = grid.from_grid(powers)
     coupling = (params.mu / 3.0) * xixi
-    band = b.take(modes, axis=1)
-    off = b[:, cut + 1 : grid.nodes_per_axis - cut]
-    residuals = np.vecdot(off.real, off.real) + np.vecdot(off.imag, off.imag)
-    x = np.zeros_like(b)
+    x = np.empty_like(b)
+    residuals = np.empty(b.shape[0])
     for part in _chunks(b.shape[0]):
         terms = c[:, part].take(gather, axis=-1)  # C-ordered, unlike c[..., gather]
         terms[1] *= coupling
         A = terms[0]
         A += terms[1]
-        xb = np.linalg.solve(A, band[part, :, None])
+        xb = np.linalg.solve(A, b[part, :, None])
         xb[:, cut + 1 :] = np.conjugate(xb[:, cut:0:-1])
         xb[:, 0].imag = 0.0
         r = np.matmul(A, xb)[..., 0]
-        r -= band[part]
-        residuals[part] += np.vecdot(r.real, r.real) + np.vecdot(r.imag, r.imag)
-        x[part, modes] = xb[..., 0]
-    return x, np.sqrt(residuals)
-
-
-def _rows(c: np.ndarray) -> np.ndarray:
-    """A batch of coefficients (d, B, *shape) -> one row per member,
-    (B, d * n_modes)."""
-    return c.swapaxes(0, 1).reshape(c.shape[1], -1)
-
-
-def _fields(grid: GridSpec, x: np.ndarray) -> np.ndarray:
-    """Inverse of `_rows`: rows (B, d * n_modes) -> a batch (d, B, *shape)."""
-    return x.reshape(-1, grid.dimension, *grid.shape).swapaxes(0, 1)
+        r -= b[part]
+        residuals[part] = _row_norms(r)
+        x[part] = xb[..., 0]
+    return x, residuals
 
 
 def _band_rows(c: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -820,22 +809,22 @@ def _bigT_operators(params: PhysicalParams, hg: np.ndarray):
     return restrict
 
 
-def _cg(restrict, b: np.ndarray, x0: np.ndarray | None, tol: float, max_iter: int):
-    """`_pcg` for a batch of one member: the same arithmetic with scalar
-    norms (`_norm`, the bits of `np.linalg.norm`) and inner products and
-    the unbatched layout. On the band layout, a batch of one through the
-    vectorised `_pcg` loop took 1.23x as long per lone N = 512 solve of
-    the transit wave's velocity (median of 30 interleaved in-process
-    rounds of 20 solves, quartiles 1.02-1.33x, 23 won by this loop) and
-    1.20x on 32 transit steps of `mol_solve` (20 rounds, quartiles
-    1.17-1.25x, all 20 won by this loop), by `scripts/inprocess_ab.py`
-    against a copy whose `_pcg` does not hand a lone member here (2-core
-    x86 host, numpy 2.4)."""
+def _cg(restrict, b: np.ndarray, x0: np.ndarray | None, tol, max_iter: int):
+    """`_pcg` for a batch of one member (`tol` a float or an array of one):
+    the same arithmetic with scalar norms (`_norm`, the bits of
+    `np.linalg.norm`) and inner products and the unbatched layout. On the
+    band layout, a batch of one through the vectorised `_pcg` loop took
+    1.23x as long per lone N = 512 solve of the transit wave's velocity
+    (median of 30 interleaved in-process rounds of 20 solves, quartiles
+    1.02-1.33x, 23 won by this loop) and 1.20x on 32 transit steps of
+    `mol_solve` (20 rounds, quartiles 1.17-1.25x, all 20 won by this
+    loop), by `scripts/inprocess_ab.py` against a copy whose `_pcg` does
+    not hand a lone member here (2-core x86 host, numpy 2.4)."""
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=b.dtype)
     bnrm2 = _norm(b)
     if bnrm2 == 0:
         return b.copy(), np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.intp)
-    atol = max(0.0, float(tol) * bnrm2)
+    atol = max(0.0, float(tol[0] if isinstance(tol, np.ndarray) else tol) * bnrm2)
     matvec, psolve = restrict(np.zeros(1, dtype=np.intp))
     r = b - matvec(x) if x.any() else b.copy()
     for it in range(max_iter):
@@ -871,19 +860,20 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(a.real, a.real) + np.vecdot(a.imag, a.imag))
 
 
-def _pcg(restrict, b: np.ndarray, x0: np.ndarray | None, tol: float, max_iter: int):
+def _pcg(restrict, b: np.ndarray, x0: np.ndarray | None, tol, max_iter: int):
     """Preconditioned conjugate gradients on a batch of independent systems.
 
-    Row m of `b`, shape (B, n), is the right side of member m.
+    Row m of `b`, shape (B, n), is the right side of member m, and `tol`
+    is one float for every member or an array (B,) of one per member.
     `restrict(which)` returns (matvec, psolve): the operator and the
     preconditioner of the members in the index array `which`, acting on
     their rows. Every member repeats the arithmetic of
-    `scipy.sparse.linalg.cg(A, b[m], x0[m], rtol=tol, atol=0,
+    `scipy.sparse.linalg.cg(A, b[m], x0[m], rtol=tol[m], atol=0,
     maxiter=max_iter, M=M)`: norms and inner products are taken on its own
     row, a zero right side is returned as it is, a nonzero start is turned
     into the residual b - A x0, and the member stops at the top of the first
-    sweep in which norm(r) < tol * norm(b). Stopped members leave the batch,
-    so a member's result does not depend on the others.
+    sweep in which norm(r) < tol[m] * norm(b). Stopped members leave the
+    batch, so a member's result does not depend on the others.
 
     Returns (x, iterations, failed): the solution rows, the iterations of
     each member, and the members that did not converge in max_iter. A batch
@@ -897,7 +887,7 @@ def _pcg(restrict, b: np.ndarray, x0: np.ndarray | None, tol: float, max_iter: i
     zero = bnrm2 == 0
     x[zero] = b[zero]
     act = np.flatnonzero(~zero)
-    atol = np.maximum(0.0, float(tol) * bnrm2[act])
+    atol = np.maximum(0.0, tol * bnrm2)[act]
     r = b[act]
     xa = x[act]
     if x0 is not None:

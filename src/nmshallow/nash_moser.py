@@ -16,7 +16,7 @@ induction properties
     (ii)_k  |u_k|_{E^{s+D}} <= M,
     (iii)_k |v_k|_{E^{s+D}} <= theta_k^{-q},
 
-the residual trace, and the initial-condition telescoping diagnostic.
+and the residual trace.
 
 The unsmoothed fixed-point (Picard) iteration u_{k+1} = u_k + v_k is the
 same loop at theta0 = inf, where S_theta keeps every mode: run it as
@@ -206,11 +206,11 @@ _CSV_COLUMNS = (
 class IterationTrace:
     """Per-iteration record of the smoothed Newton loop.
 
-    The CSV export carries exactly the nine audit columns; everything else
-    (the measured bound M, the initial-condition telescoping pairs, the
-    schedule) travels in the JSON form only. norm_v_EsD is NaN on a row
-    where no correction was computed (converged or aborted before the
-    linear solve); property (iii) is vacuously true there.
+    The CSV export carries exactly the nine audit columns; the bound M that
+    `check_induction` reads and the stop reason are kept beside them.
+    norm_v_EsD is NaN on a row where no correction was computed (converged
+    or aborted before the linear solve); property (iii) is vacuously true
+    there.
     """
 
     theta: list[float] = field(default_factory=list)
@@ -221,10 +221,7 @@ class IterationTrace:
     prop_i: list[bool] = field(default_factory=list)
     prop_ii: list[bool] = field(default_factory=list)
     prop_iii: list[bool] = field(default_factory=list)
-    ic_lhs: list[float] = field(default_factory=list)
-    ic_rhs: list[float] = field(default_factory=list)
     M_used: float | None = None
-    schedule: dict | None = None
     stop_reason: str | None = None
 
     def __len__(self) -> int:
@@ -247,16 +244,10 @@ class IterationTrace:
         self.prop_ii.append(prop_ii)
         self.norm_v_EsD.append(float("nan"))
         self.prop_iii.append(True)
-        self.ic_lhs.append(float("nan"))
-        self.ic_rhs.append(float("nan"))
 
     def set_correction(self, norm_v_EsD: float, prop_iii: bool) -> None:
         self.norm_v_EsD[-1] = norm_v_EsD
         self.prop_iii[-1] = prop_iii
-
-    def set_ic_diagnostic(self, lhs: float, rhs: float) -> None:
-        self.ic_lhs[-1] = lhs
-        self.ic_rhs[-1] = rhs
 
     def rows(self) -> list[tuple]:
         return [
@@ -284,17 +275,6 @@ class IterationTrace:
             writer.writerow(_CSV_COLUMNS)
             writer.writerows(self.rows())
         return p
-
-    def to_dict(self) -> dict:
-        return {
-            "columns": list(_CSV_COLUMNS),
-            "rows": [list(r) for r in self.rows()],
-            "ic_lhs": self.ic_lhs,
-            "ic_rhs": self.ic_rhs,
-            "M_used": self.M_used,
-            "schedule": self.schedule,
-            "stop_reason": self.stop_reason,
-        }
 
 
 # ----------------------------------------------------------------- interface
@@ -479,7 +459,6 @@ def _run_iteration(
     sD = s + schedule.D
     sP = s + schedule.P
     res_index = s + schedule.d1p
-    ic_index = s + schedule.d1p + m
 
     g = problem.initial_data()
     # without a configured bound, M = 2 |u0|_{E^sD} + 1 is set at k = 0 from
@@ -488,10 +467,6 @@ def _run_iteration(
 
     trace = IterationTrace()
     trace.M_used = M
-    sched_dict = schedule.to_dict()
-    sched_dict["theta0"] = theta0
-    sched_dict["M"] = M
-    trace.schedule = sched_dict
 
     u = u0
     # theta grows doubly exponentially (theta_k = theta0^(r^k)); numpy
@@ -510,7 +485,7 @@ def _run_iteration(
         nu_P = _norm_Es(problem, u, sP, m, dudt)
         del dudt  # not held through the linear solve
         if M is None:
-            M = trace.M_used = sched_dict["M"] = 2.0 * nu_D + 1.0
+            M = trace.M_used = 2.0 * nu_D + 1.0
         with np.errstate(over="ignore"):
             theta_alpha = float(theta**np.float64(schedule.alpha))
         trace.append_row(
@@ -567,13 +542,6 @@ def _run_iteration(
                 trace=trace,
             )
 
-        ic_lhs = problem.snapshot_norm(
-            SpectralField(u.grid, u_next.snapshots[0] - g.coefficients), ic_index
-        )
-        ic_rhs = theta ** (m + schedule.d1p - schedule.D) * problem.snapshot_norm(
-            SpectralField(u.grid, v.snapshots[0]), sD
-        )
-        trace.set_ic_diagnostic(ic_lhs, ic_rhs)
         # free the linearization, the correction and the defect before the
         # next residual, which holds the next iterate's du/dt
         del coeffs, v, phi1

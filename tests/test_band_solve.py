@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from test_batch import _rows
 from test_rounding_gate import _assert_runs_agree, _run
 
 from nmshallow import green_naghdi as gn
@@ -19,6 +20,9 @@ from nmshallow.fourier_scale import GridSpec, SpectralField, random_field, zero_
 from nmshallow.green_naghdi import PhysicalParams, depth_grid, invert_bigT
 
 TOL = 1e-12
+#: The cause `invert_bigT` gives a member whose modes off the band alone
+#: reach tol * |V|, as a pattern
+UNSOLVED = r"unsolved: its modes off the band alone reach tol\*\|rhs\|"
 
 
 def _system(n, fraction, members, depth_amplitude, zero_side=None, seed=3):
@@ -67,8 +71,8 @@ def test_direct_solve_matches_pcg(case):
     b = gn._band_rows(gn._batched(V), grid._band.index)
     x, iters, failed = gn._pcg(gn._bigT_operators(params, h), b, None, TOL, 500)
     assert failed.size == 0 and iters.max() > 0
-    x = gn._rows(gn._band_fields(grid, x))
-    got = gn._rows(gn._batched(W))
+    x = _rows(gn._band_fields(grid, x))
+    got = _rows(gn._batched(W))
     for m in range(members):
         if m == zero_side:
             assert not np.any(got[m])
@@ -100,8 +104,8 @@ def test_direct_solve_matrix_is_the_operator_on_the_band():
     params, h, V = _system(64, 2.0 / 3.0, 2, 0.3)
     W = invert_bigT(params, h, V, tol=TOL)
     back = gn.apply_bigT(params, h, W).coefficients
-    err = np.linalg.norm(gn._rows(back - V.coefficients), axis=1)
-    assert np.all(err < TOL * np.linalg.norm(gn._rows(V.coefficients), axis=1))
+    err = np.linalg.norm(_rows(back - V.coefficients), axis=1)
+    assert np.all(err < TOL * np.linalg.norm(_rows(V.coefficients), axis=1))
 
 
 def test_unreachable_tolerance_fails_the_direct_solve():
@@ -113,46 +117,67 @@ def test_unreachable_tolerance_fails_the_direct_solve():
 
 
 def test_right_side_off_the_band_fails_both_paths(monkeypatch):
-    # no solution on the band meets modes of the right side off it: the
-    # direct residual counts them, and PCG does not converge
+    # no solution on the band meets modes of the right side off it: a
+    # member whose modes off the band alone reach tol * |V| fails unsolved
     params, h, V = _system(64, 2.0 / 3.0, 2, 0.3)
     V.coefficients[0, 1, 30] = V.coefficients[0, 1, 34] = 1e-6
-    with pytest.raises(ConvergenceError, match="by a direct solve") as exc:
+    with pytest.raises(ConvergenceError, match=UNSOLVED) as exc:
         invert_bigT(params, h, V, tol=TOL)
     assert "member 1: residual 1.414e-06" in str(exc.value)
     assert "off the band 1.414e-06" in str(exc.value)
     assert "member 0" not in str(exc.value)
     monkeypatch.setattr(gn, "_DENSE_MODES", 0)
-    with pytest.raises(ConvergenceError, match="in 50 iterations") as exc:
+    with pytest.raises(ConvergenceError, match=UNSOLVED) as exc:
         invert_bigT(params, h, V, tol=TOL, max_iter=50)
     assert "member 1: residual" in str(exc.value)
-    # PCG diverges on the off-band part; the detail names its size
     assert "off the band 1.414e-06" in str(exc.value)
     assert "member 0" not in str(exc.value)
 
 
-@pytest.mark.parametrize("dense", [64, 0], ids=["direct", "pcg"])
-def test_right_side_slightly_off_the_band_is_solved(monkeypatch, dense):
+@pytest.mark.parametrize("dense,members", [(64, 2), (0, 2), (64, 1), (0, 1)],
+                         ids=["direct", "pcg", "direct-lone", "pcg-lone"])
+def test_right_side_slightly_off_the_band_is_solved(monkeypatch, dense, members):
     # modes off the band below tol * |V| leave room for the residual on the
     # band: the member meets the contract with them counted; modes that
-    # alone reach tol * |V| fail it, and the message says so
+    # alone reach tol * |V| fail it, and the message says so. A lone member
+    # runs `_cg` with a band tolerance of its own.
     monkeypatch.setattr(gn, "_DENSE_MODES", dense)
-    params, h, V = _system(64, 2.0 / 3.0, 2, 0.3)
+    params, h, V = _system(64, 2.0 / 3.0, members, 0.3)
     grid = params.grid
+    last = members - 1
     clean = invert_bigT(params, h, V, tol=TOL)
-    size = 0.9 / math.sqrt(2.0) * TOL * np.linalg.norm(V.coefficients[:, 1])  # 0.9 tol |V| off
-    V.coefficients[0, 1, 30] = V.coefficients[0, 1, 34] = size
+    size = 0.9 / math.sqrt(2.0) * TOL * np.linalg.norm(V.coefficients[:, last])  # 0.9 tol |V| off
+    V.coefficients[0, last, 30] = V.coefficients[0, last, 34] = size
     W = invert_bigT(params, h, V, tol=TOL)
     assert not np.any(W.coefficients[..., ~grid.dealias_mask])
     res = grid.project(V.coefficients) - gn._apply_bigT_arrays(grid, params.mu, h, None, W.coefficients)
-    for m in range(2):
-        off = math.sqrt(2.0) * size if m == 1 else 0.0
+    for m in range(members):
+        off = math.sqrt(2.0) * size if m == last else 0.0
         assert math.hypot(np.linalg.norm(res[:, m]), off) < TOL * np.linalg.norm(V.coefficients[:, m])
     scale = np.linalg.norm(clean.coefficients)
     assert np.linalg.norm(W.coefficients - clean.coefficients) <= 1e-10 * scale
-    V.coefficients[0, 1, 30] = V.coefficients[0, 1, 34] = 1e-6
-    with pytest.raises(ConvergenceError, match=r"off the band 1\.414e-06, at least tol\*\|rhs\| alone"):
+    V.coefficients[0, last, 30] = V.coefficients[0, last, 34] = 1e-6
+    with pytest.raises(ConvergenceError, match=r"off the band 1\.414e-06, " + UNSOLVED):
         invert_bigT(params, h, V, tol=TOL, max_iter=50)
+
+
+def test_member_without_room_adds_no_cg_iteration(monkeypatch):
+    # a PCG batch of a clean member, one whose modes off the band leave
+    # room and one whose modes off the band alone reach tol * |V|: the last
+    # fails unsolved, and the other two take the iterations they take alone
+    monkeypatch.setattr(gn, "_DENSE_MODES", 0)
+    params, h, V = _system(64, 2.0 / 3.0, 3, 0.3)
+    size = 0.9 / math.sqrt(2.0) * TOL * np.linalg.norm(V.coefficients[:, 1])
+    V.coefficients[0, 1, 30] = V.coefficients[0, 1, 34] = size
+    V.coefficients[0, 2, 30] = V.coefficients[0, 2, 34] = 1e-6
+    with gn.counting() as pair:
+        invert_bigT(params, h[:2], SpectralField(params.grid, V.coefficients[:, :2]), tol=TOL)
+    with gn.counting() as counts, pytest.raises(ConvergenceError, match=UNSOLVED) as exc:
+        invert_bigT(params, h, V, tol=TOL)
+    assert counts["solves"] == 3
+    assert counts["cg_iterations"] == pair["cg_iterations"] > 0
+    assert "member 2: residual" in str(exc.value)
+    assert "member 0" not in str(exc.value) and "member 1" not in str(exc.value)
 
 
 @pytest.mark.parametrize("flat", [True, False], ids=["direct", "pcg"])

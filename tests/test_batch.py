@@ -78,6 +78,17 @@ def _depth(params, zeta):
 # ---------------------------------------------------------- PCG against scipy
 
 
+def _rows(c):
+    """Coefficients (d, B, *shape) as full rows, one per member:
+    (B, d * n_modes)."""
+    return c.swapaxes(0, 1).reshape(c.shape[1], -1)
+
+
+def _fields(grid, x):
+    """Inverse of `_rows`: full rows (B, d * n_modes) -> (d, B, *shape)."""
+    return x.reshape(-1, grid.dimension, *grid.shape).swapaxes(0, 1)
+
+
 def _band(grid, c):
     """Coefficients (d, B, *shape) on the retained band, one row per member:
     the rows of `_pcg`."""
@@ -306,9 +317,9 @@ def _full_bigT_operators(params, hg):
             inv_w, trans_w = inv_symbol[which], inv_depth[which]
 
         def matvec(x):
-            V = x.reshape(d, *grid.shape) if lone else gn._fields(grid, x)
+            V = x.reshape(d, *grid.shape) if lone else _fields(grid, x)
             out = gn._apply_bigT_arrays(grid, mu, hg_w, gbeta_g, V)
-            return out.reshape(1, -1) if lone else gn._rows(out)
+            return out.reshape(1, -1) if lone else _rows(out)
 
         def psolve(r):
             z = r.reshape(-1, d, *grid.shape)
@@ -341,7 +352,7 @@ def test_band_pcg_matches_the_full_array_pcg(dim, n, flat, start, members):
     x0 = None
     if start == "x0":
         x0 = 0.1 * np.random.default_rng(11).standard_normal(rhs.shape) * (1.0 + 0.0j)
-    full = lambda rows: gn._rows(gn._band_fields(grid, rows))  # noqa: E731
+    full = lambda rows: _rows(gn._band_fields(grid, rows))  # noqa: E731
     x, iters, failed = gn._pcg(gn._bigT_operators(params, hg), rhs, x0, 1e-12, 500)
     want, want_iters, want_failed = gn._pcg(
         _full_bigT_operators(params, hg), full(rhs), None if x0 is None else full(x0), 1e-12, 500
@@ -349,7 +360,7 @@ def test_band_pcg_matches_the_full_array_pcg(dim, n, flat, start, members):
     assert failed.size == want_failed.size == 0
     assert list(iters) == list(want_iters)
     assert iters.max() > 1
-    wanted = gn._fields(grid, want)
+    wanted = _fields(grid, want)
     assert not np.any(wanted[..., ~grid.dealias_mask])  # nothing off the band
     want_band = _band(grid, wanted)
     for m in range(members):

@@ -17,7 +17,8 @@ def _run(*args):
     )
 
 
-@pytest.mark.parametrize("layer", ["mol_solve", "nonlinear_F", "invert_bigT", "solve_linearized"])
+@pytest.mark.parametrize("layer", ["mol_solve", "nonlinear_F", "invert_bigT", "direct_solve",
+                                   "solve_linearized"])
 def test_checkout_against_itself(layer):
     done = _run("--against", str(ROOT), "--layer", layer, "--rounds", "2", "--steps", "1",
                 "--calls", "1")

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+from test_batch import _rows
 
 from nmshallow import green_naghdi as gn
 from nmshallow.fourier_scale import GridSpec, SpectralField, random_field, zero_field
@@ -58,7 +59,7 @@ def _params(dim, n, flat, seed=5):
 
 def _member_rows(f):
     """One row of coefficients per member of a single or batched field."""
-    return gn._rows(gn._batched(f))
+    return _rows(gn._batched(f))
 
 
 def _random_batch(grid, components, rng, members, amplitude, decay):
