@@ -9,7 +9,9 @@ scope: downstream scripts consume the CSVs.
 
 Exit codes: 0 success, 1 validation-suite failure, 2 infeasible schedule,
 3 solver divergence / step-size / elliptic-convergence failure, 4 domain
-violation (depth floor, invalid problem domain), 5 I/O or config errors.
+violation (depth floor, invalid problem domain), 5 I/O or config errors
+(a `run.T` or `run.dt` that is not finite and positive, or whose ratio
+overflows, among them).
 Code 2 is also click's usage error (an invalid option value such as
 `--threads 0`, an unknown option): stderr then starts with "Usage:".
 
@@ -582,7 +584,7 @@ def cmd_stability(cfg: dict, out: Path) -> None:
     # i starts from the reference's projected data plus iota_i * w0.
     u0_ref = u0.packed().coefficients
     starts = [u0_ref] + [grid.project(u0_ref) + iota * w0 for iota in iotas]
-    batch = GNState.from_packed(SpectralField(grid, np.stack(starts, axis=1)), t=0.0)
+    batch = GNState.from_packed(SpectralField(grid, np.stack(starts, axis=1)))
     u_ref, *u_nums = mol_solve(params, batch, T, dt, tol=tol)
     base_res = manufactured_residual(params, u_ref, tol=tol)
 
@@ -668,7 +670,7 @@ def cmd_scaling(cfg: dict, out: Path) -> None:
             f_packed = (mu**2 / eps) * np.concatenate([TinvR1.coefficients, R[d:]])
             u_app = mol_solve(params, u0, T, dt, forcing_fn=lambda t: f_packed, tol=tol)
         else:
-            u_app = mol_solve(params, u0, T, dt, tol=tol)
+            u_app = u_ref  # unforced: the same run
         rows.append((mu, eps, _sup_diff_norm(params, u_app, u_ref, s_err)))
     fit = [(m, e) for m, _, e in rows if e > 0.0]
     exponent = None

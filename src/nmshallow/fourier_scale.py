@@ -392,8 +392,8 @@ class SpectralField:
     def copy(self) -> "SpectralField":
         return SpectralField(self.grid, self.coefficients.copy())
 
-    def validate(self, tol: float = 1e-12) -> None:
-        """Check finiteness and Hermitian symmetry (relative tolerance)."""
+    def validate(self) -> None:
+        """Check finiteness and Hermitian symmetry (to 1e-12 relative)."""
         self.require_single("validate")
         c = self.coefficients
         if not np.all(np.isfinite(c.view(np.float64))):
@@ -402,8 +402,8 @@ class SpectralField:
         mirrored = np.conj(_reverse_modes(c, axes))
         scale = np.max(np.abs(c)) or 1.0
         err = np.max(np.abs(c - mirrored))
-        if err > tol * scale:
-            raise ValueError(f"Hermitian symmetry violated: {err:.3e} > {tol:.1e}*{scale:.3e}")
+        if err > 1e-12 * scale:
+            raise ValueError(f"Hermitian symmetry violated: {err:.3e} > 1.0e-12*{scale:.3e}")
 
     # Small linear algebra so iteration updates read naturally.
     def __add__(self, other: "SpectralField") -> "SpectralField":
@@ -614,9 +614,16 @@ def _time_derivative_arrays(snaps: np.ndarray, dt: float) -> np.ndarray:
 def _uniform_steps(T: float, dt: float) -> int:
     """Number of steps of the uniform time grid of [0, T] with step dt.
 
-    dt divides T when the grid's own step T/n, n = round(T/dt), equals dt to
-    1e-8 relative; otherwise DomainError, with every digit of both steps.
+    T and dt must be finite and positive, and so must T/dt; otherwise
+    ValueError, before any step. dt divides T when the grid's own step T/n,
+    n = round(T/dt), equals dt to 1e-8 relative; otherwise DomainError, with
+    every digit of both steps.
     """
+    if not (0.0 < T < math.inf and 0.0 < dt < math.inf and T / dt < math.inf):
+        raise ValueError(
+            f"the horizon T={T!r} and the step dt={dt!r} must be finite and positive, "
+            "with a finite number of steps T/dt"
+        )
     n = max(1, int(round(T / dt)))
     if abs(T / n - dt) > 1e-8 * dt:
         raise DomainError(
@@ -633,47 +640,23 @@ def _chunks(n: int) -> list[slice]:
     return [slice(start, min(start + _CHUNK, n)) for start in range(0, n, _CHUNK)]
 
 
-def _snapshot_norms(
-    u: TrajectoryField,
-    s: float,
-    snapshot_norm: Callable[[SpectralField, float], Sequence[float]] | None,
-) -> np.ndarray:
-    norm = _member_norms if snapshot_norm is None else snapshot_norm
-    out = np.empty(u.n_times)
-    for part in _chunks(u.n_times):
-        out[part] = norm(u.chunk(part), s)
-    return out
-
-
 def trajectory_norm(
     u: TrajectoryField,
     s: float,
-    mode: str = "XsT",
-    m: float = 0.0,
     snapshot_norm: Callable[[SpectralField, float], Sequence[float]] | None = None,
-    dudt: TrajectoryField | None = None,
 ) -> float:
-    """Trajectory norms over the uniform time grid.
-
-    mode "XsT":  sup_t |u(t)|_s
-    mode "Es":   sup_t |u(t)|_s + sup_t |du/dt(t)|_{s-m}
+    """sup_t |u(t)|_s over the snapshots of a trajectory.
 
     `snapshot_norm(field, index)` overrides the plain Sobolev norm (used by
     the shallow-water norms, which carry a dispersive divergence term). It
     receives the snapshots as batched fields, (components, B, *shape), at
-    most `_CHUNK` at a time, and returns their B norms. `dudt` is
-    `time_derivative(u)` when the caller already holds it (mode "Es" only);
-    it is formed here otherwise.
+    most `_CHUNK` at a time, and returns their B norms.
     """
-    if mode == "XsT":
-        return float(np.max(_snapshot_norms(u, s, snapshot_norm)))
-    if mode == "Es":
-        if dudt is None:
-            dudt = time_derivative(u)
-        base = float(np.max(_snapshot_norms(u, s, snapshot_norm)))
-        slope = float(np.max(_snapshot_norms(dudt, s - m, snapshot_norm)))
-        return base + slope
-    raise ValueError(f"unknown trajectory norm mode {mode!r}")
+    norm = _member_norms if snapshot_norm is None else snapshot_norm
+    out = np.empty(u.n_times)
+    for part in _chunks(u.n_times):
+        out[part] = norm(u.chunk(part), s)
+    return float(np.max(out))
 
 
 # --------------------------------------------------------------- persistence

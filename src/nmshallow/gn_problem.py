@@ -43,9 +43,8 @@ class GNProblem(ProblemInterface):
     """Shallow-water Cauchy problem in filtered variables.
 
     initial: physical state at t = 0 (identical in filtered variables).
-    forcing_fn: optional physical right-hand side sampler t -> packed
-        coefficient array; the engine sees its filtered version.
 
+    The problem is unforced: it keeps the engine's default `forcing`.
     `linearize` builds the substituted coefficients, whose time derivatives
     were eliminated through the equations (see `build_linearized_coeffs`).
     """
@@ -54,13 +53,11 @@ class GNProblem(ProblemInterface):
         self,
         params: PhysicalParams,
         initial: GNState,
-        forcing_fn=None,
         tol: float = 1e-12,
     ) -> None:
         self.params = params
         self.grid: GridSpec = initial.grid
         self._initial = initial.packed()
-        self._forcing_fn = forcing_fn
         self.tol = tol
 
     # -- engine capabilities ------------------------------------------------
@@ -90,7 +87,7 @@ class GNProblem(ProblemInterface):
             None if forcing is None else conjugate_trajectory(self.params, forcing, +1)
         )
         ivp = IVPData(
-            initial=GNState.from_packed(initial, t=0.0),
+            initial=GNState.from_packed(initial),
             horizon=T,
             dt=dt,
             forcing=forcing_phys,
@@ -100,16 +97,6 @@ class GNProblem(ProblemInterface):
         # conjugation back allocates the filtered solution
         del ivp, forcing_phys
         return conjugate_trajectory(self.params, sol, direction=-1)
-
-    def forcing(self, times: np.ndarray) -> TrajectoryField | None:
-        if self._forcing_fn is None:
-            return None
-        times = np.asarray(times, dtype=np.float64)
-        snaps = np.stack(
-            [np.asarray(self._forcing_fn(float(t)), dtype=np.complex128) for t in times]
-        )
-        filtered = evolve_packed(self.grid, self.params.eps, -times, snaps.swapaxes(0, 1))
-        return TrajectoryField(self.grid, times, filtered.swapaxes(0, 1))
 
     def initial_data(self) -> SpectralField:
         return SpectralField(self.grid, self._initial.coefficients.copy())

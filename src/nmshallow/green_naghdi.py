@@ -266,11 +266,10 @@ class PhysicalParams:
 
 @dataclass
 class GNState:
-    """Velocity/elevation pair on one grid, optionally time-stamped."""
+    """Velocity/elevation pair on one grid."""
 
     V: SpectralField
     zeta: SpectralField
-    t: float | None = None
 
     def __post_init__(self) -> None:
         d = self.V.grid.dimension
@@ -299,14 +298,13 @@ class GNState:
         )
 
     @classmethod
-    def from_packed(cls, u: SpectralField, t: float | None = None) -> "GNState":
+    def from_packed(cls, u: SpectralField) -> "GNState":
         d = u.grid.dimension
         if u.components != d + 1:
             raise ValueError(f"packed state needs {d + 1} components, got {u.components}")
         return cls(
             V=SpectralField(u.grid, u.coefficients[:d].copy()),
             zeta=SpectralField(u.grid, u.coefficients[d:].copy()),
-            t=t,
         )
 
 
@@ -950,7 +948,7 @@ def nonlinear_F(
     F2c = grid.project(_div_c(grid, flux_c))[None]
     if u.batch is None:
         F1c, F2c = F1c[:, 0], F2c[:, 0]
-    return GNState(V=SpectralField(grid, F1c), zeta=SpectralField(grid, F2c), t=u.t)
+    return GNState(V=SpectralField(grid, F1c), zeta=SpectralField(grid, F2c))
 
 
 def _tendency_rows(
@@ -1243,7 +1241,7 @@ def apply_K(
     row2 = _div_c(grid, flux_c)
     row2 += _div_c(grid, zV_c)
     row2 = grid.project(row2)
-    return GNState(V=K1, zeta=SpectralField(grid, row2[None]), t=v.t)
+    return GNState(V=K1, zeta=SpectralField(grid, row2[None]))
 
 
 def _K_rows(
@@ -1353,20 +1351,20 @@ def frechet_F(
     params: PhysicalParams,
     t: int,
     v: GNState,
-    tol: float = 1e-12,
 ) -> GNState:
     """Directional derivative of the nonstiff tendency F at the reference.
 
     DF[ubar] v = ( bigTbar^{-1}(N1 V + N2 zeta) - (1/eps) grad zeta,
                    N3 V + N4 zeta - (1/eps) div V ).
     It is the exact derivative only on coefficients built with
-    `substituted=False`; substituted ones raise ValueError.
+    `substituted=False`; substituted ones raise ValueError. Its elliptic
+    solve runs at `apply_K`'s default tolerance.
     """
     if coeffs.substituted:
         raise ValueError(
             "frechet_F needs the exact coefficients: build_linearized_coeffs(substituted=False)"
         )
-    return apply_K(coeffs, params, float(coeffs.times[t]), v, tol=tol)
+    return apply_K(coeffs, params, float(coeffs.times[t]), v)
 
 
 # ------------------------------------------------------------------- norms

@@ -352,7 +352,6 @@ def _integrate_filtered(
         state = GNState(
             V=SpectralField(grid, v_arr[:d]),
             zeta=SpectralField(grid, v_arr[d : d + 1]),
-            t=t,
         )
         G = tendency(t, state, x0)
         k = -np.concatenate([G.V.coefficients, G.zeta.coefficients]).reshape(packed_shape)

@@ -31,7 +31,6 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -103,8 +102,12 @@ def p_min_threshold(m: float, d1: float, d1p: float, D: float) -> tuple[float, f
     P_min = delta + (D/q) * (3*delta + 2*q + 2*sqrt(2*delta*(delta+q))),
     the expanded square of delta + (D/q)*(sqrt(delta) + sqrt(2(delta+q)))^2;
     the expanded form keeps perfect-square radicands exact in floating
-    point (the reference shallow-water set gives exactly 38).
+    point (the reference shallow-water set gives exactly 38). A loss order
+    that is not finite raises InfeasibleScheduleError naming it.
     """
+    for name, value in (("m", m), ("d1", d1), ("d1p", d1p), ("D", D)):
+        if not math.isfinite(value):
+            raise InfeasibleScheduleError(f"{name} must be finite, got {value:g}")
     delta = max(d1, d1p + m)
     q = D - m - d1p
     if q <= 0.0:
@@ -125,9 +128,7 @@ def compute_schedule(
     P: float,
     margin: float = 0.5,
     s0: float = 1.0,
-    s: float | None = None,
     theta0: float = 10.0,
-    M: float | None = None,
 ) -> ScheduleParams:
     """Derive the full exponent schedule from the loss orders.
 
@@ -140,7 +141,8 @@ def compute_schedule(
 
     mu = 1 - D/(P - delta), by convex combination with weight `margin`
     (0 = at the lower endpoint, 1 = at rbar; both endpoints excluded, so
-    margin must lie strictly inside (0, 1)).
+    margin must lie strictly inside (0, 1)). The working index is
+    s = s0 + m; M is left None, to be measured at run time.
     """
     if not (0.0 < margin < 1.0):
         raise InfeasibleScheduleError(f"margin must lie in (0, 1), got {margin:g}")
@@ -164,8 +166,6 @@ def compute_schedule(
         "schedule algebra violated"
     )
     r = (1.0 - margin) * r_lo + margin * rbar
-    if s is None:
-        s = s0 + m
     return ScheduleParams(
         m=m,
         d1=d1,
@@ -173,13 +173,12 @@ def compute_schedule(
         D=D,
         P=P,
         s0=s0,
-        s=s,
+        s=s0 + m,
         delta=delta,
         q=q,
         alpha=alpha,
         r=r,
         theta0=theta0,
-        M=M,
         p_min=p_min,
         margin=margin,
         degenerate_alpha=degenerate,
@@ -294,6 +293,9 @@ class ProblemInterface(ABC):
     of norms. The engine hands them the snapshots of a trajectory in chunks
     of at most `fourier_scale._CHUNK` (one call per chunk), and a member's
     result must be that of its own single call.
+
+    `forcing`, `admissible` and `snapshot_norm` have defaults: no forcing,
+    everything admissible, and the plain Sobolev norm.
     """
 
     grid: GridSpec
@@ -319,9 +321,10 @@ class ProblemInterface(ABC):
     ) -> TrajectoryField:
         """Solve dv/dt + G_u[t] v = forcing, v(0) = initial, on [0, T]."""
 
-    @abstractmethod
     def forcing(self, times: np.ndarray) -> TrajectoryField | None:
-        """The filtered right-hand side sampled on `times`; None means 0."""
+        """The filtered right-hand side sampled on `times`; None means 0.
+        Default: no forcing."""
+        return None
 
     @abstractmethod
     def initial_data(self) -> SpectralField:
@@ -391,17 +394,17 @@ def initial_iterate(problem: ProblemInterface, T: float, dt: float) -> Trajector
 def residual(
     problem: ProblemInterface,
     u: TrajectoryField,
-    indices: Sequence[float],
+    sigma: float,
     m: float = 0.0,
     dudt: TrajectoryField | None = None,
-) -> tuple[TrajectoryField, SpectralField, dict[float, float]]:
-    """Defect of a trajectory: (phi1, phi2, norm map).
+) -> tuple[TrajectoryField, SpectralField, float]:
+    """Defect of a trajectory: (phi1, phi2, norm).
 
     phi1(t) = du/dt + G[t, u] - h with the second-order discrete time
-    derivative, phi2 = u(0) - g. The norm map sends each index sigma to
-    the pair norm sup_t |phi1(t)|_{sigma} + |phi2|_{sigma + m}, where m is
-    the problem's loss order (the datum part sits m higher on the scale).
-    `dudt` is `time_derivative(u)` when the caller already holds it.
+    derivative, phi2 = u(0) - g. The norm is the pair norm at index sigma,
+    sup_t |phi1(t)|_{sigma} + |phi2|_{sigma + m}, where m is the problem's
+    loss order (the datum part sits m higher on the scale). `dudt` is
+    `time_derivative(u)` when the caller already holds it.
     """
     h = problem.forcing(u.times)
     if h is not None and h.n_times != u.n_times:
@@ -417,12 +420,8 @@ def residual(
     phi1 = TrajectoryField(u.grid, u.times.copy(), phi1_snaps)
     g = problem.initial_data()
     phi2 = SpectralField(u.grid, u.snapshots[0] - g.coefficients)
-    norms: dict[float, float] = {}
-    for sigma in indices:
-        f_part = trajectory_norm(phi1, sigma, mode="XsT", snapshot_norm=problem.snapshot_norm)
-        g_part = problem.snapshot_norm(phi2, sigma + m)
-        norms[sigma] = f_part + g_part
-    return phi1, phi2, norms
+    norm = trajectory_norm(phi1, sigma, snapshot_norm=problem.snapshot_norm)
+    return phi1, phi2, norm + problem.snapshot_norm(phi2, sigma + m)
 
 
 def smooth_trajectory(u: TrajectoryField, theta: float) -> TrajectoryField:
@@ -440,9 +439,13 @@ def _norm_Es(
     m: float,
     dudt: TrajectoryField | None = None,
 ) -> float:
-    return trajectory_norm(
-        u, s, mode="Es", m=m, snapshot_norm=problem.snapshot_norm, dudt=dudt
-    )
+    """|u|_{E^s} = sup_t |u(t)|_s + sup_t |du/dt(t)|_{s-m} in the problem's
+    snapshot norm; `dudt` is `time_derivative(u)` when the caller already
+    holds it."""
+    if dudt is None:
+        dudt = time_derivative(u)
+    base = trajectory_norm(u, s, snapshot_norm=problem.snapshot_norm)
+    return base + trajectory_norm(dudt, s - m, snapshot_norm=problem.snapshot_norm)
 
 
 def _run_iteration(
@@ -479,8 +482,7 @@ def _run_iteration(
     for k in range(k_max + 1):
         # one du/dt per iterate, for the residual and both Es norms
         dudt = time_derivative(u)
-        phi1, phi2, norms = residual(problem, u, [res_index], m, dudt)
-        res = norms[res_index]
+        phi1, _, res = residual(problem, u, res_index, m, dudt)
         nu_D = _norm_Es(problem, u, sD, m, dudt)
         nu_P = _norm_Es(problem, u, sP, m, dudt)
         del dudt  # not held through the linear solve

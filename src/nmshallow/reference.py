@@ -54,7 +54,6 @@ def mol_solve(
     u0: GNState,
     T: float,
     dt: float,
-    forcing: TrajectoryField | None = None,
     forcing_fn=None,
     tol: float = 1e-12,
 ) -> TrajectoryField | list[TrajectoryField]:
@@ -69,10 +68,9 @@ def mol_solve(
     by classical RK4 with the dispersive sub-step cap of the linear
     solver, its stages written in physical variables; each stage's
     elliptic solve starts from the driver's prediction of its solution.
-    ``forcing`` is a trajectory aligned with the output grid (linearly
-    interpolated at stages); ``forcing_fn`` is a callable t -> packed
-    coefficient array evaluated exactly at each stage and takes
-    precedence.  Output snapshots are in physical variables.
+    ``forcing_fn`` is a callable t -> packed coefficient array evaluated
+    exactly at each stage; None means no forcing.  Output snapshots are in
+    physical variables.
 
     The water depth is checked at every output step (and inside every
     elliptic solve); dropping to the admissibility floor aborts with a
@@ -84,7 +82,7 @@ def mol_solve(
     call would return. It returns trajectories only; `counting()` sums
     their work over the members.
     """
-    ivp = IVPData(initial=u0, horizon=T, dt=dt, forcing=forcing, forcing_fn=forcing_fn)
+    ivp = IVPData(initial=u0, horizon=T, dt=dt, forcing_fn=forcing_fn)
     d = u0.grid.dimension
 
     def check_depth(t: float, u: np.ndarray) -> None:
@@ -114,7 +112,6 @@ def serre_solitary_wave(
     params: PhysicalParams,
     amplitude: float,
     t: float = 0.0,
-    center: float | None = None,
 ) -> GNState:
     """Exact solitary wave of the flat-bottom system, sampled on the grid.
 
@@ -127,10 +124,9 @@ def serre_solitary_wave(
         kappa      = sqrt( 3 eps a / (4 mu (1 + eps a)) ),
 
     moving at speed c/eps in the fast time variable used by the solvers
-    here.  ``center`` is the crest position at t = 0 (default: middle of
-    the box); the evaluation distance is wrapped periodically, so
-    translation by the box period is exact.  ``amplitude = 0`` returns
-    the rest state.
+    here, with its crest in the middle of the box at t = 0.  The
+    evaluation distance is wrapped periodically, so translation by the box
+    period is exact.  ``amplitude = 0`` returns the rest state.
 
     Raises DomainError for a non-flat bottom, a non-1D grid, a negative
     amplitude (the profile family requires a > 0), or an amplitude whose
@@ -154,7 +150,7 @@ def serre_solitary_wave(
     else:
         c = math.sqrt(1.0 + eps * a)
         kappa = math.sqrt(3.0 * eps * a / (4.0 * mu * (1.0 + eps * a)))
-        x_c = (L / 2.0 if center is None else float(center)) + (c / eps) * t
+        x_c = L / 2.0 + (c / eps) * t
         s = np.remainder(x - x_c + L / 2.0, L) - L / 2.0
         zeta_vals = a / np.cosh(kappa * s) ** 2
         v_vals = c * zeta_vals / (1.0 + eps * zeta_vals)
@@ -166,7 +162,6 @@ def serre_solitary_wave(
     return GNState(
         V=field_from_grid(grid, v_vals[None]),
         zeta=field_from_grid(grid, zeta_vals[None]),
-        t=t,
     )
 
 

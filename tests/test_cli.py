@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from nmshallow import cli, invariants, nash_moser
+from nmshallow import green_naghdi as gn
 from nmshallow.cli import main
 from nmshallow.errors import ConvergenceError, DivergenceError
 from nmshallow.fourier_scale import load_trajectory
@@ -304,6 +305,34 @@ def test_scaling_threads_write_same_bytes(runner, tmp_path):
         assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes()
 
 
+def test_unforced_scaling_runs_each_mu_once(runner, tmp_path):
+    # with zero forcing the forced run is the reference run, which used to be
+    # made twice per mu; the artifacts keep the bytes that the two runs gave
+    cfg = _write_cfg(
+        tmp_path,
+        {
+            "grid": {"nodes": 32},
+            "data": {"type": "random", "amplitude": 0.05, "decay": 4.0, "seed": 7},
+            "run": {"T": 0.2, "dt": 0.02},
+            "scaling": {"mus": [0.2, 0.1], "forcing": {"amplitude": 0.0}},
+        },
+    )
+    out = tmp_path / "o"
+    with gn.counting() as counts:
+        res = runner.invoke(main, ["scaling", "--config", cfg, "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert (out / "scaling.csv").read_bytes() == (
+        b"# schema_version: 1\n# config_hash: d88b194d4677\n"
+        b"# units: mu, eps dimensionless; error in X^0 (nondimensional)\n"
+        b"mu,eps,error\r\n0.20000000000000001,1,0\r\n0.10000000000000001,1,0\r\n"
+    )
+    assert json.loads((out / "scaling.json").read_text()) == {
+        "config_hash": "d88b194d4677", "eps_rule": "one", "exponent": None, "points": 0,
+    }
+    # one mol_solve per mu: 2 mus x 10 steps x 1 sub-step (40 when run twice)
+    assert counts["rk_substeps"] == 20
+
+
 def test_unreachable_cg_tolerance_exits_3(runner, tmp_path):
     cfg = _write_cfg(tmp_path, {**TINY_MOL, "run": {**TINY_MOL["run"], "cg_tol": 1e-30}})
     res = runner.invoke(main, ["solve", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -344,11 +373,46 @@ def test_negative_max_retries_exits_5(runner, tmp_path):
     assert not (tmp_path / "o" / "trace.csv").exists()
 
 
+# every command whose time stepping reads run.T and run.dt, with a config
+# that runs as it stands
+STEPPING = {
+    "solve": TINY_NM,
+    "convergence": TINY_NM,
+    "stability": {**TINY_MOL, "stability": {"iotas": [1e-2, 1e-3]}},
+    "scaling": {**TINY_MOL, "scaling": {"mus": [0.2, 0.1]}},
+}
+
+
+@pytest.mark.parametrize("command", sorted(STEPPING))
+@pytest.mark.parametrize(
+    "key, value",
+    [("dt", 0.0), ("T", math.inf), ("dt", 1e-320), ("dt", -0.005)],
+    ids=["dt-zero", "T-inf", "dt-subnormal", "dt-negative"],
+)
+def test_bad_horizon_or_step_exits_5(runner, tmp_path, command, key, value):
+    # dt = 0 and T = inf (also dt = 1e-320, T/dt overflowing) ended in a
+    # ZeroDivisionError or OverflowError traceback (exit 1); a negative dt
+    # exited 4 on a "nearest uniform grid"
+    base = STEPPING[command]
+    cfg = _write_cfg(tmp_path, {**base, "run": {**base["run"], key: value}})
+    res = runner.invoke(main, [command, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 5, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "config/I-O:" in res.output
+
+
 @pytest.mark.parametrize("command", ["schedule", "solve"])
-@pytest.mark.parametrize("key, value", [("theta0", math.nan), ("s0", math.nan), ("s0", math.inf)])
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("theta0", math.nan), ("s0", math.nan), ("s0", math.inf),
+        ("m", math.nan), ("d1", math.nan), ("d1p", math.nan), ("D", math.inf),
+    ],
+)
 def test_non_finite_schedule_entry_exits_2(runner, tmp_path, command, key, value):
     # a NaN theta0 was feasible and its iterate never moved (exit 0); a NaN s0
-    # ran every retry into a "divergence" (exit 3)
+    # ran every retry into a "divergence" (exit 3); a non-finite loss order
+    # exited 2 on a P_min of nan, with "delta = 2" for m = NaN
     cfg = _write_cfg(tmp_path, {**TINY_NM, "schedule": {key: value}})
     out = tmp_path / "o"
     res = runner.invoke(main, [command, "--config", cfg, "--out", str(out)])

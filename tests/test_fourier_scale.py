@@ -195,7 +195,7 @@ def test_field_shape_validation(grid1d):
 
 def test_random_field_is_real(grid2d, rng):
     u = random_field(grid2d, 2, rng, amplitude=0.7, decay=2.0)
-    u.validate(1e-12)
+    u.validate()
     vals = field_to_grid(u)
     assert vals.dtype == np.float64
     back = field_from_grid(grid2d, vals)
@@ -317,18 +317,12 @@ def test_time_derivative_second_order(grid1d, rng):
     assert 3.4 < e1 / e2 < 4.6
 
 
-def test_trajectory_norm_modes(grid1d, rng):
+def test_trajectory_norm_is_the_sup_over_snapshots(grid1d, rng):
     a = random_field(grid1d, 1, rng).coefficients
     times = np.linspace(0.0, 1.0, 9)
     traj = TrajectoryField(grid1d, times, np.stack([(1.0 + t) * a for t in times]))
     base = sobolev_norm(SpectralField(grid1d, a), 1.0)
-    assert math.isclose(trajectory_norm(traj, 1.0, mode="XsT"), 2.0 * base, rel_tol=1e-12)
-    # d/dt of the trajectory is the constant field a
-    es = trajectory_norm(traj, 1.0, mode="Es", m=1.0)
-    assert math.isclose(es, 2.0 * base + sobolev_norm(SpectralField(grid1d, a), 0.0),
-                        rel_tol=1e-10)
-    with pytest.raises(ValueError):
-        trajectory_norm(traj, 1.0, mode="nope")
+    assert math.isclose(trajectory_norm(traj, 1.0), 2.0 * base, rel_tol=1e-12)
 
 
 # -------------------------------------------------------------- serialization

@@ -41,7 +41,7 @@ def problem1d(grid1d, params1d, rng):
 def test_tendency_matches_direct_evaluation_at_t0(grid1d, params1d, problem1d):
     u = problem1d.initial_data()
     got = problem1d.evaluate_G(0.0, u)
-    F = nonlinear_F(params1d, GNState.from_packed(u, t=0.0))
+    F = nonlinear_F(params1d, GNState.from_packed(u))
     want = np.concatenate([F.V.coefficients, F.zeta.coefficients])
     assert np.max(np.abs(got.coefficients - want)) < 1e-12
 
@@ -54,7 +54,7 @@ def test_tendency_conjugation_identity(grid1d, params1d, rng):
     t = 0.7
     filt = evolve_packed(grid1d, params1d.eps, -t, phys)
     got = prob.evaluate_G(t, SpectralField(grid1d, filt))
-    F = nonlinear_F(params1d, GNState.from_packed(SpectralField(grid1d, phys), t=t))
+    F = nonlinear_F(params1d, GNState.from_packed(SpectralField(grid1d, phys)))
     want = evolve_packed(
         grid1d,
         params1d.eps,
@@ -64,18 +64,8 @@ def test_tendency_conjugation_identity(grid1d, params1d, rng):
     assert np.max(np.abs(got.coefficients - want)) < 1e-11
 
 
-def test_forcing_is_filtered_sampler(grid1d, params1d, rng):
-    f0 = random_field(grid1d, 2, rng, amplitude=0.1, decay=3.0).coefficients
-    prob = GNProblem(params1d, _small_state(grid1d, rng), forcing_fn=lambda t: f0)
-    times = np.array([0.0, 0.3, 0.6])
-    h = prob.forcing(times)
-    assert h is not None and h.n_times == 3
-    for i, t in enumerate(times):
-        want = evolve_packed(grid1d, params1d.eps, -float(t), f0)
-        assert np.max(np.abs(h.snapshots[i] - want)) < 1e-13
-        # one batched conjugation gives each time the bits of its own call
-        assert h.snapshots[i].tobytes() == want.tobytes()
-    assert GNProblem(params1d, _small_state(grid1d, rng)).forcing(times) is None
+def test_problem_is_unforced(problem1d):
+    assert problem1d.forcing(np.array([0.0, 0.3, 0.6])) is None
 
 
 def test_initial_data_is_defensive_copy(problem1d):

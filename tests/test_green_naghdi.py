@@ -101,11 +101,10 @@ def test_state_packing(grid2d, rng):
     u = GNState(
         V=random_field(grid2d, 2, rng),
         zeta=random_field(grid2d, 1, rng),
-        t=0.7,
     )
     packed = u.packed()
     assert packed.components == 3
-    back = GNState.from_packed(packed, t=0.7)
+    back = GNState.from_packed(packed)
     assert np.array_equal(back.V.coefficients, u.V.coefficients)
     assert np.array_equal(back.zeta.coefficients, u.zeta.coefficients)
     with pytest.raises(ValueError):

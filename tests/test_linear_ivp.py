@@ -86,7 +86,7 @@ def test_evolution_generator_is_wave_operator(dim, rng):
 def test_evolution_preserves_reality(grid2d, rng):
     u = _packed(grid2d, rng)
     out = SpectralField(grid2d, evolve_packed(grid2d, 0.7, 0.93, u))
-    out.validate(1e-11)
+    out.validate()
 
 
 def _ref_evolve_packed(grid, eps, t, coeffs):
@@ -225,8 +225,28 @@ def test_forcing_trajectory_horizon_checked(grid1d, params1d, state1d, rng):
     # the right number of snapshots over twice the horizon is not the output grid
     f0 = random_field(grid1d, 2, rng, amplitude=0.05, decay=4.0).coefficients
     long = TrajectoryField(grid1d, np.linspace(0.0, 0.4, 11), np.stack([f0] * 11))
+    coeffs = build_linearized_coeffs(params1d, mol_solve(params1d, state1d, 0.2, 0.02))
     with pytest.raises(DomainError, match=r"spans \[0, 0\.4\] in 11 snapshots"):
-        mol_solve(params1d, state1d, 0.2, 0.02, forcing=long)
+        solve_linearized(
+            params1d,
+            coeffs,
+            IVPData(initial=state1d, horizon=0.2, dt=0.02, forcing=long),
+        )
+
+
+def test_forcing_fn_matches_aligned_trajectory_at_low_order(grid1d, params1d, state1d, rng):
+    # a forcing constant in time is represented exactly both ways
+    f0 = random_field(grid1d, 2, rng, amplitude=0.05, decay=4.0).coefficients
+    times = np.linspace(0.0, 0.2, 11)
+    traj = TrajectoryField(grid1d, times, np.stack([f0] * 11))
+    coeffs = build_linearized_coeffs(params1d, mol_solve(params1d, state1d, 0.2, 0.02))
+    a = solve_linearized(
+        params1d, coeffs, IVPData(initial=state1d, horizon=0.2, dt=0.02, forcing=traj)
+    )
+    b = solve_linearized(
+        params1d, coeffs, IVPData(initial=state1d, horizon=0.2, dt=0.02, forcing_fn=lambda t: f0)
+    )
+    assert np.max(np.abs(a.snapshots - b.snapshots)) < 1e-12
 
 
 def test_dt_divides_horizon_by_one_rule(grid1d, params1d, state1d):
@@ -393,7 +413,7 @@ def _w_form_integrate(params, ivp, tendency):
         nonlocal forcing_scale
         v_arr = evolve_packed(grid, eps, t, w_arr).reshape(state_shape)
         state = GNState(
-            V=SpectralField(grid, v_arr[:d]), zeta=SpectralField(grid, v_arr[d : d + 1]), t=t
+            V=SpectralField(grid, v_arr[:d]), zeta=SpectralField(grid, v_arr[d : d + 1])
         )
         G = tendency(t, state)
         phys = -np.concatenate([G.V.coefficients, G.zeta.coefficients]).reshape(w_arr.shape)

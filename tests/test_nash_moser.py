@@ -11,6 +11,8 @@ from nmshallow.fourier_scale import (
     SpectralField,
     TrajectoryField,
     random_field,
+    sobolev_norm,
+    time_derivative,
     trajectory_norm,
     zero_field,
 )
@@ -19,6 +21,7 @@ from nmshallow.green_naghdi import GNState, PhysicalParams
 from nmshallow.nash_moser import (
     IterationTrace,
     ProblemInterface,
+    _norm_Es,
     check_induction,
     compute_schedule,
     initial_iterate,
@@ -170,10 +173,25 @@ def test_residual_of_constant_iterate_frozen(toy_grid, toy_schedule):
     gc = _mode(toy_grid, 12, 0.1)
     prob = AdvectionProblem(toy_grid, c=0.7, g_coeffs=gc)
     u0 = initial_iterate(prob, 1.0, 0.01)
-    _, phi2, norms = residual(prob, u0, [toy_schedule.s], m=toy_schedule.m)
+    _, phi2, norm = residual(prob, u0, toy_schedule.s, m=toy_schedule.m)
     # single mode k=12, amplitude 0.1: |phi1|_{X^3 T} = 0.7 * 12 * <12>^3 * |g|_{L^2-ish}
-    assert norms[toy_schedule.s] == pytest.approx(1813.4329839384495, rel=1e-13)
+    assert norm == pytest.approx(1813.4329839384495, rel=1e-13)
     assert not np.any(phi2.coefficients)
+
+
+def test_norm_Es_adds_the_time_derivative_norm(grid1d, rng):
+    # |u|_{E^s} = sup_t |u(t)|_s + sup_t |du/dt(t)|_{s-m}, here in the
+    # default (plain Sobolev) snapshot norm
+    a = random_field(grid1d, 1, rng).coefficients
+    times = np.linspace(0.0, 1.0, 9)
+    traj = TrajectoryField(grid1d, times, np.stack([(1.0 + t) * a for t in times]))
+    prob = AdvectionProblem(grid1d, c=0.7, g_coeffs=a)
+    base = sobolev_norm(SpectralField(grid1d, a), 1.0)
+    # d/dt of the trajectory is the constant field a
+    es = _norm_Es(prob, traj, 1.0, 1.0)
+    assert math.isclose(es, 2.0 * base + sobolev_norm(SpectralField(grid1d, a), 0.0),
+                        rel_tol=1e-10)
+    assert _norm_Es(prob, traj, 1.0, 1.0, time_derivative(traj)) == es
 
 
 def test_engine_trace_and_first_step_bound(toy_grid, toy_schedule):
@@ -181,16 +199,16 @@ def test_engine_trace_and_first_step_bound(toy_grid, toy_schedule):
     gc = _mode(toy_grid, 12, 0.1)
     prob = AdvectionProblem(toy_grid, c=0.7, g_coeffs=gc)
     u0 = initial_iterate(prob, 1.0, 0.01)
-    phi1, _, norms0 = residual(prob, u0, [sch.s], m=sch.m)
+    phi1, _, norm0 = residual(prob, u0, sch.s, m=sch.m)
 
     _, trace = nash_moser_solve(prob, sch, 1.0, 0.01, k_max=8, target_residual=1e-10)
     assert trace.stop_reason == "k_max"
     assert len(trace) == 9
-    assert trace.residual_F[0] == pytest.approx(norms0[sch.s], rel=1e-13)
+    assert trace.residual_F[0] == pytest.approx(norm0, rel=1e-13)
 
     # one corrective step must beat the tame first-step estimate
     bound = sch.theta0 ** (sch.m + sch.d1p - sch.D) * trajectory_norm(
-        phi1, sch.s + sch.D - sch.m, mode="XsT"
+        phi1, sch.s + sch.D - sch.m
     )
     assert bound == pytest.approx(1.643424e4, rel=1e-5)
     assert trace.residual_F[1] <= bound
@@ -228,7 +246,7 @@ def _unsmoothed(schedule):
     """The same schedule at theta0 = inf, where S_theta keeps every mode."""
     return compute_schedule(
         schedule.m, schedule.d1, schedule.d1p, schedule.D, schedule.P,
-        margin=schedule.margin, s0=schedule.s0, s=schedule.s, theta0=math.inf,
+        margin=schedule.margin, s0=schedule.s0, theta0=math.inf,
     )
 
 
@@ -259,8 +277,7 @@ def _picard_reference(problem, T, dt, k_max, target_residual, s_index, m):
     g = problem.initial_data()
     history = []
     for k in range(k_max + 1):
-        phi1, phi2, norms = residual(problem, u, [sigma], m)
-        res = norms[sigma]
+        phi1, phi2, res = residual(problem, u, sigma, m)
         history.append(res)
         if not math.isfinite(res) or (
             len(history) >= 4
@@ -415,7 +432,7 @@ def test_trace_csv_round_trip(tmp_path):
 
 
 def test_check_induction_planted_violation():
-    sch = compute_schedule(2, 2, 0, 4, 38.5, theta0=10.0, M=2.0)
+    sch = compute_schedule(2, 2, 0, 4, 38.5, theta0=10.0)
     tr = IterationTrace()
     tr.M_used = 2.0
     # k=0: all fine (theta=10, alpha=6 -> bound 1e6)

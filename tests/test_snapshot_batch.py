@@ -73,7 +73,7 @@ def _evaluate_G_loop(problem, t, snap):
     """GNProblem.evaluate_G on one snapshot, as it was written per snapshot."""
     grid, eps = problem.grid, problem.params.eps
     phys = evolve_packed(grid, eps, t, snap)
-    state = GNState.from_packed(SpectralField(grid, phys), t=t)
+    state = GNState.from_packed(SpectralField(grid, phys))
     F = nonlinear_F(problem.params, state, tol=problem.tol)
     packed = np.concatenate([F.V.coefficients, F.zeta.coefficients])
     return evolve_packed(grid, eps, -t, packed)
@@ -353,5 +353,5 @@ def test_snapshot_passes_call_nonlinear_F_once_per_chunk(monkeypatch):
     chunks = math.ceil(u0.n_times / fourier_scale._CHUNK)
     assert calls["n"] == chunks
     calls["n"] = 0
-    nash_moser.residual(problem, u0, [3.0], m=2.0)
+    nash_moser.residual(problem, u0, 3.0, m=2.0)
     assert calls["n"] == chunks

@@ -300,3 +300,88 @@ def test_validate_and_the_criteria_share_one_body_per_invariant():
     criteria = ast.parse(Path(__file__).with_name("test_acceptance.py").read_text())
     assert _referenced_names(checks) & measured == set()
     assert _referenced_names(criteria) & measured == set()
+
+
+# optional parameters that no call in the package, the scripts or the
+# benchmark sets, each kept for the reason given
+UNSET_OPTIONS_KEPT = {
+    # tests reach the solve's failure contract with max_iter=1 or 50, and
+    # the failure text names it
+    "invert_bigT.max_iter",
+    # perfbench sets it through inspect.signature(invert_bigT).bind
+    "invert_bigT.return_info",
+    # the exact linearization (substituted=False) is criterion 4's reference
+    "build_linearized_coeffs.substituted",
+}
+
+
+def _optional_parameters(tree: ast.Module) -> list[tuple[str, str, str, int | None]]:
+    """(label, called name, parameter, position or None for keyword-only)
+    for each parameter with a default of a module-level function or a
+    method; a class's `__init__` is called by the class's name."""
+
+    def params(func, method):
+        args = func.args
+        positional = args.posonlyargs + args.args
+        static = any(getattr(d, "id", None) == "staticmethod" for d in func.decorator_list)
+        if method and not static:
+            positional = positional[1:]
+        first = len(positional) - len(args.defaults)
+        for i, arg in enumerate(positional[first:], start=first):
+            yield arg.arg, i
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield arg.arg, None
+
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            out += [(node.name, node.name, name, i) for name, i in params(node, False)]
+        elif isinstance(node, ast.ClassDef):
+            for func in node.body:
+                if not isinstance(func, ast.FunctionDef):
+                    continue
+                init = func.name == "__init__"
+                label = node.name if init else f"{node.name}.{func.name}"
+                called = node.name if init else func.name
+                out += [(label, called, name, i) for name, i in params(func, True)]
+    return out
+
+
+def _calls_by_name(paths) -> dict[str, list[ast.Call]]:
+    """Every call in the given files, keyed by the called name (`f(...)`
+    and `obj.f(...)` alike)."""
+    calls: dict[str, list[ast.Call]] = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name:
+                    calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _sets(call: ast.Call, name: str, position: int | None) -> bool:
+    if any(kw.arg in (name, None) for kw in call.keywords):  # None: **kwargs
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def test_every_optional_parameter_has_a_caller():
+    # an option exists where callers set different values; one that no call
+    # in the package, the scripts or the benchmark sets is a constant
+    root = PACKAGE.parents[1]
+    callers = [p for d in ("src", "scripts", "perfbench") for p in sorted((root / d).rglob("*.py"))]
+    calls = _calls_by_name(callers)
+    unset = {
+        f"{label}.{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for label, called, name, position in _optional_parameters(ast.parse(path.read_text()))
+        if not any(_sets(call, name, position) for call in calls.get(called, []))
+    }
+    assert sorted(unset - UNSET_OPTIONS_KEPT) == []
+    # a kept option that a caller now sets needs no exception any more
+    assert sorted(UNSET_OPTIONS_KEPT - unset) == []
