@@ -1,7 +1,8 @@
 """Experiment runner: schedules, solver runs, traces, stability/scaling studies.
 
-Every subcommand is driven by a JSON config (versioned schema, defaults
-documented in ``configs/defaults.json``) and emits CSV/JSON artifacts into
+Every subcommand is driven by a JSON config (versioned schema, one table
+`SCHEMA` declaring each key's default and domain, the defaults mirrored in
+``configs/defaults.json``) and emits CSV/JSON artifacts into
 the output directory.  CSV files carry leading ``#`` comment lines naming
 units and the config hash so outputs are traceable to their inputs;
 identical config + seed reproduce byte-identical CSVs.  Plotting is out of
@@ -9,9 +10,10 @@ scope: downstream scripts consume the CSVs.
 
 Exit codes: 0 success, 1 validation-suite failure, 2 infeasible schedule,
 3 solver divergence / step-size / elliptic-convergence failure, 4 domain
-violation (depth floor, invalid problem domain), 5 I/O or config errors
-(a `run.T` or `run.dt` that is not finite and positive, or whose ratio
-overflows, among them).
+violation (depth floor, invalid problem domain), 5 I/O or config errors.
+Every key of the merged config is checked against `SCHEMA` at load, before
+any work and whatever the command reads: a value outside a schedule key's
+domain exits 2, any other bad value or an unknown key exits 5.
 Code 2 is also click's usage error (an invalid option value such as
 `--threads 0`, an unknown option): stderr then starts with "Usage:".
 
@@ -35,6 +37,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import click
 import numpy as np
@@ -81,64 +84,139 @@ from .reference import manufactured_residual, mol_solve, serre_solitary_wave
 
 SCHEMA_VERSION = 1
 
-# Reference defaults for every recognized config key; user configs are
-# deep-merged on top of this (see configs/defaults.json for the same data
-# with commentary).
-DEFAULTS: dict = {
-    "schema_version": SCHEMA_VERSION,
-    "seed": 0,
+
+class _Key(NamedTuple):
+    """One config key: its default, the test a value must pass, the words for
+    the test, and the error refusing a value (a schedule key's exits 2)."""
+
+    default: object
+    ok: Callable[[object], bool]
+    what: str
+    error: type = ValueError
+
+
+def _is_int(v) -> bool:
+    """A JSON integer: not a bool, and not a float such as 7.0 or 7.9."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _real(default, lo=-math.inf, hi=math.inf, closed=False, error=ValueError) -> _Key:
+    """A number in (lo, hi), or in (lo, hi] if `closed`: never NaN, and
+    infinite only as an included hi."""
+    def ok(v) -> bool:
+        number = isinstance(v, (int, float)) and not isinstance(v, bool)
+        return number and lo < v and (v <= hi if closed else v < hi)
+
+    what = "a number" if hi == math.inf and closed else "a finite number"
+    if hi < math.inf or closed:
+        what += f" in ({lo:g}, {hi:g}{']' if closed else ')'}"
+    elif lo > -math.inf:
+        what += f" > {lo:g}"
+    return _Key(default, ok, what, error)
+
+
+def _reals(default, lo=-math.inf, hi=math.inf) -> _Key:
+    """A list, empty or not, of numbers that `_real(lo, hi)` accepts."""
+    item = _real(None, lo, hi)
+    return _Key(default, lambda v: isinstance(v, list) and all(map(item.ok, v)),
+                f"a list whose items are each {item.what}")
+
+
+def _int(default, lo: int) -> _Key:
+    return _Key(default, lambda v: _is_int(v) and v >= lo, f"an integer >= {lo}")
+
+
+def _choice(default, *options) -> _Key:
+    return _Key(default, lambda v: any(v == o and type(v) is type(o) for o in options),
+                "one of " + ", ".join(map(repr, options)))
+
+
+_EPS = _real(None, 0.0, 1.0, closed=True)
+# Every config key with its default and domain (configs/defaults.json mirrors
+# the defaults). A check spanning keys stays where both are known: a custom
+# regime's physics.eps, data.mode against the grid's band (_single_mode_zeta),
+# the overflow of run.T / run.dt (_uniform_steps), P > P_min (compute_schedule).
+SCHEMA: dict = {
+    "schema_version": _choice(SCHEMA_VERSION, SCHEMA_VERSION),
+    "seed": _int(0, 0),
     "grid": {
-        "dimension": 1,
-        "nodes": 64,
-        "length": 2.0 * math.pi,
-        "dealias_fraction": 2.0 / 3.0,
+        "dimension": _choice(1, 1, 2),
+        "nodes": _Key(64, lambda v: _is_int(v) and v >= 8 and v % 2 == 0, "an even integer >= 8"),
+        "length": _real(2.0 * math.pi, 0.0),
+        "dealias_fraction": _real(2.0 / 3.0, 0.0, 1.0, closed=True),
     },
     "physics": {
-        "mu": 0.1,
-        "regime": "serre",  # serre -> eps = sqrt(mu); green_naghdi -> eps = 1; custom -> "eps"
-        "eps": None,
-        "h0": 0.5,
-        "bathymetry": {"type": "zero", "amplitude": 0.05, "decay": 5.0, "seed": 101},
+        "mu": _real(0.1, 0.0, 1.0),
+        # serre -> eps = sqrt(mu); green_naghdi -> eps = 1; custom -> physics.eps
+        "regime": _choice("serre", "serre", "green_naghdi", "custom"),
+        "eps": _Key(None, lambda v: v is None or _EPS.ok(v), "null or " + _EPS.what),
+        "h0": _real(0.5, 0.0),
+        "bathymetry": {"type": _choice("zero", "zero", "random"), "amplitude": _real(0.05),
+                       "decay": _real(5.0), "seed": _int(101, 0)},
     },
     "data": {
-        "type": "single_mode",  # zero | single_mode | random | solitary
-        "amplitude": 1e-5,
-        "mode": 1,
-        "decay": 4.0,
-        "seed": 202,
-        "v_amplitude": 0.0,
+        "type": _choice("single_mode", "zero", "single_mode", "random", "solitary"),
+        "amplitude": _real(1e-5),
+        "mode": _Key(1, lambda v: _is_int(v) or (  # a pair in 2D only
+            isinstance(v, list) and len(v) == 2 and all(map(_is_int, v))
+        ), "an integer or a pair of integers"),
+        "decay": _real(4.0), "seed": _int(202, 0), "v_amplitude": _real(0.0),
     },
     "schedule": {
-        "m": 2.0,
-        "d1": 2.0,
-        "d1p": 0.0,
-        "D": 4.0,
-        "P": 38.5,
-        "margin": 0.5,
-        "s0": 1.0,
-        "theta0": 10.0,
+        "m": _real(2.0, error=InfeasibleScheduleError),
+        "d1": _real(2.0, error=InfeasibleScheduleError),
+        "d1p": _real(0.0, error=InfeasibleScheduleError),
+        "D": _real(4.0, error=InfeasibleScheduleError),
+        "P": _real(38.5, error=InfeasibleScheduleError),
+        "margin": _real(0.5, 0.0, 1.0, error=InfeasibleScheduleError),
+        "s0": _real(1.0, error=InfeasibleScheduleError),
+        # theta0 = Infinity is the unsmoothed iteration
+        "theta0": _real(10.0, 1.0, math.inf, closed=True, error=InfeasibleScheduleError),
     },
     "run": {
-        "T": 1.0,
-        "dt": 0.005,
-        "solver": "nash_moser",  # nash_moser | mol | both
-        "k_max": 25,
-        "target_residual": 1e-8,
-        "max_retries": 3,
-        "cg_tol": 1e-12,
+        "T": _real(1.0, 0.0), "dt": _real(0.005, 0.0),
+        "solver": _choice("nash_moser", "nash_moser", "mol", "both"),
+        "k_max": _int(25, 0),
+        "target_residual": _real(1e-8, 0.0),
+        "max_retries": _int(3, 0),
+        "cg_tol": _real(1e-12, 0.0, 1.0),  # relative tolerance of every elliptic solve
     },
     "stability": {
-        "iotas": [1e-2, 1e-3, 1e-4],
-        "norm_index": 7.0,
-        "perturbation": {"type": "random", "amplitude": 0.05, "decay": 4.0, "seed": 303},
+        "iotas": _reals([1e-2, 1e-3, 1e-4]),
+        "norm_index": _real(7.0),
+        "perturbation": {"type": _choice("random", "zero", "random"), "amplitude": _real(0.05),
+                         "decay": _real(4.0), "seed": _int(303, 0)},
     },
     "scaling": {
-        "mus": [0.2, 0.1, 0.05],
-        "eps_rule": "one",  # one -> eps = 1; sqrt_mu -> eps = sqrt(mu)
-        "norm_index": 0.0,
-        "forcing": {"amplitude": 0.1, "decay": 4.0, "seed": 404},
+        "mus": _reals([0.2, 0.1, 0.05], 0.0, 1.0),
+        "eps_rule": _choice("one", "one", "sqrt_mu"),  # one -> eps = 1; sqrt_mu -> sqrt(mu)
+        "norm_index": _real(0.0),
+        "forcing": {"amplitude": _real(0.1), "decay": _real(4.0), "seed": _int(404, 0)},
     },
 }
+
+
+def _defaults(table: dict) -> dict:
+    return {k: _defaults(v) if isinstance(v, dict) else v.default for k, v in table.items()}
+
+
+DEFAULTS: dict = _defaults(SCHEMA)
+
+
+def _check(cfg: dict, table: dict = SCHEMA, prefix: str = "") -> None:
+    """Refuse an unknown key, a section that is not an object, or a value
+    outside its key's domain, naming the dotted key and the value."""
+    for key, value in cfg.items():
+        name, spec = prefix + key, table.get(key)
+        if spec is None:
+            raise ValueError(f"unknown config key {name} (value {value!r})")
+        if not isinstance(spec, dict):
+            if not spec.ok(value):
+                raise spec.error(f"{name} must be {spec.what}, got {value!r}")
+        elif not isinstance(value, dict):
+            raise ValueError(f"{name} must be an object, got {value!r}")
+        else:
+            _check(value, spec, name + ".")
 
 
 # ------------------------------------------------------------ config plumbing
@@ -172,19 +250,15 @@ def _load_config(path: str | None, seed: int | None) -> dict:
         if not isinstance(user, dict):
             raise ValueError("config root must be a JSON object")
     cfg = _deep_merge(DEFAULTS, user)
-    version = cfg.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported config schema_version {version!r} (expected {SCHEMA_VERSION})"
-        )
+    _check(cfg)
     if seed is not None:
-        cfg["seed"] = int(seed)
+        cfg["seed"] = seed
         if seed:
             for path in _SEEDED_SECTIONS:
                 section = cfg
                 for key in path:
                     section = section[key]
-                section["seed"] = int(section["seed"]) + SEED_STRIDE * int(seed)
+                section["seed"] += SEED_STRIDE * seed
     return cfg
 
 
@@ -222,8 +296,8 @@ def _write_json(path: Path, payload: dict) -> None:
 def _grid_from_cfg(cfg: dict) -> GridSpec:
     g = cfg["grid"]
     return GridSpec(
-        dimension=int(g["dimension"]),
-        nodes_per_axis=int(g["nodes"]),
+        dimension=g["dimension"],
+        nodes_per_axis=g["nodes"],
         domain_length=float(g["length"]),
         dealias_fraction=float(g["dealias_fraction"]),
     )
@@ -235,23 +309,18 @@ def _resolve_eps(phys: dict, mu: float) -> float:
         return math.sqrt(mu)
     if regime == "green_naghdi":
         return 1.0
-    if regime == "custom":
-        if phys.get("eps") is None:
-            raise ValueError("regime 'custom' requires an explicit physics.eps")
-        return float(phys["eps"])
-    raise ValueError(f"unknown regime {regime!r} (serre | green_naghdi | custom)")
+    if phys["eps"] is None:  # regime custom
+        raise ValueError("regime 'custom' requires an explicit physics.eps")
+    return float(phys["eps"])
 
 
 def _bathymetry(grid: GridSpec, spec: dict) -> SpectralField:
-    kind = spec["type"]
-    if kind == "zero":
+    if spec["type"] == "zero":
         return zero_field(grid)
-    if kind == "random":
-        rng = np.random.default_rng(int(spec["seed"]))
-        return random_field(
-            grid, 1, rng, amplitude=float(spec["amplitude"]), decay=float(spec["decay"])
-        )
-    raise ValueError(f"unknown bathymetry type {kind!r} (zero | random)")
+    rng = np.random.default_rng(spec["seed"])
+    return random_field(
+        grid, 1, rng, amplitude=float(spec["amplitude"]), decay=float(spec["decay"])
+    )
 
 
 def _params_from_cfg(cfg: dict, mu: float | None = None, eps: float | None = None) -> PhysicalParams:
@@ -265,17 +334,6 @@ def _params_from_cfg(cfg: dict, mu: float | None = None, eps: float | None = Non
         b=_bathymetry(grid, phys["bathymetry"]),
         h0=float(phys["h0"]),
     )
-
-
-def _cg_tol(cfg: dict) -> float:
-    """`run.cg_tol`, the relative tolerance of every elliptic solve: a finite
-    number in (0, 1), else ValueError. Each command that solves reads it
-    first, before any work."""
-    raw = cfg["run"]["cg_tol"]
-    tol = float(raw)
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"run.cg_tol must be a finite number in (0, 1), got {raw!r}")
-    return tol
 
 
 def _schedule_from_cfg(cfg: dict) -> ScheduleParams:
@@ -318,7 +376,7 @@ def _initial_state(params: PhysicalParams, spec: dict) -> GNState:
         return GNState(V=zero_field(grid, grid.dimension), zeta=zero_field(grid))
     if kind == "single_mode":
         zeta = _single_mode_zeta(grid, spec["mode"], float(spec["amplitude"]))
-        v_amp = float(spec.get("v_amplitude", 0.0))
+        v_amp = float(spec["v_amplitude"])
         if v_amp == 0.0:
             V = zero_field(grid, grid.dimension)
         else:
@@ -333,14 +391,12 @@ def _initial_state(params: PhysicalParams, spec: dict) -> GNState:
             )
         return GNState(V=V, zeta=zeta)
     if kind == "random":
-        rng = np.random.default_rng(int(spec["seed"]))
+        rng = np.random.default_rng(spec["seed"])
         amp, decay = float(spec["amplitude"]), float(spec["decay"])
         V = random_field(grid, grid.dimension, rng, amplitude=amp, decay=decay)
         zeta = random_field(grid, 1, rng, amplitude=amp, decay=decay)
         return GNState(V=V, zeta=zeta)
-    if kind == "solitary":
-        return serre_solitary_wave(params, float(spec["amplitude"]))
-    raise ValueError(f"unknown data type {kind!r} (zero | single_mode | random | solitary)")
+    return serre_solitary_wave(params, float(spec["amplitude"]))  # type solitary
 
 
 def _sup_diff_norm(
@@ -457,7 +513,7 @@ def _run_nash_moser(cfg: dict, params: PhysicalParams, u0: GNState, out: Path):
     """
     rc = cfg["run"]
     sched = _schedule_from_cfg(cfg)
-    problem = GNProblem(params, u0, tol=_cg_tol(cfg))
+    problem = GNProblem(params, u0, tol=rc["cg_tol"])
 
     def record(trace) -> dict:
         header = "\n".join(
@@ -477,9 +533,9 @@ def _run_nash_moser(cfg: dict, params: PhysicalParams, u0: GNState, out: Path):
         # looked up at call time, so that a caller may wrap the module global
         u_tilde, trace = nash_moser_solve(
             problem, sched, float(rc["T"]), float(rc["dt"]),
-            k_max=int(rc["k_max"]),
+            k_max=rc["k_max"],
             target_residual=float(rc["target_residual"]),
-            max_retries=int(rc["max_retries"]),
+            max_retries=rc["max_retries"],
         )
     except (DivergenceError, DomainError) as exc:
         if exc.trace is not None:
@@ -491,7 +547,6 @@ def _run_nash_moser(cfg: dict, params: PhysicalParams, u0: GNState, out: Path):
 @_command("solve")
 def cmd_solve(cfg: dict, out: Path) -> None:
     """Solve one Cauchy problem (iterative scheme, direct MoL, or both)."""
-    tol = _cg_tol(cfg)
     params = _params_from_cfg(cfg)
     u0 = _initial_state(params, cfg["data"])
     ok, hmin = depth_check(params, u0)
@@ -502,8 +557,6 @@ def cmd_solve(cfg: dict, out: Path) -> None:
         )
     rc = cfg["run"]
     solver = rc["solver"]
-    if solver not in ("nash_moser", "mol", "both"):
-        raise ValueError(f"unknown solver {solver!r} (nash_moser | mol | both)")
     report: dict = {"config_hash": _config_hash(cfg), "solver": solver}
     traj_nm = traj_mol = None
     if solver in ("nash_moser", "both"):
@@ -524,7 +577,7 @@ def cmd_solve(cfg: dict, out: Path) -> None:
         click.echo(f"induction first failures: {induction['first_failure']}")
     if solver in ("mol", "both"):
         traj_mol = mol_solve(
-            params, u0, float(rc["T"]), float(rc["dt"]), tol=tol
+            params, u0, float(rc["T"]), float(rc["dt"]), tol=rc["cg_tol"]
         )
         save_trajectory(traj_mol, out / "solution_mol.nmtrj")
         report["mol"] = {"steps": traj_mol.n_times - 1}
@@ -541,7 +594,6 @@ def cmd_solve(cfg: dict, out: Path) -> None:
 @_command("convergence")
 def cmd_convergence(cfg: dict, out: Path) -> None:
     """Run the iterative scheme and report the induction-property check."""
-    _cg_tol(cfg)
     params = _params_from_cfg(cfg)
     u0 = _initial_state(params, cfg["data"])
     _, trace, report = _run_nash_moser(cfg, params, u0, out)
@@ -557,12 +609,11 @@ def cmd_convergence(cfg: dict, out: Path) -> None:
 @_command("stability")
 def cmd_stability(cfg: dict, out: Path) -> None:
     """Error of an O(iota)-consistent approximate solution vs iota."""
-    tol = _cg_tol(cfg)
     params = _params_from_cfg(cfg)
     u0 = _initial_state(params, cfg["data"])
     st = cfg["stability"]
     rc = cfg["run"]
-    T, dt = float(rc["T"]), float(rc["dt"])
+    T, dt, tol = float(rc["T"]), float(rc["dt"]), rc["cg_tol"]
     s_err = float(st["norm_index"])
     grid = params.grid
     d = grid.dimension
@@ -570,14 +621,12 @@ def cmd_stability(cfg: dict, out: Path) -> None:
     pert = st["perturbation"]
     if pert["type"] == "zero":
         w0 = np.zeros((d + 1, *grid.shape), dtype=np.complex128)
-    elif pert["type"] == "random":
-        rng = np.random.default_rng(int(pert["seed"]))
+    else:
+        rng = np.random.default_rng(pert["seed"])
         w0 = random_field(
             grid, d + 1, rng,
             amplitude=float(pert["amplitude"]), decay=float(pert["decay"]),
         ).coefficients
-    else:
-        raise ValueError(f"unknown perturbation type {pert['type']!r} (zero | random)")
     iotas = [float(i) for i in st["iotas"]]
 
     # The reference and every perturbed member run as one batch: member
@@ -634,12 +683,9 @@ def cmd_scaling(cfg: dict, out: Path) -> None:
     """Error against the shallowness parameter for forced residual mu^2*R."""
     sl = cfg["scaling"]
     rc = cfg["run"]
-    T, dt = float(rc["T"]), float(rc["dt"])
-    tol = _cg_tol(cfg)
+    T, dt, tol = float(rc["T"]), float(rc["dt"]), rc["cg_tol"]
     s_err = float(sl["norm_index"])
     rule = sl["eps_rule"]
-    if rule not in ("one", "sqrt_mu"):
-        raise ValueError(f"unknown eps_rule {rule!r} (one | sqrt_mu)")
     grid = _grid_from_cfg(cfg)
     d = grid.dimension
 
@@ -647,7 +693,7 @@ def cmd_scaling(cfg: dict, out: Path) -> None:
     if float(fspec["amplitude"]) == 0.0:
         R = np.zeros((d + 1, *grid.shape), dtype=np.complex128)
     else:
-        rng = np.random.default_rng(int(fspec["seed"]))
+        rng = np.random.default_rng(fspec["seed"])
         R = random_field(
             grid, d + 1, rng,
             amplitude=float(fspec["amplitude"]), decay=float(fspec["decay"]),

@@ -131,7 +131,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -218,8 +218,8 @@ class PhysicalParams:
             raise ValueError(f"mu must lie in (0,1), got {self.mu}")
         if not (0.0 < self.eps <= 1.0):
             raise ValueError(f"eps must lie in (0,1], got {self.eps}")
-        if self.h0 <= 0.0:
-            raise ValueError("h0 must be positive")
+        if not self.h0 > 0.0:  # NaN fails too
+            raise ValueError(f"h0 must be positive, got {self.h0}")
         if self.b.components != 1:
             raise ValueError("bathymetry must be a scalar field")
 

@@ -576,12 +576,15 @@ def nash_moser_solve(
     `max_retries` times, before the divergence error (trace attached)
     propagates. An iterate that leaves the admissible set raises DomainError
     at once, also with the trace attached. A negative `k_max` or
-    `max_retries` raises ValueError before any work.
+    `max_retries`, or a `target_residual` that is NaN or negative, raises
+    ValueError before any work (0 runs to `k_max`).
     """
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     if max_retries < 0:
         raise ValueError(f"max_retries must be >= 0, got {max_retries}")
+    if not target_residual >= 0.0:
+        raise ValueError(f"target_residual must be >= 0, got {target_residual}")
     u0 = initial_iterate(problem, T, dt)
     last_err: DivergenceError | None = None
     for attempt in range(max_retries + 1):

@@ -360,7 +360,7 @@ def test_negative_k_max_exits_5(runner, tmp_path):
     cfg = _write_cfg(tmp_path, {**TINY_NM, "run": {**TINY_NM["run"], "k_max": -1}})
     res = runner.invoke(main, ["solve", "--config", cfg, "--out", str(tmp_path / "o")])
     assert res.exit_code == 5, res.output
-    assert "k_max must be >= 0, got -1" in res.output
+    assert "run.k_max must be an integer >= 0, got -1" in res.output
     assert not (tmp_path / "o" / "trace.csv").exists()
 
 
@@ -369,7 +369,7 @@ def test_negative_max_retries_exits_5(runner, tmp_path):
     cfg = _write_cfg(tmp_path, {**TINY_NM, "run": {**TINY_NM["run"], "max_retries": -1}})
     res = runner.invoke(main, ["solve", "--config", cfg, "--out", str(tmp_path / "o")])
     assert res.exit_code == 5, res.output
-    assert "max_retries must be >= 0, got -1" in res.output
+    assert "run.max_retries must be an integer >= 0, got -1" in res.output
     assert not (tmp_path / "o" / "trace.csv").exists()
 
 
@@ -419,6 +419,124 @@ def test_non_finite_schedule_entry_exits_2(runner, tmp_path, command, key, value
     assert res.exit_code == 2, res.output
     assert f"{key} must" in res.output
     assert not (out / "trace.csv").exists()
+
+
+def _leaves(table, prefix=""):
+    """(dotted key, declaration) for every key of a config table."""
+    for key, spec in table.items():
+        if isinstance(spec, dict):
+            yield from _leaves(spec, f"{prefix}{key}.")
+        else:
+            yield prefix + key, spec
+
+
+def _sections(table, prefix=""):
+    for key, spec in table.items():
+        if isinstance(spec, dict):
+            yield prefix + key
+            yield from _sections(spec, f"{prefix}{key}.")
+
+
+def _nested(dotted, value):
+    """The user config that sets one dotted key to `value`."""
+    *path, last = dotted.split(".")
+    cfg = {last: value}
+    for key in reversed(path):
+        cfg = {key: cfg}
+    return cfg
+
+
+# a value outside the domain of each key whose declaration states a bound
+OUT_OF_DOMAIN = {
+    "schema_version": [2],
+    "seed": [-1],
+    "grid.dimension": [3],
+    "grid.nodes": [6, 63],
+    "grid.length": [0.0],
+    "grid.dealias_fraction": [0.0, 1.5],
+    "physics.mu": [-0.1, 1.0],
+    "physics.regime": ["boussinesq"],
+    "physics.eps": [0.0, 1.5],
+    "physics.h0": [0.0],
+    "physics.bathymetry.type": ["sine"],
+    "physics.bathymetry.seed": [-1],
+    "data.type": ["sine"],
+    "data.mode": [1.5, [1, 2, 3]],
+    "data.seed": [-1],
+    "schedule.margin": [0.0, 1.0],
+    "schedule.theta0": [1.0],
+    "run.T": [0.0],
+    "run.dt": [-0.005],
+    "run.solver": ["spectral"],
+    "run.k_max": [-1],
+    "run.target_residual": [0.0],
+    "run.max_retries": [-1],
+    "run.cg_tol": [1.0],
+    "stability.iotas": [[1e-2, math.nan]],
+    "stability.perturbation.type": ["sine"],
+    "stability.perturbation.seed": [-1],
+    "scaling.mus": [[0.2, 1.0]],
+    "scaling.eps_rule": ["two"],
+    "scaling.forcing.seed": [-1],
+}
+# values of the generic set that a key's domain includes
+IN_DOMAIN = [("schedule.theta0", math.inf)]  # the unsmoothed iteration
+
+BAD_VALUE_CASES = [
+    (key, value)
+    for key, _ in _leaves(cli.SCHEMA)
+    for value in [math.nan, math.inf, "1", True] + OUT_OF_DOMAIN.get(key, [])
+    if (key, value) not in IN_DOMAIN
+] + [(section, value) for section in _sections(cli.SCHEMA) for value in (5, None)] + [
+    (f"{section}.typo", 1.0) for section in _sections(cli.SCHEMA)
+] + [("typo", 1.0)]
+
+
+def test_every_bounded_key_has_an_out_of_domain_case():
+    bounded = {
+        key for key, spec in _leaves(cli.SCHEMA)
+        if any(word in spec.what for word in (" in (", ">", "one of"))
+    }
+    assert bounded <= set(OUT_OF_DOMAIN)
+    assert set(OUT_OF_DOMAIN) <= {key for key, _ in _leaves(cli.SCHEMA)}
+
+
+@pytest.mark.parametrize("key, value", BAD_VALUE_CASES, ids=lambda v: repr(v))
+def test_every_config_key_is_checked_at_load(runner, tmp_path, key, value):
+    # a schedule key exits 2, and any other key or an unknown one 5, with a
+    # message naming the dotted key, before the output directory exists
+    schedule_keys = {key for key, _ in _leaves(cli.SCHEMA["schedule"], "schedule.")}
+    cfg = _write_cfg(tmp_path, _nested(key, value))
+    out = tmp_path / "o"
+    res = runner.invoke(main, ["schedule", "--config", cfg, "--out", str(out)])
+    assert res.exit_code == (2 if key in schedule_keys else 5), res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    assert key in res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", IN_DOMAIN)
+def test_generic_values_inside_a_domain_run(runner, tmp_path, key, value):
+    cfg = _write_cfg(tmp_path, _nested(key, value))
+    res = runner.invoke(main, ["schedule", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 0, res.output
+
+
+@pytest.mark.parametrize("command", ["schedule", "solve", "convergence", "stability", "scaling"])
+def test_every_command_refuses_a_bad_key_before_any_work(runner, tmp_path, monkeypatch, command):
+    def work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    # the first work of each command: the schedule's threshold or the grid
+    monkeypatch.setattr(cli, "p_min_threshold", work)
+    monkeypatch.setattr(cli, "_grid_from_cfg", work)
+    cfg = _write_cfg(tmp_path, {"physics": {"h0": math.nan}})
+    out = tmp_path / "o"
+    res = runner.invoke(main, [command, "--config", cfg, "--out", str(out)])
+    assert res.exit_code == 5, res.output
+    assert "physics.h0 must be a finite number > 0, got nan" in res.output
+    assert not out.exists()
 
 
 def test_validate_solver_failure_exits_3(runner, tmp_path, monkeypatch):

@@ -56,6 +56,13 @@ def test_params_validation(grid1d):
         PhysicalParams(mu=0.3, eps=1.2, b=b)
 
 
+@pytest.mark.parametrize("h0", [math.nan, 0.0, -0.5])
+def test_params_refuse_a_depth_floor_that_is_not_positive(grid1d, h0):
+    # a NaN floor passed `h0 <= 0` and every depth test against it
+    with pytest.raises(ValueError, match="h0 must be positive"):
+        PhysicalParams(mu=0.3, eps=0.5, b=zero_field(grid1d), h0=h0)
+
+
 def test_grad_beta_scaling(grid1d, rng):
     b = random_field(grid1d, 1, rng, amplitude=0.1, decay=4.0)
     p_half = PhysicalParams(mu=0.3, eps=0.5, b=b)

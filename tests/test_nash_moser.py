@@ -1,6 +1,9 @@
 """Schedule arithmetic and the smoothed-Newton engine on closed-form toys."""
+import importlib.util
 import math
 import warnings
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +46,40 @@ def test_schedule_gn_exact_constants():
     # r = (1/2) r_lo + (1/2) rbar with r_lo = 4/3 and rbar = 130/97
     assert abs(sch.r - 389 / 291) < 1e-15
     assert sch.s0 == 1.0 and sch.s == 3.0
+
+
+def _load_oracle():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "oracle_schedule.py"
+    spec = importlib.util.spec_from_file_location("oracle_schedule", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the oracle script's three sets: loss orders (m, d1, d1p, D) and P
+ORACLE_SETS = [((2, 2, 0, 4), Fraction(77, 2)), ((0, 1, 0, 2), None), ((0, 0, 0, 2), 6)]
+
+
+@pytest.mark.parametrize("orders, P", ORACLE_SETS, ids=["shallow-water", "second-order", "degenerate"])
+def test_schedule_matches_the_exact_arithmetic_oracle(orders, P):
+    # the frozen constants of this file came from scripts/oracle_schedule.py;
+    # this keeps the script and the float implementation in step
+    ref = _load_oracle().schedule(*orders, P=P)
+    delta, q, p_min = p_min_threshold(*map(float, orders))
+    # alpha does not depend on P; a set without P takes any feasible one
+    sched = compute_schedule(*map(float, orders), P=float(P) if P is not None else p_min + 1.0)
+    got = {"delta": delta, "q": q, "alpha": sched.alpha, "p_min": p_min}
+    if "r" in ref:
+        got["r"] = sched.r
+    assert sched.p_min == p_min
+    for key, value in got.items():
+        want = ref[key]
+        if isinstance(want, Fraction) and Fraction(float(want)) == want:
+            assert Fraction(value) == want, key  # a float holds it exactly
+        else:
+            # an irrational value, or a rational no float holds (r = 389/291
+            # comes out one ulp above its rounding)
+            assert value == pytest.approx(float(want), rel=1e-15, abs=0.0), key
 
 
 def test_schedule_threshold_with_irrational_root():
@@ -380,6 +417,18 @@ def test_inadmissible_iterate_raises_with_its_trace(toy_grid, toy_schedule):
     trace = exc.value.trace
     assert trace.stop_reason == "inadmissible"
     assert len(trace) == 1 and not math.isnan(trace.norm_v_EsD[0])
+
+
+@pytest.mark.parametrize("target", [math.nan, -1e-8])
+def test_nan_or_negative_target_residual_is_refused_before_any_work(toy_schedule, target):
+    # a NaN target never stopped the iteration: the run went on to k_max
+    # (a target of 0 runs to k_max on purpose)
+    class Untouchable:
+        def __getattr__(self, name):
+            raise AssertionError(f"problem.{name} read before the target was checked")
+
+    with pytest.raises(ValueError, match="target_residual must be >= 0"):
+        nash_moser_solve(Untouchable(), toy_schedule, 1.0, 0.01, target_residual=target)
 
 
 def test_smooth_trajectory_is_snapshotwise_cutoff(toy_grid, rng):

@@ -253,6 +253,35 @@ def test_every_private_helper_has_a_caller():
     assert dead == []
 
 
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module imports but never references; `__init__.py` may
+    import a name only to re-export it through `__all__`."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    if path.name == "__init__.py":
+        used |= {
+            name
+            for node in tree.body
+            if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "__all__"
+            for name in ast.literal_eval(node.value)
+        }
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = (alias.asname or alias.name).split(".")[0]
+                if bound not in used:
+                    hits.append(f"{path.name}:{node.lineno} {bound}")
+    return hits
+
+
+def test_every_imported_name_is_used():
+    # an import that nothing references is dead code the reader still parses
+    assert _package_hits(_unused_imports) == []
+
+
 def _slope_reads(path: Path) -> list[str]:
     """Reads of the attribute `_slope` (PhysicalParams' flat-bottom test)."""
     tree = ast.parse(path.read_text(), filename=str(path))
