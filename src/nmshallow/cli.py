@@ -135,7 +135,7 @@ _EPS = _real(None, 0.0, 1.0, closed=True)
 # Every config key with its default and domain (configs/defaults.json mirrors
 # the defaults). A check spanning keys stays where both are known: a custom
 # regime's physics.eps, data.mode against the grid's band (_single_mode_zeta),
-# the overflow of run.T / run.dt (_uniform_steps), P > P_min (compute_schedule).
+# a run.T / run.dt that overflows or is fractional (_uniform_steps), P > P_min.
 SCHEMA: dict = {
     "schema_version": _choice(SCHEMA_VERSION, SCHEMA_VERSION),
     "seed": _int(0, 0),
@@ -714,7 +714,7 @@ def cmd_scaling(cfg: dict, out: Path) -> None:
                 params, depth_grid(params, u0.zeta), SpectralField(grid, R[:d]), tol=tol
             )
             f_packed = (mu**2 / eps) * np.concatenate([TinvR1.coefficients, R[d:]])
-            u_app = mol_solve(params, u0, T, dt, forcing_fn=lambda t: f_packed, tol=tol)
+            u_app = mol_solve(params, u0, T, dt, forcing=lambda t: f_packed, tol=tol)
         else:
             u_app = u_ref  # unforced: the same run
         rows.append((mu, eps, _sup_diff_norm(params, u_app, u_ref, s_err)))

@@ -33,8 +33,6 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError
-
 __all__ = [
     "GridSpec",
     "SpectralField",
@@ -479,6 +477,27 @@ class TrajectoryField:
         """The snapshots in `part` as one batched field, (components, B, *shape)."""
         return SpectralField(self.grid, self.snapshots[part].swapaxes(0, 1))
 
+    def sample(self, t: float) -> np.ndarray:
+        """The snapshots linearly interpolated at time t, (components, *shape).
+
+        At a snapshot's time it returns that snapshot, to rounding. Raises
+        ValueError for a t outside [0, duration] (to 1e-8 relative).
+        """
+        span = self.duration
+        if not (-1e-8 * span <= t <= span * (1.0 + 1e-8)):
+            raise ValueError(
+                f"time {t!r} lies outside the trajectory's span [0, {span!r}] "
+                f"({self.n_times} snapshots)"
+            )
+        pos = t / self.time_step
+        i0 = min(max(int(math.floor(pos)), 0), self.n_times - 2)
+        lam = pos - i0
+        if lam <= 0.0:
+            return self.snapshots[i0]
+        if lam >= 1.0:
+            return self.snapshots[i0 + 1]
+        return (1.0 - lam) * self.snapshots[i0] + lam * self.snapshots[i0 + 1]
+
     def __add__(self, other: "TrajectoryField") -> "TrajectoryField":
         return TrajectoryField(self.grid, self.times.copy(), self.snapshots + other.snapshots)
 
@@ -590,7 +609,7 @@ def interpolate_bound_check(
 def time_derivative(u: TrajectoryField) -> TrajectoryField:
     """Second-order time derivative: centered inside, one-sided at the ends."""
     if u.n_times < 3:
-        raise ValueError("need at least 3 snapshots to differentiate in time")
+        raise ValueError(f"need at least 3 snapshots to differentiate in time, got {u.n_times}")
     out = _time_derivative_arrays(u.snapshots, u.time_step)
     return TrajectoryField(u.grid, u.times.copy(), out)
 
@@ -614,10 +633,10 @@ def _time_derivative_arrays(snaps: np.ndarray, dt: float) -> np.ndarray:
 def _uniform_steps(T: float, dt: float) -> int:
     """Number of steps of the uniform time grid of [0, T] with step dt.
 
-    T and dt must be finite and positive, and so must T/dt; otherwise
-    ValueError, before any step. dt divides T when the grid's own step T/n,
-    n = round(T/dt), equals dt to 1e-8 relative; otherwise DomainError, with
-    every digit of both steps.
+    T and dt must be finite and positive, and so must T/dt, and dt must
+    divide T: the grid's own step T/n, n = round(T/dt), equals dt to 1e-8
+    relative. Otherwise ValueError, before any step; a step that does not
+    divide T is named with every digit of both steps.
     """
     if not (0.0 < T < math.inf and 0.0 < dt < math.inf and T / dt < math.inf):
         raise ValueError(
@@ -626,7 +645,7 @@ def _uniform_steps(T: float, dt: float) -> int:
         )
     n = max(1, int(round(T / dt)))
     if abs(T / n - dt) > 1e-8 * dt:
-        raise DomainError(
+        raise ValueError(
             f"dt={dt!r} does not divide the horizon T={T!r} "
             f"(nearest uniform grid uses dt={T / n!r})"
         )

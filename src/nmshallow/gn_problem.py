@@ -12,8 +12,9 @@ trajectories vary on the slow time scale and their discrete time
 derivatives are accurate. The adapter converts between the two pictures:
 `linearize` rebuilds frozen physical coefficients from the filtered
 iterate, `solve_linearized` conjugates the forcing into physical
-variables, runs the integrating-factor solver, and filters the solution
-back, and `admissible` checks the depth of the physical snapshots.
+variables, runs the integrating-factor solver on its linear interpolation
+in time (`TrajectoryField.sample`), and filters the solution back, and
+`admissible` checks the depth of the physical snapshots.
 
 `evaluate_G` and `snapshot_norm` follow the engine's batch contract: a
 chunk of snapshots is conjugated with one time per member, its tendency is
@@ -84,7 +85,7 @@ class GNProblem(ProblemInterface):
         dt: float,
     ) -> TrajectoryField:
         forcing_phys = (
-            None if forcing is None else conjugate_trajectory(self.params, forcing, +1)
+            None if forcing is None else conjugate_trajectory(self.params, forcing, +1).sample
         )
         ivp = IVPData(
             initial=GNState.from_packed(initial),

@@ -21,16 +21,19 @@ changing the output time grid.
 Both integrators of the package run on one private IF-RK4 driver,
 `_integrate_filtered`: `solve_linearized` hands it the linearized operator
 K(t) and `reference.mol_solve` the nonlinear tendency F. The driver owns the
-output grid, the sub-step split, forcing sampling, the four RK4 stages, the
-predicted starts of the stages' elliptic solves and the growth guard, and
-returns trajectories only (`green_naghdi.counting()` counts the work). It
-also carries the batch axis of `GNState`: a batched initial state (an
-ensemble on one grid, horizon and dt) advances all members through the
-same stages, with one batched tendency call per stage, the growth guard
-and its floor applied per member, and one trajectory returned per member;
-a single state is a batch of one. `evolve_packed` takes a packed array
-with or without the batch axis, and for a batch one time per member (a
-chunk of a trajectory's snapshots conjugated in one call).
+output grid, the sub-step split, the four RK4 stages, the predicted starts
+of the stages' elliptic solves and the growth guard, and returns
+trajectories only (`green_naghdi.counting()` counts the work). The caller
+owns the forcing: a callable t -> packed coefficients that the driver calls
+at the stage times (a forcing held as a trajectory is passed as its
+`TrajectoryField.sample`). The driver also carries the batch axis of
+`GNState`: a batched initial state (an ensemble on one grid, horizon and
+dt) advances all members through the same stages, with one batched
+tendency call per stage, the growth guard and its floor applied per
+member, and one trajectory returned per member; a single state is a batch
+of one. `evolve_packed` takes a packed array with or without the batch
+axis, and for a batch one time per member (a chunk of a trajectory's
+snapshots conjugated in one call).
 
 Per-mode rotation, derived once
 -------------------------------
@@ -59,7 +62,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, StepSizeError
+from .errors import StepSizeError
 from .fourier_scale import GridSpec, SpectralField, TrajectoryField, _chunks, _uniform_steps
 from .green_naghdi import GNState, LinearizedCoeffs, PhysicalParams, _count, apply_K
 
@@ -162,31 +165,27 @@ def conjugate_trajectory(
 class IVPData:
     """Data for the linearized initial-value problem.
 
-    forcing: right-hand side trajectory, packed (F1 components, f2) and
-        aligned with the output time grid (n_steps + 1 snapshots); None
-        means zero forcing. F1 is the mass-adjusted velocity forcing, i.e.
-        the right side after the mass matrix has been divided out.
     initial: state at t = 0.
     horizon: final time T > 0.
-    dt: output time step (the solver may sub-step internally but always
-        reports on this grid).
-    forcing_fn: optional exact sampler t -> packed coefficient array; when
-        given it is used at the internal Runge-Kutta stage times so the
-        forcing carries no interpolation error (the trajectory form is
-        limited to second-order accuracy between its samples).
+    dt: output time step, a divisor of the horizon (the solver may sub-step
+        internally but always reports on this grid).
+    forcing: right-hand side, a callable t -> packed coefficients
+        (F1 components, f2) called at every Runge-Kutta stage time; None
+        means zero forcing. Its samples must be band-limited: the driver
+        adds them as given. F1 is the mass-adjusted velocity forcing, i.e.
+        the right side after the mass matrix has been divided out.
+
+    A (horizon, dt) pair that `_uniform_steps` refuses raises its
+    ValueError here.
     """
 
     initial: GNState
     horizon: float
     dt: float
-    forcing: TrajectoryField | None = None
-    forcing_fn: Callable[[float], np.ndarray] | None = None
+    forcing: Callable[[float], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
-        if not (self.horizon > 0.0):
-            raise ValueError("horizon must be positive")
-        if not (0.0 < self.dt <= self.horizon):
-            raise ValueError("dt must lie in (0, horizon]")
+        _uniform_steps(self.horizon, self.dt)
 
 
 #: Largest h * |K_max| that `dispersive_dt_cap` allows (see its docstring).
@@ -218,47 +217,6 @@ def dispersive_dt_cap(params: PhysicalParams, grid: GridSpec) -> float:
     if k_mag <= 0.0:
         return math.inf
     return _DT_CAP_SAFETY / k_mag
-
-
-def _forcing_sampler(
-    ivp: IVPData, grid: GridSpec, n_steps: int
-) -> Callable[[float], np.ndarray | None]:
-    """Closure returning the packed forcing at an arbitrary stage time.
-
-    A forcing trajectory must be sampled on the output grid: n_steps + 1
-    snapshots spanning the horizon (to 1e-8 relative), else DomainError.
-    """
-    if ivp.forcing_fn is not None:
-        fn = ivp.forcing_fn
-
-        def sample_fn(t: float) -> np.ndarray:
-            return grid.project(np.asarray(fn(t), dtype=np.complex128))
-
-        return sample_fn
-
-    if ivp.forcing is None:
-        return lambda t: None
-
-    traj = ivp.forcing
-    if traj.n_times != n_steps + 1 or abs(traj.duration - ivp.horizon) > 1e-8 * ivp.horizon:
-        raise DomainError(
-            f"forcing trajectory spans [0, {traj.duration!r}] in {traj.n_times} snapshots; "
-            f"the output grid spans [0, {ivp.horizon!r}] in {n_steps + 1}"
-        )
-    snaps = traj.snapshots
-    dtf = traj.time_step
-
-    def sample(t: float) -> np.ndarray:
-        pos = t / dtf
-        i0 = min(max(int(math.floor(pos)), 0), traj.n_times - 2)
-        lam = pos - i0
-        if lam <= 0.0:
-            return snaps[i0]
-        if lam >= 1.0:
-            return snaps[i0 + 1]
-        return (1.0 - lam) * snaps[i0] + lam * snaps[i0 + 1]
-
-    return sample
 
 
 def _integrate_filtered(
@@ -309,16 +267,15 @@ def _integrate_filtered(
     member, in member order, for a batch); `counting()` counts its sub-steps.
     Raises StepSizeError when a step produces non-finite values or takes a
     member's solution norm above 10 (norm_prev + dt * max|f|): ten times its
-    previous norm plus what the forcing alone can add over one output step.
-    A member below a floor set by its data and the forcing size is exempt
-    from the growth test.
+    previous norm plus what the forcing alone can add over one output step,
+    with max|f| the largest forcing sample so far. A member below a floor
+    set by its initial norm is exempt from the growth test.
     """
     grid = ivp.initial.grid
     d = grid.dimension
     eps = params.eps
     n_steps = _uniform_steps(ivp.horizon, ivp.dt)
     dt_out = ivp.horizon / n_steps
-    sample_f = _forcing_sampler(ivp, grid, n_steps)
 
     cap = dispersive_dt_cap(params, grid)
     n_sub = max(1, int(math.ceil(dt_out / cap - 1e-12)))
@@ -336,14 +293,9 @@ def _integrate_filtered(
     if on_output is not None:
         on_output(0.0, v)
 
-    # max|f| of the growth test: a forcing trajectory's largest snapshot, or
-    # a forcing_fn's largest stage sample so far
-    forcing_scale = 0.0
-    if ivp.forcing is not None:
-        flat = ivp.forcing.snapshots.reshape(ivp.forcing.n_times, -1)
-        forcing_scale = float(np.max(np.linalg.norm(flat, axis=1)))
+    forcing_scale = 0.0  # max|f| of the growth test: the largest sample so far
     norm_prev = [float(np.linalg.norm(v[:, m])) for m in range(members)]
-    norm_floor = [1e-13 * (1.0 + norm + forcing_scale) for norm in norm_prev]
+    norm_floor = [1e-13 * (1.0 + norm) for norm in norm_prev]
 
     def rhs(t: float, v_arr: np.ndarray, x0: np.ndarray | None):
         """k = f - G at (t, v_arr), and the tendency's elliptic solution."""
@@ -355,11 +307,10 @@ def _integrate_filtered(
         )
         G = tendency(t, state, x0)
         k = -np.concatenate([G.V.coefficients, G.zeta.coefficients]).reshape(packed_shape)
-        f_val = sample_f(t)
-        if f_val is not None:
+        if ivp.forcing is not None:
+            f_val = ivp.forcing(t)
             k += f_val[:, None]
-            if ivp.forcing_fn is not None:
-                forcing_scale = max(forcing_scale, float(np.linalg.norm(f_val)))
+            forcing_scale = max(forcing_scale, float(np.linalg.norm(f_val)))
         return k, G.V.coefficients
 
     # the pairs that E = U(h/2) moves in one call, stacked along the batch axis

@@ -362,11 +362,15 @@ def initial_iterate(problem: ProblemInterface, T: float, dt: float) -> Trajector
     u0(t) = g + int_0^t [h(t') - G(t', g)] dt', computed by the composite
     trapezoid rule on the storage grid, so u0(0) = g bit-for-bit and the
     residual's time derivative cancels the tendency at t = 0 up to
-    quadrature error.
+    quadrature error. Raises ValueError for a horizon of fewer than 2 steps
+    (3 snapshots), which the residual's time derivative needs.
     """
     n_steps = _uniform_steps(T, dt)
     if n_steps < 2:
-        raise DomainError("need at least 2 time steps (3 snapshots) on the horizon")
+        raise ValueError(
+            f"need at least 2 time steps (3 snapshots) on the horizon, got {n_steps + 1} "
+            f"snapshots for T={T!r}, dt={dt!r}"
+        )
     times = np.linspace(0.0, T, n_steps + 1)
     g = problem.initial_data()
     h = problem.forcing(times)

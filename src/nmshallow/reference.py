@@ -54,7 +54,7 @@ def mol_solve(
     u0: GNState,
     T: float,
     dt: float,
-    forcing_fn=None,
+    forcing=None,
     tol: float = 1e-12,
 ) -> TrajectoryField | list[TrajectoryField]:
     """Direct nonlinear solve of d/dt u + (1/eps) L u + F[u] = f on [0, T].
@@ -68,9 +68,9 @@ def mol_solve(
     by classical RK4 with the dispersive sub-step cap of the linear
     solver, its stages written in physical variables; each stage's
     elliptic solve starts from the driver's prediction of its solution.
-    ``forcing_fn`` is a callable t -> packed coefficient array evaluated
-    exactly at each stage; None means no forcing.  Output snapshots are in
-    physical variables.
+    ``forcing`` is a callable t -> packed band-limited coefficient array
+    evaluated at each stage time; None means no forcing.  Output snapshots
+    are in physical variables.
 
     The water depth is checked at every output step (and inside every
     elliptic solve); dropping to the admissibility floor aborts with a
@@ -82,7 +82,7 @@ def mol_solve(
     call would return. It returns trajectories only; `counting()` sums
     their work over the members.
     """
-    ivp = IVPData(initial=u0, horizon=T, dt=dt, forcing_fn=forcing_fn)
+    ivp = IVPData(initial=u0, horizon=T, dt=dt, forcing=forcing)
     d = u0.grid.dimension
 
     def check_depth(t: float, u: np.ndarray) -> None:
@@ -187,23 +187,18 @@ def manufactured_residual(
     The normalization matters when comparing residual sizes: R1 carries
     the elliptic mass operator, it is *not* the velocity-equation defect.
 
-    du/dt is formed by centered differences (second-order one-sided at
-    the ends, at least four snapshots required) unless an exact ``dudt``
-    trajectory is supplied. All snapshots are evaluated as one batch: one
-    batched `nonlinear_F` and one batched mass-operator application. Peak
-    memory therefore grows with n_times x grid points (a loop over the
-    snapshots would hold one snapshot's temporaries); the batch has been
-    measured only on 1D N = 64 trajectories, so a 2D workload should be
-    timed before relying on it.
+    du/dt is formed by `time_derivative` (centered differences,
+    second-order one-sided at the ends; fewer than three snapshots raise
+    ValueError) unless an exact ``dudt`` trajectory is supplied. All
+    snapshots are evaluated as one batch: one batched `nonlinear_F` and one
+    batched mass-operator application. Peak memory therefore grows with
+    n_times x grid points (a loop over the snapshots would hold one
+    snapshot's temporaries); the batch has been measured only on 1D N = 64
+    trajectories, so a 2D workload should be timed before relying on it.
     """
     grid = u_app.grid
     d = grid.dimension
     if dudt is None:
-        if u_app.n_times < 4:
-            raise DomainError(
-                "need at least 4 snapshots for a second-order discrete time "
-                "derivative; pass dudt explicitly for shorter trajectories"
-            )
         dudt = time_derivative(u_app)
     elif dudt.n_times != u_app.n_times or dudt.snapshots.shape != u_app.snapshots.shape:
         raise DomainError("dudt must match the trajectory in shape and length")

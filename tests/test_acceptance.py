@@ -195,7 +195,7 @@ def test_criterion_06_linearized_solver_self_convergence():
         return base * math.cos(1.7 * t) + mod * math.sin(0.9 * t)
 
     def solve(dt):
-        ivp = IVPData(initial=v0, horizon=T, dt=dt, forcing_fn=f_fn)
+        ivp = IVPData(initial=v0, horizon=T, dt=dt, forcing=f_fn)
         return solve_linearized(params, coeffs, ivp)
 
     r1, r2 = invariants.halving_ratios(solve, (0.02, 0.01, 0.005), 0.00125, (0.5, 1.0))

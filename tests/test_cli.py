@@ -386,19 +386,46 @@ STEPPING = {
 @pytest.mark.parametrize("command", sorted(STEPPING))
 @pytest.mark.parametrize(
     "key, value",
-    [("dt", 0.0), ("T", math.inf), ("dt", 1e-320), ("dt", -0.005)],
-    ids=["dt-zero", "T-inf", "dt-subnormal", "dt-negative"],
+    [("dt", 0.0), ("T", math.inf), ("dt", 1e-320), ("dt", -0.005), ("dt", 0.03), ("dt", 2.0)],
+    ids=["dt-zero", "T-inf", "dt-subnormal", "dt-negative", "dt-non-divisor", "dt-above-T"],
 )
 def test_bad_horizon_or_step_exits_5(runner, tmp_path, command, key, value):
     # dt = 0 and T = inf (also dt = 1e-320, T/dt overflowing) ended in a
     # ZeroDivisionError or OverflowError traceback (exit 1); a negative dt
-    # exited 4 on a "nearest uniform grid"
+    # exited 4 on a "nearest uniform grid", as did a dt that does not divide
+    # T, and a dt above T with the Nash-Moser solver
     base = STEPPING[command]
     cfg = _write_cfg(tmp_path, {**base, "run": {**base["run"], key: value}})
     res = runner.invoke(main, [command, "--config", cfg, "--out", str(tmp_path / "o")])
     assert res.exit_code == 5, res.output
     assert isinstance(res.exception, SystemExit)
     assert "config/I-O:" in res.output
+
+
+def _horizon_of(command, steps):
+    """The command's STEPPING config with T = steps * dt."""
+    base = STEPPING[command]
+    return {**base, "run": {**base["run"], "T": steps * base["run"]["dt"]}}
+
+
+@pytest.mark.parametrize("command", ["solve", "convergence", "stability"])
+def test_one_step_horizon_exits_5_where_time_is_differentiated(runner, tmp_path, command):
+    # two snapshots are too few for the residual's second-order time
+    # derivative: a config fault, which exited 4 as a domain violation
+    cfg = _write_cfg(tmp_path, _horizon_of(command, 1))
+    res = runner.invoke(main, [command, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 5, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "config/I-O: need at least" in res.output and "got 2" in res.output
+
+
+@pytest.mark.parametrize("command, steps", [("stability", 2), ("scaling", 1)])
+def test_shortest_differentiable_horizon_runs(runner, tmp_path, command, steps):
+    # stability differentiates 3 snapshots (it asked for 4 and exited 4);
+    # scaling differentiates nothing and runs a single step
+    cfg = _write_cfg(tmp_path, _horizon_of(command, steps))
+    res = runner.invoke(main, [command, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 0, res.output
 
 
 @pytest.mark.parametrize("command", ["schedule", "solve"])

@@ -288,6 +288,46 @@ def test_trajectory_validation(grid1d):
     assert t.n_times == 3 and math.isclose(t.time_step, 0.1)
 
 
+def _reference_sample(traj, t):
+    """The trajectory branch of the IF-RK4 driver's former forcing sampler,
+    kept as the reference of `TrajectoryField.sample`."""
+    snaps = traj.snapshots
+    dtf = traj.time_step
+    pos = t / dtf
+    i0 = min(max(int(math.floor(pos)), 0), traj.n_times - 2)
+    lam = pos - i0
+    if lam <= 0.0:
+        return snaps[i0]
+    if lam >= 1.0:
+        return snaps[i0 + 1]
+    return (1.0 - lam) * snaps[i0] + lam * snaps[i0 + 1]
+
+
+def test_trajectory_sample_interpolates_its_snapshots(grid1d, rng):
+    times = np.linspace(0.0, 0.2, 11)
+    snaps = np.stack([random_field(grid1d, 2, rng).coefficients for _ in times])
+    traj = TrajectoryField(grid1d, times, snaps)
+    for t, snap in zip(times, traj.snapshots):
+        got = traj.sample(float(t))
+        assert np.max(np.abs(got - snap)) <= 1e-14 * np.max(np.abs(snap))
+    assert traj.sample(0.0).tobytes() == traj.snapshots[0].tobytes()
+    # the same bits as the former sampler, between and at the snapshots
+    draws = np.concatenate([rng.uniform(0.0, traj.duration, 200), times])
+    for t in draws:
+        assert traj.sample(float(t)).tobytes() == _reference_sample(traj, float(t)).tobytes()
+    # to 1e-8 relative slack at both ends
+    traj.sample(-1e-9 * traj.duration)
+    traj.sample(traj.duration * (1.0 + 1e-9))
+
+
+@pytest.mark.parametrize("t", [-1e-3, 0.2 * (1.0 + 1e-6), 0.5, math.nan])
+def test_trajectory_sample_refuses_times_outside_its_span(grid1d, t):
+    snaps = np.zeros((11, 2, 64), dtype=np.complex128)
+    traj = TrajectoryField(grid1d, np.linspace(0.0, 0.2, 11), snaps)
+    with pytest.raises(ValueError, match=r"outside the trajectory's span \[0, 0\.2\] \(11 "):
+        traj.sample(t)
+
+
 def test_time_derivative_exact_on_quadratics(grid1d, rng):
     a = random_field(grid1d, 1, rng).coefficients
     b = random_field(grid1d, 1, rng).coefficients

@@ -6,7 +6,7 @@ import pytest
 
 from nmshallow import green_naghdi as gn
 from nmshallow import linear_ivp
-from nmshallow.errors import DomainError, StepSizeError
+from nmshallow.errors import StepSizeError
 from nmshallow.fourier_scale import (
     GridSpec,
     SpectralField,
@@ -207,44 +207,37 @@ def test_zero_data_zero_forcing_stays_zero(grid1d, params1d, state1d):
     assert not np.any(sol.snapshots)
 
 
-def test_forcing_trajectory_length_checked(grid1d, params1d, state1d, rng):
-    uref = mol_solve(params1d, state1d, 0.2, 0.02)
-    coeffs = build_linearized_coeffs(params1d, uref)
-    bad = TrajectoryField(
-        grid1d, np.linspace(0.0, 0.2, 5), np.zeros((5, 2, 64), dtype=np.complex128)
-    )
-    with pytest.raises(DomainError):
-        solve_linearized(
-            params1d,
-            coeffs,
-            IVPData(initial=state1d, horizon=0.2, dt=0.02, forcing=bad),
-        )
-
-
-def test_forcing_trajectory_horizon_checked(grid1d, params1d, state1d, rng):
-    # the right number of snapshots over twice the horizon is not the output grid
+def test_solve_outrunning_its_forcing_trajectory_raises(grid1d, params1d, state1d, rng):
+    # a forcing trajectory is sampled wherever the stages fall, so it need not
+    # share the output grid (twice the horizon in 11 snapshots runs); it must
+    # span the horizon
     f0 = random_field(grid1d, 2, rng, amplitude=0.05, decay=4.0).coefficients
-    long = TrajectoryField(grid1d, np.linspace(0.0, 0.4, 11), np.stack([f0] * 11))
     coeffs = build_linearized_coeffs(params1d, mol_solve(params1d, state1d, 0.2, 0.02))
-    with pytest.raises(DomainError, match=r"spans \[0, 0\.4\] in 11 snapshots"):
-        solve_linearized(
-            params1d,
-            coeffs,
-            IVPData(initial=state1d, horizon=0.2, dt=0.02, forcing=long),
-        )
+
+    def solve(forcing):
+        ivp = IVPData(initial=state1d, horizon=0.2, dt=0.02, forcing=forcing)
+        return solve_linearized(params1d, coeffs, ivp)
+
+    long = TrajectoryField(grid1d, np.linspace(0.0, 0.4, 11), np.stack([f0] * 11))
+    a, b = solve(long.sample), solve(lambda t: f0)
+    assert np.max(np.abs(a.snapshots - b.snapshots)) < 1e-12
+    short = TrajectoryField(grid1d, np.linspace(0.0, 0.1, 5), np.stack([f0] * 5))
+    with pytest.raises(ValueError, match=r"outside the trajectory's span \[0, 0\.1\] \(5 "):
+        solve(short.sample)
 
 
 def test_forcing_fn_matches_aligned_trajectory_at_low_order(grid1d, params1d, state1d, rng):
-    # a forcing constant in time is represented exactly both ways
+    # a forcing constant in time is represented exactly by a callable and by
+    # a trajectory's interpolation
     f0 = random_field(grid1d, 2, rng, amplitude=0.05, decay=4.0).coefficients
     times = np.linspace(0.0, 0.2, 11)
     traj = TrajectoryField(grid1d, times, np.stack([f0] * 11))
     coeffs = build_linearized_coeffs(params1d, mol_solve(params1d, state1d, 0.2, 0.02))
     a = solve_linearized(
-        params1d, coeffs, IVPData(initial=state1d, horizon=0.2, dt=0.02, forcing=traj)
+        params1d, coeffs, IVPData(initial=state1d, horizon=0.2, dt=0.02, forcing=traj.sample)
     )
     b = solve_linearized(
-        params1d, coeffs, IVPData(initial=state1d, horizon=0.2, dt=0.02, forcing_fn=lambda t: f0)
+        params1d, coeffs, IVPData(initial=state1d, horizon=0.2, dt=0.02, forcing=lambda t: f0)
     )
     assert np.max(np.abs(a.snapshots - b.snapshots)) < 1e-12
 
@@ -252,9 +245,9 @@ def test_forcing_fn_matches_aligned_trajectory_at_low_order(grid1d, params1d, st
 def test_dt_divides_horizon_by_one_rule(grid1d, params1d, state1d):
     # the Nash-Moser grid and the integrator accept and reject the same dt
     T, dt = 0.2, 0.005 * (1.0 + 2e-8)
-    with pytest.raises(DomainError) as nm:
+    with pytest.raises(ValueError) as nm:
         initial_iterate(GNProblem(params1d, state1d), T, dt)
-    with pytest.raises(DomainError) as mol:
+    with pytest.raises(ValueError) as mol:
         mol_solve(params1d, state1d, T, dt)
     assert str(nm.value) == str(mol.value)
     assert f"dt={dt!r}" in str(mol.value) and f"dt={T / 40!r}" in str(mol.value)
@@ -293,11 +286,11 @@ def test_solver_fourth_order_with_exact_forcing():
 
     errs = []
     ref = solve_linearized(
-        params, coeffs, IVPData(initial=v0, horizon=T, dt=0.00125, forcing_fn=f_fn)
+        params, coeffs, IVPData(initial=v0, horizon=T, dt=0.00125, forcing=f_fn)
     )
     for dtv in (0.02, 0.01):
         sol = solve_linearized(
-            params, coeffs, IVPData(initial=v0, horizon=T, dt=dtv, forcing_fn=f_fn)
+            params, coeffs, IVPData(initial=v0, horizon=T, dt=dtv, forcing=f_fn)
         )
         errs.append(
             sobolev_norm(SpectralField(grid, sol.snapshots[-1] - ref.snapshots[-1]), 0.0)
@@ -346,31 +339,48 @@ def _rest_coeffs(params):
     return build_linearized_coeffs(params, rest)
 
 
-def test_forced_growth_from_small_data_is_not_unstable(grid1d):
+def _forcing_as(form, fn, grid, T, dt):
+    """The forcing `fn` itself, or the `.sample` of its trajectory on the
+    output grid of (T, dt)."""
+    if form == "callable":
+        return fn
+    times = np.linspace(0.0, T, _uniform_steps(T, dt) + 1)
+    return TrajectoryField(grid, times, np.stack([fn(t) for t in times])).sample
+
+
+FORCING_FORMS = ["callable", "trajectory"]
+
+
+@pytest.mark.parametrize("form", FORCING_FORMS)
+def test_forced_growth_from_small_data_is_not_unstable(grid1d, form):
     # A mean-flow forcing f(t) = (t - dt/2 + 1e-10) f0 adds only 1e-10 dt |f0|
     # over the first step (Simpson is exact on it) and dt^2 |f0| over the
     # second: a ratio of 1e8 that the forcing, not the step, explains. The
     # growth test allows 10 (|w| + dt max|f|), with max|f| read from the
-    # stage samples of the forcing_fn.
+    # stage samples of the forcing. Linear in t, the forcing is its own
+    # trajectory's interpolation.
     params = PhysicalParams(mu=0.3, eps=0.5, b=zero_field(grid1d))
     f0 = np.zeros((2, *grid1d.shape), dtype=np.complex128)
     f0[0, 0] = 1.0
     dt = 0.1
     data = GNState(V=zero_field(grid1d), zeta=zero_field(grid1d))
-    ivp = IVPData(initial=data, horizon=0.5, dt=dt, forcing_fn=lambda t: (t - 0.5 * dt + 1e-10) * f0)
+    forcing = _forcing_as(form, lambda t: (t - 0.5 * dt + 1e-10) * f0, grid1d, 0.5, dt)
+    ivp = IVPData(initial=data, horizon=0.5, dt=dt, forcing=forcing)
     sol = solve_linearized(params, _rest_coeffs(params), ivp)
     # the mean flow is the integral of the forcing: t^2/2 - (dt/2 - 1e-10) t
     t = sol.times
     assert np.allclose(sol.snapshots[:, 0, 0].real, 0.5 * t * t - (0.5 * dt - 1e-10) * t, atol=1e-14)
 
 
-def test_forced_run_from_zero_data_still_trips_the_guard(grid1d, params1d, rng, monkeypatch):
+@pytest.mark.parametrize("form", FORCING_FORMS)
+def test_forced_run_from_zero_data_still_trips_the_guard(grid1d, params1d, rng, monkeypatch, form):
     # the forcing's allowance does not hide an unstable step: with the
     # sub-step cap disabled, dt = 0.5 is ~41x the stable RK4 step at N=64
     monkeypatch.setattr(linear_ivp, "dispersive_dt_cap", lambda *args, **kwargs: math.inf)
     f0 = random_field(grid1d, 2, rng, amplitude=0.01, decay=0.5).coefficients
     data = GNState(V=zero_field(grid1d), zeta=zero_field(grid1d))
-    ivp = IVPData(initial=data, horizon=2.0, dt=0.5, forcing_fn=lambda t: f0)
+    forcing = _forcing_as(form, lambda t: f0, grid1d, 2.0, 0.5)
+    ivp = IVPData(initial=data, horizon=2.0, dt=0.5, forcing=forcing)
     with pytest.raises(StepSizeError, match="grew"):
         solve_linearized(params1d, _rest_coeffs(params1d), ivp)
 
@@ -383,14 +393,13 @@ def _w_form_integrate(params, ivp, tendency):
     the physical variable: classical RK4 on the filtered unknown
     w = U(-t) v, each stage conjugated into physical variables and back (nine
     `evolve_packed` calls per sub-step), with the same sub-step split,
-    forcing sampling and growth guard. `tendency(t, state)` solves cold.
+    forcing rule and growth guard. `tendency(t, state)` solves cold.
     The slow path of the Lawson driver's differential test."""
     grid = ivp.initial.grid
     d = grid.dimension
     eps = params.eps
     n_steps = _uniform_steps(ivp.horizon, ivp.dt)
     dt_out = ivp.horizon / n_steps
-    sample_f = linear_ivp._forcing_sampler(ivp, grid, n_steps)
     cap = linear_ivp.dispersive_dt_cap(params, grid)
     n_sub = max(1, int(math.ceil(dt_out / cap - 1e-12)))
     h = dt_out / n_sub
@@ -403,11 +412,8 @@ def _w_form_integrate(params, ivp, tendency):
     out = np.empty((members, n_steps + 1, d + 1, *grid.shape), dtype=np.complex128)
     out[:, 0] = w.swapaxes(0, 1)
     forcing_scale = 0.0
-    if ivp.forcing is not None:
-        flat = ivp.forcing.snapshots.reshape(ivp.forcing.n_times, -1)
-        forcing_scale = float(np.max(np.linalg.norm(flat, axis=1)))
     norm_prev = [float(np.linalg.norm(w[:, m])) for m in range(members)]
-    norm_floor = [1e-13 * (1.0 + norm + forcing_scale) for norm in norm_prev]
+    norm_floor = [1e-13 * (1.0 + norm) for norm in norm_prev]
 
     def rhs(t, w_arr):
         nonlocal forcing_scale
@@ -417,11 +423,10 @@ def _w_form_integrate(params, ivp, tendency):
         )
         G = tendency(t, state)
         phys = -np.concatenate([G.V.coefficients, G.zeta.coefficients]).reshape(w_arr.shape)
-        f_val = sample_f(t)
-        if f_val is not None:
+        if ivp.forcing is not None:
+            f_val = ivp.forcing(t)
             phys += f_val[:, None]
-            if ivp.forcing_fn is not None:
-                forcing_scale = max(forcing_scale, float(np.linalg.norm(f_val)))
+            forcing_scale = max(forcing_scale, float(np.linalg.norm(f_val)))
         return evolve_packed(grid, eps, -t, phys)
 
     for n in range(n_steps):
@@ -478,14 +483,16 @@ def _lawson_case(name):
     if members is None:
         packed = packed[:, 0]
     u0 = GNState.from_packed(SpectralField(grid, packed))
-    forcing = forcing_fn = None
+    forcing = None
     base = _packed(grid, rng, amplitude=0.05, decay=4.0)
     if name == "forcing-trajectory":
         times = np.linspace(0.0, T, _uniform_steps(T, dt) + 1)
-        forcing = TrajectoryField(grid, times, np.stack([math.sin(3.0 * t) * base for t in times]))
+        forcing = TrajectoryField(
+            grid, times, np.stack([math.sin(3.0 * t) * base for t in times])
+        ).sample
     elif name == "forcing-fn":
-        forcing_fn = lambda t: math.cos(2.0 * t) * base  # noqa: E731
-    ivp = IVPData(initial=u0, horizon=T, dt=dt, forcing=forcing, forcing_fn=forcing_fn)
+        forcing = lambda t: math.cos(2.0 * t) * base  # noqa: E731
+    ivp = IVPData(initial=u0, horizon=T, dt=dt, forcing=forcing)
     if name == "linearized":
         coeffs = build_linearized_coeffs(params, mol_solve(params, u0, T, dt))
         small = GNState.from_packed(SpectralField(grid, 0.1 * _packed(grid, rng, 0.1, 4.0)))

@@ -331,8 +331,9 @@ def test_validate_and_the_criteria_share_one_body_per_invariant():
     assert _referenced_names(criteria) & measured == set()
 
 
-# optional parameters that no call in the package, the scripts or the
-# benchmark sets, each kept for the reason given
+# optional parameters and defaulted dataclass fields that no call or
+# assignment in the package, the scripts or the benchmark sets, each kept
+# for the reason given
 UNSET_OPTIONS_KEPT = {
     # tests reach the solve's failure contract with max_iter=1 or 50, and
     # the failure text names it
@@ -341,6 +342,9 @@ UNSET_OPTIONS_KEPT = {
     "invert_bigT.return_info",
     # the exact linearization (substituted=False) is criterion 4's reference
     "build_linearized_coeffs.substituted",
+    # None on every package path; dropping the field moves the keys of the
+    # schedule.json artifact, which prints "M": null
+    "ScheduleParams.M",
 }
 
 
@@ -377,6 +381,33 @@ def _optional_parameters(tree: ast.Module) -> list[tuple[str, str, str, int | No
     return out
 
 
+def _defaulted_fields(tree: ast.Module) -> list[tuple[str, str, int]]:
+    """(class, field, position) for each field of a module-level dataclass
+    whose default is a plain value, not a `field(...)` call."""
+    out = []
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef) or not any(
+            "dataclass" in ast.unparse(d) for d in node.decorator_list
+        ):
+            continue
+        fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
+        for i, f in enumerate(fields):
+            made = isinstance(f.value, ast.Call) and getattr(f.value.func, "id", None) == "field"
+            if f.value is not None and not made:
+                out.append((node.name, f.target.id, i))
+    return out
+
+
+def _attribute_writes(paths) -> set[str]:
+    """Every attribute name that an assignment in the given files writes."""
+    return {
+        node.attr
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+    }
+
+
 def _calls_by_name(paths) -> dict[str, list[ast.Call]]:
     """Every call in the given files, keyed by the called name (`f(...)`
     and `obj.f(...)` alike)."""
@@ -401,15 +432,26 @@ def _sets(call: ast.Call, name: str, position: int | None) -> bool:
 
 def test_every_optional_parameter_has_a_caller():
     # an option exists where callers set different values; one that no call
-    # in the package, the scripts or the benchmark sets is a constant
+    # in the package, the scripts or the benchmark sets is a constant. A
+    # dataclass field with a plain default is an option too: it is set by a
+    # constructor call that passes it or by an assignment to the attribute
     root = PACKAGE.parents[1]
     callers = [p for d in ("src", "scripts", "perfbench") for p in sorted((root / d).rglob("*.py"))]
     calls = _calls_by_name(callers)
+    written = _attribute_writes(callers)
+    trees = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))]
     unset = {
         f"{label}.{name}"
-        for path in sorted(PACKAGE.glob("*.py"))
-        for label, called, name, position in _optional_parameters(ast.parse(path.read_text()))
+        for tree in trees
+        for label, called, name, position in _optional_parameters(tree)
         if not any(_sets(call, name, position) for call in calls.get(called, []))
+    }
+    unset |= {
+        f"{cls}.{name}"
+        for tree in trees
+        for cls, name, position in _defaulted_fields(tree)
+        if name not in written
+        and not any(_sets(call, name, position) for call in calls.get(cls, []))
     }
     assert sorted(unset - UNSET_OPTIONS_KEPT) == []
     # a kept option that a caller now sets needs no exception any more
