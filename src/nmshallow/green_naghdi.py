@@ -94,10 +94,10 @@ Fourier-Galerkin matrix A[j, l] = h^(k_j - k_l) + (mu/3) xi_j xi_l
 (h^3)^(k_j - k_l) (indices mod N) on the band, a few dozen modes at most,
 which one batched LU solves in less time than the per-call overhead of a
 few PCG sweeps. `invert_bigT` holds the one stopping contract of both,
-|b - A x| < tol |b| per member with V's modes off the band counted in
-both norms, and raises one ConvergenceError; the solutions differ by
-rounding (at most 3.6e-15 relative per snapshot on the flagship's
-trajectories).
+|b - A x| < tol |b| per member, refuses a V with modes off the band
+(ValueError: no solution on the band meets them), and raises one
+ConvergenceError; the solutions differ by rounding (at most 3.6e-15
+relative per snapshot on the flagship's trajectories).
 Every other batch of elliptic solves runs in one `_pcg` call, a numpy PCG that
 repeats, member by member, the arithmetic of `scipy.sparse.linalg.cg`
 (tests compare them byte for byte) on the band rows, and whose matvec
@@ -105,11 +105,10 @@ shares bigT's grid products with `apply_bigT` (`_bigT_products`). On the band
 it runs the arithmetic of the full-array PCG it replaced, whose iterates
 stayed zero off the band, to the order of its sums: at most 1e-14
 relative and the same iteration counts (a test keeps the full-array
-operators). Per-member norms and inner products,
-the stopping rule norm(r) < tol * norm(b) with a tol per member if need
-be, a zero right side returned as it is, and a preconditioner from each
-member's own mean depth hbar. Members that have converged leave the
-batch. The preconditioner is the exact inverse of
+operators). Per-member norms and inner products, the stopping rule
+norm(r) < tol * norm(b), a zero right side returned as it is, and a
+preconditioner from each member's own mean depth hbar. Members that have
+converged leave the batch. The preconditioner is the exact inverse of
 the flat operator at depth hbar: the longitudinal part of V (along xi)
 takes the dispersive symbol 1/(hbar + mu |xi|^2 hbar^3/3) and, in 2D, the
 transverse (divergence-free) part takes 1/hbar, since at constant depth
@@ -550,17 +549,16 @@ def invert_bigT(
     and, in 2D, the transverse part 1/hbar (see `_bigT_operators`). At a
     constant depth on a flat bottom one iteration solves the system.
 
-    Both paths keep one contract, checked here once: a member whose L2
-    residual is not below tol * |V|_{L2} (and |V| > 0) raises
-    ConvergenceError, which names it with its residual, |V|, the norm of V
-    off the retained band (which no solution on the band can meet) and its
-    cause: "by a direct solve", "after {max_iter} PCG iterations", or
-    "unsolved" when the modes V_o off the band alone reach tol * |V|.
-    Each path stops on the band alone: a member with nothing off the band
-    (every caller in the package) at tol, one with some at the tolerance
-    sqrt(tol^2 |V|^2 - |V_o|^2) / |V_b| of its band part V_b that leaves
-    room for them. An unsolved member spends no CG sweep. `tol` must lie in
-    (0, 1), else ValueError.
+    V must lie on the retained band, as every caller's projected right side
+    does: no solution on the band meets modes of V off it, so a member with
+    finite, nonzero modes there raises ValueError, naming each such member
+    and the norm of those modes, before any solve is made or counted. A
+    non-finite V (a NaN sample spread by `from_grid`) is not refused and
+    fails its solve. Both paths keep one contract, checked here once: a
+    member whose L2 residual is not below tol * |V|_{L2} (and |V| > 0)
+    raises ConvergenceError, which names it with its residual, |V| and its
+    cause: "by a direct solve" or "after {max_iter} PCG iterations". `tol`
+    must lie in (0, 1), else ValueError.
 
     A batched V (with hg batched alike) solves every member in one call, each
     with its own matrix or preconditioner, stopping rule and result. `x0`
@@ -577,52 +575,41 @@ def invert_bigT(
     band = grid._band
     Vc = _batched(V)
     _require_admissible(params, hg, "invert_bigT")
-    b = _band_rows(Vc, band.index)
     outside = _band_rows(Vc, band.off)
-    band_tol, unsolved = tol, None
     if outside.any():
-        # V's modes off the band add to a member's residual, and no solution
-        # on the band meets them: a member that has some solves its band
-        # part to the tolerance that leaves room for them, or fails unsolved
-        # if they alone use up tol * |V|
+        # no solution on the band meets modes of V off it; a non-finite V is
+        # let through, and fails its solve below
         off = _row_norms(outside)
-        bnorms = _row_norms(b)
-        room = tol**2 * (bnorms**2 + off**2) - off**2
-        unsolved = (off != 0) & (room <= 0)
-        some = (off != 0) & (room > 0)
-        band_tol = np.full(b.shape[0], tol)
-        band_tol[some] = np.sqrt(room[some]) / bnorms[some]
+        refused = np.flatnonzero(np.isfinite(off) & (off != 0))
+        if refused.size:
+            detail = "; ".join(
+                ("" if V.batch is None else f"member {m}: ") + f"off the band {float(off[m]):.3e}"
+                for m in refused
+            )
+            raise ValueError(f"invert_bigT takes a right side on the retained band only ({detail})")
+    b = _band_rows(Vc, band.index)
     dense = 2 * grid.dealias_cutoff_index + 1 <= _DENSE_MODES  # the 1D band's size
     if grid.dimension == 1 and params._slope is None and dense:
         x, residuals = _band_solve(params, hg, b)
         bnorms = _row_norms(b)
-        failed = np.flatnonzero(~(residuals < band_tol * bnorms) & (bnorms != 0))
+        failed = np.flatnonzero(~(residuals < tol * bnorms) & (bnorms != 0))
         iters = np.zeros(b.shape[0], dtype=np.int64)
         how = "by a direct solve"
     else:
         restrict = _bigT_operators(params, hg)
         start = None if x0 is None else _band_rows(np.reshape(x0, Vc.shape), band.index)
-        # an unsolved member goes in as a zero right side, which `_pcg`
-        # returns at once: no sweep is spent on it
-        rhs = b if unsolved is None else np.where(unsolved[:, None], 0.0, b)
-        x, iters, failed = _pcg(restrict, rhs, start, band_tol, max_iter)
+        x, iters, failed = _pcg(restrict, b, start, tol, max_iter)
         residuals = None
         how = f"after {max_iter} PCG iterations"
     _count(solves=b.shape[0], cg_iterations=int(iters.sum()))
-    if unsolved is not None:
-        failed = np.union1d(failed, np.flatnonzero(unsolved))
     if failed.size:
         if residuals is None:
             residuals = np.zeros(b.shape[0])
             residuals[failed] = _row_norms(b[failed] - restrict(failed)[0](x[failed]))
-        off = _row_norms(outside)
-        rhs_norms = np.hypot(_row_norms(b), off)
+        rhs_norms = _row_norms(b)
         detail = "; ".join(
             ("" if V.batch is None else f"member {m}: ")
-            + f"residual {float(np.hypot(residuals[m], off[m])):.3e}, "
-            f"|rhs| {float(rhs_norms[m]):.3e}, off the band {float(off[m]):.3e}, "
-            + ("unsolved: its modes off the band alone reach tol*|rhs|"
-               if unsolved is not None and unsolved[m] else how)
+            + f"residual {float(residuals[m]):.3e}, |rhs| {float(rhs_norms[m]):.3e}, {how}"
             for m in failed
         )
         raise ConvergenceError(f"bigT inversion did not reach tol={tol:g} ({detail})")
@@ -807,14 +794,13 @@ def _bigT_operators(params: PhysicalParams, hg: np.ndarray):
     return restrict
 
 
-def _cg(restrict, b: np.ndarray, x0: np.ndarray | None, tol, max_iter: int):
-    """`_pcg` for a batch of one member (`tol` a float or an array of one):
-    the same arithmetic with scalar norms (`_norm`, the bits of
-    `np.linalg.norm`) and inner products and the unbatched layout. On the
-    band layout, a batch of one through the vectorised `_pcg` loop took
-    1.23x as long per lone N = 512 solve of the transit wave's velocity
-    (median of 30 interleaved in-process rounds of 20 solves, quartiles
-    1.02-1.33x, 23 won by this loop) and 1.20x on 32 transit steps of
+def _cg(restrict, b: np.ndarray, x0: np.ndarray | None, tol: float, max_iter: int):
+    """`_pcg` for a batch of one member: the same arithmetic with scalar
+    norms (`_norm`, the bits of `np.linalg.norm`) and inner products and
+    the unbatched layout. On the band layout, a batch of one through the
+    vectorised `_pcg` loop took 1.23x as long per lone N = 512 solve of the
+    transit wave's velocity (median of 30 interleaved in-process rounds of
+    20 solves, quartiles 1.02-1.33x, 23 won by this loop) and 1.20x on 32 transit steps of
     `mol_solve` (20 rounds, quartiles 1.17-1.25x, all 20 won by this
     loop), by `scripts/inprocess_ab.py` against a copy whose `_pcg` does
     not hand a lone member here (2-core x86 host, numpy 2.4)."""
@@ -822,7 +808,7 @@ def _cg(restrict, b: np.ndarray, x0: np.ndarray | None, tol, max_iter: int):
     bnrm2 = _norm(b)
     if bnrm2 == 0:
         return b.copy(), np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.intp)
-    atol = max(0.0, float(tol[0] if isinstance(tol, np.ndarray) else tol) * bnrm2)
+    atol = max(0.0, tol * bnrm2)
     matvec, psolve = restrict(np.zeros(1, dtype=np.intp))
     r = b - matvec(x) if x.any() else b.copy()
     for it in range(max_iter):
@@ -858,19 +844,18 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(a.real, a.real) + np.vecdot(a.imag, a.imag))
 
 
-def _pcg(restrict, b: np.ndarray, x0: np.ndarray | None, tol, max_iter: int):
+def _pcg(restrict, b: np.ndarray, x0: np.ndarray | None, tol: float, max_iter: int):
     """Preconditioned conjugate gradients on a batch of independent systems.
 
-    Row m of `b`, shape (B, n), is the right side of member m, and `tol`
-    is one float for every member or an array (B,) of one per member.
-    `restrict(which)` returns (matvec, psolve): the operator and the
-    preconditioner of the members in the index array `which`, acting on
-    their rows. Every member repeats the arithmetic of
-    `scipy.sparse.linalg.cg(A, b[m], x0[m], rtol=tol[m], atol=0,
+    Row m of `b`, shape (B, n), is the right side of member m, and one
+    float `tol` holds for every member. `restrict(which)` returns (matvec,
+    psolve): the operator and the preconditioner of the members in the
+    index array `which`, acting on their rows. Every member repeats the
+    arithmetic of `scipy.sparse.linalg.cg(A, b[m], x0[m], rtol=tol, atol=0,
     maxiter=max_iter, M=M)`: norms and inner products are taken on its own
     row, a zero right side is returned as it is, a nonzero start is turned
     into the residual b - A x0, and the member stops at the top of the first
-    sweep in which norm(r) < tol[m] * norm(b). Stopped members leave the
+    sweep in which norm(r) < tol * norm(b). Stopped members leave the
     batch, so a member's result does not depend on the others.
 
     Returns (x, iterations, failed): the solution rows, the iterations of

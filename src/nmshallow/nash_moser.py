@@ -408,12 +408,14 @@ def residual(
     derivative, phi2 = u(0) - g. The norm is the pair norm at index sigma,
     sup_t |phi1(t)|_{sigma} + |phi2|_{sigma + m}, where m is the problem's
     loss order (the datum part sits m higher on the scale). `dudt` is
-    `time_derivative(u)` when the caller already holds it.
+    `time_derivative(u)` when the caller already holds it. A problem whose
+    forcing comes back on another number of snapshots raises ValueError.
     """
     h = problem.forcing(u.times)
     if h is not None and h.n_times != u.n_times:
-        raise DomainError(
-            f"forcing grid ({h.n_times}) does not match trajectory grid ({u.n_times})"
+        raise ValueError(
+            f"the problem's forcing has {h.n_times} snapshots and the trajectory "
+            f"{u.n_times}: the forcing must be sampled on the trajectory's times"
         )
     # the tendency first, so that its chunk temporaries do not coexist with
     # a du/dt formed here; the sum is accumulated in place

@@ -189,7 +189,8 @@ def manufactured_residual(
 
     du/dt is formed by `time_derivative` (centered differences,
     second-order one-sided at the ends; fewer than three snapshots raise
-    ValueError) unless an exact ``dudt`` trajectory is supplied. All
+    ValueError) unless an exact ``dudt`` trajectory is supplied, which must
+    have the trajectory's shape (else ValueError). All
     snapshots are evaluated as one batch: one batched `nonlinear_F` and one
     batched mass-operator application. Peak memory therefore grows with
     n_times x grid points (a loop over the snapshots would hold one
@@ -201,7 +202,10 @@ def manufactured_residual(
     if dudt is None:
         dudt = time_derivative(u_app)
     elif dudt.n_times != u_app.n_times or dudt.snapshots.shape != u_app.snapshots.shape:
-        raise DomainError("dudt must match the trajectory in shape and length")
+        raise ValueError(
+            f"dudt must match the trajectory in shape and length: dudt has "
+            f"{dudt.snapshots.shape}, the trajectory {u_app.snapshots.shape}"
+        )
 
     # all snapshots as one batch, (components, n_times, *shape)
     snaps = u_app.snapshots.swapaxes(0, 1)

@@ -272,11 +272,28 @@ def test_engine_zero_residual_short_circuit(toy_grid, toy_schedule):
     assert rep["prop_iii"] == [True]
 
 
-def _forced_toy(grid):
+def _forced_toy(grid, cls=AdvectionForced):
     g = _mode(grid, 2, 0.3) + _mode(grid, 3, 0.2)
     a = _mode(grid, 1, 0.1) + _mode(grid, 4, 0.05)
     b = _mode(grid, 2, 0.07)
-    return AdvectionForced(grid, c=0.7, g_coeffs=g, a=a, b=b)
+    return cls(grid, c=0.7, g_coeffs=g, a=a, b=b)
+
+
+class ForcingDropsLastTime(AdvectionForced):
+    """`AdvectionForced` whose forcing leaves out the last time asked for."""
+
+    def forcing(self, times):
+        return super().forcing(times[:-1])
+
+
+def test_residual_refuses_a_forcing_on_another_time_grid(toy_grid, toy_schedule):
+    # a forcing sampled on other times is the caller's fault, not a
+    # water-depth violation (DomainError): ValueError naming both counts
+    prob = _forced_toy(toy_grid, ForcingDropsLastTime)
+    times = np.linspace(0.0, 1.0, 11)
+    u = TrajectoryField(toy_grid, times, np.stack([prob._g] * times.size))
+    with pytest.raises(ValueError, match=r"forcing has 10 snapshots and the trajectory 11"):
+        residual(prob, u, toy_schedule.s, m=toy_schedule.m)
 
 
 def _unsmoothed(schedule):

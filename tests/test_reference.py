@@ -1,5 +1,7 @@
 """Direct nonlinear solver and the exact solitary-wave reference."""
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +44,30 @@ def test_solitary_closed_form_constants():
         KAPPA, abs=1e-15
     )
     assert C_WAVE / EPS == pytest.approx(SPEED, abs=1e-14)
+
+
+def _load_derivation():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "derive_solitary_wave.py"
+    spec = importlib.util.spec_from_file_location("derive_solitary_wave", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_solitary_wave_certificate(capsys, monkeypatch):
+    # scripts/derive_solitary_wave.py reduces both residuals of the traveling
+    # ansatz to zero symbolically (sympy), and the speed c/eps it prints for
+    # the frozen configuration is the one serre_solitary_wave moves at
+    derivation = _load_derivation()
+    residuals = derivation.traveling_residuals()
+    assert residuals == (0, 0)
+    # main() would repeat the reduction, the slow part: hand it this one
+    monkeypatch.setattr(derivation, "traveling_residuals", lambda: residuals)
+    derivation.main()
+    line = next(row for row in capsys.readouterr().out.splitlines() if "c/eps =" in row)
+    printed = float(line.split("=")[-1])
+    assert printed == SPEED
+    assert math.isclose(printed, math.sqrt(1.0 + EPS * AMP) / EPS, rel_tol=1e-15)
 
 
 def test_solitary_profile_values():
@@ -123,7 +149,7 @@ def test_manufactured_residual_validation(grid1d, params1d, rng):
     bad_dudt = TrajectoryField(
         grid1d, np.linspace(0.0, 0.2, 3), np.zeros((3, 2, 64), dtype=np.complex128)
     )
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError, match=r"dudt must match the trajectory in shape and length"):
         manufactured_residual(params1d, traj, dudt=bad_dudt)
 
 
