@@ -26,6 +26,14 @@ mu = 0.1, eps = sqrt(mu), amplitude 0.2, the internal step period/2048):
   steps of the wave's own `mol_solve` trajectory, from a perturbation of
   size 1e-3 of the wave.
 
+and one layer over bathymetry, the only one that reaches the b != 0
+operator branches:
+
+* `bathymetry_F` -- `--calls` tendency evaluations on the inputs of the
+  bathy2d benchmark workload (a 64^2 grid of side 2 pi, mu = 0.1,
+  eps = sqrt(mu); bathymetry of amplitude 0.05 and decay 5 from seed 101,
+  then V and zeta of amplitude 0.05 and decay 4 from seed 202).
+
 It prints each side's median time per round, then the per-round ratios
 this/against of wall and CPU time: median, quartiles, and the rounds this
 checkout won (ratio below 1). BLAS thread pools are pinned to one thread
@@ -52,7 +60,8 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
-LAYERS = ("mol_solve", "nonlinear_F", "invert_bigT", "direct_solve", "solve_linearized")
+LAYERS = ("mol_solve", "nonlinear_F", "invert_bigT", "direct_solve", "solve_linearized",
+          "bathymetry_F")
 TRANSIT_NODES = 512
 TRANSIT_LENGTH = 40.0
 TRANSIT_AMPLITUDE = 0.2
@@ -79,6 +88,19 @@ def build(name: str, layer: str, args: argparse.Namespace):
     gn = importlib.import_module(f"{name}.green_naghdi")
     ivp = importlib.import_module(f"{name}.linear_ivp")
     ref = importlib.import_module(f"{name}.reference")
+    if layer == "bathymetry_F":
+        grid = fs.GridSpec(dimension=2, nodes_per_axis=64, domain_length=2 * math.pi)
+        bathymetry = fs.random_field(grid, 1, np.random.default_rng(101), amplitude=0.05,
+                                     decay=5.0)
+        params = gn.PhysicalParams(mu=0.1, eps=math.sqrt(0.1), b=bathymetry)
+        rng = np.random.default_rng(202)
+        state = gn.GNState(V=fs.random_field(grid, 2, rng, amplitude=0.05, decay=4.0),
+                           zeta=fs.random_field(grid, 1, rng, amplitude=0.05, decay=4.0))
+
+        def bathymetry_tendency():
+            for _ in range(args.calls):
+                gn.nonlinear_F(params, state)
+        return bathymetry_tendency
     grid = fs.GridSpec(dimension=1, nodes_per_axis=TRANSIT_NODES, domain_length=TRANSIT_LENGTH)
     params = gn.PhysicalParams(mu=0.1, eps=math.sqrt(0.1), b=fs.zero_field(grid))
     wave = ref.serre_solitary_wave(params, TRANSIT_AMPLITUDE)
@@ -140,7 +162,8 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--steps", type=int, default=16,
                     help="output steps (mol_solve, solve_linearized)")
     ap.add_argument("--calls", type=int, default=20,
-                    help="calls per round (nonlinear_F, invert_bigT, direct_solve)")
+                    help="calls per round (nonlinear_F, invert_bigT, direct_solve, "
+                         "bathymetry_F)")
     args = ap.parse_args(argv)
     if args.rounds < 2 or args.steps < 1 or args.calls < 1:
         ap.error("--rounds must be at least 2; --steps and --calls at least 1")

@@ -44,7 +44,12 @@ Assembly
 `nonlinear_F`, `apply_K` and bigT (`apply_bigT` and the CG matvec) are
 each assembled once (`_tendency_rows`, `_K_rows`, `_bigT_products`): list the grid samples
 needed, transform them, list the grid products, transform them back,
-combine the coefficients. The terms carrying grad(beta) (Q, its bilinear
+combine the coefficients. The two momentum rows share their samples
+(`_samples`), slope terms (`_add_slope_terms`: Q(V) and 2 Q_bil(V, Vbar)
+differ only in the D-term and sym2 passed) and grad(grad(beta).V)
+(`_grad_slope_dot`, also read by `build_linearized_coeffs`); bigT's matvec,
+the hot loop of every PCG solve, keeps its own (T on V, no Q). The terms
+carrying grad(beta) (Q, its bilinear
 form in N1, the slope terms of T) are formed only when b has a nonzero
 coefficient, which `PhysicalParams._slope` decides once; no other module
 reads it. On a flat bottom they vanish identically, T[h, 0] V =
@@ -554,11 +559,12 @@ def invert_bigT(
     finite, nonzero modes there raises ValueError, naming each such member
     and the norm of those modes, before any solve is made or counted. A
     non-finite V (a NaN sample spread by `from_grid`) is not refused and
-    fails its solve. Both paths keep one contract, checked here once: a
-    member whose L2 residual is not below tol * |V|_{L2} (and |V| > 0)
-    raises ConvergenceError, which names it with its residual, |V| and its
-    cause: "by a direct solve" or "after {max_iter} PCG iterations". `tol`
-    must lie in (0, 1), else ValueError.
+    fails its solve (PCG's before any sweep). Both paths keep one contract,
+    checked here once: a member whose L2 residual is not below
+    tol * |V|_{L2} (and |V| > 0) raises ConvergenceError, which names it
+    with its residual, |V| and its cause: "by a direct solve" or "after {n}
+    PCG iterations", n its own count. `tol` must lie in (0, 1), else
+    ValueError.
 
     A batched V (with hg batched alike) solves every member in one call, each
     with its own matrix or preconditioner, stopping rule and result. `x0`
@@ -589,18 +595,17 @@ def invert_bigT(
             raise ValueError(f"invert_bigT takes a right side on the retained band only ({detail})")
     b = _band_rows(Vc, band.index)
     dense = 2 * grid.dealias_cutoff_index + 1 <= _DENSE_MODES  # the 1D band's size
-    if grid.dimension == 1 and params._slope is None and dense:
+    direct = grid.dimension == 1 and params._slope is None and dense
+    if direct:
         x, residuals = _band_solve(params, hg, b)
         bnorms = _row_norms(b)
         failed = np.flatnonzero(~(residuals < tol * bnorms) & (bnorms != 0))
         iters = np.zeros(b.shape[0], dtype=np.int64)
-        how = "by a direct solve"
     else:
         restrict = _bigT_operators(params, hg)
         start = None if x0 is None else _band_rows(np.reshape(x0, Vc.shape), band.index)
         x, iters, failed = _pcg(restrict, b, start, tol, max_iter)
         residuals = None
-        how = f"after {max_iter} PCG iterations"
     _count(solves=b.shape[0], cg_iterations=int(iters.sum()))
     if failed.size:
         if residuals is None:
@@ -609,7 +614,8 @@ def invert_bigT(
         rhs_norms = _row_norms(b)
         detail = "; ".join(
             ("" if V.batch is None else f"member {m}: ")
-            + f"residual {float(residuals[m]):.3e}, |rhs| {float(rhs_norms[m]):.3e}, {how}"
+            + f"residual {float(residuals[m]):.3e}, |rhs| {float(rhs_norms[m]):.3e}, "
+            + ("by a direct solve" if direct else f"after {iters[m]} PCG iterations")
             for m in failed
         )
         raise ConvergenceError(f"bigT inversion did not reach tol={tol:g} ({detail})")
@@ -808,6 +814,8 @@ def _cg(restrict, b: np.ndarray, x0: np.ndarray | None, tol: float, max_iter: in
     bnrm2 = _norm(b)
     if bnrm2 == 0:
         return b.copy(), np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.intp)
+    if not math.isfinite(bnrm2):
+        return x, np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.intp)
     atol = max(0.0, tol * bnrm2)
     matvec, psolve = restrict(np.zeros(1, dtype=np.intp))
     r = b - matvec(x) if x.any() else b.copy()
@@ -859,7 +867,8 @@ def _pcg(restrict, b: np.ndarray, x0: np.ndarray | None, tol: float, max_iter: i
     batch, so a member's result does not depend on the others.
 
     Returns (x, iterations, failed): the solution rows, the iterations of
-    each member, and the members that did not converge in max_iter. A batch
+    each member, and the members that did not converge in max_iter; one
+    whose right side's norm is not finite fails after 0 iterations. A batch
     of one runs `_cg`.
     """
     if b.shape[0] == 1:
@@ -869,7 +878,8 @@ def _pcg(restrict, b: np.ndarray, x0: np.ndarray | None, tol: float, max_iter: i
     bnrm2 = _row_norms(b)
     zero = bnrm2 == 0
     x[zero] = b[zero]
-    act = np.flatnonzero(~zero)
+    unsolvable = np.flatnonzero(~np.isfinite(bnrm2))
+    act = np.flatnonzero(~zero & np.isfinite(bnrm2))
     atol = np.maximum(0.0, tol * bnrm2)[act]
     r = b[act]
     xa = x[act]
@@ -906,7 +916,7 @@ def _pcg(restrict, b: np.ndarray, x0: np.ndarray | None, tol: float, max_iter: i
     else:
         x[act] = xa
         iterations[act] = max_iter
-    return x, iterations, act
+    return x, iterations, np.union1d(act, unsolvable) if unsolvable.size else act
 
 
 # --------------------------------------------------------- nonlinear tendency
@@ -941,33 +951,13 @@ def _tendency_rows(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Projected bigT F1, the depth samples h (B, *shape) that its floor
     check tested, and the coefficients of (zeta - b) V, for a batch of
-    velocities Vc (d, B, *shape) and elevations zc (B, *shape).
-
-    A function of its own so that its temporaries are freed before the CG
-    solve.
+    velocities Vc (d, B, *shape) and elevations zc (B, *shape), from
+    `_samples` and `_add_slope_terms`. A function of its own so that its
+    temporaries are freed before the CG solve.
     """
     grid = params.grid
     mu, eps = params.mu, params.eps
-    slope = params._slope
-    flat = slope is None
-
-    Xc = _div_c(grid, Vc)
-    gz_c = _grad_c(grid, zc)
-    grids = _transform(
-        grid.to_grid,
-        grid,
-        [
-            zc,
-            Vc,
-            Xc,
-            _div_c(grid, gz_c),
-            _grad_c(grid, Vc).swapaxes(0, 1),  # row i: grad V_i
-            _grad_c(grid, Xc),
-            *([] if flat else [gz_c]),  # grad(beta).grad(zeta) in T
-        ],
-        flat,
-    )
-    zg, Vg, Xg, lap_z_g, grad_V_g, grad_X_g = grids[:6]
+    Vg, zg, Xg, grad_X_g, grad_V_g, lap_z_g, gz_g = _samples(params, Vc, zc)
     hg = params._depth(zg)
     _require_admissible(params, hg, "nonlinear_F")
 
@@ -977,28 +967,14 @@ def _tendency_rows(
     h_advect = hg[None] * advect
     h3_dv_x = hg**3 * dv_x
     h3_lap_z = hg * hg * hg * lap_z_g
-    if not flat:
-        # The slope terms ride on the same three rows, scaled to the factor
-        # each row is combined with below. With Y = grad(beta).grad zeta,
-        # T grad zeta adds (1/2) grad(h^2 Y) = -(1/3) grad(-(3/2) h^2 Y) and
-        # (-(1/2) h^2 div grad zeta + h Y) grad(beta). At W = V the D-term of
-        # Q is dv_x and its sym2 is V.grad(grad(beta).V), so mu Q(V) adds
-        # (mu/3) grad((3/2) h^2 sym2) and mu h ((h/2) dv_x + sym2) grad(beta).
-        gbeta_g = slope[:, None]
-        Yg = _dot_g(gbeta_g, grids[6])
-        vb_c = grid.from_grid(_dot_g(gbeta_g, Vg))
-        sym2 = _dot_g(Vg, grid.to_grid(_grad_c(grid, vb_c)))
-        h2 = hg * hg
-        slope_terms = mu * hg * (0.5 * hg * dv_x + sym2)
-        slope_terms -= (mu / eps) * (-0.5 * h2 * lap_z_g + hg * Yg)
-        h_advect += slope_terms[None] * gbeta_g
-        h3_dv_x += 1.5 * h2 * sym2
-        h3_lap_z -= 1.5 * h2 * Yg
+    if gz_g is not None:
+        sym2 = _dot_g(Vg, _grad_slope_dot(params, Vg))
+        _add_slope_terms(params, hg, gz_g, lap_z_g, dv_x, sym2, h_advect, h3_dv_x, h3_lap_z)
     flux_c, h_advect, h3_dv_x, h3_lap_z = _transform(
         grid.from_grid,
         grid,
         [(zg - params.b_grid)[None] * Vg, h_advect, h3_dv_x, h3_lap_z],
-        flat,
+        gz_g is None,
     )
 
     # -(mu/eps) T[h, eps b] grad zeta + h (V.grad) V
@@ -1008,6 +984,57 @@ def _tendency_rows(
     rhs += grid.project(h_advect)
     rhs += mu * (1.0 / 3.0) * grid.project(_grad_c(grid, h3_dv_x))
     return rhs, hg, flux_c
+
+
+# ------------------------------------------------- shared momentum-row terms
+
+def _samples(params: PhysicalParams, Vc: np.ndarray, zc: np.ndarray) -> tuple:
+    """Grid samples (V, zeta, div V, grad div V, grad V with row i grad V_i,
+    div grad zeta, grad zeta) of velocities Vc (d, ..., *shape) and
+    elevations zc (..., *shape). On a flat bottom grad zeta, which only
+    grad(beta).grad zeta in T reads, is None and the rest go through one
+    stacked `to_grid`; over bathymetry each has its own call."""
+    grid = params.grid
+    flat = params._slope is None
+    Xc = _div_c(grid, Vc)
+    gz_c = _grad_c(grid, zc)
+    parts = [Vc, zc, Xc, _grad_c(grid, Xc), _grad_c(grid, Vc).swapaxes(0, 1), _div_c(grid, gz_c)]
+    grids = _transform(grid.to_grid, grid, parts + ([] if flat else [gz_c]), flat)
+    return (*grids, None) if flat else tuple(grids)
+
+
+def _slope_like(params: PhysicalParams, a: np.ndarray) -> np.ndarray:
+    """grad(beta) laid out for `a`: (d, *shape), or (d, 1, *shape) for a batch."""
+    slope = params._slope
+    return slope if a.ndim == slope.ndim else slope[:, None]
+
+
+def _grad_slope_dot(params: PhysicalParams, Vg: np.ndarray) -> np.ndarray:
+    """Samples of grad(grad(beta).V) from the samples Vg of V, one field or
+    a batch, through one transform pair."""
+    grid = params.grid
+    return grid.to_grid(_grad_c(grid, grid.from_grid(_dot_g(_slope_like(params, Vg), Vg))))
+
+
+def _add_slope_terms(params: PhysicalParams, hg, gz_g, lap_z_g, dq, sq, h_adv, h3_dq, h3_lap_z):
+    """Fold, in place, the slope terms of -(mu/eps) T grad zeta and of
+    mu [ (1/2) grad(h^2 sq) + h ((h/2) dq + sq) grad(beta) ] onto the grid
+    rows h_adv, h3_dq (combined as (mu/3) grad) and h3_lap_z (as
+    (mu/eps)(1/3) grad). With Y = grad(beta).grad zeta, T grad zeta adds
+    -(1/3) grad(-(3/2) h^2 Y) and (-(1/2) h^2 div grad zeta + h Y) grad(beta);
+    the Q term adds (mu/3) grad((3/2) h^2 sq) and mu h ((h/2) dq + sq)
+    grad(beta). The tendency's mu Q(V) has dq = D_V div V and
+    sq = V.grad(grad(beta).V), `_K_rows`'s 2 mu Q_bil has 2 dsym and 2 sym2.
+    """
+    mu, eps = params.mu, params.eps
+    gbeta_g = _slope_like(params, h_adv)
+    Yg = _dot_g(gbeta_g, gz_g)
+    h2 = hg * hg
+    slope_terms = mu * hg * (0.5 * hg * dq + sq)
+    slope_terms -= (mu / eps) * (-0.5 * h2 * lap_z_g + hg * Yg)
+    h_adv += slope_terms[None] * gbeta_g
+    h3_dq += 1.5 * h2 * sq
+    h3_lap_z -= 1.5 * h2 * Yg
 
 
 # ------------------------------------------------------ linearized operators
@@ -1024,8 +1051,9 @@ class LinearizedCoeffs:
     -eps*dtVbar (flag `substituted`, see `build_linearized_coeffs`); the
     exact assembly re-evaluates the nonlinear velocity tendency and is the
     true Frechet derivative, used by the derivative-consistency tests.
-    On a flat bottom grad(grad(beta).Vbar) vanishes and `grad_vbarbeta`,
-    which only the slope terms of `_K_rows` read, is None.
+    `grad_vbarbeta` = grad(grad(beta).Vbar) (`_grad_slope_dot`), read only
+    by the slope terms of `_K_rows`, is None on a flat bottom, where it
+    vanishes. `at_time` refuses a time outside the snapshots' span.
     """
 
     grid: GridSpec
@@ -1064,7 +1092,12 @@ class LinearizedCoeffs:
     def at_time(self, t: float) -> dict[str, np.ndarray]:
         """Linear interpolation of the coefficient arrays at time t, by name;
         an array that is None (`grad_vbarbeta` on a flat bottom) is left
-        out."""
+        out. A t outside [0, times[-1]] (to 1e-8 relative) or NaN raises
+        ValueError, as in `TrajectoryField.sample`."""
+        span = float(self.times[-1])
+        if not (-1e-8 * span <= t <= span * (1.0 + 1e-8)):
+            raise ValueError(f"time {t!r} lies outside the coefficients' span [0, {span!r}] "
+                             f"({self.n_times} snapshots)")
         i, j, w = self.bracket(t)
         names = [
             "Vbar", "zetabar", "hbar", "abar", "bbar",
@@ -1142,10 +1175,10 @@ def build_linearized_coeffs(
 
         # D_Vbar(div Vbar) = -(Vbar.grad)(div Vbar) + (div Vbar)^2
         d_vbar_div = -_dot_g(V_g, graddiv_g) + div_g**2
-        advect = np.stack([_dot_g(V_g, gradV_g[i]) for i in range(d)])
+        advect = _dot_g(V_g, gradV_g.swapaxes(0, 1))  # row i: Vbar.grad Vbar_i
         a_flow = eps * h_g * d_vbar_div
         if not flat:
-            gvb_g = grid.to_grid(_grad_c(grid, grid.from_grid(_dot_g(gbeta, V_g))))
+            gvb_g = _grad_slope_dot(params, V_g)
             grad_vbarbeta[part] = gvb_g.swapaxes(0, 1)
             # (Vbar.grad)^2 beta = (Vbar.grad)(Vbar.grad beta), assembled spectrally inside.
             a_flow += _dot_g(V_g, gvb_g)
@@ -1247,66 +1280,30 @@ def _K_rows(
         sym2 = (1/2) [(V.grad)(W.grad beta) + (W.grad)(V.grad beta)],
         dsym = (1/2) [D_V(div W) + D_W(div V)]:
     the derivative of the quadratic form mu Q is twice its diagonal-normalized
-    bilinear form. Over bathymetry the slope terms of Q_bil and Tbar ride on
-    the flat rows, as in `_tendency_rows`; on a flat bottom they vanish and
-    are not formed. The coefficients are summed in the order written above.
+    bilinear form. As in `_tendency_rows`, the samples come from `_samples`
+    and, over bathymetry, the slope terms of Tbar and 2 mu Q_bil from
+    `_add_slope_terms`. The coefficients are summed in the order written above.
     """
     grid = v.grid
     mu, eps = params.mu, params.eps
     hbar = coeffs_t["hbar"]
     Vbar = coeffs_t["Vbar"]
     divVbar = coeffs_t["divVbar"]
-    gradVbar = coeffs_t["gradVbar"]
-    graddivVbar = coeffs_t["graddivVbar"]
-    gbeta_g = params._slope
-    flat = gbeta_g is None
-
-    Vc = v.V.coefficients
-    Xc = _div_c(grid, Vc)
-    gz_c = _grad_c(grid, v.zeta.coefficients[0])
-    grids = _transform(
-        grid.to_grid,
-        grid,
-        [
-            Vc,
-            v.zeta.coefficients[0],
-            Xc,
-            _grad_c(grid, Xc),
-            _grad_c(grid, Vc).swapaxes(0, 1),  # row i: grad V_i
-            _div_c(grid, gz_c),
-            *([] if flat else [gz_c]),  # grad(beta).grad(zeta) in Tbar
-        ],
-        flat,
+    Vg, zg, Xg, grad_X_g, grad_V_g, lap_z_g, gz_g = _samples(
+        params, v.V.coefficients, v.zeta.coefficients[0]
     )
-    Vg, zg, Xg, grad_X_g, grad_V_g, lap_z_g = grids[:6]
 
-    adv = _dot_g(Vbar, grad_V_g.swapaxes(0, 1)) + _dot_g(Vg, gradVbar.swapaxes(0, 1))
+    adv = _dot_g(Vbar, grad_V_g.swapaxes(0, 1)) + _dot_g(Vg, coeffs_t["gradVbar"].swapaxes(0, 1))
     # D_Vbar(div V) + D_V(div Vbar)
-    dsym2 = (
-        -_dot_g(Vbar, grad_X_g)
-        + divVbar * Xg
-        - _dot_g(Vg, graddivVbar)
-        + Xg * divVbar
-    )
+    dsym2 = -_dot_g(Vbar, grad_X_g) + divVbar * Xg - _dot_g(Vg, coeffs_t["graddivVbar"])
+    dsym2 += Xg * divVbar
     h_adv = hbar[None] * adv
     h3_dsym2 = hbar**3 * dsym2
     h3_lap_z = hbar * hbar * hbar * lap_z_g
-    if not flat:
-        # The slope terms ride on the rows above, scaled to the factor each
-        # row is combined with below. With Y = grad(beta).grad zeta, Tbar
-        # grad zeta adds (1/2) grad(hbar^2 Y) = -(1/3) grad(-(3/2) hbar^2 Y)
-        # and (-(1/2) hbar^2 div grad zeta + hbar Y) grad(beta); 2 mu Q_bil
-        # adds (mu/3) grad(3 hbar^2 sym2) and mu hbar (hbar dsym + 2 sym2) grad(beta).
-        Yg = _dot_g(gbeta_g, grids[6])
-        vb_c = grid.from_grid(_dot_g(gbeta_g, Vg))
-        grad_vb = grid.to_grid(_grad_c(grid, vb_c))
-        sym2 = 0.5 * (_dot_g(Vg, coeffs_t["grad_vbarbeta"]) + _dot_g(Vbar, grad_vb))
-        h2 = hbar * hbar
-        slope_terms = mu * hbar * (0.5 * hbar * dsym2 + 2.0 * sym2)
-        slope_terms -= (mu / eps) * (-0.5 * h2 * lap_z_g + hbar * Yg)
-        h_adv += slope_terms[None] * gbeta_g
-        h3_dsym2 += 3.0 * h2 * sym2
-        h3_lap_z -= 1.5 * h2 * Yg
+    if gz_g is not None:
+        # 2 sym2 = V.grad(grad(beta).Vbar) + Vbar.grad(grad(beta).V)
+        sym2x2 = _dot_g(Vg, coeffs_t["grad_vbarbeta"]) + _dot_g(Vbar, _grad_slope_dot(params, Vg))
+        _add_slope_terms(params, hbar, gz_g, lap_z_g, dsym2, sym2x2, h_adv, h3_dsym2, h3_lap_z)
     flux_c, zV_c, rhs, h3_dsym2, bbar_z, habar_z, h3_lap_z = _transform(
         grid.from_grid,
         grid,
@@ -1319,7 +1316,7 @@ def _K_rows(
             hbar * coeffs_t["abar"] * zg,
             h3_lap_z,
         ],
-        flat,
+        gz_g is None,
     )
 
     rhs += (mu / 3.0) * _grad_c(grid, h3_dsym2)

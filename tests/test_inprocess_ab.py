@@ -18,7 +18,7 @@ def _run(*args):
 
 
 @pytest.mark.parametrize("layer", ["mol_solve", "nonlinear_F", "invert_bigT", "direct_solve",
-                                   "solve_linearized"])
+                                   "solve_linearized", "bathymetry_F"])
 def test_checkout_against_itself(layer):
     done = _run("--against", str(ROOT), "--layer", layer, "--rounds", "2", "--steps", "1",
                 "--calls", "1")

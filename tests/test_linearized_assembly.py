@@ -12,7 +12,10 @@ bottom, and agree with it to rounding over bathymetry: in 1D and 2D, with
 substituted and exact coefficients, at a snapshot time and between
 snapshots, and through a 2D `solve_linearized` with the same CG iteration
 counts. The fold also cuts the transforms of one `_K_rows` call over
-bathymetry, and a flat-bottom linearization transforms no zero input.
+bathymetry, and a flat-bottom linearization transforms no zero input. The
+tendency's rows, which share `_K_rows`'s samples and slope terms, have
+their transform count pinned too, and `LinearizedCoeffs.at_time` refuses a
+time outside the snapshots' span.
 """
 import math
 
@@ -199,6 +202,36 @@ def test_K_rows_transform_calls(monkeypatch, dim, n, flat):
     # one stacked pair on a flat bottom; the pre-fold assembly made 21 calls
     # over bathymetry
     assert len(calls) <= (2 if flat else 17), len(calls)
+
+
+@pytest.mark.parametrize("flat", [True, False], ids=["flat", "bathymetry"])
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 16)], ids=["1d-64", "2d-16"])
+def test_tendency_rows_transform_calls(monkeypatch, dim, n, flat):
+    params, _, _ = _case(dim, n, flat, True)
+    grid = params.grid
+    rng = np.random.default_rng(5)
+    u = GNState(
+        V=random_field(grid, dim, rng, amplitude=0.05, decay=4.0),
+        zeta=random_field(grid, 1, rng, amplitude=0.05, decay=4.0),
+    )
+    calls = _record_transforms(monkeypatch)  # `_case` cached the samples of b
+    gn._tendency_rows(params, gn._batched(u.V), gn._batched(u.zeta)[0])
+    # one stacked pair on a flat bottom; over bathymetry the seven samples,
+    # the pair of grad(grad(beta).V) and the four products
+    assert len(calls) == (2 if flat else 13), len(calls)
+
+
+def test_coefficients_refuse_times_outside_their_span():
+    params, coeffs, v = _case(1, 64, True, True)
+    end = coeffs.at_time(0.2 * (1.0 + 1e-9))
+    assert end["hbar"].tobytes() == coeffs.hbar[-1].tobytes()
+    for t in (0.2 * (1.0 + 1e-6), -1e-6, math.nan):
+        with pytest.raises(ValueError, match=r"outside the coefficients' span \[0, 0\.2\] "
+                                             r"\(3 snapshots\)"):
+            coeffs.at_time(t)
+    # the linearized solve stops at the span rather than freeze its coefficients
+    with pytest.raises(ValueError, match="outside the coefficients' span"):
+        solve_linearized(params, coeffs, IVPData(initial=v, horizon=0.3, dt=0.05))
 
 
 @pytest.mark.parametrize("substituted", [True, False], ids=["substituted", "exact"])
